@@ -2,8 +2,8 @@
 
 Nothing in here is imported by production modules; the dependency points the
 other way so every cross-check stays a genuine dual route. The eigensolver is
-a threshold cyclic Jacobi iteration, written without reference to the Lanczos
-code in `spectral`.
+a threshold cyclic Jacobi iteration, written without reference to the
+implicitly restarted Lanczos (ARPACK) solver in `spectral`.
 """
 
 from __future__ import annotations

@@ -1,22 +1,22 @@
 """Structure encoding from adjacency eigenvectors.
 
-The production eigensolver is a full-reorthogonalization Lanczos iteration
-driven purely by mat-vec products, so it never forms a dense factorization of
-the operator; the Krylov dimension grows until the requested pairs hit the
-residual tolerance. Dense n x n eigendecompositions are reserved for the
-alignment certificate below, which is restricted to n <= 500 by contract.
+The production eigensolver is implicitly restarted Lanczos (ARPACK, through
+scipy's `eigsh`) driven purely by mat-vec products, so it never forms a dense
+factorization of the operator and its Krylov basis stays at a fixed dimension
+between restarts. Dense n x n eigendecompositions are reserved for operators
+too small for ARPACK and for the alignment certificate below, which is
+restricted to n <= 500 by contract.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .data import Graph
 from .errors import (ConvergenceError, FairformerError, SpectralGapError,
@@ -85,125 +85,72 @@ def _canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lanczos_select(matvec, n, wanted, required, tol, max_iters, seed, which,
-                    deflate=None):
-    """Lanczos with full reorthogonalization; returns `wanted` Ritz pairs.
+def _select(matvec, n, k, tol, max_iters, seed, which):
+    """The k eigenpairs of a symmetric operator chosen by `which` ("LM" or "SA").
 
-    `which` selects by largest magnitude or smallest value. Convergence is
-    demanded only for the first `required` pairs; extra pairs (used for tie
-    detection) are best-effort estimates. `deflate` columns are projected out
-    of every basis vector.
+    Implicitly restarted Lanczos (ARPACK's `eigsh`) on mat-vec products, with
+    at most `max_iters` restarts of an `ncv`-dimensional Krylov basis; operators
+    too small for ARPACK (n <= k + 2) are solved densely. Returns (eigenvalues,
+    vectors, true residuals) ordered by |eigenvalue| descending for "LM" and
+    ascending for "SA"; raises ConvergenceError when a residual exceeds
+    tol * max(1, |eigenvalue|).
     """
-    defl = None
-    n_eff = n
-    if deflate is not None:
-        defl = np.atleast_2d(np.asarray(deflate, dtype=np.float64))
-        if defl.shape[0] != n:
-            defl = defl.T
-        n_eff = n - defl.shape[1]
-    if required > n_eff:
-        raise FairformerError(
-            f"requested {required} eigenpairs but the deflated operator has rank at most {n_eff}")
-    if required == 0 and wanted == 0:
-        return np.empty(0), np.empty((n, 0)), np.empty(0), None
-
-    m_max = min(n_eff, max_iters)
-    rng = np.random.default_rng(seed)
-
-    def orthogonalize(vec, basis_cols):
-        if defl is not None:
-            vec = vec - defl @ (defl.T @ vec)
-        for _ in range(2):
-            for q in basis_cols:
-                vec = vec - q * (q @ vec)
-        return vec
-
-    def fresh_vector(basis_cols):
-        for _ in range(20):
-            v = orthogonalize(rng.standard_normal(n), basis_cols)
-            norm = np.linalg.norm(v)
-            if norm > 1e-8:
-                return v / norm
-        return None
-
-    qs, alphas, betas = [], [], []
-    q = fresh_vector([])
-    if q is None:
-        raise ConvergenceError("could not build a start vector orthogonal to the deflation space")
-    beta_prev = 0.0
-    q_prev = np.zeros(n)
-
-    def ritz(order_only=False):
-        m = len(alphas)
-        tmat = np.diag(alphas)
-        if m > 1:
-            off = np.asarray(betas[:m - 1])
-            tmat += np.diag(off, 1) + np.diag(off, -1)
-        theta, svec = np.linalg.eigh(tmat)
-        if which == "largest_magnitude":
-            order = np.argsort(-np.abs(theta), kind="stable")
-        else:
-            order = np.argsort(theta, kind="stable")
-        theta = theta[order]
-        svec = svec[:, order]
-        take = min(wanted, m)
-        resid_est = np.abs(betas[-1] * svec[-1, :take]) if betas else np.zeros(take)
-        if order_only:
-            return theta[:take], None, resid_est
-        qmat = np.column_stack(qs)
-        return theta[:take], qmat @ svec[:, :take], resid_est
-
-    while True:
-        u = matvec(q)
-        alpha = float(q @ u)
-        r = u - alpha * q - beta_prev * q_prev
-        qs.append(q)
-        alphas.append(alpha)
-        r = orthogonalize(r, qs)
-        beta = float(np.linalg.norm(r))
-
-        m = len(alphas)
-        done = m >= m_max
-        if not done and beta <= 1e-12 * max(1.0, abs(alpha)):
-            # invariant subspace found; restart in a fresh direction
-            nxt = fresh_vector(qs)
-            if nxt is None:
-                done = True
-            else:
-                q_prev, beta_prev, q = q, 0.0, nxt
-                betas.append(0.0)
-        elif not done:
-            q_prev, beta_prev = q, beta
-            q = r / beta
-            betas.append(beta)
-
-        if done or (m >= max(required + 2, 3) and m % 5 == 0):
-            theta, _, resid_est = ritz(order_only=True)
-            need = min(required, len(theta))
-            if need and np.all(resid_est[:need] <= tol * np.maximum(1.0, np.abs(theta[:need]))):
-                done = True
-            elif len(theta) >= required and required == 0:
-                done = True
-        if done:
-            break
-
-    theta, vectors, _ = ritz()
-    # true residuals for the pairs we must guarantee
-    resid = np.zeros(len(theta))
-    for i in range(min(required, len(theta))):
-        v = vectors[:, i]
-        nv = np.linalg.norm(v)
-        if nv > 0:
-            vectors[:, i] = v / nv
-        resid[i] = np.linalg.norm(matvec(vectors[:, i]) - theta[i] * vectors[:, i])
-    bad = [i for i in range(min(required, len(theta)))
-           if resid[i] > tol * max(1.0, abs(theta[i]))]
-    if bad:
+    if n <= k + 2:
+        theta, vectors = np.linalg.eigh(np.column_stack([matvec(e) for e in np.eye(n)]))
+    else:
+        ncv = min(n, max(2 * k + 1, 20))
+        op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+        v0 = np.random.default_rng(seed).standard_normal(n)
+        try:
+            theta, vectors = eigsh(op, k=k, which=which, v0=v0, ncv=ncv, maxiter=max_iters,
+                                   tol=tol)
+        except ArpackNoConvergence as exc:
+            raise ConvergenceError(
+                f"eigensolver converged {len(exc.eigenvalues)} of {k} eigenpairs before the "
+                f"restart cap max_iters={max_iters} (Krylov dimension ncv={ncv})") from None
+        except ArpackError as exc:
+            if np.any(matvec(v0)):
+                raise ConvergenceError(f"eigensolver failed: {exc}") from None
+            theta, vectors = np.zeros(k), np.eye(n, k)  # ARPACK stops on the zero operator
+    order = np.argsort(-np.abs(theta) if which == "LM" else theta, kind="stable")[:k]
+    theta, vectors = theta[order], vectors[:, order]
+    resid = np.array([np.linalg.norm(matvec(v) - lam * v) for lam, v in zip(theta, vectors.T)])
+    bad = resid > tol * np.maximum(1.0, np.abs(theta))
+    if np.any(bad):
         raise ConvergenceError(
-            f"eigensolver did not converge within {max_iters} iterations; "
-            f"worst residual {resid[bad[-1]]:.3e}",
-            achieved_residual=float(np.max(resid[bad])))
-    return theta, vectors, resid, len(alphas)
+            f"eigensolver residual {resid[bad].max():.3e} exceeds tol={tol:.1e} "
+            f"(restart cap max_iters={max_iters})", achieved_residual=float(resid[bad].max()))
+    return theta, vectors, resid
+
+
+_TIE_SCREEN_TOL = 1e-1
+
+
+def _tie_at_cut(matvec, n, theta, vectors, tol, max_iters, seed) -> bool:
+    """Best effort: does |lambda_{t+1}| match |lambda_t| within tol?
+
+    The largest-magnitude eigenvalue mu of the deflated operator A - V diag(theta) V^T
+    estimates lambda_{t+1}. A loose solve settles most cases, since |mu| plus its
+    residual then falls clearly below |lambda_t|; only otherwise is mu refined at
+    tol. A refinement that does not converge reports no tie.
+    """
+    if theta.size >= n:
+        return False
+    cut = abs(theta[-1])
+    margin = tol * max(1.0, cut)
+    scaled = vectors * theta
+
+    def deflated(x):
+        return matvec(x) - scaled @ (vectors.T @ x)
+
+    try:
+        for step_tol in (_TIE_SCREEN_TOL, tol):
+            mu, _, resid = _select(deflated, n, 1, step_tol, max_iters, seed, "LM")
+            if abs(mu[0]) + resid[0] < cut - margin:
+                return False
+    except ConvergenceError:
+        return False
+    return abs(cut - abs(mu[0])) <= margin
 
 
 def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, max_iters: int = 1000,
@@ -211,9 +158,10 @@ def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, max_iters: int = 100
     """The t eigenpairs of largest |eigenvalue| of a symmetric operator.
 
     Accepts a Graph (its adjacency), a scipy sparse matrix or a dense symmetric
-    array; only mat-vec products are applied. A magnitude tie at the cut index
-    (|lambda_t| matching |lambda_{t+1}| within tol) sets tie_warning: the basis
-    stays valid but which eigenvector fills the last slot is seed-dependent.
+    array; only mat-vec products are applied. `max_iters` caps the eigensolver's
+    restarts. A magnitude tie at the cut index (|lambda_t| matching
+    |lambda_{t+1}| within tol) sets tie_warning: the basis stays valid but which
+    eigenvector fills the last slot is seed-dependent.
     """
     matvec, n = _as_matvec(a)
     if t < 0 or t > n:
@@ -221,54 +169,48 @@ def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, max_iters: int = 100
     if t == 0:
         return SpectralBasis(np.empty(0), np.empty((n, 0)), "adjacency", tol, np.empty(0))
 
-    wanted = min(t + 1, n)
-    theta, vectors, resid, _ = _lanczos_select(
-        matvec, n, wanted=wanted, required=t, tol=tol, max_iters=max_iters,
-        seed=seed, which="largest_magnitude")
-
-    tie = False
-    if len(theta) > t and abs(abs(theta[t - 1]) - abs(theta[t])) <= tol * max(1.0, abs(theta[t - 1])):
-        tie = True
+    theta, vectors, resid = _select(matvec, n, t, tol, max_iters, seed, "LM")
+    tie = _tie_at_cut(matvec, n, theta, vectors, tol, max_iters, seed)
+    if tie:
         warnings.warn("magnitude tie at the selection cut; last eigenvector is seed-dependent",
                       TieWarning, stacklevel=2)
 
-    basis = SpectralBasis(
-        eigenvalues=theta[:t].copy(),
-        structure_matrix=_canonicalize_signs(vectors[:, :t]),
+    return SpectralBasis(
+        eigenvalues=theta,
+        structure_matrix=_canonicalize_signs(vectors),
         source="adjacency",
         tol=tol,
-        residuals=resid[:t].copy(),
+        residuals=resid,
         tie_warning=tie,
     )
-    return basis
 
 
 def laplacian_small_eigenpairs(g: Graph, t: int, tol: float = 1e-10,
                                max_iters: int = 1000, seed: int = 0) -> SpectralBasis:
     """The t smallest nontrivial eigenpairs of L = D - A.
 
-    The constant eigenvector is deflated away. Graphs with more than t + 1
-    connected components cannot avoid the remaining kernel, so the result
-    carries degenerate_warning and may include (near-)zero eigenvalues.
+    The constant eigenvector is shifted above the spectrum: L + s 11^T / n with
+    s = 2 * max_degree + 1 > lambda_max(L). `max_iters` caps the eigensolver's
+    restarts. Graphs with more than t + 1 connected components cannot avoid the
+    remaining kernel, so the result carries degenerate_warning and may include
+    (near-)zero eigenvalues.
     """
     if t < 0 or t > g.n - 1:
         raise FairformerError(f"t={t} out of range for the deflated Laplacian of n={g.n}")
-    degrees = np.asarray(g.adjacency.sum(axis=1)).ravel()
-    adj = g.adjacency
-
-    def matvec(x):
-        return degrees * x - adj @ x
-
     if t == 0:
         return SpectralBasis(np.empty(0), np.empty((g.n, 0)), "laplacian", tol, np.empty(0))
 
-    ones = np.full((g.n, 1), 1.0 / np.sqrt(g.n))
-    theta, vectors, resid, _ = _lanczos_select(
-        matvec, g.n, wanted=t, required=t, tol=tol, max_iters=max_iters,
-        seed=seed, which="smallest", deflate=ones)
+    adjacency_matvec, n = _as_matvec(g)
+    degrees = np.asarray(g.adjacency.sum(axis=1)).ravel()
+    shift = 2.0 * degrees.max() + 1.0
+
+    def matvec(x):
+        return degrees * x - adjacency_matvec(x) + shift * x.sum() / n
+
+    theta, vectors, resid = _select(matvec, n, t, tol, max_iters, seed, "SA")
     theta = np.where(np.abs(theta) <= tol, 0.0, theta)
 
-    n_components = connected_components(adj, directed=False)[0]
+    n_components = connected_components(g.adjacency, directed=False)[0]
     degenerate = n_components > t + 1
     if degenerate:
         warnings.warn(
@@ -276,11 +218,11 @@ def laplacian_small_eigenpairs(g: Graph, t: int, tol: float = 1e-10,
             DegenerateSpectrumWarning, stacklevel=2)
 
     return SpectralBasis(
-        eigenvalues=theta.copy(),
+        eigenvalues=theta,
         structure_matrix=_canonicalize_signs(vectors),
         source="laplacian",
         tol=tol,
-        residuals=resid.copy(),
+        residuals=resid,
         degenerate_warning=degenerate,
     )
 
@@ -329,7 +271,6 @@ class AlignmentReport:
     dominant_mass: float
     nondominant_correlation: np.ndarray
     decay_constant: float | None
-    decay_constant_naive: float
     decay_applicable: bool
     identity_max_error: float
     decay_ok: bool
@@ -411,7 +352,6 @@ def spectral_alignment_report(g: Graph, k_max: int, column: np.ndarray | None = 
     constant = None
     if applicable and ratio > 0:
         constant = u1 * (2 * b1 + u1 + b1 * ratio) / (np.sqrt(b1) * (2 * b1 - u1) * ratio)
-    naive = float(gaps[0] / ratio) if ratio > 0 else float("inf")
 
     decay_ok = False
     if constant is not None:
@@ -429,61 +369,7 @@ def spectral_alignment_report(g: Graph, k_max: int, column: np.ndarray | None = 
         dominant_mass=b1,
         nondominant_correlation=nondom,
         decay_constant=None if constant is None else float(constant),
-        decay_constant_naive=naive,
         decay_applicable=applicable,
         identity_max_error=float(np.max(np.abs(direct - formula))),
         decay_ok=decay_ok,
     )
-
-
-_CACHE_MAGIC = b"FFSB"
-_CACHE_VERSION = 1
-_SOURCE_CODES = {"adjacency": 0, "laplacian": 1}
-_SOURCE_NAMES = {v: k for k, v in _SOURCE_CODES.items()}
-
-
-def adjacency_content_hash(g: Graph) -> bytes:
-    m = g.adjacency.tocsr().sorted_indices()
-    h = hashlib.sha256()
-    h.update(struct.pack("<Q", g.n))
-    h.update(m.indptr.astype("<i8").tobytes())
-    h.update(m.indices.astype("<i8").tobytes())
-    return h.digest()
-
-
-def save_basis_cache(path, g: Graph, basis: SpectralBasis) -> None:
-    """Write the basis with a header and the adjacency content hash (little-endian)."""
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<B", _CACHE_VERSION))
-        fh.write(struct.pack("<B", _SOURCE_CODES[basis.source]))
-        fh.write(struct.pack("<BB", int(basis.tie_warning), int(basis.degenerate_warning)))
-        fh.write(struct.pack("<QQ", basis.n, basis.t))
-        fh.write(struct.pack("<d", basis.tol))
-        fh.write(adjacency_content_hash(g))
-        fh.write(np.ascontiguousarray(basis.eigenvalues, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(basis.residuals, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(basis.structure_matrix, dtype="<f8").tobytes())
-
-
-def load_basis_cache(path, g: Graph) -> SpectralBasis | None:
-    """Read a cached basis; returns None when the adjacency hash does not match."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _CACHE_MAGIC:
-            raise FairformerError(f"{path}: not a basis cache file")
-        (version,) = struct.unpack("<B", fh.read(1))
-        if version != _CACHE_VERSION:
-            raise FairformerError(f"{path}: unsupported cache version {version}")
-        (source_code,) = struct.unpack("<B", fh.read(1))
-        tie, degenerate = struct.unpack("<BB", fh.read(2))
-        n, t = struct.unpack("<QQ", fh.read(16))
-        (tol,) = struct.unpack("<d", fh.read(8))
-        digest = fh.read(32)
-        if digest != adjacency_content_hash(g):
-            return None
-        eigenvalues = np.frombuffer(fh.read(8 * t), dtype="<f8").copy()
-        residuals = np.frombuffer(fh.read(8 * t), dtype="<f8").copy()
-        matrix = np.frombuffer(fh.read(8 * n * t), dtype="<f8").reshape(n, t).copy()
-    return SpectralBasis(eigenvalues=eigenvalues, structure_matrix=matrix,
-                         source=_SOURCE_NAMES[source_code], tol=tol, residuals=residuals,
-                         tie_warning=bool(tie), degenerate_warning=bool(degenerate))

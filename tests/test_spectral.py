@@ -1,15 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from fairformer.data import Graph
-from fairformer.errors import (FairformerError, SpectralGapError, TieWarning,
+from fairformer.errors import (ConvergenceError, FairformerError, SpectralGapError, TieWarning,
                                DegenerateSpectrumWarning, UndefinedCosineError)
 from fairformer.oracles import dense_eig
 from fairformer.spectral import (fuse, laplacian_small_eigenpairs,
-                                 load_basis_cache, save_basis_cache,
                                  spectral_alignment_report, top_magnitude_eigenpairs)
-from fairformer.synth import random_connected_graph
+from fairformer.synth import benchmark_graph, random_connected_graph
 
 
 def graph_from_dense(dense, sens=None, labels=None):
@@ -27,6 +28,13 @@ def triangle_graph(**kw):
 
 def path2_graph():
     return graph_from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def path_or_cycle_graph(n, cycle):
+    dense = np.eye(n, k=1) + np.eye(n, k=-1)
+    if cycle:
+        dense[0, n - 1] = dense[n - 1, 0] = 1.0
+    return graph_from_dense(dense)
 
 
 def test_triangle_dominant_pair():
@@ -50,6 +58,28 @@ def test_path2_tie_warning():
     assert basis.residuals[0] <= 1e-9
 
 
+@pytest.mark.parametrize("cycle,t,tie", [(False, 1, True), (True, 3, True),
+                                         (False, 2, False), (True, 2, False)])
+def test_tie_warning_on_arpack_path(cycle, t, tie):
+    # P20 has eigenvalues +-2cos(j pi / 21); C20 has +-2 once and +-2cos(pi / 10) twice each
+    g = path_or_cycle_graph(20, cycle)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        basis = top_magnitude_eigenpairs(g, t=t)
+    assert basis.tie_warning == tie
+    assert any(issubclass(w.category, TieWarning) for w in caught) == tie
+    lam = np.linalg.eigvalsh(g.adjacency.toarray())
+    assert np.allclose(np.abs(basis.eigenvalues), np.sort(np.abs(lam))[::-1][:t], atol=1e-9)
+
+
+def test_edgeless_graph_is_all_ties():
+    g = graph_from_dense(np.zeros((20, 20)))
+    with pytest.warns(TieWarning):
+        basis = top_magnitude_eigenpairs(g, t=5)
+    assert np.array_equal(basis.eigenvalues, np.zeros(5))
+    assert np.allclose(basis.structure_matrix.T @ basis.structure_matrix, np.eye(5))
+
+
 def test_residual_invariant_per_column():
     g = random_connected_graph(40, density=0.2, seed=5)
     tol = 1e-10
@@ -67,14 +97,24 @@ def test_residual_invariant_per_column():
 def test_matches_jacobi_oracle(seed):
     rng = np.random.default_rng(100 + seed)
     n = int(rng.integers(8, 60))
-    t = int(rng.integers(1, min(8, n)))
+    t_random = int(rng.integers(1, min(8, n)))
     a = rng.standard_normal((n, n))
     a = (a + a.T) / 2
-    basis = top_magnitude_eigenpairs(a, t=t, tol=1e-11)
     lam_ref, vec_ref = dense_eig(a)
-    assert np.allclose(basis.eigenvalues, lam_ref[:t], atol=1e-6)
-    for i in range(t):
-        assert np.allclose(basis.structure_matrix[:, i], vec_ref[:, i], atol=1e-6)
+    # n - 3 is the last ARPACK case; n - 2 and above take the dense path
+    for t in (t_random, n - 3, n - 2, n - 1, n):
+        basis = top_magnitude_eigenpairs(a, t=t, tol=1e-11)
+        assert np.allclose(basis.eigenvalues, lam_ref[:t], atol=1e-6)
+        for i in range(t):
+            assert np.allclose(basis.structure_matrix[:, i], vec_ref[:, i], atol=1e-6)
+
+
+def test_restart_cap_raises_convergence_error():
+    g = benchmark_graph(2000)
+    with pytest.raises(ConvergenceError, match=r"max_iters=1 \(Krylov dimension ncv=20\)"):
+        top_magnitude_eigenpairs(g, 5, max_iters=1)
+    with pytest.raises(ConvergenceError, match=r"max_iters=1 \(Krylov dimension ncv=20\)"):
+        laplacian_small_eigenpairs(g, 5, max_iters=1)
 
 
 def test_t_zero_and_out_of_range():
@@ -192,17 +232,3 @@ def test_alignment_rejects_large_graphs():
     with pytest.raises(FairformerError):
         spectral_alignment_report(big, k_max=3)
 
-
-def test_basis_cache_roundtrip_and_invalidation(tmp_path):
-    g = random_connected_graph(20, density=0.3, seed=21)
-    basis = top_magnitude_eigenpairs(g, t=3)
-    path = tmp_path / "basis.bin"
-    save_basis_cache(path, g, basis)
-    loaded = load_basis_cache(path, g)
-    assert loaded is not None
-    assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
-    assert np.array_equal(loaded.structure_matrix, basis.structure_matrix)
-    assert loaded.source == basis.source
-
-    other = random_connected_graph(20, density=0.3, seed=22)
-    assert load_basis_cache(path, other) is None
