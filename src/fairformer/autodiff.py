@@ -8,15 +8,12 @@ in float64; broadcasting is restricted to the bias-add pattern (a trailing
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 from scipy.special import erf
 
 from .errors import FairformerError
 
 _SQRT_2 = np.sqrt(2.0)
-_SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
@@ -41,9 +38,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def detach(self):
-        return Tensor(self.data.copy(), requires_grad=False)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -173,35 +167,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _result(a.data.reshape(shape), (a,), backward)
 
 
-def concat(tensors, axis: int = -1) -> Tensor:
-    """Concatenate along `axis`; backward splits the gradient back."""
-    tensors = list(tensors)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)])
-
-    return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
-
-
-def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Basic slice along one axis; backward scatters into zeros."""
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        _accumulate(a, full)
-
-    return _result(a.data[idx].copy(), (a,), backward)
-
-
 def pick(a: Tensor, rows, cols) -> Tensor:
     """Gather a[rows[i], cols[i]] into a 1-D tensor."""
     rows = np.asarray(rows, dtype=np.intp)
@@ -267,28 +232,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _result(xhat * gain.data + bias.data, (x, gain, bias), backward)
 
 
-def gelu(a: Tensor, tanh_approx: bool = False) -> Tensor:
-    """GELU activation; exact erf form by default, tanh form behind the flag."""
+def gelu(a: Tensor) -> Tensor:
+    """Exact GELU, x * Phi(x), with Phi the standard normal CDF."""
     x = a.data
-    if tanh_approx:
-        inner = _SQRT_2_OVER_PI * (x + 0.044715 * x ** 3)
-        th = np.tanh(inner)
-        out = 0.5 * x * (1.0 + th)
+    cdf = 0.5 * (1.0 + erf(x / _SQRT_2))
 
-        def backward(g):
-            dinner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x ** 2)
-            deriv = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th ** 2) * dinner
-            _accumulate(a, g * deriv)
+    def backward(g):
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x ** 2)
+        _accumulate(a, g * (cdf + x * pdf))
 
-    else:
-        cdf = 0.5 * (1.0 + erf(x / _SQRT_2))
-        out = x * cdf
-
-        def backward(g):
-            pdf = _INV_SQRT_2PI * np.exp(-0.5 * x ** 2)
-            _accumulate(a, g * (cdf + x * pdf))
-
-    return _result(out, (a,), backward)
+    return _result(x * cdf, (a,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -340,55 +293,3 @@ def backward(loss: Tensor) -> None:
 def zero_grads(tensors) -> None:
     for t in tensors:
         t.grad = None
-
-
-_CHECKPOINT_MAGIC = b"FFCK"
-_CHECKPOINT_VERSION = 1
-
-
-def write_param_block(fh, params: dict) -> None:
-    """Append named parameter tensors: name, shape, row-major float64, little-endian."""
-    fh.write(_CHECKPOINT_MAGIC)
-    fh.write(struct.pack("<B", _CHECKPOINT_VERSION))
-    fh.write(struct.pack("<I", len(params)))
-    for name, tensor in params.items():
-        raw = name.encode("utf-8")
-        arr = np.asarray(tensor.data, dtype="<f8")  # tobytes() below copies in C order
-        fh.write(struct.pack("<H", len(raw)))
-        fh.write(raw)
-        fh.write(struct.pack("<B", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(arr.tobytes())
-
-
-def read_param_block(fh) -> dict:
-    params = {}
-    if fh.read(4) != _CHECKPOINT_MAGIC:
-        raise FairformerError("not a parameter block")
-    (version,) = struct.unpack("<B", fh.read(1))
-    if version != _CHECKPOINT_VERSION:
-        raise FairformerError(f"unsupported parameter block version {version}")
-    (count,) = struct.unpack("<I", fh.read(4))
-    for _ in range(count):
-        (nlen,) = struct.unpack("<H", fh.read(2))
-        name = fh.read(nlen).decode("utf-8")
-        (ndim,) = struct.unpack("<B", fh.read(1))
-        shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim)) if ndim else ()
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(fh.read(8 * size), dtype="<f8").reshape(shape)
-        params[name] = Tensor(arr.copy(), requires_grad=True)
-    return params
-
-
-def save_params(path, params: dict) -> None:
-    with open(path, "wb") as fh:
-        write_param_block(fh, params)
-
-
-def load_params(path) -> dict:
-    """Read a checkpoint written by `save_params`; returns name -> Tensor(requires_grad)."""
-    try:
-        with open(path, "rb") as fh:
-            return read_param_block(fh)
-    except FairformerError as exc:
-        raise FairformerError(f"{path}: {exc}") from exc

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -185,10 +186,14 @@ def load_dataset(node_file, edge_file, schema: ColumnSchema | None = None) -> Gr
             for name in feature_names:
                 cell = row[col_index[name]].strip()
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise IngestionError(
                         f"{node_file}:{lineno}: non-numeric value {cell!r} in column {name!r}") from None
+                if not math.isfinite(value):
+                    raise IngestionError(
+                        f"{node_file}:{lineno}: non-finite value {cell!r} in column {name!r}")
+                values.append(value)
             rows.append(values)
             label_cell = row[col_index[schema.label]].strip()
             if label_cell in schema.unlabeled_values:
@@ -197,7 +202,7 @@ def load_dataset(node_file, edge_file, schema: ColumnSchema | None = None) -> Gr
             else:
                 try:
                     raw_labels.append(int(float(label_cell)))
-                except ValueError:
+                except (ValueError, OverflowError):  # OverflowError: an "inf" label
                     raise IngestionError(
                         f"{node_file}:{lineno}: non-integer label {label_cell!r}") from None
                 mask.append(True)

@@ -17,7 +17,6 @@ adjacency-based variant, where depth is meaningful.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,36 +223,3 @@ def group_scaling_report(sg: SensitiveGroupGraph, h, k_max: int) -> GroupScaling
 
     return GroupScalingReport(q=q, k_checked=k_max, exact_pass=exact_ok,
                               float_pass=(max_dev == 0.0), max_abs_deviation=max_dev)
-
-
-_HOPSTACK_MAGIC = b"FFHS"
-_HOPSTACK_VERSION = 1
-_MODE_CODES = {"raw": 0, "group-mean": 1, "row-mean": 2}
-_MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
-
-
-def save_hopstack(path, stack: HopStack) -> None:
-    """Debug export: header (n, k, d, mode), then row-major float64 slices."""
-    with open(path, "wb") as fh:
-        fh.write(_HOPSTACK_MAGIC)
-        fh.write(struct.pack("<B", _HOPSTACK_VERSION))
-        fh.write(struct.pack("<B", _MODE_CODES[stack.normalization]))
-        fh.write(struct.pack("<QQQ", stack.n, stack.k, stack.d))
-        sidx = stack.sensitive_index if stack.sensitive_index is not None else -1
-        fh.write(struct.pack("<q", sidx))
-        fh.write(np.ascontiguousarray(stack.tensor, dtype="<f8").tobytes())
-
-
-def load_hopstack(path) -> HopStack:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _HOPSTACK_MAGIC:
-            raise FairformerError(f"{path}: not a hop stack file")
-        (version,) = struct.unpack("<B", fh.read(1))
-        if version != _HOPSTACK_VERSION:
-            raise FairformerError(f"{path}: unsupported hop stack version {version}")
-        (mode_code,) = struct.unpack("<B", fh.read(1))
-        n, k, d = struct.unpack("<QQQ", fh.read(24))
-        (sidx,) = struct.unpack("<q", fh.read(8))
-        tensor = np.frombuffer(fh.read(8 * n * (k + 1) * d), dtype="<f8").reshape(n, k + 1, d).copy()
-    return HopStack(tensor=tensor, k=int(k), normalization=_MODE_NAMES[mode_code],
-                    sensitive_index=None if sidx < 0 else int(sidx))

@@ -103,16 +103,9 @@ def auc_score(scores, labels, mask=None) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC undefined: both classes must be present")
 
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    # a tie group of c scores ending at 1-based sorted position e shares rank e - (c - 1) / 2
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[group]
     rank_sum_pos = float(ranks[labels == 1].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -11,7 +11,11 @@ class logits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+import math
+import struct
+from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -28,9 +32,6 @@ class ModelConfig:
     layers: int = 1
     heads: int = 1
     dropout: float = 0.1
-    readout: str = "attention"  # or "mean"
-    ffn_multiplier: int = 4
-    gelu_tanh: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -41,14 +42,12 @@ class ModelConfig:
         if self.heads < 1 or self.d_hidden % self.heads != 0:
             raise FairformerError(
                 f"d_hidden={self.d_hidden} must be divisible by heads={self.heads}")
-        if self.readout not in ("attention", "mean"):
-            raise FairformerError("readout must be 'attention' or 'mean'")
         if not 0.0 <= self.dropout < 1.0:
             raise FairformerError("dropout must lie in [0, 1)")
 
     @property
     def d_ff(self) -> int:
-        return self.ffn_multiplier * self.d_hidden
+        return 4 * self.d_hidden
 
 
 @dataclass
@@ -71,37 +70,43 @@ class ModelParams:
         return self.tensors[name]
 
 
+def _param_spec(cfg: ModelConfig, d_input: int):
+    """Yield (name, shape, init) in draw order; init is a uniform bound, "ones" or "zeros"."""
+
+    def linear(name, fan_in, fan_out):
+        bound = 1.0 / np.sqrt(fan_in)
+        yield f"{name}.weight", (fan_in, fan_out), bound
+        yield f"{name}.bias", (fan_out,), bound
+
+    def norm(name, dim):
+        yield f"{name}.gain", (dim,), "ones"
+        yield f"{name}.bias", (dim,), "zeros"
+
+    yield from linear("projection", d_input, cfg.d_hidden)
+    for i in range(cfg.layers):
+        prefix = f"layer{i}"
+        yield from norm(f"{prefix}.norm_attn", cfg.d_hidden)
+        for name in ("wq", "wk", "wv", "wo"):
+            yield from linear(f"{prefix}.{name}", cfg.d_hidden, cfg.d_hidden)
+        yield from norm(f"{prefix}.norm_ffn", cfg.d_hidden)
+        yield from linear(f"{prefix}.ffn_in", cfg.d_hidden, cfg.d_ff)
+        yield from linear(f"{prefix}.ffn_out", cfg.d_ff, cfg.d_hidden)
+    yield "readout.query", (cfg.d_hidden, 1), 1.0 / np.sqrt(cfg.d_hidden)
+    yield from linear("classifier", cfg.d_hidden, 2)
+
+
 def init_model(cfg: ModelConfig, d_input: int) -> ModelParams:
     """Seed-controlled initialization: uniform(+-1/sqrt(fan_in)) linear maps."""
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams(config=cfg, d_input=d_input)
-
-    def linear(name, fan_in, fan_out):
-        bound = 1.0 / np.sqrt(fan_in)
-        params.tensors[f"{name}.weight"] = ad.Tensor(
-            rng.uniform(-bound, bound, (fan_in, fan_out)), requires_grad=True)
-        params.tensors[f"{name}.bias"] = ad.Tensor(
-            rng.uniform(-bound, bound, fan_out), requires_grad=True)
-
-    def norm(name, dim):
-        params.tensors[f"{name}.gain"] = ad.Tensor(np.ones(dim), requires_grad=True)
-        params.tensors[f"{name}.bias"] = ad.Tensor(np.zeros(dim), requires_grad=True)
-
-    linear("projection", d_input, cfg.d_hidden)
-    for i in range(cfg.layers):
-        prefix = f"layer{i}"
-        norm(f"{prefix}.norm_attn", cfg.d_hidden)
-        linear(f"{prefix}.wq", cfg.d_hidden, cfg.d_hidden)
-        linear(f"{prefix}.wk", cfg.d_hidden, cfg.d_hidden)
-        linear(f"{prefix}.wv", cfg.d_hidden, cfg.d_hidden)
-        linear(f"{prefix}.wo", cfg.d_hidden, cfg.d_hidden)
-        norm(f"{prefix}.norm_ffn", cfg.d_hidden)
-        linear(f"{prefix}.ffn_in", cfg.d_hidden, cfg.d_ff)
-        linear(f"{prefix}.ffn_out", cfg.d_ff, cfg.d_hidden)
-    bound = 1.0 / np.sqrt(cfg.d_hidden)
-    params.tensors["readout.query"] = ad.Tensor(
-        rng.uniform(-bound, bound, (cfg.d_hidden, 1)), requires_grad=True)
-    linear("classifier", cfg.d_hidden, 2)
+    for name, shape, init in _param_spec(cfg, d_input):
+        if init == "ones":
+            values = np.ones(shape)
+        elif init == "zeros":
+            values = np.zeros(shape)
+        else:
+            values = rng.uniform(-init, init, shape)
+        params.tensors[name] = ad.Tensor(values, requires_grad=True)
     return params
 
 
@@ -165,7 +170,7 @@ def encoder_layer(tokens: ad.Tensor, params: ModelParams, layer_index: int,
 
     normed2 = ad.layer_norm(attended, params[f"{prefix}.norm_ffn.gain"],
                             params[f"{prefix}.norm_ffn.bias"])
-    hidden = ad.gelu(_linear(normed2, params, f"{prefix}.ffn_in"), tanh_approx=cfg.gelu_tanh)
+    hidden = ad.gelu(_linear(normed2, params, f"{prefix}.ffn_in"))
     hidden = _maybe_dropout(hidden, cfg.dropout, training, rng)
     out = ad.add(_linear(hidden, params, f"{prefix}.ffn_out"), attended)
 
@@ -175,17 +180,8 @@ def encoder_layer(tokens: ad.Tensor, params: ModelParams, layer_index: int,
 
 
 def readout(tokens: ad.Tensor, params: ModelParams) -> ad.Tensor:
-    """Condense the hop axis into one embedding per node.
-
-    Attention mode: softmax over (tokens . query) weights the hop tokens;
-    mean mode averages them uniformly.
-    """
-    cfg = params.config
+    """Pool each node's hop tokens with softmax(tokens . query) weights."""
     n, s, dh = tokens.data.shape
-    if cfg.readout == "mean":
-        weights = ad.Tensor(np.full((n, 1, s), 1.0 / s))
-        pooled = ad.matmul(weights, tokens)
-        return ad.reshape(pooled, (n, dh))
     scores = ad.matmul(tokens, params["readout.query"])  # (n, s, 1)
     weights = ad.softmax_rows(ad.reshape(scores, (n, s)))
     pooled = ad.matmul(ad.reshape(weights, (n, 1, s)), tokens)
@@ -217,39 +213,94 @@ def cross_entropy(logits: ad.Tensor, labels, node_indices) -> ad.Tensor:
 
 
 _MODEL_MAGIC = b"FFMD"
-_MODEL_VERSION = 1
+_MODEL_VERSION = 2
 
 
 def save_model(path, params: ModelParams) -> None:
-    """Checkpoint: config header (key=value text) followed by the parameter block."""
-    import json
-    import struct
-
+    """Checkpoint, little-endian: b"FFMD", u8 version, u32 header length, the JSON
+    config header, u32 tensor count, then per tensor in init order: u16 name
+    length, UTF-8 name, u8 ndim, ndim x u64 shape, row-major float64 values."""
     header = json.dumps({"d_input": params.d_input, **params.config.__dict__},
                         sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_MODEL_MAGIC)
-        fh.write(struct.pack("<B", _MODEL_VERSION))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        ad.write_param_block(fh, params.tensors)
+        fh.write(_MODEL_MAGIC + struct.pack("<BI", _MODEL_VERSION, len(header)) + header)
+        fh.write(struct.pack("<I", len(params.tensors)))
+        for name, tensor in params.tensors.items():
+            raw = name.encode("utf-8")
+            arr = np.asarray(tensor.data, dtype="<f8")  # tobytes() below copies in C order
+            fh.write(struct.pack(f"<H{len(raw)}sB{arr.ndim}Q", len(raw), raw, arr.ndim, *arr.shape))
+            fh.write(arr.tobytes())
+
+
+class _Cursor:
+    """Sequential reads over checkpoint bytes; reading past the end is an error."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, size: int) -> bytes:
+        if size > len(self.data) - self.pos:
+            raise FairformerError(f"truncated: {size} bytes wanted at offset {self.pos}, "
+                                  f"file has {len(self.data)}")
+        self.pos += size
+        return self.data[self.pos - size:self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+
+def _read_config(cur: _Cursor) -> tuple[ModelConfig, int]:
+    if cur.take(4) != _MODEL_MAGIC:
+        raise FairformerError("not a model checkpoint")
+    (version,) = cur.unpack("<B")
+    if version != _MODEL_VERSION:
+        raise FairformerError(f"unsupported model checkpoint version {version}")
+    (hlen,) = cur.unpack("<I")
+    header = json.loads(cur.take(hlen).decode("utf-8"))
+    defaults = {f.name: f.default for f in fields(ModelConfig)}
+    if not isinstance(header, dict) or set(header) != {"d_input", *defaults}:
+        raise FairformerError(f"header keys do not match ModelConfig: {header!r}")
+    d_input = header.pop("d_input")
+    # numbers only; an int may stand for a float field but not the other way round
+    bad = [k for k, v in header.items()
+           if type(v) not in (int, float) or (type(v) is float and type(defaults[k]) is int)]
+    if type(d_input) is not int or d_input < 1 or bad:
+        raise FairformerError(f"malformed header values: d_input={d_input!r} {bad}")
+    return ModelConfig(**header), d_input
 
 
 def load_model(path) -> ModelParams:
-    import json
-    import struct
+    """Read a `save_model` checkpoint; any malformed file raises FairformerError naming it.
 
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MODEL_MAGIC:
-            raise FairformerError(f"{path}: not a model checkpoint")
-        (version,) = struct.unpack("<B", fh.read(1))
-        if version != _MODEL_VERSION:
-            raise FairformerError(f"{path}: unsupported model checkpoint version {version}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        tensors = ad.read_param_block(fh)
-    d_input = header.pop("d_input")
-    cfg = ModelConfig(**header)
-    params = ModelParams(config=cfg, d_input=d_input)
-    params.tensors = tensors
+    Tensor names and shapes must match what `init_model` builds for the header's
+    config, in the same order, and every value must be finite.
+    """
+    cur = _Cursor(Path(path).read_bytes())
+    try:
+        cfg, d_input = _read_config(cur)
+        params = ModelParams(config=cfg, d_input=d_input)
+        expected = _param_spec(cfg, d_input)
+        (count,) = cur.unpack("<I")
+        for _ in range(count):
+            (nlen,) = cur.unpack("<H")
+            name = cur.take(nlen).decode("utf-8")
+            (ndim,) = cur.unpack("<B")
+            shape = cur.unpack(f"<{ndim}Q")
+            want = next(expected, None)
+            if want is None or (name, shape) != want[:2]:
+                raise FairformerError(f"tensor {name!r} {shape} where the config expects "
+                                      f"{want[:2] if want else 'no more tensors'}")
+            values = np.frombuffer(cur.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+            if not np.all(np.isfinite(values)):
+                raise FairformerError(f"tensor {name!r} has non-finite values")
+            params.tensors[name] = ad.Tensor(values.copy(), requires_grad=True)
+        if next(expected, None) is not None:
+            raise FairformerError(f"only {count} tensors, the config needs more")
+        if cur.pos != len(cur.data):
+            raise FairformerError(f"{len(cur.data) - cur.pos} trailing bytes")
+    except FairformerError as exc:
+        raise FairformerError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # JSON and UTF-8 decoding errors
+        raise FairformerError(f"{path}: corrupt checkpoint header: {exc}") from exc
     return params

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .data import Graph, Split, SplitSpec, make_folds
 from .errors import FairformerError, TrainingError
 from .hops import HopStack, build_group_graph, hop_aggregate, hop_aggregate_adjacency
-from .metrics import evaluate
+from .metrics import evaluate, predict_labels
 from .model import ModelConfig, cross_entropy, forward, init_model, save_model
 from .spectral import FusedFeatures, fuse, laplacian_small_eigenpairs, top_magnitude_eigenpairs
 from .synth import benchmark_graph
@@ -32,7 +32,6 @@ class TrainConfig:
     epochs: int = 500
     learning_rate: float = 1e-3
     weight_decay: float = 1e-5
-    optimizer: str = "adam"  # adaptive moments; "sgd" is the plain fallback
     patience: int = 100  # early stop on stalled validation accuracy
     folds: int = 5
     ablation: str = "full"
@@ -42,7 +41,6 @@ class TrainConfig:
     heads: int = 1
     d_hidden: int = 128
     dropout: float = 0.1
-    readout: str = "attention"
     normalization: str = "group-mean"  # hop normalization for training
     adjacency_normalization: str = "raw"  # adj_nf hops: "raw" or "row-mean"
     eval_on: str = "test"  # metrics over the test mask, or "all" labeled nodes
@@ -55,8 +53,6 @@ class TrainConfig:
             raise FairformerError("epochs must be >= 1")
         if self.folds < 1:
             raise FairformerError("folds must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise FairformerError("optimizer must be 'adam' or 'sgd'")
         if self.ablation not in ABLATION_VARIANTS:
             raise FairformerError(f"ablation must be one of {ABLATION_VARIANTS}")
         if self.eval_on not in ("test", "all"):
@@ -64,8 +60,7 @@ class TrainConfig:
 
     def model_config(self, seed: int) -> ModelConfig:
         return ModelConfig(k=self.k, t=self.t, d_hidden=self.d_hidden, layers=self.layers,
-                           heads=self.heads, dropout=self.dropout, readout=self.readout,
-                           seed=seed)
+                           heads=self.heads, dropout=self.dropout, seed=seed)
 
     def echo(self) -> dict:
         return dict(sorted(self.__dict__.items()))
@@ -163,19 +158,6 @@ class Adam:
             t.data = t.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-class PlainSGD:
-    def __init__(self, tensors, lr, weight_decay=0.0):
-        self.tensors = tensors
-        self.lr = lr
-        self.weight_decay = weight_decay
-
-    def step(self):
-        for t in self.tensors:
-            if t.grad is None:
-                continue
-            t.data = t.data - self.lr * (t.grad + self.weight_decay * t.data)
-
-
 def _fold_seed(base: int, fold: int) -> int:
     return base * 1000 + fold
 
@@ -191,9 +173,7 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
               log_lines=None):
     mcfg = cfg.model_config(seed=_fold_seed(cfg.seed, fold))
     params = init_model(mcfg, stack.d)
-    opt_cls = Adam if cfg.optimizer == "adam" else PlainSGD
-    optimizer = opt_cls(params.trainable(), lr=cfg.learning_rate,
-                        weight_decay=cfg.weight_decay)
+    optimizer = Adam(params.trainable(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     dropout_rng = np.random.default_rng(_fold_seed(cfg.seed, fold) + 7)
 
     train_stack = _rows(stack, split.train)
@@ -205,7 +185,7 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
 
     def val_metrics():
         logits = forward(params, val_stack).data
-        pred = (logits[:, 1] > logits[:, 0]).astype(np.int64)
+        pred = predict_labels(logits)
         acc = float((pred == val_labels).mean())
         in1 = val_sens == 1
         if in1.any() and (~in1).any():

@@ -141,21 +141,12 @@ def test_layer_norm_grad():
 def test_gelu_values():
     assert ad.gelu(ad.Tensor(0.0)).data == 0.0
     assert abs(ad.gelu(ad.Tensor(10.0)).data - 10.0) < 1e-6
-    # tanh approximation stays close to the exact form in the bulk
-    x = np.linspace(-3, 3, 31)
-    exact = ad.gelu(ad.Tensor(x)).data
-    approx = ad.gelu(ad.Tensor(x), tanh_approx=True).data
-    assert np.max(np.abs(exact - approx)) < 5e-3
 
 
-@pytest.mark.parametrize("tanh_approx", [False, True])
-def test_gelu_grad(tanh_approx):
+def test_gelu_grad():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((4, 3))
-    check_grads(
-        lambda ts: weighted_sum(ad.gelu(ts[0], tanh_approx=tanh_approx),
-                                np.random.default_rng(3)),
-        [x])
+    check_grads(lambda ts: weighted_sum(ad.gelu(ts[0]), np.random.default_rng(3)), [x])
 
 
 def test_add_bias_broadcast_grad():
@@ -163,19 +154,6 @@ def test_add_bias_broadcast_grad():
     x = rng.standard_normal((2, 3, 4))
     b = rng.standard_normal(4)
     check_grads(lambda ts: weighted_sum(ad.add(ts[0], ts[1]), np.random.default_rng(7)), [x, b])
-
-
-def test_concat_slice_roundtrip_and_grads():
-    rng = np.random.default_rng(14)
-    a = rng.standard_normal((3, 2))
-    b = rng.standard_normal((3, 4))
-    cat = ad.concat([ad.Tensor(a), ad.Tensor(b)], axis=1)
-    assert np.array_equal(cat.data[:, :2], a)
-    assert np.array_equal(cat.data[:, 2:], b)
-    check_grads(
-        lambda ts: weighted_sum(ad.slice_axis(ad.concat(ts, axis=1), 1, 1, 5),
-                                np.random.default_rng(8)),
-        [a, b])
 
 
 def test_permute_reshape_pick_grads():
@@ -231,24 +209,9 @@ def test_grad_accumulates_over_shared_input():
     assert np.allclose(x.grad, 2.0)
 
 
-def test_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(17)
-    params = {
-        "w": ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True),
-        "b": ad.Tensor(rng.standard_normal(4), requires_grad=True),
-        "s": ad.Tensor(1.5, requires_grad=True),
-    }
-    path = tmp_path / "params.bin"
-    ad.save_params(path, params)
-    loaded = ad.load_params(path)
-    assert set(loaded) == set(params)
-    for name in params:
-        assert np.array_equal(loaded[name].data, params[name].data)
-        assert loaded[name].requires_grad
-
-
 def test_checkpoint_rejects_garbage(tmp_path):
+    from fairformer.model import load_model
     path = tmp_path / "junk.bin"
     path.write_bytes(b"nope")
-    with pytest.raises(FairformerError):
-        ad.load_params(path)
+    with pytest.raises(FairformerError, match="junk.bin"):
+        load_model(path)

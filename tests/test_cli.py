@@ -87,6 +87,23 @@ def test_train_with_manifest(tmp_path, capsys):
     assert "mean.accuracy" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("row,names", [("4,nan,0,0", "'f0'"), ("4,inf,0,0", "'f0'"),
+                                       ("4,0.5,0,inf", "label 'inf'")],
+                         ids=["nan_feature", "inf_feature", "inf_label"])
+def test_non_finite_cell_is_data_error(tmp_path, capsys, row, names):
+    manifest = write_tiny_dataset(tmp_path)
+    nodes = tmp_path / "nodes.csv"
+    lines = nodes.read_text().splitlines()
+    lines[5] = row  # node 4 sits on line 6, under the header
+    nodes.write_text("\n".join(lines) + "\n")
+    code = run_cli(["train", "--manifest", str(manifest), "--epochs", "2", "--folds", "1",
+                    "--k", "1", "--t", "2", "--hidden", "8", "--cap", "5", "--serial"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error=IngestionError")
+    assert "nodes.csv:6" in err and names in err
+
+
 def test_sweep_table_rows(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = run_cli(["sweep", "--synthetic", "80", "--param", "t", "--min", "1", "--max", "3",

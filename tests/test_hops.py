@@ -5,8 +5,7 @@ import scipy.sparse as sp
 from fairformer.data import Graph
 from fairformer.errors import FairformerError
 from fairformer.hops import (HopStack, build_group_graph, group_scaling_report, hop_aggregate,
-                             hop_aggregate_adjacency, load_hopstack, save_hopstack,
-                             SensitiveGroupGraph)
+                             hop_aggregate_adjacency, SensitiveGroupGraph)
 from fairformer.oracles import dense_power_apply
 from fairformer.spectral import FusedFeatures
 from fairformer.synth import random_connected_graph
@@ -172,16 +171,3 @@ def test_group_scaling_rejects_fractional_column():
     sg = group_graph([0, 1])
     with pytest.raises(FairformerError):
         group_scaling_report(sg, np.array([[0.5], [1.0]]), k_max=2)
-
-
-def test_hopstack_export_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    stack = HopStack(tensor=rng.standard_normal((4, 3, 2)), k=2,
-                     normalization="group-mean", sensitive_index=1)
-    path = tmp_path / "stack.bin"
-    save_hopstack(path, stack)
-    loaded = load_hopstack(path)
-    assert np.array_equal(loaded.tensor, stack.tensor)
-    assert loaded.k == 2
-    assert loaded.normalization == "group-mean"
-    assert loaded.sensitive_index == 1

@@ -1,12 +1,16 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fairformer.autodiff as ad
 from fairformer.errors import FairformerError, ModelError
 from fairformer.hops import HopStack
 from fairformer.metrics import predict_labels, statistical_parity
 from fairformer.model import (ModelConfig, cross_entropy, encoder_layer, forward, init_model,
-                              project_tokens, readout)
+                              load_model, project_tokens, readout, save_model)
 from fairformer.oracles import fd_gradient
 from model_oracle import forward_direct
 
@@ -124,13 +128,6 @@ def test_readout_zero_query_is_uniform_mean():
     assert np.allclose(pooled.data, tokens.data.mean(axis=1), atol=1e-12)
 
 
-def test_readout_mean_mode():
-    tokens = ad.Tensor(np.random.default_rng(14).standard_normal((3, 4, 8)))
-    params = small_params(readout="mean")
-    pooled = readout(tokens, params)
-    assert np.allclose(pooled.data, tokens.data.mean(axis=1), atol=1e-12)
-
-
 def test_constant_classifier_is_parity_fair():
     stack = make_stack(n=10, k=1, d=6, seed=15)
     params = small_params(k=1)
@@ -209,7 +206,6 @@ def test_end_to_end_gradients_match_finite_differences():
 
 
 def test_model_checkpoint_roundtrip(tmp_path):
-    from fairformer.model import load_model, save_model
     stack = make_stack(n=3, k=2, d=6, seed=21)
     params = small_params()
     path = tmp_path / "model.bin"
@@ -220,3 +216,77 @@ def test_model_checkpoint_roundtrip(tmp_path):
     out_a = forward(params, stack).data
     out_b = forward(loaded, stack).data
     assert np.array_equal(out_a, out_b)
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("checkpoint") / "model.bin"
+    save_model(path, small_params())
+    return path
+
+
+def _header_end(raw: bytes) -> int:
+    return 9 + struct.unpack_from("<I", raw, 5)[0]
+
+
+def _with_header(raw: bytes, version: int, mutate) -> bytes:
+    header = json.loads(raw[9:_header_end(raw)])
+    mutate(header)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return raw[:4] + struct.pack("<BI", version, len(text)) + text + raw[_header_end(raw):]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_truncated_checkpoint_names_the_file(checkpoint, data):
+    raw = checkpoint.read_bytes()
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    path = checkpoint.with_name("cut.bin")
+    path.write_bytes(raw[:cut])
+    with pytest.raises(FairformerError, match="cut.bin"):
+        load_model(path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a flipped exponent byte overflows
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_flipped_checkpoint_byte_fails_cleanly_or_loads_a_valid_model(checkpoint, data):
+    raw = bytearray(checkpoint.read_bytes())
+    # half the flips land in the magic, version and config header
+    pos = data.draw(st.one_of(st.integers(0, _header_end(raw) - 1),
+                              st.integers(0, len(raw) - 1)))
+    raw[pos] ^= data.draw(st.integers(1, 255))
+    path = checkpoint.with_name("flipped.bin")
+    path.write_bytes(bytes(raw))
+    try:
+        loaded = load_model(path)
+    except FairformerError as exc:
+        assert "flipped.bin" in str(exc)
+        return
+    # a flip inside the values or into another valid config still yields a usable model
+    try:
+        forward(loaded, make_stack(n=3, k=2, d=loaded.d_input, seed=22))
+    except FairformerError:
+        pass
+
+
+def test_checkpoint_with_unknown_header_key_is_rejected(checkpoint, tmp_path):
+    raw = checkpoint.read_bytes()
+    path = tmp_path / "extra.bin"
+    path.write_bytes(_with_header(raw, 2, lambda h: h.update(extra_flag=False)))
+    with pytest.raises(FairformerError, match="extra.bin.*header keys"):
+        load_model(path)
+    path.write_bytes(_with_header(raw, 1, lambda h: None))  # the earlier layout
+    with pytest.raises(FairformerError, match="version 1"):
+        load_model(path)
+
+
+def test_checkpoint_tensor_must_match_config(checkpoint, tmp_path):
+    raw = checkpoint.read_bytes()
+    path = tmp_path / "wide.bin"
+    path.write_bytes(_with_header(raw, 2, lambda h: h.update(d_hidden=16)))
+    with pytest.raises(FairformerError, match="wide.bin.*projection.weight"):
+        load_model(path)
+    path.write_bytes(raw + b"\0")
+    with pytest.raises(FairformerError, match="1 trailing bytes"):
+        load_model(path)

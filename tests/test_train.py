@@ -85,7 +85,7 @@ def test_checkpoint_never_below_initial_validation_accuracy():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_aborts_with_diagnostic():
     g = sensitive_block_graph(n=80, seed=6, avg_degree=10.0)
-    cfg = quick_config(optimizer="sgd", learning_rate=1e18, folds=1, epochs=10)
+    cfg = quick_config(learning_rate=1e300, folds=1, epochs=10)
     with pytest.raises(TrainingError, match="diverged"):
         train(g, cfg, split_spec=SplitSpec(train_per_class_cap=15, seed=0, folds=1))
 
