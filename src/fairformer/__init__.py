@@ -12,13 +12,13 @@ __version__ = "0.1.0"
 from .data import Graph, Split, SplitSpec, binarize_labels, load_dataset, load_manifest, make_split
 from .errors import FairformerError
 from .metrics import EvalReport, statistical_parity
-from .spectral import FusedFeatures, SpectralBasis, fuse, laplacian_small_eigenpairs, top_magnitude_eigenpairs
+from .spectral import SpectralBasis, fuse, laplacian_small_eigenpairs, top_magnitude_eigenpairs
 from .hops import HopStack, SensitiveGroupGraph, build_group_graph, hop_aggregate, hop_aggregate_adjacency
 
 __all__ = [
     "Graph", "Split", "SplitSpec", "binarize_labels", "load_dataset", "load_manifest",
-    "make_split", "FairformerError", "EvalReport", "statistical_parity", "FusedFeatures",
-    "SpectralBasis", "fuse", "laplacian_small_eigenpairs", "top_magnitude_eigenpairs",
-    "HopStack", "SensitiveGroupGraph", "build_group_graph", "hop_aggregate",
-    "hop_aggregate_adjacency", "__version__",
+    "make_split", "FairformerError", "EvalReport", "statistical_parity", "SpectralBasis",
+    "fuse", "laplacian_small_eigenpairs", "top_magnitude_eigenpairs", "HopStack",
+    "SensitiveGroupGraph", "build_group_graph", "hop_aggregate", "hop_aggregate_adjacency",
+    "__version__",
 ]

@@ -39,6 +39,24 @@ class _Formatter(argparse.ArgumentDefaultsHelpFormatter):
         super().__init__(prog, width=96, max_help_position=34)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _size_list(text: str) -> list:
+    sizes = [_positive_int(s) for s in text.split(",") if s.strip()]
+    if len(set(sizes)) < 2:
+        raise argparse.ArgumentTypeError(
+            f"need at least two distinct sizes to fit an exponent, got {text!r}")
+    return sizes
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairformer",
@@ -50,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_data_flags(p, synthetic_default=None):
         p.add_argument("--manifest", type=Path, default=None,
                        help="dataset manifest (nodes=, edges=, sensitive=, label=)")
-        p.add_argument("--synthetic", type=int, default=synthetic_default, metavar="N",
+        p.add_argument("--synthetic", type=_positive_int, default=synthetic_default, metavar="N",
                        help="use the built-in planted fixture with N nodes instead of a manifest")
 
     def add_common_flags(p):
@@ -100,14 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="numerical certificates for the encodings",
                               formatter_class=_Formatter)
     add_common_flags(p_verify)
-    p_verify.add_argument("--n", type=int, default=30, help="nodes in the random test graph")
+    p_verify.add_argument("--n", type=_positive_int, default=30,
+                          help="nodes in the random test graph")
     p_verify.add_argument("--kmax", type=int, default=6, help="largest hop count to certify")
-    p_verify.add_argument("--graphs", type=int, default=3, help="number of random graphs")
+    p_verify.add_argument("--graphs", type=_positive_int, default=3, help="number of random graphs")
 
     p_bench = sub.add_parser("bench", help="scaling benchmark over synthetic graphs",
                              formatter_class=_Formatter)
     add_common_flags(p_bench)
-    p_bench.add_argument("--sizes", type=str, default="1000,2000,4000,8000",
+    p_bench.add_argument("--sizes", type=_size_list, default="1000,2000,4000,8000",
                          help="comma-separated node counts")
     p_bench.add_argument("--k", type=int, default=2, help="hop count")
     p_bench.add_argument("--t", type=int, default=4, help="structure eigenvectors")
@@ -229,8 +248,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    report = bench_scaling(sizes, k=args.k, t=args.t, d_hidden=args.hidden, seed=args.seed,
+    report = bench_scaling(args.sizes, k=args.k, t=args.t, d_hidden=args.hidden, seed=args.seed,
                            epochs_timed=args.epochs_timed)
     print(report.table())
     _write_report(args.out, "bench.txt", report.table())

@@ -201,10 +201,12 @@ def load_dataset(node_file, edge_file, schema: ColumnSchema | None = None) -> Gr
                 mask.append(False)
             else:
                 try:
-                    raw_labels.append(int(float(label_cell)))
-                except (ValueError, OverflowError):  # OverflowError: an "inf" label
-                    raise IngestionError(
-                        f"{node_file}:{lineno}: non-integer label {label_cell!r}") from None
+                    value = float(label_cell)
+                except ValueError:
+                    value = math.nan
+                if not value.is_integer():  # also rejects nan and inf
+                    raise IngestionError(f"{node_file}:{lineno}: non-integer label {label_cell!r}")
+                raw_labels.append(value)
                 mask.append(True)
 
     if not ids:
@@ -222,7 +224,7 @@ def load_dataset(node_file, edge_file, schema: ColumnSchema | None = None) -> Gr
         raise SchemaError(f"{node_file}: sensitive column {schema.sensitive!r} has non-binary values {bad[:5]}")
 
     label_mask = np.asarray(mask, dtype=bool)
-    raw = np.asarray(raw_labels, dtype=np.int64)
+    raw = np.asarray(raw_labels, dtype=np.float64)  # integral, but may exceed int64
     if np.any(raw[label_mask] < 0):
         raise SchemaError(f"{node_file}: negative label on a labeled node")
     labels = np.full(n, -1, dtype=np.int64)

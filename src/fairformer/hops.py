@@ -23,19 +23,16 @@ import numpy as np
 
 from .data import Graph
 from .errors import FairformerError
-from .spectral import FusedFeatures
 
 _MODES = ("raw", "group-mean")
-_ADJ_MODES = ("raw", "row-mean")
 
 
 @dataclass(frozen=True)
 class SensitiveGroupGraph:
-    """Partition of nodes by sensitive value; adjacency is implicit."""
+    """Partition of nodes by sensitive value; adjacency is implicit, self-loops included."""
 
     group_of: np.ndarray  # (n,) int8 in {0, 1}
     group_sizes: tuple  # (m0, m1); m1 is the size of the sensitive-1 group
-    includes_self: bool = True
 
     @property
     def n(self) -> int:
@@ -51,13 +48,6 @@ class HopStack:
     """Per-node token sequences: tensor[v, j] is the hop-j embedding of node v."""
 
     tensor: np.ndarray  # (n, k + 1, d)
-    k: int
-    normalization: str
-    sensitive_index: int | None = None
-
-    @property
-    def n(self) -> int:
-        return self.tensor.shape[0]
 
     @property
     def d(self) -> int:
@@ -72,13 +62,11 @@ def build_group_graph(g: Graph) -> SensitiveGroupGraph:
     return SensitiveGroupGraph(group_of=group_of, group_sizes=(g.n - m1, m1))
 
 
-def _features_of(h):
-    if isinstance(h, FusedFeatures):
-        return h.matrix, h.sensitive_index
+def _features_of(h) -> np.ndarray:
     arr = np.asarray(h, dtype=np.float64)
     if arr.ndim != 2:
         raise FairformerError(f"feature matrix must be 2-D, got shape {arr.shape}")
-    return arr, None
+    return arr
 
 
 def _group_apply(sg: SensitiveGroupGraph, x: np.ndarray, mean: bool) -> np.ndarray:
@@ -95,60 +83,45 @@ def _group_apply(sg: SensitiveGroupGraph, x: np.ndarray, mean: bool) -> np.ndarr
     return sums[sg.group_of.astype(np.intp)]
 
 
+def _hop_stack(x: np.ndarray, k: int, step) -> HopStack:
+    """Slice 0 is x and slice j is step applied to slice j - 1, never a matrix power."""
+    slices = np.empty((k + 1, x.shape[0], x.shape[1]))
+    slices[0] = x
+    current = x
+    for j in range(1, k + 1):
+        current = step(current)
+        slices[j] = current
+    return HopStack(tensor=slices.transpose(1, 0, 2).copy())
+
+
 def hop_aggregate(sg: SensitiveGroupGraph, h, k: int, normalization: str = "raw") -> HopStack:
     """Stack hop slices over the same-group graph: slice 0 is the input itself.
 
-    Slices are built iteratively (never through an explicit matrix power);
-    each step is a per-group row sum, divided by the group size in group-mean
+    Each step is a per-group row sum, divided by the group size in group-mean
     mode.
     """
     if k < 0:
         raise FairformerError("k must be >= 0")
     if normalization not in _MODES:
         raise FairformerError(f"normalization must be one of {_MODES}")
-    x, sensitive_index = _features_of(h)
+    x = _features_of(h)
     if x.shape[0] != sg.n:
         raise FairformerError(f"feature rows {x.shape[0]} do not match group graph n={sg.n}")
-
-    slices = np.empty((k + 1, x.shape[0], x.shape[1]))
-    slices[0] = x
-    current = x
-    for j in range(1, k + 1):
-        current = _group_apply(sg, current, mean=(normalization == "group-mean"))
-        slices[j] = current
-    return HopStack(tensor=slices.transpose(1, 0, 2).copy(), k=k,
-                    normalization=normalization, sensitive_index=sensitive_index)
+    mean = normalization == "group-mean"
+    return _hop_stack(x, k, lambda current: _group_apply(sg, current, mean))
 
 
-def hop_aggregate_adjacency(g: Graph, h, k: int, normalization: str = "raw") -> HopStack:
+def hop_aggregate_adjacency(g: Graph, h, k: int) -> HopStack:
     """Hop stack over the graph adjacency instead of the same-group graph.
 
-    Each slice applies one sparse mat-vec sweep; row-mean divides by the node
-    degree (isolated nodes keep zero rows).
+    Each step is one sparse product with the raw adjacency.
     """
     if k < 0:
         raise FairformerError("k must be >= 0")
-    if normalization not in _ADJ_MODES:
-        raise FairformerError(f"normalization must be one of {_ADJ_MODES}")
-    x, sensitive_index = _features_of(h)
+    x = _features_of(h)
     if x.shape[0] != g.n:
         raise FairformerError(f"feature rows {x.shape[0]} do not match graph n={g.n}")
-
-    inv_degree = None
-    if normalization == "row-mean":
-        degrees = np.asarray(g.adjacency.sum(axis=1)).ravel()
-        inv_degree = 1.0 / np.maximum(degrees, 1.0)
-
-    slices = np.empty((k + 1, x.shape[0], x.shape[1]))
-    slices[0] = x
-    current = x
-    for j in range(1, k + 1):
-        current = g.adjacency @ current
-        if inv_degree is not None:
-            current = current * inv_degree[:, None]
-        slices[j] = current
-    return HopStack(tensor=slices.transpose(1, 0, 2).copy(), k=k,
-                    normalization=normalization, sensitive_index=sensitive_index)
+    return _hop_stack(x, k, lambda current: g.adjacency @ current)
 
 
 @dataclass(frozen=True)
@@ -183,19 +156,15 @@ def group_scaling_report(sg: SensitiveGroupGraph, h, k_max: int) -> GroupScaling
     """
     if k_max < 1:
         raise FairformerError("k_max must be >= 1")
-    x, sensitive_index = _features_of(h)
-    col_idx = sensitive_index
+    x = _features_of(h)
+    col_idx = None
+    for j in range(x.shape[1]):  # certify the first exactly-binary column
+        if np.all(np.isin(x[:, j], (0.0, 1.0))):
+            col_idx = j
+            break
     if col_idx is None:
-        # fall back to the first exactly-binary column
-        for j in range(x.shape[1]):
-            if np.all(np.isin(x[:, j], (0.0, 1.0))):
-                col_idx = j
-                break
-        if col_idx is None:
-            raise FairformerError("no binary column found to certify")
+        raise FairformerError("no binary column found to certify")
     column = x[:, col_idx]
-    if not np.all(column == np.round(column)):
-        raise FairformerError("sensitive column must be integer-valued in raw mode")
 
     ints = [int(v) for v in column]
     groups = sg.group_of.tolist()

@@ -39,6 +39,8 @@ class ModelConfig:
             raise FairformerError("layers must be >= 1")
         if self.k < 0:
             raise FairformerError("k must be >= 0")
+        if self.d_hidden < 1:
+            raise FairformerError(f"d_hidden={self.d_hidden} must be >= 1")
         if self.heads < 1 or self.d_hidden % self.heads != 0:
             raise FairformerError(
                 f"d_hidden={self.d_hidden} must be divisible by heads={self.heads}")
@@ -121,9 +123,9 @@ def _linear(t: ad.Tensor, params: ModelParams, name: str) -> ad.Tensor:
     return ad.add(ad.matmul(t, params[f"{name}.weight"]), params[f"{name}.bias"])
 
 
-def project_tokens(stack: HopStack | ad.Tensor, params: ModelParams) -> ad.Tensor:
+def project_tokens(stack: HopStack, params: ModelParams) -> ad.Tensor:
     """Linear projection of every hop token into the hidden width."""
-    tokens = stack if isinstance(stack, ad.Tensor) else ad.Tensor(stack.tensor)
+    tokens = ad.Tensor(stack.tensor)
     if tokens.data.shape[-1] != params.d_input:
         raise FairformerError(
             f"stack width {tokens.data.shape[-1]} does not match projection input {params.d_input}")

@@ -44,23 +44,6 @@ class SpectralBasis:
         return self.structure_matrix.shape[1]
 
 
-@dataclass(frozen=True)
-class FusedFeatures:
-    """Node features with structure columns appended: matrix = [H | B]."""
-
-    matrix: np.ndarray
-    d_original: int
-    sensitive_index: int
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def d_fused(self) -> int:
-        return self.matrix.shape[1]
-
-
 def _as_matvec(a):
     """Return (matvec over column blocks, n) for Graph, sparse or dense input."""
     if isinstance(a, Graph):
@@ -227,8 +210,8 @@ def laplacian_small_eigenpairs(g: Graph, t: int, tol: float = 1e-10,
     )
 
 
-def fuse(g: Graph, basis: SpectralBasis, scale_structure: bool = False) -> FusedFeatures:
-    """Concatenate node features with the structure matrix, features first.
+def fuse(g: Graph, basis: SpectralBasis, scale_structure: bool = False) -> np.ndarray:
+    """[H | B]: node features with the structure matrix appended, features first.
 
     scale_structure min-max rescales each structure column to [-1, 1] before
     concatenation (off by default; unit-norm eigenvector columns are used raw).
@@ -242,8 +225,7 @@ def fuse(g: Graph, basis: SpectralBasis, scale_structure: bool = False) -> Fused
             lo, hi = b[:, i].min(), b[:, i].max()
             if hi > lo:
                 b[:, i] = -1.0 + 2.0 * (b[:, i] - lo) / (hi - lo)
-    return FusedFeatures(matrix=np.concatenate([g.features, b], axis=1),
-                         d_original=g.d, sensitive_index=g.sensitive_index)
+    return np.concatenate([g.features, b], axis=1)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,29 @@ only beats the leak-driven baseline by exploiting graph structure.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .data import Graph
+from .errors import IngestionError
+
+# tracemalloc peak of sensitive_block_graph at its defaults: 28.03, 28.01 and 28.01 bytes per
+# node pair at n = 1000, 2000 and 4000. random_connected_graph peaks at 16-18 bytes per pair
+# at density 0.2-0.25 and grows with density (43 at density 1.0).
+_DENSE_BYTES_PER_PAIR = 28
+
+
+def _refuse_unfit_dense(n: int) -> None:
+    """Raise IngestionError when dense n x n edge sampling cannot fit in physical memory."""
+    need = _DENSE_BYTES_PER_PAIR * n * n
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise IngestionError(
+            f"synthetic graph with n={n} needs about {need / 1e9:.1f} GB for dense edge "
+            f"sampling, more than the {have / 1e9:.1f} GB of physical memory found")
 
 
 def _connect_components(adj: sp.csr_matrix, rng) -> sp.csr_matrix:
@@ -34,7 +52,7 @@ def _connect_components(adj: sp.csr_matrix, rng) -> sp.csr_matrix:
     return out
 
 
-def _assemble(adj, sens, labels, extra_features, sensitive_last=True):
+def _assemble(adj, sens, labels, extra_features):
     feats = np.column_stack(list(extra_features) + [sens.astype(np.float64)])
     return Graph(adjacency=adj, features=feats, sensitive_index=feats.shape[1] - 1,
                  labels=labels.astype(np.int64), label_mask=np.ones(len(sens), dtype=bool))
@@ -52,8 +70,10 @@ def random_connected_graph(n: int, density: float = 0.2, seed: int = 0,
 
     Features are `noise_dim` standard-normal columns plus the sensitive
     column; labels are balanced coin flips. Intended for n up to a few
-    hundred (dense edge sampling).
+    hundred (dense edge sampling); raises IngestionError when that cannot fit
+    in physical memory.
     """
+    _refuse_unfit_dense(n)
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < density, k=1)
     dense = (upper | upper.T).astype(np.float64)
@@ -84,8 +104,11 @@ def sensitive_block_graph(n: int = 1000, seed: int = 0, *,
     `feature_bias * (2s - 1)`; the noise columns carry alternating-sign group
     shifts of size `noise_bias`. Sensitive-correlated feature columns are the
     point: a classifier must actively cancel those skews to stay
-    group-balanced, and neighborhood sums amplify them.
+    group-balanced, and neighborhood sums amplify them. Edges are drawn from
+    dense n x n arrays; raises IngestionError when they cannot fit in physical
+    memory.
     """
+    _refuse_unfit_dense(n)
     rng = np.random.default_rng(seed)
     sens = _force_both_values(rng.integers(0, 2, n), rng)
     p_pos = np.where(sens == 1, 0.5 + leak / 2.0, 0.5 - leak / 2.0)

@@ -21,7 +21,7 @@ from .errors import FairformerError, TrainingError
 from .hops import HopStack, build_group_graph, hop_aggregate, hop_aggregate_adjacency
 from .metrics import evaluate, predict_labels
 from .model import ModelConfig, cross_entropy, forward, init_model, save_model
-from .spectral import FusedFeatures, fuse, laplacian_small_eigenpairs, top_magnitude_eigenpairs
+from .spectral import fuse, laplacian_small_eigenpairs, top_magnitude_eigenpairs
 from .synth import benchmark_graph
 
 ABLATION_VARIANTS = ("full", "no_st", "lap_st", "no_nf", "adj_nf")
@@ -42,9 +42,6 @@ class TrainConfig:
     d_hidden: int = 128
     dropout: float = 0.1
     normalization: str = "group-mean"  # hop normalization for training
-    adjacency_normalization: str = "raw"  # adj_nf hops: "raw" or "row-mean"
-    eval_on: str = "test"  # metrics over the test mask, or "all" labeled nodes
-    fair_selection_threshold: float | None = None  # checkpoint: best val acc with val delta_sp below this
     scale_structure: bool = False  # min-max structure columns to [-1, 1]
     seed: int = 0
 
@@ -55,8 +52,6 @@ class TrainConfig:
             raise FairformerError("folds must be >= 1")
         if self.ablation not in ABLATION_VARIANTS:
             raise FairformerError(f"ablation must be one of {ABLATION_VARIANTS}")
-        if self.eval_on not in ("test", "all"):
-            raise FairformerError("eval_on must be 'test' or 'all'")
 
     def model_config(self, seed: int) -> ModelConfig:
         return ModelConfig(k=self.k, t=self.t, d_hidden=self.d_hidden, layers=self.layers,
@@ -113,8 +108,7 @@ def build_encodings(g: Graph, cfg: TrainConfig) -> HopStack:
     """
     variant = cfg.ablation
     if variant == "no_st":
-        fused = FusedFeatures(matrix=g.features, d_original=g.d,
-                              sensitive_index=g.sensitive_index)
+        fused = g.features
     elif variant == "lap_st":
         t_eff = min(cfg.t, max(g.n - 1, 0))
         basis = laplacian_small_eigenpairs(g, t_eff, seed=cfg.seed)
@@ -125,7 +119,7 @@ def build_encodings(g: Graph, cfg: TrainConfig) -> HopStack:
         fused = fuse(g, basis, scale_structure=cfg.scale_structure)
 
     if variant == "adj_nf":
-        return hop_aggregate_adjacency(g, fused, cfg.k, normalization=cfg.adjacency_normalization)
+        return hop_aggregate_adjacency(g, fused, cfg.k)
     k = 0 if variant == "no_nf" else cfg.k
     sg = build_group_graph(g)
     return hop_aggregate(sg, fused, k, normalization=cfg.normalization)
@@ -164,9 +158,7 @@ def _fold_seed(base: int, fold: int) -> int:
 
 def _rows(stack: HopStack, idx) -> HopStack:
     # tokens are per-node, so forward on a row subset matches the full pass
-    return HopStack(tensor=stack.tensor[idx], k=stack.k,
-                    normalization=stack.normalization,
-                    sensitive_index=stack.sensitive_index)
+    return HopStack(tensor=stack.tensor[idx])
 
 
 def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: int,
@@ -194,13 +186,7 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
             dsp = 0.0
         return acc, dsp
 
-    def selectable(dsp: float) -> bool:
-        return (cfg.fair_selection_threshold is None
-                or dsp <= cfg.fair_selection_threshold)
-
-    acc0, dsp0 = val_metrics()  # initial parameters are the first candidate
-    best_acc = acc0
-    best_qualified = selectable(dsp0)
+    best_acc, _ = val_metrics()  # initial parameters are the first candidate
     best_state = params.state_copy()
     best_epoch = 0
     stale = 0
@@ -226,12 +212,8 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
         if log_lines is not None:
             log_lines.append(f"fold={fold} epoch={epoch} loss={loss_value!r} val_acc={acc!r} "
                              f"val_delta_sp={val_dsp!r}")
-        qualified = selectable(val_dsp)
-        # a qualified checkpoint always beats an unqualified one; ties on accuracy
-        if (qualified and not best_qualified) or \
-                (qualified == best_qualified and acc > best_acc):
+        if acc > best_acc:
             best_acc = acc
-            best_qualified = qualified
             best_state = params.state_copy()
             best_epoch = epoch
             stale = 0
@@ -241,10 +223,9 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
                 break
 
     params.load_state(best_state)
-    eval_idx = split.test if cfg.eval_on == "test" else np.nonzero(g.label_mask)[0]
-    eval_logits = forward(params, _rows(stack, eval_idx)).data
-    report = evaluate(eval_logits, g.labels[eval_idx], g.sensitive[eval_idx],
-                      np.arange(eval_idx.size))
+    test_logits = forward(params, _rows(stack, split.test)).data
+    report = evaluate(test_logits, g.labels[split.test], g.sensitive[split.test],
+                      np.arange(split.test.size))
     return report, params, best_epoch, epochs_done, best_acc
 
 
@@ -375,8 +356,8 @@ def bench_scaling(sizes, k: int = 2, t: int = 4, d_hidden: int = 32, seed: int =
     near 1 for both phases (the pass flag uses the 1.3 ceiling).
     """
     sizes = [int(n) for n in sizes]
-    if not sizes:
-        raise FairformerError("bench_scaling needs at least one size")
+    if len(set(sizes)) < 2:
+        raise FairformerError("bench_scaling needs at least two distinct sizes to fit an exponent")
     cfg = TrainConfig(epochs=1, folds=1, k=k, t=t, d_hidden=d_hidden, dropout=0.0,
                       seed=seed, patience=0)
     encode_times, epoch_times = [], []

@@ -145,8 +145,7 @@ def test_criterion_4_gradient_suite():
     assert worst_op <= 1e-4
 
     # end-to-end: every parameter of a 5-node, k=2, width-8 model
-    stack = HopStack(tensor=np.random.default_rng(7).standard_normal((5, 3, 6)), k=2,
-                     normalization="raw")
+    stack = HopStack(tensor=np.random.default_rng(7).standard_normal((5, 3, 6)))
     cfg = ModelConfig(k=2, t=0, d_hidden=8, layers=1, heads=1, dropout=0.0, seed=11)
     params = init_model(cfg, 6)
     labels = np.array([0, 1, 1, 0, 1])
@@ -199,7 +198,7 @@ def test_criterion_5_hop_encodings_match_dense_oracles():
 
         g = random_connected_graph(n if n >= 2 else 2, density=0.1, seed=60_000 + trial)
         h2 = rng.standard_normal((g.n, d))
-        stack2 = hop_aggregate_adjacency(g, h2, k=k, normalization="raw")
+        stack2 = hop_aggregate_adjacency(g, h2, k=k)
         dense_a = g.adjacency.toarray()
         for j in range(k + 1):
             want = dense_power_apply(dense_a, h2, j)

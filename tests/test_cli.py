@@ -88,8 +88,11 @@ def test_train_with_manifest(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("row,names", [("4,nan,0,0", "'f0'"), ("4,inf,0,0", "'f0'"),
-                                       ("4,0.5,0,inf", "label 'inf'")],
-                         ids=["nan_feature", "inf_feature", "inf_label"])
+                                       ("4,0.5,0,inf", "label 'inf'"),
+                                       ("4,0.5,0,0.7", "label '0.7'"),
+                                       ("4,0.5,0,-0.5", "label '-0.5'")],
+                         ids=["nan_feature", "inf_feature", "inf_label", "fractional_label",
+                              "negative_fractional_label"])
 def test_non_finite_cell_is_data_error(tmp_path, capsys, row, names):
     manifest = write_tiny_dataset(tmp_path)
     nodes = tmp_path / "nodes.csv"
@@ -102,6 +105,29 @@ def test_non_finite_cell_is_data_error(tmp_path, capsys, row, names):
     err = capsys.readouterr().err
     assert err.startswith("error=IngestionError")
     assert "nodes.csv:6" in err and names in err
+
+
+@pytest.mark.parametrize("args,code,names", [
+    (["train", "--synthetic", "-5"], 2, "--synthetic"),
+    (["inspect", "--synthetic", "-5"], 2, "--synthetic"),
+    (["train", "--synthetic", "40", "--hidden", "0", "--epochs", "1", "--folds", "1",
+      "--t", "2", "--serial"], 1, "d_hidden=0"),
+    (["verify", "--n", "0"], 2, "--n"),
+    (["verify", "--graphs", "0"], 2, "--graphs"),
+    (["bench", "--sizes", "0"], 2, "--sizes"),
+    (["bench", "--sizes", "-5"], 2, "--sizes"),
+    (["bench", "--sizes", "200,200"], 2, "--sizes"),
+    (["inspect", "--synthetic", "1000000"], 3, "n=1000000"),
+], ids=["train_synthetic", "inspect_synthetic", "hidden", "verify_n", "verify_graphs",
+        "sizes_zero", "sizes_negative", "sizes_one_distinct", "synthetic_too_large"])
+def test_bad_size_fails_early(capsys, args, code, names):
+    try:
+        got = run_cli(args)
+    except SystemExit as exc:  # argparse usage errors
+        got = exc.code
+    assert got == code
+    err = capsys.readouterr().err
+    assert names in err and "Traceback" not in err
 
 
 def test_sweep_table_rows(tmp_path, capsys):

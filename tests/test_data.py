@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,6 +8,7 @@ from hypothesis import given, strategies as st
 from fairformer.data import (Graph, SplitSpec, binarize_labels, load_dataset,
                              load_manifest, make_folds, make_split)
 from fairformer.errors import IngestionError, SchemaError, SplitError
+from fairformer.synth import random_connected_graph, sensitive_block_graph
 
 
 def write_dataset(tmp_path, node_rows, edge_rows, header="id,f0,sensitive,label"):
@@ -78,12 +81,14 @@ def test_loader_rejects_non_numeric_feature(tmp_path):
 def test_loader_unlabeled_sentinel_and_header_skip(tmp_path):
     nodes, edges = write_dataset(
         tmp_path,
-        ["0,1.0,0,0", "1,2.0,1,", "2,3.0,0,2"],
+        ["0,1.0,0,0", "1,2.0,1,", "2,3.0,0,2", "3,4.0,1,1.0", "4,5.0,0,1e300"],
         ["src,dst", "0,2"],
     )
     g = load_dataset(nodes, edges)
-    assert g.label_mask.tolist() == [True, False, True]
+    assert g.label_mask.tolist() == [True, False, True, True, True]
     assert g.labels[2] == 1  # label 2 binarized to 1
+    assert g.labels[3] == 1  # an integral float cell is an integer label
+    assert g.labels[4] == 1  # past the int64 range
     assert g.labels[1] == -1
 
 
@@ -205,3 +210,15 @@ def test_features_are_read_only():
     g = make_labeled_graph(per_class=10)
     with pytest.raises(ValueError):
         g.features[0, 0] = 99.0
+
+
+@pytest.mark.parametrize("generator", [sensitive_block_graph, random_connected_graph])
+def test_dense_fixture_refuses_without_allocating(generator):
+    tracemalloc.start()
+    try:
+        with pytest.raises(IngestionError, match=r"n=1000000 needs about 28000\.0 GB"):
+            generator(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -7,7 +7,6 @@ from fairformer.errors import FairformerError
 from fairformer.hops import (HopStack, build_group_graph, group_scaling_report, hop_aggregate,
                              hop_aggregate_adjacency, SensitiveGroupGraph)
 from fairformer.oracles import dense_power_apply
-from fairformer.spectral import FusedFeatures
 from fairformer.synth import random_connected_graph
 
 
@@ -36,7 +35,6 @@ def test_build_group_graph_counts():
     assert group_graph([0, 0, 0]).q == 0
     assert group_graph([1]).group_sizes == (0, 1)
     assert group_graph([1]).q == 1
-    assert group_graph([1, 0]).includes_self
 
 
 def test_raw_hop_scales_sensitive_column():
@@ -85,10 +83,9 @@ def test_group_mean_keeps_sensitive_column():
     n = 50
     sens = rng.integers(0, 2, n).astype(float)
     feats = np.column_stack([rng.standard_normal(n), sens])
-    fused = FusedFeatures(matrix=feats, d_original=2, sensitive_index=1)
     sg = SensitiveGroupGraph(group_of=sens.astype(np.int8),
                              group_sizes=(int((sens == 0).sum()), int((sens == 1).sum())))
-    stack = hop_aggregate(sg, fused, k=3, normalization="group-mean")
+    stack = hop_aggregate(sg, feats, k=3, normalization="group-mean")
     for j in range(4):
         assert np.array_equal(stack.tensor[:, j, 1], sens)
 
@@ -129,13 +126,13 @@ def test_adjacency_hops_match_dense_oracle():
         assert np.max(np.abs(stack.tensor[:, j, :] - want)) <= 1e-9 * scale
 
 
-def test_adjacency_row_mean_handles_isolated_nodes():
+def test_adjacency_raw_handles_isolated_nodes():
     n = 3
     adj = sp.csr_matrix((n, n))
     feats = np.column_stack([np.ones(n), np.array([0.0, 1.0, 0.0])])
     g = Graph(adjacency=adj, features=feats, sensitive_index=1,
               labels=np.array([0, 1, 0]), label_mask=np.ones(n, dtype=bool))
-    stack = hop_aggregate_adjacency(g, feats, k=2, normalization="row-mean")
+    stack = hop_aggregate_adjacency(g, feats, k=2)
     assert np.all(stack.tensor[:, 1:, :] == 0.0)
 
 

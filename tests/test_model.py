@@ -17,7 +17,7 @@ from model_oracle import forward_direct
 
 def make_stack(n=5, k=2, d=6, seed=0):
     rng = np.random.default_rng(seed)
-    return HopStack(tensor=rng.standard_normal((n, k + 1, d)), k=k, normalization="raw")
+    return HopStack(tensor=rng.standard_normal((n, k + 1, d)))
 
 
 def small_params(d_input=6, **kw):
@@ -69,7 +69,7 @@ def test_encoder_singleton_attention_weight_is_one():
 def test_encoder_identical_tokens_attend_uniformly():
     rng = np.random.default_rng(7)
     token = rng.standard_normal(6)
-    stack = HopStack(tensor=np.tile(token, (3, 2, 1)), k=1, normalization="raw")
+    stack = HopStack(tensor=np.tile(token, (3, 2, 1)))
     params = small_params()
     tokens = project_tokens(stack, params)
     collected = []
@@ -145,7 +145,7 @@ def test_forward_is_permutation_equivariant():
     params = small_params()
     logits = forward(params, stack).data
     perm = np.random.default_rng(17).permutation(7)
-    permuted = HopStack(tensor=stack.tensor[perm], k=2, normalization="raw")
+    permuted = HopStack(tensor=stack.tensor[perm])
     logits_perm = forward(params, permuted).data
     assert np.allclose(logits_perm, logits[perm], atol=1e-12)
 
