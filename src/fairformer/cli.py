@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="encoding variant")
         p.add_argument("--norm", choices=("raw", "group-mean"), default="group-mean",
                        help="hop aggregation normalization")
-        p.add_argument("--cap", type=int, default=50, help="per-class training node cap")
+        p.add_argument("--cap", type=_positive_int, default=50,
+                       help="per-class training node cap")
         p.add_argument("--scale-structure", action="store_true",
                        help="min-max scale structure columns to [-1, 1]")
 
@@ -131,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--k", type=int, default=2, help="hop count")
     p_bench.add_argument("--t", type=int, default=4, help="structure eigenvectors")
     p_bench.add_argument("--hidden", type=int, default=32, help="hidden width")
-    p_bench.add_argument("--epochs-timed", type=int, default=3, help="epochs timed per size")
+    p_bench.add_argument("--epochs-timed", type=_positive_int, default=3,
+                         help="epochs timed per size")
 
     p_inspect = sub.add_parser("inspect", help="summarize a dataset",
                                formatter_class=_Formatter)
@@ -147,6 +149,10 @@ def _load_graph(args):
     if getattr(args, "synthetic", None):
         return sensitive_block_graph(n=args.synthetic, seed=args.seed)
     raise IngestionError("no input: pass --manifest PATH or --synthetic N")
+
+
+def _split_spec(args) -> SplitSpec:
+    return SplitSpec(train_per_class_cap=args.cap, seed=args.seed, folds=args.folds)
 
 
 def _train_config(args) -> TrainConfig:
@@ -166,26 +172,17 @@ def _write_report(out_dir, name, text):
 
 
 def _cmd_train(args) -> int:
-    g = _load_graph(args)
     cfg = _train_config(args)
-    result = train(g, cfg, split_spec=SplitSpec(train_per_class_cap=args.cap, seed=args.seed,
-                                                folds=args.folds),
-                   serial=args.serial, out_dir=args.out)
+    result = train(_load_graph(args), cfg, split_spec=_split_spec(args), serial=args.serial,
+                   out_dir=args.out)
     print(result.summary_text())
     return EXIT_OK
 
 
 def _cmd_ablate(args) -> int:
-    g = _load_graph(args)
     cfg = _train_config(args)
-    results = ablate(g, cfg, split_spec=SplitSpec(train_per_class_cap=args.cap, seed=args.seed,
-                                                  folds=args.folds),
-                     serial=args.serial)
-    lines = ["variant\taccuracy\tdelta_sp\tf1\tauc"]
-    for variant, result in results.items():
-        lines.append(f"{variant}\t{result.mean['accuracy']!r}\t{result.mean['delta_sp']!r}"
-                     f"\t{result.mean['f1']!r}\t{result.mean['auc']!r}")
-    table = "\n".join(lines)
+    results = ablate(_load_graph(args), cfg, split_spec=_split_spec(args), serial=args.serial)
+    table = sweep_table("variant", results.items())
     print(table)
     _write_report(args.out, "report.txt", table)
     if args.out is not None:
@@ -197,12 +194,9 @@ def _cmd_ablate(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.min > args.max:
         raise FairformerError("--min must not exceed --max")
-    g = _load_graph(args)
     cfg = _train_config(args)
-    rows = sweep(g, cfg, args.param, range(args.min, args.max + 1),
-                 split_spec=SplitSpec(train_per_class_cap=args.cap, seed=args.seed,
-                                      folds=args.folds),
-                 serial=args.serial)
+    rows = sweep(_load_graph(args), cfg, args.param, range(args.min, args.max + 1),
+                 split_spec=_split_spec(args), serial=args.serial)
     table = sweep_table(args.param, rows)
     print(table)
     _write_report(args.out, "sweep.tsv", table)

@@ -280,21 +280,17 @@ class SplitSpec:
     """Split protocol parameters.
 
     Per class, the train pool takes min(ceil(0.5 * class_size), cap) nodes
-    drawn outside val/test; val and test each take the val/test fraction of
-    all labeled nodes, balanced across classes within one node.
+    drawn outside val/test; val and test each take a quarter of all labeled
+    nodes, balanced across classes within one node.
     """
 
     train_per_class_cap: int = 50
-    val_fraction: float = 0.25
-    test_fraction: float = 0.25
     seed: int = 0
     folds: int = 5
 
     def __post_init__(self):
         if self.train_per_class_cap <= 0:
             raise SplitError("train_per_class_cap must be positive")
-        if not 0 < self.val_fraction + self.test_fraction < 1:
-            raise SplitError("val_fraction + test_fraction must lie in (0, 1)")
         if self.folds < 1:
             raise SplitError("folds must be >= 1")
 
@@ -316,6 +312,9 @@ class Split:
             h.update(np.sort(part).astype("<i8").tobytes())
             h.update(b"|")
         return h.hexdigest()
+
+
+_HOLDOUT_FRACTION = 0.25  # of all labeled nodes, for validation and again for test
 
 
 def _balanced_shares(total: int, class_order) -> dict:
@@ -341,26 +340,23 @@ def make_split(g: Graph, spec: SplitSpec) -> Split:
         if per_class[c].size < 2:
             raise SplitError(f"class {c} has {per_class[c].size} labeled nodes; need at least 2")
 
-    n_labeled = labeled.size
-    val_total = int(np.floor(spec.val_fraction * n_labeled))
-    test_total = int(np.floor(spec.test_fraction * n_labeled))
+    holdout = int(np.floor(_HOLDOUT_FRACTION * labeled.size))
     # give any odd slot to the larger class so small classes are not drained
     order = sorted(classes, key=lambda c: (-per_class[c].size, c))
-    val_share = _balanced_shares(val_total, order)
-    test_share = _balanced_shares(test_total, order)
+    share = _balanced_shares(holdout, order)
 
     rng = np.random.default_rng(spec.seed)
     train_parts, val_parts, test_parts = [], [], []
     for c in classes:
         pool = per_class[c].copy()
         rng.shuffle(pool)
-        need = val_share[c] + test_share[c]
+        need = 2 * share[c]
         if pool.size <= need:
             raise SplitError(
                 f"class {c} too small to fill val/test: {pool.size} labeled nodes, "
                 f"{need} required before any training node")
-        val_parts.append(pool[:val_share[c]])
-        test_parts.append(pool[val_share[c]:need])
+        val_parts.append(pool[:share[c]])
+        test_parts.append(pool[share[c]:need])
         remaining = pool[need:]
         want = min(int(np.ceil(0.5 * pool.size)), spec.train_per_class_cap, remaining.size)
         train_parts.append(remaining[:want])

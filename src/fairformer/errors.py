@@ -20,10 +20,6 @@ class SplitError(FairformerError):
 class ConvergenceError(FairformerError):
     """An iterative eigensolver failed to reach the requested residual."""
 
-    def __init__(self, message, achieved_residual=None):
-        super().__init__(message)
-        self.achieved_residual = achieved_residual
-
 
 class SpectralGapError(FairformerError):
     """The strict |lambda_1| > |lambda_2| precondition does not hold."""

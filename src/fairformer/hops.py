@@ -138,13 +138,6 @@ class GroupScalingReport:
     def passed(self) -> bool:
         return self.exact_pass and self.float_pass
 
-    def lines(self):
-        yield f"q={self.q}"
-        yield f"k_checked={self.k_checked}"
-        yield f"exact_pass={int(self.exact_pass)}"
-        yield f"float_pass={int(self.float_pass)}"
-        yield f"max_abs_deviation={self.max_abs_deviation!r}"
-
 
 def group_scaling_report(sg: SensitiveGroupGraph, h, k_max: int) -> GroupScalingReport:
     """Verify the q^k sensitive-column identity for k = 1..k_max.

@@ -7,7 +7,6 @@ Predicted labels come from argmax with ties broken toward class 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,18 +32,14 @@ class GroupRates:
         return abs(self.rate_group0 - self.rate_group1)
 
 
-def statistical_parity(pred, sens, mask=None) -> GroupRates:
-    """Positive-prediction rates per sensitive group over the masked nodes.
+def statistical_parity(pred, sens) -> GroupRates:
+    """Positive-prediction rates per sensitive group.
 
     Raises when either group is empty: an undefined rate must never silently
     read as perfectly fair.
     """
     pred = np.asarray(pred)
     sens = np.asarray(sens)
-    if mask is not None:
-        idx = np.asarray(mask)
-        pred = pred[idx]
-        sens = sens[idx]
     in1 = sens == 1
     n0 = int((~in1).sum())
     n1 = int(in1.sum())
@@ -59,26 +54,18 @@ def statistical_parity(pred, sens, mask=None) -> GroupRates:
     )
 
 
-def accuracy(pred, labels, mask=None) -> float:
+def accuracy(pred, labels) -> float:
     pred = np.asarray(pred)
     labels = np.asarray(labels)
-    if mask is not None:
-        idx = np.asarray(mask)
-        pred = pred[idx]
-        labels = labels[idx]
     if pred.size == 0:
         raise UndefinedMetricError("accuracy undefined on an empty node set")
     return float((pred == labels).mean())
 
 
-def f1_score(pred, labels, mask=None) -> float:
+def f1_score(pred, labels) -> float:
     """Binary F1 for the positive class; 0 when there are no positives anywhere."""
     pred = np.asarray(pred)
     labels = np.asarray(labels)
-    if mask is not None:
-        idx = np.asarray(mask)
-        pred = pred[idx]
-        labels = labels[idx]
     tp = int(np.sum((pred == 1) & (labels == 1)))
     fp = int(np.sum((pred == 1) & (labels == 0)))
     fn = int(np.sum((pred == 0) & (labels == 1)))
@@ -86,7 +73,7 @@ def f1_score(pred, labels, mask=None) -> float:
     return 0.0 if denom == 0 else 2.0 * tp / denom
 
 
-def auc_score(scores, labels, mask=None) -> float:
+def auc_score(scores, labels) -> float:
     """Rank-statistic AUC with tied scores counted one half.
 
     Equivalent to exhaustive positive/negative pair comparison: average ranks
@@ -94,10 +81,6 @@ def auc_score(scores, labels, mask=None) -> float:
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    if mask is not None:
-        idx = np.asarray(mask)
-        scores = scores[idx]
-        labels = labels[idx]
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
@@ -118,49 +101,16 @@ class EvalReport:
     delta_sp: float
     f1: float
     auc: float
-    rate_group0: float
-    rate_group1: float
-    count_group0: int
-    count_group1: int
-    node_count: int
-
-    def to_text(self) -> str:
-        lines = [
-            f"nodes={self.node_count}",
-            f"accuracy={self.accuracy!r}",
-            f"accuracy_pct={self.accuracy * 100:.2f}",
-            f"delta_sp={self.delta_sp!r}",
-            f"delta_sp_pct={self.delta_sp * 100:.2f}",
-            f"f1={self.f1!r}",
-            f"f1_pct={self.f1 * 100:.2f}",
-            f"auc={self.auc!r}",
-            f"auc_pct={self.auc * 100:.2f}",
-            f"rate_group0={self.rate_group0!r}",
-            f"rate_group1={self.rate_group1!r}",
-            f"count_group0={self.count_group0}",
-            f"count_group1={self.count_group1}",
-        ]
-        return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
 
 
-def evaluate(logits, labels, sens, mask) -> EvalReport:
-    """Score utility and statistical parity for the masked nodes."""
+def evaluate(logits, labels, sens) -> EvalReport:
+    """Score utility and statistical parity; row i of each argument is the same node."""
     logits = np.asarray(logits, dtype=np.float64)
-    idx = np.asarray(mask)
     pred = predict_labels(logits)
-    scores = logits[:, 1] - logits[:, 0]
-    rates = statistical_parity(pred, sens, idx)
+    delta_sp = statistical_parity(pred, sens).delta
     return EvalReport(
-        accuracy=accuracy(pred, labels, idx),
-        delta_sp=rates.delta,
-        f1=f1_score(pred, labels, idx),
-        auc=auc_score(scores, labels, idx),
-        rate_group0=rates.rate_group0,
-        rate_group1=rates.rate_group1,
-        count_group0=rates.count_group0,
-        count_group1=rates.count_group1,
-        node_count=int(np.asarray(idx).size),
+        accuracy=accuracy(pred, labels),
+        delta_sp=delta_sp,
+        f1=f1_score(pred, labels),
+        auc=auc_score(logits[:, 1] - logits[:, 0], labels),
     )

@@ -8,29 +8,9 @@ implicitly restarted Lanczos (ARPACK) solver in `spectral`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import FairformerError
-
-
-@dataclass
-class OracleReport:
-    name: str
-    max_abs_deviation: float
-    tolerance: float
-    instance: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_abs_deviation <= self.tolerance
-
-    def line(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        inst = " ".join(f"{k}={v}" for k, v in sorted(self.instance.items()))
-        return (f"check={self.name} status={status} "
-                f"deviation={self.max_abs_deviation:.3e} tolerance={self.tolerance:.3e} {inst}").rstrip()
 
 
 def dense_eig(a, tol: float = 1e-12, max_sweeps: int = 100):

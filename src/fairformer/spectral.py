@@ -30,7 +30,6 @@ class SpectralBasis:
     eigenvalues: np.ndarray
     structure_matrix: np.ndarray
     source: str  # "adjacency" (largest magnitude) or "laplacian" (smallest nontrivial)
-    tol: float
     residuals: np.ndarray
     tie_warning: bool = False
     degenerate_warning: bool = False
@@ -102,7 +101,7 @@ def _select(matvec, n, k, tol, max_iters, seed, which):
     if np.any(bad):
         raise ConvergenceError(
             f"eigensolver residual {resid[bad].max():.3e} exceeds tol={tol:.1e} "
-            f"(restart cap max_iters={max_iters})", achieved_residual=float(resid[bad].max()))
+            f"(restart cap max_iters={max_iters})")
     return theta, vectors, resid
 
 
@@ -150,7 +149,7 @@ def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, max_iters: int = 100
     if t < 0 or t > n:
         raise FairformerError(f"t={t} out of range for n={n}")
     if t == 0:
-        return SpectralBasis(np.empty(0), np.empty((n, 0)), "adjacency", tol, np.empty(0))
+        return SpectralBasis(np.empty(0), np.empty((n, 0)), "adjacency", np.empty(0))
 
     theta, vectors, resid = _select(matvec, n, t, tol, max_iters, seed, "LM")
     tie = _tie_at_cut(matvec, n, theta, vectors, tol, max_iters, seed)
@@ -162,7 +161,6 @@ def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, max_iters: int = 100
         eigenvalues=theta,
         structure_matrix=_canonicalize_signs(vectors),
         source="adjacency",
-        tol=tol,
         residuals=resid,
         tie_warning=tie,
     )
@@ -181,7 +179,7 @@ def laplacian_small_eigenpairs(g: Graph, t: int, tol: float = 1e-10,
     if t < 0 or t > g.n - 1:
         raise FairformerError(f"t={t} out of range for the deflated Laplacian of n={g.n}")
     if t == 0:
-        return SpectralBasis(np.empty(0), np.empty((g.n, 0)), "laplacian", tol, np.empty(0))
+        return SpectralBasis(np.empty(0), np.empty((g.n, 0)), "laplacian", np.empty(0))
 
     adjacency_matvec, n = _as_matvec(g)
     degrees = np.asarray(g.adjacency.sum(axis=1)).ravel()
@@ -204,7 +202,6 @@ def laplacian_small_eigenpairs(g: Graph, t: int, tol: float = 1e-10,
         eigenvalues=theta,
         structure_matrix=_canonicalize_signs(vectors),
         source="laplacian",
-        tol=tol,
         residuals=resid,
         degenerate_warning=degenerate,
     )
@@ -234,8 +231,9 @@ class AlignmentReport:
 
     For each hop count k the report carries the directly computed cosine
     between the k-hop aggregate of the reference column and the column itself,
-    the same number evaluated through the eigendecomposition identity, the
-    k -> infinity limit cos(p1, column), and the gap to that limit. The decay
+    the k -> infinity limit cos(p1, column), and the gap to that limit;
+    identity_max_error is the largest difference between the direct cosines and
+    the same numbers evaluated through the eigendecomposition identity. The decay
     constant is fit from hop-1 quantities: with beta_i the normalized squared
     alignment coefficients, U_1 the aggregate non-dominant correlation mass
     and rho the eigenvalue ratio, gap_k <= C rho^k holds for every k >= 1
@@ -244,37 +242,22 @@ class AlignmentReport:
 
     k_values: np.ndarray
     direct: np.ndarray
-    spectral_formula: np.ndarray
     limit: float
     gaps: np.ndarray
     alphas: np.ndarray
-    eigenvalues: np.ndarray
     eigenvalue_ratio: float
-    dominant_mass: float
-    nondominant_correlation: np.ndarray
     decay_constant: float | None
     decay_applicable: bool
     identity_max_error: float
     decay_ok: bool
 
-    def lines(self):
-        yield f"eigenvalue_ratio={self.eigenvalue_ratio!r}"
-        yield f"limit_cosine={self.limit!r}"
-        yield f"identity_max_error={self.identity_max_error!r}"
-        yield f"decay_applicable={int(self.decay_applicable)}"
-        if self.decay_constant is not None:
-            yield f"decay_constant={self.decay_constant!r}"
-        yield f"decay_ok={int(self.decay_ok)}"
-        for i, k in enumerate(self.k_values):
-            yield (f"k={int(k)} direct={self.direct[i]!r} formula={self.spectral_formula[i]!r} "
-                   f"gap={self.gaps[i]!r}")
-
 
 _DECAY_FLOAT_SLACK = 1e-12
+_GAP_RTOL = 1e-8  # |lambda_1| - |lambda_2| must exceed this share of max(1, |lambda_1|)
 
 
-def spectral_alignment_report(g: Graph, k_max: int, column: np.ndarray | None = None,
-                              gap_rtol: float = 1e-8) -> AlignmentReport:
+def spectral_alignment_report(g: Graph, k_max: int,
+                              column: np.ndarray | None = None) -> AlignmentReport:
     """Certify the dominant-eigenvector alignment identity on a small graph.
 
     Dense route: full symmetric eigendecomposition (n <= 500 enforced).
@@ -298,7 +281,7 @@ def spectral_alignment_report(g: Graph, k_max: int, column: np.ndarray | None = 
     order = np.argsort(-np.abs(lam), kind="stable")
     lam = lam[order]
     pvecs = _canonicalize_signs(pvecs[:, order])
-    if g.n < 2 or abs(lam[0]) - abs(lam[1]) <= gap_rtol * max(1.0, abs(lam[0])):
+    if g.n < 2 or abs(lam[0]) - abs(lam[1]) <= _GAP_RTOL * max(1.0, abs(lam[0])):
         raise SpectralGapError(
             f"|lambda_1|={abs(lam[0]):.6g} and |lambda_2|={abs(lam[1]) if g.n > 1 else 0:.6g} "
             "violate the strict-gap precondition")
@@ -314,7 +297,6 @@ def spectral_alignment_report(g: Graph, k_max: int, column: np.ndarray | None = 
     ks = np.arange(1, k_max + 1)
     direct = np.zeros(k_max)
     formula = np.zeros(k_max)
-    nondom = np.zeros(k_max)
     x = h.copy()
     for i, k in enumerate(ks):
         x = g.adjacency @ x
@@ -325,11 +307,10 @@ def spectral_alignment_report(g: Graph, k_max: int, column: np.ndarray | None = 
         num = alphas[0] ** 2 + np.sum(alphas[1:] ** 2 * r_signed[1:] ** k)
         den = np.sqrt(alphas[0] ** 2 + np.sum(alphas[1:] ** 2 * r_signed[1:] ** (2 * k)))
         formula[i] = float(num / (den * np.sqrt(total)))
-        nondom[i] = float(np.sum(beta[1:] * r_abs[1:] ** k))
 
     gaps = np.abs(direct - limit)
     b1 = float(beta[0])
-    u1 = float(nondom[0])
+    u1 = float(np.sum(beta[1:] * r_abs[1:]))  # hop-1 non-dominant correlation mass
     applicable = u1 < b1
     constant = None
     if applicable and ratio > 0:
@@ -342,14 +323,10 @@ def spectral_alignment_report(g: Graph, k_max: int, column: np.ndarray | None = 
     return AlignmentReport(
         k_values=ks,
         direct=direct,
-        spectral_formula=formula,
         limit=limit,
         gaps=gaps,
         alphas=alphas,
-        eigenvalues=lam,
         eigenvalue_ratio=ratio,
-        dominant_mass=b1,
-        nondominant_correlation=nondom,
         decay_constant=None if constant is None else float(constant),
         decay_applicable=applicable,
         identity_max_error=float(np.max(np.abs(direct - formula))),

@@ -3,7 +3,7 @@
 `sensitive_block_graph` plants the structure the fairness evaluation needs:
 edges prefer same-sensitive-value endpoints (sensitive homophily) and same
 label endpoints (community signal), and the label leaks through the sensitive
-attribute with a configurable rate. Node features carry the binary sensitive
+attribute at a small fixed rate. Node features carry the binary sensitive
 column, one weak label-informative column and pure noise, so a classifier
 only beats the leak-driven baseline by exploiting graph structure.
 """
@@ -19,15 +19,32 @@ from scipy.sparse.csgraph import connected_components
 from .data import Graph
 from .errors import IngestionError
 
-# tracemalloc peak of sensitive_block_graph at its defaults: 28.03, 28.01 and 28.01 bytes per
-# node pair at n = 1000, 2000 and 4000. random_connected_graph peaks at 16-18 bytes per pair
-# at density 0.2-0.25 and grows with density (43 at density 1.0).
-_DENSE_BYTES_PER_PAIR = 28
+# tracemalloc peaks per node pair of dense edge sampling. sensitive_block_graph: 28.03, 28.01
+# and 28.01 bytes at n = 1000, 2000 and 4000. random_connected_graph grows with density: 10.0,
+# 17.6, 26.1 and 43.0 bytes at density 0, 0.25, 0.5 and 1.0 (n = 1000 and 2000), so it is
+# charged its worst case.
+_BLOCK_BYTES_PER_PAIR = 28
+_RANDOM_BYTES_PER_PAIR = 43
+
+# sensitive_block_graph's planted structure (see its docstring)
+_LEAK = 0.02
+_SENSITIVE_HOMOPHILY = 12.0
+_LABEL_HOMOPHILY = 3.0
+_SIGNAL = 0.1
+_FEATURE_BIAS = 1.0
+_NOISE_BIAS = 0.6
+_BLOCK_NOISE_DIM = 8
+
+# benchmark_graph: mean degree, community count, within/across edge-rate ratio, noise width
+_BENCH_AVG_DEGREE = 16.0
+_COMMUNITIES = 4
+_COMMUNITY_CONTRAST = 8.0
+_BENCH_NOISE_DIM = 7
 
 
-def _refuse_unfit_dense(n: int) -> None:
+def _refuse_unfit_dense(n: int, bytes_per_pair: int) -> None:
     """Raise IngestionError when dense n x n edge sampling cannot fit in physical memory."""
-    need = _DENSE_BYTES_PER_PAIR * n * n
+    need = bytes_per_pair * n * n
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise IngestionError(
@@ -64,16 +81,14 @@ def _force_both_values(vec, rng):
     return vec
 
 
-def random_connected_graph(n: int, density: float = 0.2, seed: int = 0,
-                           noise_dim: int = 1) -> Graph:
+def random_connected_graph(n: int, density: float = 0.2, seed: int = 0) -> Graph:
     """Erdos-Renyi graph patched to be connected, with binary sensitive column.
 
-    Features are `noise_dim` standard-normal columns plus the sensitive
-    column; labels are balanced coin flips. Intended for n up to a few
-    hundred (dense edge sampling); raises IngestionError when that cannot fit
-    in physical memory.
+    Features are one standard-normal column plus the sensitive column; labels
+    are balanced coin flips. Intended for n up to a few hundred (dense edge
+    sampling); raises IngestionError when that cannot fit in physical memory.
     """
-    _refuse_unfit_dense(n)
+    _refuse_unfit_dense(n, _RANDOM_BYTES_PER_PAIR)
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < density, k=1)
     dense = (upper | upper.T).astype(np.float64)
@@ -81,75 +96,66 @@ def random_connected_graph(n: int, density: float = 0.2, seed: int = 0,
 
     sens = _force_both_values(rng.integers(0, 2, n), rng)
     labels = _force_both_values(rng.integers(0, 2, n), rng)
-    noise = rng.standard_normal((n, noise_dim))
+    noise = rng.standard_normal((n, 1))
     return _assemble(adj, sens, labels, [noise])
 
 
-def sensitive_block_graph(n: int = 1000, seed: int = 0, *,
-                          leak: float = 0.02,
-                          sensitive_homophily: float = 12.0,
-                          label_homophily: float = 3.0,
-                          avg_degree: float = 24.0,
-                          signal: float = 0.1,
-                          feature_bias: float = 1.0,
-                          noise_bias: float = 0.6,
-                          noise_dim: int = 8) -> Graph:
+def sensitive_block_graph(n: int = 1000, seed: int = 0, *, avg_degree: float = 24.0) -> Graph:
     """Planted sensitive-homophily fixture with label leakage.
 
-    P(y=1 | s) = 0.5 +- leak/2, so the sensitive attribute predicts the label
-    at rate (1 + leak) / 2. Edge probability scales by `sensitive_homophily`
-    for same-s pairs and `label_homophily` for same-y pairs, so labels are
+    P(y=1 | s) = 0.5 +- _LEAK/2, so the sensitive attribute predicts the label
+    at rate (1 + _LEAK) / 2. Edge probability scales by _SENSITIVE_HOMOPHILY
+    for same-s pairs and _LABEL_HOMOPHILY for same-y pairs, so labels are
     mostly carried by community structure. The node-level label signal in the
-    features is weak (`signal * (2y - 1)` in unit noise) and skewed by
-    `feature_bias * (2s - 1)`; the noise columns carry alternating-sign group
-    shifts of size `noise_bias`. Sensitive-correlated feature columns are the
-    point: a classifier must actively cancel those skews to stay
-    group-balanced, and neighborhood sums amplify them. Edges are drawn from
+    features is weak (_SIGNAL * (2y - 1) in unit noise) and skewed by
+    _FEATURE_BIAS * (2s - 1); the _BLOCK_NOISE_DIM noise columns carry
+    alternating-sign group shifts of size _NOISE_BIAS. Sensitive-correlated
+    feature columns are the point: a classifier must actively cancel those
+    skews to stay group-balanced, and neighborhood sums amplify them. Edges are drawn from
     dense n x n arrays; raises IngestionError when they cannot fit in physical
     memory.
     """
-    _refuse_unfit_dense(n)
+    _refuse_unfit_dense(n, _BLOCK_BYTES_PER_PAIR)
     rng = np.random.default_rng(seed)
     sens = _force_both_values(rng.integers(0, 2, n), rng)
-    p_pos = np.where(sens == 1, 0.5 + leak / 2.0, 0.5 - leak / 2.0)
+    p_pos = np.where(sens == 1, 0.5 + _LEAK / 2.0, 0.5 - _LEAK / 2.0)
     labels = _force_both_values((rng.random(n) < p_pos).astype(np.int64), rng)
 
     same_s = sens[:, None] == sens[None, :]
     same_y = labels[:, None] == labels[None, :]
-    weight = np.where(same_s, sensitive_homophily, 1.0) * np.where(same_y, label_homophily, 1.0)
+    weight = (np.where(same_s, _SENSITIVE_HOMOPHILY, 1.0)
+              * np.where(same_y, _LABEL_HOMOPHILY, 1.0))
     base = avg_degree * n / weight.sum()
     prob = np.minimum(base * weight, 1.0)
     upper = np.triu(rng.random((n, n)) < prob, k=1)
     dense = (upper | upper.T).astype(np.float64)
     adj = _connect_components(sp.csr_matrix(dense), rng)
 
-    signal_col = (signal * (2.0 * labels - 1.0)
-                  + feature_bias * (2.0 * sens - 1.0)
+    signal_col = (_SIGNAL * (2.0 * labels - 1.0)
+                  + _FEATURE_BIAS * (2.0 * sens - 1.0)
                   + rng.standard_normal(n))
-    noise = rng.standard_normal((n, noise_dim))
-    shifts = noise_bias * (-1.0) ** np.arange(noise_dim)
+    noise = rng.standard_normal((n, _BLOCK_NOISE_DIM))
+    shifts = _NOISE_BIAS * (-1.0) ** np.arange(_BLOCK_NOISE_DIM)
     noise = noise + np.outer(2.0 * sens - 1.0, shifts)
     return _assemble(adj, sens, labels, [signal_col.reshape(-1, 1), noise])
 
 
-def benchmark_graph(n: int, seed: int = 0, avg_degree: float = 16.0,
-                    communities: int = 4, community_contrast: float = 8.0,
-                    noise_dim: int = 7) -> Graph:
+def benchmark_graph(n: int, seed: int = 0) -> Graph:
     """Sparse community graph with O(n) edges and n-independent spectral gaps.
 
     Edges are sampled per endpoint pair from within/across community rates
-    whose ratio is `community_contrast`, so the leading eigenvalues stay
+    whose ratio is _COMMUNITY_CONTRAST, so the leading eigenvalues stay
     separated from the spectral bulk as n grows and eigensolver iteration
     counts do not drift upward with size.
     """
     rng = np.random.default_rng(seed)
-    comm = rng.integers(0, communities, n)
-    p_out = avg_degree / (n * (1.0 + (community_contrast - 1.0) / communities))
-    p_in = community_contrast * p_out
+    comm = rng.integers(0, _COMMUNITIES, n)
+    p_out = _BENCH_AVG_DEGREE / (n * (1.0 + (_COMMUNITY_CONTRAST - 1.0) / _COMMUNITIES))
+    p_in = _COMMUNITY_CONTRAST * p_out
 
     # sample candidate pairs, thin each by rate/p_in so no probability clips
-    mean_keep = (1.0 + (community_contrast - 1.0) / communities) / community_contrast
-    m_samples = int(n * avg_degree / (2.0 * mean_keep))
+    mean_keep = (1.0 + (_COMMUNITY_CONTRAST - 1.0) / _COMMUNITIES) / _COMMUNITY_CONTRAST
+    m_samples = int(n * _BENCH_AVG_DEGREE / (2.0 * mean_keep))
     u = rng.integers(0, n, m_samples)
     v = rng.integers(0, n, m_samples)
     keep_prob = np.where(comm[u] == comm[v], 1.0, p_out / p_in)
@@ -161,5 +167,5 @@ def benchmark_graph(n: int, seed: int = 0, avg_degree: float = 16.0,
 
     sens = _force_both_values(rng.integers(0, 2, n), rng)
     labels = _force_both_values(rng.integers(0, 2, n), rng)
-    noise = rng.standard_normal((n, noise_dim))
+    noise = rng.standard_normal((n, _BENCH_NOISE_DIM))
     return _assemble(adj, sens, labels, [noise])

@@ -118,8 +118,12 @@ def test_non_finite_cell_is_data_error(tmp_path, capsys, row, names):
     (["bench", "--sizes", "-5"], 2, "--sizes"),
     (["bench", "--sizes", "200,200"], 2, "--sizes"),
     (["inspect", "--synthetic", "1000000"], 3, "n=1000000"),
+    (["train", "--synthetic", "40", "--cap", "0"], 2, "--cap"),
+    (["bench", "--epochs-timed", "0"], 2, "--epochs-timed"),
+    (["bench", "--epochs-timed", "-3"], 2, "--epochs-timed"),
 ], ids=["train_synthetic", "inspect_synthetic", "hidden", "verify_n", "verify_graphs",
-        "sizes_zero", "sizes_negative", "sizes_one_distinct", "synthetic_too_large"])
+        "sizes_zero", "sizes_negative", "sizes_one_distinct", "synthetic_too_large",
+        "cap_zero", "epochs_timed_zero", "epochs_timed_negative"])
 def test_bad_size_fails_early(capsys, args, code, names):
     try:
         got = run_cli(args)
@@ -128,6 +132,26 @@ def test_bad_size_fails_early(capsys, args, code, names):
     assert got == code
     err = capsys.readouterr().err
     assert names in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args,names", [
+    (["train", "--hidden", "0"], "d_hidden=0"),
+    (["train", "--heads", "3", "--hidden", "8"], "divisible by heads=3"),
+    (["train", "--epochs", "0"], "epochs must be >= 1"),
+    (["train", "--layers", "0"], "layers must be >= 1"),
+    (["train", "--k", "-1"], "k must be >= 0"),
+    (["train", "--t", "-1"], "t=-1 must be >= 0"),
+    (["ablate", "--heads", "3", "--hidden", "8"], "divisible by heads=3"),
+    (["sweep", "--param", "layers", "--min", "1", "--max", "2", "--hidden", "0"], "d_hidden=0"),
+], ids=["hidden", "heads", "epochs", "layers", "k", "t", "ablate_heads", "sweep_hidden"])
+def test_bad_config_fails_before_loading_graph(monkeypatch, capsys, args, names):
+    def unreachable(**kwargs):
+        raise AssertionError("the graph was loaded before the config was checked")
+
+    monkeypatch.setattr("fairformer.cli.sensitive_block_graph", unreachable)
+    assert run_cli(args + ["--synthetic", "8000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error=FairformerError") and names in err
 
 
 def test_sweep_table_rows(tmp_path, capsys):

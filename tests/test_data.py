@@ -212,13 +212,25 @@ def test_features_are_read_only():
         g.features[0, 0] = 99.0
 
 
-@pytest.mark.parametrize("generator", [sensitive_block_graph, random_connected_graph])
-def test_dense_fixture_refuses_without_allocating(generator):
+@pytest.mark.parametrize("generator,gigabytes", [(sensitive_block_graph, "28000"),
+                                                 (random_connected_graph, "43000")],
+                         ids=["sensitive_block_graph", "random_connected_graph"])
+def test_dense_fixture_refuses_without_allocating(generator, gigabytes):
     tracemalloc.start()
     try:
-        with pytest.raises(IngestionError, match=r"n=1000000 needs about 28000\.0 GB"):
+        with pytest.raises(IngestionError, match=rf"n=1000000 needs about {gigabytes}\.0 GB"):
             generator(10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_dense_fixture_charges_each_generator_its_own_peak(monkeypatch):
+    # 35 MB of physical memory: above sensitive_block_graph's 28 bytes per node pair at
+    # n = 1000, below random_connected_graph's 43 at density 1.0
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 35 * 10**6}
+    monkeypatch.setattr("fairformer.synth.os.sysconf", pages.__getitem__)
+    with pytest.raises(IngestionError, match="n=1000 needs about"):
+        random_connected_graph(1000, density=1.0)
+    assert sensitive_block_graph(1000).n == 1000

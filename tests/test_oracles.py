@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fairformer.errors import FairformerError
-from fairformer.oracles import (OracleReport, attention_direct, dense_eig, dense_power_apply,
+from fairformer.oracles import (attention_direct, dense_eig, dense_power_apply,
                                 fd_gradient, pairwise_auc)
 
 
@@ -78,8 +78,3 @@ def test_fd_gradient_linear_exact():
     grads = fd_gradient(lambda arrs: float(w @ arrs[0]), [np.zeros(3)])
     assert np.allclose(grads[0], w, atol=1e-10)
 
-
-def test_oracle_report_pass_iff_within_tolerance():
-    assert OracleReport("x", 1e-9, 1e-8).passed
-    assert not OracleReport("x", 1e-7, 1e-8).passed
-    assert "status=pass" in OracleReport("x", 0.0, 1e-8, {"n": 3}).line()

@@ -159,6 +159,8 @@ def test_bench_scaling_smoke():
         bench_scaling([])
     with pytest.raises(FairformerError, match="two distinct sizes"):
         bench_scaling([200, 200])
+    with pytest.raises(FairformerError, match="epochs_timed=0"):
+        bench_scaling([200, 400], epochs_timed=0)
 
 
 def test_mean_within_fold_range():
