@@ -104,7 +104,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product.
 
     Supported shapes: (m,p)@(p,q), (B,m,p)@(p,q) and (B,m,p)@(B,p,q).
-    Backward: dA = g·Bᵀ, dB = Aᵀ·g, with a batch-sum when b is un-batched.
+    Backward: dA = g·Bᵀ, dB = Aᵀ·g. (B,m,p)@(p,q) runs as one (B·m,p)@(p,q)
+    GEMM both ways, which also does the batch-sum of dB.
     """
     ad, bd = a.data, b.data
     if ad.ndim == 2 and bd.ndim == 2:
@@ -118,10 +119,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     elif ad.ndim == 3 and bd.ndim == 2:
         if ad.shape[2] != bd.shape[0]:
             raise FairformerError(f"matmul: inner dims {ad.shape} vs {bd.shape}")
+        rows = ad.shape[0] * ad.shape[1]
+        flat = ad.reshape(rows, ad.shape[2])
 
         def backward(g):
-            _accumulate(a, g @ bd.T)
-            _accumulate(b, np.tensordot(ad, g, axes=([0, 1], [0, 1])))
+            g2 = g.reshape(rows, g.shape[2])
+            _accumulate(a, (g2 @ bd.T).reshape(ad.shape))
+            _accumulate(b, flat.T @ g2)
+
+        return _result((flat @ bd).reshape(ad.shape[:2] + bd.shape[1:]), (a, b), backward)
 
     elif ad.ndim == 3 and bd.ndim == 3:
         if ad.shape[0] != bd.shape[0] or ad.shape[2] != bd.shape[1]:

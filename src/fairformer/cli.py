@@ -121,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common_flags(p_verify)
     p_verify.add_argument("--n", type=_positive_int, default=30,
                           help="nodes in the random test graph")
-    p_verify.add_argument("--kmax", type=int, default=6, help="largest hop count to certify")
+    p_verify.add_argument("--kmax", type=_positive_int, default=6,
+                          help="largest hop count to certify")
     p_verify.add_argument("--graphs", type=_positive_int, default=3, help="number of random graphs")
 
     p_bench = sub.add_parser("bench", help="scaling benchmark over synthetic graphs",

@@ -2,11 +2,14 @@
 
 Each node carries its own short sequence of hop tokens; attention runs inside
 that sequence only, so nodes never couple at inference and the cost stays
-linear in the node count. Layers are pre-LN residual blocks: attention over
-normalized tokens plus the skip, then a GELU feed-forward over normalized
-tokens plus the skip. A learned-query softmax over the hop axis condenses the
-final tokens into one embedding per node, which a linear head maps to two
-class logits.
+linear in the node count. A forward over a subset of the rows therefore gives
+those rows' logits of the full pass to rounding, not bit for bit: a GEMM's
+result depends in the last bits (about 4e-16) on how many rows it holds.
+
+Layers are pre-LN residual blocks: attention over normalized tokens plus the
+skip, then a GELU feed-forward over normalized tokens plus the skip. A
+learned-query softmax over the hop axis condenses the final tokens into one
+embedding per node, which a linear head maps to two class logits.
 """
 
 from __future__ import annotations
@@ -60,6 +63,15 @@ class ModelParams:
 
     def trainable(self):
         return list(self.tensors.values())
+
+    def frozen(self) -> "ModelParams":
+        """The same arrays without `requires_grad`, so a forward on them records no tape.
+
+        The view shares arrays, not tensors: `Adam.step` rebinds each `data`, so
+        take a fresh view for every use.
+        """
+        return ModelParams(config=self.config, d_input=self.d_input,
+                           tensors={name: ad.Tensor(t.data) for name, t in self.tensors.items()})
 
     def state_copy(self) -> dict:
         return {name: t.data.copy() for name, t in self.tensors.items()}

@@ -70,6 +70,7 @@ class RunResult:
     fold_reports: list
     split_hashes: list
     epochs_run: list
+    t_effective: int
     val_accuracies: list = field(default_factory=list)
     mean: dict = field(default_factory=dict)
     std: dict = field(default_factory=dict)
@@ -86,6 +87,7 @@ class RunResult:
     def summary_text(self) -> str:
         """Deterministic report block; wall-clock timing deliberately excluded."""
         lines = [f"config.{k}={v!r}" for k, v in self.config.items()]
+        lines.append(f"t_effective={self.t_effective}")
         lines.append(f"folds={len(self.fold_reports)}")
         for i, report in enumerate(self.fold_reports):
             lines.append(f"fold={i} split_hash={self.split_hashes[i][:16]} "
@@ -98,6 +100,17 @@ class RunResult:
             lines.append(f"std.{key}={self.std[key]!r}")
             lines.append(f"mean.{key}_pct={self.mean[key] * 100:.2f}")
         return "\n".join(lines)
+
+
+def _effective_t(cfg: TrainConfig, n: int) -> int:
+    """Structure columns `build_encodings` uses: `cfg.t` clamped to the n
+    adjacency eigenvectors, or to the n - 1 nontrivial Laplacian ones for
+    `lap_st`; `no_st` uses none."""
+    if cfg.ablation == "no_st":
+        return 0
+    if cfg.ablation == "lap_st":
+        return min(cfg.t, max(n - 1, 0))
+    return min(cfg.t, n)
 
 
 def build_encodings(g: Graph, cfg: TrainConfig) -> HopStack:
@@ -113,12 +126,10 @@ def build_encodings(g: Graph, cfg: TrainConfig) -> HopStack:
     if variant == "no_st":
         fused = g.features
     elif variant == "lap_st":
-        t_eff = min(cfg.t, max(g.n - 1, 0))
-        basis = laplacian_small_eigenpairs(g, t_eff, seed=cfg.seed)
+        basis = laplacian_small_eigenpairs(g, _effective_t(cfg, g.n), seed=cfg.seed)
         fused = fuse(g, basis, scale_structure=cfg.scale_structure)
     else:
-        t_eff = min(cfg.t, g.n)
-        basis = top_magnitude_eigenpairs(g, t_eff, seed=cfg.seed)
+        basis = top_magnitude_eigenpairs(g, _effective_t(cfg, g.n), seed=cfg.seed)
         fused = fuse(g, basis, scale_structure=cfg.scale_structure)
 
     if variant == "adj_nf":
@@ -161,8 +172,19 @@ def _fold_seed(base: int, fold: int) -> int:
 
 
 def _rows(stack: HopStack, idx) -> HopStack:
-    # tokens are per-node, so forward on a row subset matches the full pass
+    # tokens are per-node, so forward on a row subset matches the full pass to
+    # rounding; not bit for bit, as a GEMM's last bits depend on its row count
     return HopStack(tensor=stack.tensor[idx])
+
+
+_SCORE_BLOCK = 256  # rows per eval forward; bounds the scoring peak whatever n is
+
+
+def _score(params, stack: HopStack) -> np.ndarray:
+    """Eval logits of every row, one tape-free `forward` per block of rows."""
+    frozen = params.frozen()  # fresh per call: Adam.step rebinds the arrays
+    return np.concatenate([forward(frozen, _rows(stack, slice(lo, lo + _SCORE_BLOCK))).data
+                           for lo in range(0, stack.tensor.shape[0], _SCORE_BLOCK)])
 
 
 def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: int,
@@ -180,7 +202,7 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
     val_sens = g.sensitive[split.val]
 
     def val_metrics():
-        logits = forward(params, val_stack).data
+        logits = _score(params, val_stack)
         pred = predict_labels(logits)
         acc = float((pred == val_labels).mean())
         in1 = val_sens == 1
@@ -227,7 +249,7 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
                 break
 
     params.load_state(best_state)
-    test_logits = forward(params, _rows(stack, split.test)).data
+    test_logits = _score(params, _rows(stack, split.test))
     report = evaluate(test_logits, g.labels[split.test], g.sensitive[split.test])
     return report, params, best_epoch, epochs_done, best_acc
 
@@ -263,6 +285,7 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
         fold_reports=[o[0] for o in outcomes],
         split_hashes=[s.content_hash() for s in splits],
         epochs_run=[o[3] for o in outcomes],
+        t_effective=_effective_t(cfg, g.n),
         val_accuracies=[o[4] for o in outcomes],
         wall_seconds=time.perf_counter() - start,
         encode_seconds=encode_seconds,

@@ -70,6 +70,20 @@ def test_matmul_batched_grad():
         [a, b, c])
 
 
+def test_matmul_3d_by_2d_on_permuted_input_matches_einsum():
+    rng = np.random.default_rng(17)
+    a = ad.Tensor(rng.standard_normal((4, 5, 3)).transpose(1, 0, 2), requires_grad=True)
+    b = ad.Tensor(rng.standard_normal((3, 6)), requires_grad=True)
+    assert not a.data.flags["C_CONTIGUOUS"]
+    out = ad.matmul(a, b)
+    np.testing.assert_allclose(out.data, np.einsum("bmp,pq->bmq", a.data, b.data),
+                               rtol=0, atol=1e-12)
+    g = rng.standard_normal(out.data.shape)
+    ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(g))))
+    np.testing.assert_allclose(a.grad, np.einsum("bmq,pq->bmp", g, b.data), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b.grad, np.einsum("bmp,bmq->pq", a.data, g), rtol=0, atol=1e-12)
+
+
 def test_softmax_symmetric_row():
     out = ad.softmax_rows(ad.Tensor([[0.0, 0.0]]))
     assert np.allclose(out.data, [[0.5, 0.5]])

@@ -114,6 +114,7 @@ def test_non_finite_cell_is_data_error(tmp_path, capsys, row, names):
       "--t", "2", "--serial"], 1, "d_hidden=0"),
     (["verify", "--n", "0"], 2, "--n"),
     (["verify", "--graphs", "0"], 2, "--graphs"),
+    (["verify", "--kmax", "0"], 2, "--kmax"),
     (["bench", "--sizes", "0"], 2, "--sizes"),
     (["bench", "--sizes", "-5"], 2, "--sizes"),
     (["bench", "--sizes", "200,200"], 2, "--sizes"),
@@ -122,7 +123,7 @@ def test_non_finite_cell_is_data_error(tmp_path, capsys, row, names):
     (["bench", "--epochs-timed", "0"], 2, "--epochs-timed"),
     (["bench", "--epochs-timed", "-3"], 2, "--epochs-timed"),
 ], ids=["train_synthetic", "inspect_synthetic", "hidden", "verify_n", "verify_graphs",
-        "sizes_zero", "sizes_negative", "sizes_one_distinct", "synthetic_too_large",
+        "verify_kmax", "sizes_zero", "sizes_negative", "sizes_one_distinct", "synthetic_too_large",
         "cap_zero", "epochs_timed_zero", "epochs_timed_negative"])
 def test_bad_size_fails_early(capsys, args, code, names):
     try:

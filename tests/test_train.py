@@ -3,11 +3,14 @@ import pytest
 import scipy.sparse as sp
 from dataclasses import replace
 
+import fairformer.train as train_module
+from fairformer import autodiff as ad
 from fairformer.data import Graph, SplitSpec, make_folds
 from fairformer.errors import FairformerError, TrainingError
-from fairformer.model import init_model
+from fairformer.hops import HopStack
+from fairformer.model import cross_entropy, forward, init_model
 from fairformer.synth import sensitive_block_graph
-from fairformer.train import (ABLATION_VARIANTS, TrainConfig, ablate, bench_scaling,
+from fairformer.train import (ABLATION_VARIANTS, Adam, TrainConfig, ablate, bench_scaling,
                               build_encodings, sweep, sweep_table, train)
 
 
@@ -73,7 +76,6 @@ def test_checkpoint_never_below_initial_validation_accuracy():
     result = train(g, cfg, splits=splits)
 
     stack = build_encodings(g, cfg)
-    from fairformer.model import forward
     for fold, split in enumerate(splits):
         params = init_model(cfg.model_config(seed=cfg.seed * 1000 + fold), stack.d)
         logits = forward(params, stack).data
@@ -170,3 +172,70 @@ def test_mean_within_fold_range():
     accs = [r.accuracy for r in result.fold_reports]
     assert min(accs) <= result.mean["accuracy"] <= max(accs)
     assert len(result.fold_reports) == 3
+
+
+def random_stack(n, d=5, tokens=3, seed=0):
+    return HopStack(tensor=np.random.default_rng(seed).standard_normal((n, tokens, d)))
+
+
+def scoring_params(d=5, seed=0):
+    return init_model(quick_config(d_hidden=8, heads=2).model_config(seed), d)
+
+
+@pytest.mark.parametrize("offset", ["one", "block-1", "block", "block+1", "2block+1"])
+def test_blocked_scoring_matches_one_forward(offset):
+    block = train_module._SCORE_BLOCK
+    n = {"one": 1, "block-1": block - 1, "block": block, "block+1": block + 1,
+         "2block+1": 2 * block + 1}[offset]
+    params = scoring_params()
+    stack = random_stack(n)
+    got = train_module._score(params, stack)
+    want = forward(params, stack).data
+    assert got.shape == (n, 2)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+
+def test_scoring_records_no_tape(monkeypatch):
+    params = scoring_params()
+    sentinels = {name: np.full(t.data.shape, 7.0) for name, t in params.tensors.items()}
+    for name, t in params.tensors.items():
+        t.grad = sentinels[name]
+    outputs = []
+
+    def recording_forward(*args, **kwargs):
+        outputs.append(forward(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(train_module, "forward", recording_forward)
+    train_module._score(params, random_stack(2 * train_module._SCORE_BLOCK + 1))
+    assert len(outputs) == 3
+    assert all(not out.requires_grad and out._backward_fn is None for out in outputs)
+    for name, t in params.tensors.items():
+        assert t.requires_grad and t.grad is sentinels[name]
+        assert np.all(t.grad == 7.0)
+
+
+def test_scoring_after_adam_step_sees_updated_weights():
+    params = scoring_params()
+    stack = random_stack(40)
+    before = train_module._score(params, stack)
+    optimizer = Adam(params.trainable(), lr=1e-2)
+    loss = cross_entropy(forward(params, stack), np.arange(40) % 2, np.arange(40))
+    ad.backward(loss)
+    optimizer.step()
+    after = train_module._score(params, stack)
+    assert not np.allclose(after, before)
+    np.testing.assert_allclose(after, forward(params, stack).data, rtol=0, atol=1e-12)
+
+
+def test_report_records_the_effective_t():
+    g = sensitive_block_graph(n=40, seed=12, avg_degree=8.0)
+    spec = SplitSpec(train_per_class_cap=5, seed=0, folds=1)
+    for ablation, want in [("full", 40), ("lap_st", 39), ("no_st", 0)]:
+        result = train(g, quick_config(epochs=1, folds=1, t=50, d_hidden=8, ablation=ablation),
+                       split_spec=spec)
+        lines = result.summary_text().splitlines()
+        assert "config.t=50" in lines and f"t_effective={want}" in lines
+    assert "t_effective=3" in train(g, quick_config(epochs=1, folds=1, t=3, d_hidden=8),
+                                    split_spec=spec).summary_text().splitlines()
