@@ -10,9 +10,12 @@ application by the group size, making the sensitive column invariant and
 keeping magnitudes bounded during training.
 
 Note the algebra: because each group is complete, every hop token for j >= 2
-is a scalar multiple of the hop-1 token (raw) or identical to it (group-mean).
-The hop count is still exposed as a depth parameter for parity with the
-adjacency-based variant, where depth is meaningful.
+is a scalar multiple of the hop-1 token (raw) or identical to it (group-mean),
+the latter up to rounding, as a mean of means is not bit-equal. The hop count
+is still exposed as a depth parameter for parity with the adjacency-based
+variant, where depth is meaningful. Training runs on all k + 1 tokens;
+validation and test scoring use the group-mean tie, running tokens 0 and 1
+with multiplicities (1, k) (`HopStack.counts`, see `model.forward`).
 """
 
 from __future__ import annotations
@@ -45,9 +48,13 @@ class SensitiveGroupGraph:
 
 @dataclass(frozen=True)
 class HopStack:
-    """Per-node token sequences: tensor[v, j] is the hop-j embedding of node v."""
+    """Per-node token sequences: tensor[v, j] is the hop-j embedding of node v.
 
-    tensor: np.ndarray  # (n, k + 1, d)
+    `counts`, when set, says token j stands for counts[j] equal tokens.
+    """
+
+    tensor: np.ndarray  # (n, k + 1, d), or (n, distinct tokens, d) with counts
+    counts: np.ndarray | None = None  # (distinct tokens,) multiplicities
 
     @property
     def d(self) -> int:

@@ -29,8 +29,6 @@ from .hops import HopStack
 
 @dataclass(frozen=True)
 class ModelConfig:
-    k: int = 2
-    t: int = 5
     d_hidden: int = 128
     layers: int = 1
     heads: int = 1
@@ -40,8 +38,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.layers < 1:
             raise FairformerError("layers must be >= 1")
-        if self.k < 0:
-            raise FairformerError("k must be >= 0")
         if self.d_hidden < 1:
             raise FairformerError(f"d_hidden={self.d_hidden} must be >= 1")
         if self.heads < 1 or self.d_hidden % self.heads != 0:
@@ -145,7 +141,7 @@ def project_tokens(stack: HopStack, params: ModelParams) -> ad.Tensor:
 
 
 def _attention(tokens: ad.Tensor, params: ModelParams, prefix: str, cfg: ModelConfig,
-               training: bool, rng, collect=None) -> ad.Tensor:
+               training: bool, rng, collect=None, key_bias=None) -> ad.Tensor:
     n, s, dh = tokens.data.shape
     h = cfg.heads
     dk = dh // h
@@ -160,6 +156,8 @@ def _attention(tokens: ad.Tensor, params: ModelParams, prefix: str, cfg: ModelCo
     v = split_heads(_linear(tokens, params, f"{prefix}.wv"))
 
     scores = ad.scale(ad.matmul(q, ad.transpose_last(k)), 1.0 / np.sqrt(dk))
+    if key_bias is not None:
+        scores = ad.add(scores, key_bias)
     attn = ad.softmax_rows(scores)
     if collect is not None:
         collect.append(attn.data.copy())
@@ -172,15 +170,19 @@ def _attention(tokens: ad.Tensor, params: ModelParams, prefix: str, cfg: ModelCo
 
 
 def encoder_layer(tokens: ad.Tensor, params: ModelParams, layer_index: int,
-                  training: bool = False, rng=None, collect_attention=None) -> ad.Tensor:
-    """One pre-LN block: tokens + attention(LN(tokens)), then + FFN(LN(...))."""
+                  training: bool = False, rng=None, collect_attention=None,
+                  key_bias=None) -> ad.Tensor:
+    """One pre-LN block: tokens + attention(LN(tokens)), then + FFN(LN(...)).
+
+    `key_bias` (s,) is added to every attention score row, one entry per key token.
+    """
     cfg = params.config
     prefix = f"layer{layer_index}"
 
     normed = ad.layer_norm(tokens, params[f"{prefix}.norm_attn.gain"],
                            params[f"{prefix}.norm_attn.bias"])
     attended = ad.add(_attention(normed, params, prefix, cfg, training, rng,
-                                 collect=collect_attention), tokens)
+                                 collect=collect_attention, key_bias=key_bias), tokens)
 
     normed2 = ad.layer_norm(attended, params[f"{prefix}.norm_ffn.gain"],
                             params[f"{prefix}.norm_ffn.bias"])
@@ -193,25 +195,37 @@ def encoder_layer(tokens: ad.Tensor, params: ModelParams, layer_index: int,
     return out
 
 
-def readout(tokens: ad.Tensor, params: ModelParams) -> ad.Tensor:
-    """Pool each node's hop tokens with softmax(tokens . query) weights."""
+def readout(tokens: ad.Tensor, params: ModelParams, key_bias=None) -> ad.Tensor:
+    """Pool each node's hop tokens with softmax(tokens . query + key_bias) weights."""
     n, s, dh = tokens.data.shape
-    scores = ad.matmul(tokens, params["readout.query"])  # (n, s, 1)
-    weights = ad.softmax_rows(ad.reshape(scores, (n, s)))
+    scores = ad.reshape(ad.matmul(tokens, params["readout.query"]), (n, s))
+    if key_bias is not None:
+        scores = ad.add(scores, key_bias)
+    weights = ad.softmax_rows(scores)
     pooled = ad.matmul(ad.reshape(weights, (n, 1, s)), tokens)
     return ad.reshape(pooled, (n, dh))
 
 
 def forward(params: ModelParams, stack: HopStack, training: bool = False,
             rng=None, collect_attention=None) -> ad.Tensor:
-    """Hop stack -> per-node logits (n, 2). Deterministic when training=False."""
+    """Hop stack -> per-node logits (n, 2). Deterministic when training=False.
+
+    A stack with `counts` holds each distinct token once: log(counts) joins every
+    attention and readout softmax as a per-key bias, since c * e^s = e^(s + log c)
+    makes one key stand for c equal ones. Equal queries give equal outputs, so
+    the logits are those of the expanded stack up to rounding. Training refuses
+    such a stack, because dropout draws per token.
+    """
     if training and params.config.dropout > 0.0 and rng is None:
         raise FairformerError("training forward with dropout needs an rng")
+    if training and stack.counts is not None:
+        raise FairformerError("a stack with token counts is for scoring only")
+    key_bias = None if stack.counts is None else ad.Tensor(np.log(stack.counts))
     tokens = project_tokens(stack, params)
     for i in range(params.config.layers):
         tokens = encoder_layer(tokens, params, i, training=training, rng=rng,
-                               collect_attention=collect_attention)
-    embedding = readout(tokens, params)
+                               collect_attention=collect_attention, key_bias=key_bias)
+    embedding = readout(tokens, params, key_bias)
     return _linear(embedding, params, "classifier")
 
 
@@ -227,7 +241,7 @@ def cross_entropy(logits: ad.Tensor, labels, node_indices) -> ad.Tensor:
 
 
 _MODEL_MAGIC = b"FFMD"
-_MODEL_VERSION = 2
+_MODEL_VERSION = 3
 
 
 def save_model(path, params: ModelParams) -> None:

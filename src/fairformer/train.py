@@ -50,6 +50,8 @@ class TrainConfig:
             raise FairformerError("epochs must be >= 1")
         if self.folds < 1:
             raise FairformerError("folds must be >= 1")
+        if self.k < 0:
+            raise FairformerError("k must be >= 0")
         if self.t < 0:
             raise FairformerError(f"t={self.t} must be >= 0")
         if self.ablation not in ABLATION_VARIANTS:
@@ -57,8 +59,8 @@ class TrainConfig:
         self.model_config(self.seed)  # raises on a bad model shape before any data is read
 
     def model_config(self, seed: int) -> ModelConfig:
-        return ModelConfig(k=self.k, t=self.t, d_hidden=self.d_hidden, layers=self.layers,
-                           heads=self.heads, dropout=self.dropout, seed=seed)
+        return ModelConfig(d_hidden=self.d_hidden, layers=self.layers, heads=self.heads,
+                           dropout=self.dropout, seed=seed)
 
     def echo(self) -> dict:
         return dict(sorted(self.__dict__.items()))
@@ -70,6 +72,8 @@ class RunResult:
     fold_reports: list
     split_hashes: list
     epochs_run: list
+    best_epochs: list  # the epoch whose weights each fold keeps; 0 = the initial ones
+    stop_reasons: list  # "patience" or "epochs" (the epoch cap) per fold
     t_effective: int
     val_accuracies: list = field(default_factory=list)
     mean: dict = field(default_factory=dict)
@@ -91,7 +95,8 @@ class RunResult:
         lines.append(f"folds={len(self.fold_reports)}")
         for i, report in enumerate(self.fold_reports):
             lines.append(f"fold={i} split_hash={self.split_hashes[i][:16]} "
-                         f"epochs={self.epochs_run[i]} "
+                         f"epochs={self.epochs_run[i]} best_epoch={self.best_epochs[i]} "
+                         f"stop={self.stop_reasons[i]} "
                          f"val_accuracy={self.val_accuracies[i]!r} "
                          f"accuracy={report.accuracy!r} delta_sp={report.delta_sp!r} "
                          f"f1={report.f1!r} auc={report.auc!r}")
@@ -174,7 +179,21 @@ def _fold_seed(base: int, fold: int) -> int:
 def _rows(stack: HopStack, idx) -> HopStack:
     # tokens are per-node, so forward on a row subset matches the full pass to
     # rounding; not bit for bit, as a GEMM's last bits depend on its row count
-    return HopStack(tensor=stack.tensor[idx])
+    return HopStack(tensor=stack.tensor[idx], counts=stack.counts)
+
+
+def _scoring_stack(cfg: TrainConfig, stack: HopStack) -> HopStack:
+    """The stack validation and test scoring run on.
+
+    Group-mean hops over the same-group graph make tokens 1..k equal up to
+    rounding (see `hops`), so for k >= 2 scoring keeps tokens 0 and 1 with
+    multiplicities (1, k); `forward` turns these into a log-k key bias. Raw
+    hops, adjacency hops and k < 2 keep every token.
+    """
+    k = stack.tensor.shape[1] - 1
+    if cfg.normalization != "group-mean" or cfg.ablation == "adj_nf" or k < 2:
+        return stack
+    return HopStack(tensor=stack.tensor[:, :2], counts=np.array([1.0, k]))
 
 
 _SCORE_BLOCK = 256  # rows per eval forward; bounds the scoring peak whatever n is
@@ -187,15 +206,15 @@ def _score(params, stack: HopStack) -> np.ndarray:
                            for lo in range(0, stack.tensor.shape[0], _SCORE_BLOCK)])
 
 
-def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: int,
-              log_lines=None):
+def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, score_stack: HopStack,
+              split: Split, fold: int, log_lines=None):
     mcfg = cfg.model_config(seed=_fold_seed(cfg.seed, fold))
     params = init_model(mcfg, stack.d)
     optimizer = Adam(params.trainable(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     dropout_rng = np.random.default_rng(_fold_seed(cfg.seed, fold) + 7)
 
     train_stack = _rows(stack, split.train)
-    val_stack = _rows(stack, split.val)
+    val_stack = _rows(score_stack, split.val)
     train_labels = g.labels[split.train]
     train_rows = np.arange(split.train.size)
     val_labels = g.labels[split.val]
@@ -217,6 +236,7 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
     best_epoch = 0
     stale = 0
     epochs_done = 0
+    stop = "epochs"
 
     for epoch in range(1, cfg.epochs + 1):
         try:
@@ -246,12 +266,13 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
         else:
             stale += 1
             if cfg.patience and stale >= cfg.patience:
+                stop = "patience"
                 break
 
     params.load_state(best_state)
-    test_logits = _score(params, _rows(stack, split.test))
+    test_logits = _score(params, _rows(score_stack, split.test))
     report = evaluate(test_logits, g.labels[split.test], g.sensitive[split.test])
-    return report, params, best_epoch, epochs_done, best_acc
+    return report, params, best_epoch, epochs_done, best_acc, stop
 
 
 def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
@@ -268,11 +289,12 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
     encode_start = time.perf_counter()
     stack = build_encodings(g, cfg)
     encode_seconds = time.perf_counter() - encode_start
+    score_stack = _scoring_stack(cfg, stack)
 
     logs: list[list[str]] = [[] for _ in splits]
 
     def job(fold):
-        return _run_fold(g, cfg, stack, splits[fold], fold, log_lines=logs[fold])
+        return _run_fold(g, cfg, stack, score_stack, splits[fold], fold, log_lines=logs[fold])
 
     if serial or len(splits) == 1:
         outcomes = [job(f) for f in range(len(splits))]
@@ -280,13 +302,16 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
         with ThreadPoolExecutor(max_workers=min(4, len(splits))) as pool:
             outcomes = list(pool.map(job, range(len(splits))))
 
+    reports, models, best_epochs, epochs_run, val_accuracies, stops = map(list, zip(*outcomes))
     result = RunResult(
         config=cfg.echo(),
-        fold_reports=[o[0] for o in outcomes],
+        fold_reports=reports,
         split_hashes=[s.content_hash() for s in splits],
-        epochs_run=[o[3] for o in outcomes],
+        epochs_run=epochs_run,
+        best_epochs=best_epochs,
+        stop_reasons=stops,
         t_effective=_effective_t(cfg, g.n),
-        val_accuracies=[o[4] for o in outcomes],
+        val_accuracies=val_accuracies,
         wall_seconds=time.perf_counter() - start,
         encode_seconds=encode_seconds,
     )
@@ -302,8 +327,8 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
         (out / "report.txt").write_text(result.summary_text() + "\n")
         (out / "timing.txt").write_text(
             f"wall_seconds={result.wall_seconds}\nencode_seconds={result.encode_seconds}\n")
-        for fold, outcome in enumerate(outcomes):
-            save_model(out / f"checkpoint_fold{fold}.bin", outcome[1])
+        for fold, params in enumerate(models):
+            save_model(out / f"checkpoint_fold{fold}.bin", params)
     return result
 
 

@@ -146,7 +146,7 @@ def test_criterion_4_gradient_suite():
 
     # end-to-end: every parameter of a 5-node, k=2, width-8 model
     stack = HopStack(tensor=np.random.default_rng(7).standard_normal((5, 3, 6)))
-    cfg = ModelConfig(k=2, t=0, d_hidden=8, layers=1, heads=1, dropout=0.0, seed=11)
+    cfg = ModelConfig(d_hidden=8, layers=1, heads=1, dropout=0.0, seed=11)
     params = init_model(cfg, 6)
     labels = np.array([0, 1, 1, 0, 1])
     idx = np.arange(5)

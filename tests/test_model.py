@@ -21,8 +21,8 @@ def make_stack(n=5, k=2, d=6, seed=0):
 
 
 def small_params(d_input=6, **kw):
-    cfg = ModelConfig(**{"k": 2, "t": 0, "d_hidden": 8, "layers": 1, "heads": 1,
-                         "dropout": 0.0, "seed": 3, **kw})
+    cfg = ModelConfig(**{"d_hidden": 8, "layers": 1, "heads": 1, "dropout": 0.0, "seed": 3,
+                         **kw})
     return init_model(cfg, d_input)
 
 
@@ -130,7 +130,7 @@ def test_readout_zero_query_is_uniform_mean():
 
 def test_constant_classifier_is_parity_fair():
     stack = make_stack(n=10, k=1, d=6, seed=15)
-    params = small_params(k=1)
+    params = small_params()
     params.tensors["classifier.weight"].data = np.zeros((8, 2))
     params.tensors["classifier.bias"].data = np.zeros(2)
     logits = forward(params, stack)
@@ -169,6 +169,24 @@ def test_dropout_training_vs_eval():
     assert not np.allclose(train_out, eval_a)
     with pytest.raises(FairformerError):
         forward(params, stack, training=True)
+
+
+@pytest.mark.parametrize("heads,layers", [(1, 1), (2, 2)])
+def test_counts_stand_for_repeated_tokens(heads, layers):
+    distinct = make_stack(n=4, k=1, d=6, seed=23).tensor
+    expanded = HopStack(tensor=distinct[:, [0, 1, 1, 1]])
+    collapsed = HopStack(tensor=distinct, counts=np.array([1.0, 3.0]))
+    params = small_params(heads=heads, layers=layers)
+    np.testing.assert_allclose(forward(params, collapsed).data, forward(params, expanded).data,
+                               rtol=0, atol=1e-12)
+    unit = HopStack(tensor=distinct, counts=np.ones(2))  # log 1 = 0 adds nothing
+    assert np.array_equal(forward(params, unit).data, forward(params, HopStack(distinct)).data)
+
+
+def test_training_forward_refuses_counts():
+    stack = HopStack(tensor=make_stack(n=2, k=1).tensor, counts=np.array([1.0, 2.0]))
+    with pytest.raises(FairformerError, match="scoring only"):
+        forward(small_params(), stack, training=True, rng=np.random.default_rng(0))
 
 
 def test_cross_entropy_uniform_logits():
@@ -273,7 +291,7 @@ def test_flipped_checkpoint_byte_fails_cleanly_or_loads_a_valid_model(checkpoint
 def test_checkpoint_with_unknown_header_key_is_rejected(checkpoint, tmp_path):
     raw = checkpoint.read_bytes()
     path = tmp_path / "extra.bin"
-    path.write_bytes(_with_header(raw, 2, lambda h: h.update(extra_flag=False)))
+    path.write_bytes(_with_header(raw, 3, lambda h: h.update(extra_flag=False)))
     with pytest.raises(FairformerError, match="extra.bin.*header keys"):
         load_model(path)
     path.write_bytes(_with_header(raw, 1, lambda h: None))  # the earlier layout
@@ -281,10 +299,22 @@ def test_checkpoint_with_unknown_header_key_is_rejected(checkpoint, tmp_path):
         load_model(path)
 
 
+def test_version_2_checkpoint_is_refused_naming_the_file(checkpoint, tmp_path):
+    raw = checkpoint.read_bytes()
+    assert raw[4] == 3 and "k" not in json.loads(raw[9:_header_end(raw)])
+    path = tmp_path / "v2.bin"  # version 2 headers also carried the unread k and t
+    path.write_bytes(_with_header(raw, 2, lambda h: h.update(k=2, t=5)))
+    with pytest.raises(FairformerError, match="v2.bin: unsupported model checkpoint version 2"):
+        load_model(path)
+    path.write_bytes(_with_header(raw, 3, lambda h: h.update(k=2, t=5)))
+    with pytest.raises(FairformerError, match="v2.bin.*header keys"):
+        load_model(path)
+
+
 def test_checkpoint_tensor_must_match_config(checkpoint, tmp_path):
     raw = checkpoint.read_bytes()
     path = tmp_path / "wide.bin"
-    path.write_bytes(_with_header(raw, 2, lambda h: h.update(d_hidden=16)))
+    path.write_bytes(_with_header(raw, 3, lambda h: h.update(d_hidden=16)))
     with pytest.raises(FairformerError, match="wide.bin.*projection.weight"):
         load_model(path)
     path.write_bytes(raw + b"\0")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,9 +9,10 @@ import fairformer.train as train_module
 from fairformer import autodiff as ad
 from fairformer.data import Graph, SplitSpec, make_folds
 from fairformer.errors import FairformerError, TrainingError
-from fairformer.hops import HopStack
+from fairformer.hops import HopStack, SensitiveGroupGraph, hop_aggregate
 from fairformer.model import cross_entropy, forward, init_model
 from fairformer.synth import sensitive_block_graph
+from model_oracle import forward_direct
 from fairformer.train import (ABLATION_VARIANTS, Adam, TrainConfig, ablate, bench_scaling,
                               build_encodings, sweep, sweep_table, train)
 
@@ -239,3 +242,86 @@ def test_report_records_the_effective_t():
         assert "config.t=50" in lines and f"t_effective={want}" in lines
     assert "t_effective=3" in train(g, quick_config(epochs=1, folds=1, t=3, d_hidden=8),
                                     split_spec=spec).summary_text().splitlines()
+
+
+def test_report_names_the_selected_epoch_and_why_training_stopped(tmp_path):
+    g = sensitive_block_graph(n=100, seed=7, avg_degree=10.0)
+    spec = SplitSpec(train_per_class_cap=15, seed=0, folds=1)
+    capped = train(g, quick_config(epochs=4, folds=1), split_spec=spec)
+    assert capped.stop_reasons == ["epochs"] and capped.epochs_run == [4]
+    assert 0 <= capped.best_epochs[0] <= 4
+
+    stalled = train(g, quick_config(epochs=200, folds=1, patience=2), split_spec=spec,
+                    out_dir=tmp_path)
+    best = stalled.best_epochs[0]
+    assert stalled.stop_reasons == ["patience"] and stalled.epochs_run == [best + 2]
+    if best:
+        logged = (tmp_path / "train_log.txt").read_text().splitlines()[best - 1]
+        assert f" epoch={best} " in logged
+        assert f" val_acc={stalled.val_accuracies[0]!r} " in logged
+    fold_line = next(line for line in (tmp_path / "report.txt").read_text().splitlines()
+                     if line.startswith("fold=0 "))
+    assert f" epochs={best + 2} best_epoch={best} stop=patience " in fold_line
+
+
+def group_mean_stack(n, k, d=5, seed=0):
+    """Same-group hops of features with a nonzero mean, so the tied tokens differ in the last bits."""
+    rng = np.random.default_rng(seed)
+    sens = rng.integers(0, 2, n)
+    sg = SensitiveGroupGraph(group_of=sens.astype(np.int8),
+                             group_sizes=(int((sens == 0).sum()), int((sens == 1).sum())))
+    return hop_aggregate(sg, 3.0 + rng.standard_normal((n, d)), k, normalization="group-mean")
+
+
+@pytest.mark.parametrize("k,heads,layers", list(itertools.product((2, 3), (1, 2), (1, 2))))
+def test_collapsed_scoring_matches_every_token(k, heads, layers):
+    block = train_module._SCORE_BLOCK
+    full = group_mean_stack(2 * block + 1, k)
+    cfg = quick_config(k=k, heads=heads, layers=layers, d_hidden=8)
+    collapsed = train_module._scoring_stack(cfg, full)
+    assert collapsed.tensor.shape[1] == 2 and collapsed.counts.tolist() == [1.0, k]
+    params = init_model(cfg.model_config(seed=10 * k + heads + layers), full.d)
+    oracle = forward_direct(params, full.tensor) if heads == 1 else None
+    for n in (1, block - 1, block, block + 1, 2 * block + 1):
+        got = train_module._score(params, train_module._rows(collapsed, slice(0, n)))
+        want = forward(params, train_module._rows(full, slice(0, n))).data
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+        if oracle is not None:
+            np.testing.assert_allclose(got, oracle[:n], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("overrides,tied", [
+    ({}, True), ({"ablation": "no_st"}, True), ({"ablation": "lap_st"}, True),
+    ({"normalization": "raw"}, False), ({"ablation": "adj_nf"}, False),
+    ({"ablation": "no_nf"}, False), ({"k": 1}, False), ({"k": 0}, False),
+], ids=["full", "no_st", "lap_st", "raw", "adj_nf", "no_nf", "k1", "k0"])
+def test_scoring_collapses_only_tied_group_mean_tokens(overrides, tied):
+    g = sensitive_block_graph(n=60, seed=8, avg_degree=8.0)
+    cfg = quick_config(**{"k": 3, "t": 3, **overrides})
+    stack = build_encodings(g, cfg)
+    scoring = train_module._scoring_stack(cfg, stack)
+    assert stack.counts is None
+    if not tied:
+        assert scoring is stack
+        return
+    assert np.array_equal(scoring.tensor, stack.tensor[:, :2])
+    assert scoring.counts.tolist() == [1.0, 3.0]
+    np.testing.assert_allclose(stack.tensor[:, 2:], stack.tensor[:, 1:2].repeat(2, axis=1),
+                               rtol=0, atol=1e-12)
+
+
+def test_training_runs_every_token_and_scoring_the_distinct_ones(monkeypatch):
+    calls = []
+
+    def recording_forward(params, stack, training=False, **kwargs):
+        counts = None if stack.counts is None else tuple(stack.counts)
+        calls.append((training, stack.tensor.shape[1], counts))
+        return forward(params, stack, training=training, **kwargs)
+
+    monkeypatch.setattr(train_module, "forward", recording_forward)
+    g = sensitive_block_graph(n=100, seed=7, avg_degree=10.0)
+    train(g, quick_config(k=3, epochs=2, folds=1, dropout=0.1),
+          split_spec=SplitSpec(train_per_class_cap=15, seed=0, folds=1))
+    assert [c for c in calls if c[0]] == [(True, 4, None)] * 2
+    assert {c for c in calls if not c[0]} == {(False, 2, (1.0, 3.0))}
