@@ -22,8 +22,8 @@ from .hops import build_group_graph, group_scaling_report
 from .oracles import dense_eig
 from .spectral import spectral_alignment_report, top_magnitude_eigenpairs
 from .synth import random_connected_graph, sensitive_block_graph
-from .train import (ABLATION_VARIANTS, TrainConfig, ablate, bench_scaling, sweep, sweep_table,
-                    train)
+from .train import (ABLATION_VARIANTS, TrainConfig, ablate, bench_scaling, sweep,
+                    sweep_configs, sweep_table, train)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -87,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--folds", type=int, default=5, help="cross-validation folds")
         p.add_argument("--ablation", choices=ABLATION_VARIANTS, default="full",
                        help="encoding variant")
-        p.add_argument("--norm", choices=("raw", "group-mean"), default="group-mean",
-                       help="hop aggregation normalization")
         p.add_argument("--cap", type=_positive_int, default=50,
                        help="per-class training node cap")
         p.add_argument("--scale-structure", action="store_true",
@@ -160,7 +158,7 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(
         epochs=args.epochs, folds=args.folds, ablation=args.ablation, k=args.k, t=args.t,
         layers=args.layers, heads=args.heads, d_hidden=args.hidden,
-        normalization=args.norm, scale_structure=args.scale_structure, seed=args.seed,
+        scale_structure=args.scale_structure, seed=args.seed,
     )
 
 
@@ -186,9 +184,8 @@ def _cmd_ablate(args) -> int:
     table = sweep_table("variant", results.items())
     print(table)
     _write_report(args.out, "report.txt", table)
-    if args.out is not None:
-        for variant, result in results.items():
-            _write_report(args.out, f"report_{variant}.txt", result.summary_text())
+    for variant, result in results.items():
+        _write_report(args.out, f"report_{variant}.txt", result.summary_text())
     return EXIT_OK
 
 
@@ -196,8 +193,10 @@ def _cmd_sweep(args) -> int:
     if args.min > args.max:
         raise FairformerError("--min must not exceed --max")
     cfg = _train_config(args)
-    rows = sweep(_load_graph(args), cfg, args.param, range(args.min, args.max + 1),
-                 split_spec=_split_spec(args), serial=args.serial)
+    values = range(args.min, args.max + 1)
+    sweep_configs(cfg, args.param, values)  # a bad swept value fails before the graph loads
+    rows = sweep(_load_graph(args), cfg, args.param, values, split_spec=_split_spec(args),
+                 serial=args.serial)
     table = sweep_table(args.param, rows)
     print(table)
     _write_report(args.out, "sweep.tsv", table)

@@ -81,12 +81,8 @@ def _group_apply(sg: SensitiveGroupGraph, x: np.ndarray, mean: bool) -> np.ndarr
     sums = np.zeros((2, x.shape[1]))
     sums[0] = x[~mask1].sum(axis=0)
     sums[1] = x[mask1].sum(axis=0)
-    if mean:
-        m0, m1 = sg.group_sizes
-        if m0:
-            sums[0] /= m0
-        if m1:
-            sums[1] /= m1
+    if mean:  # an empty group's sum is 0, so dividing it by 1 keeps it 0
+        sums /= np.maximum(sg.group_sizes, 1)[:, None]
     return sums[sg.group_of.astype(np.intp)]
 
 

@@ -229,15 +229,14 @@ def forward(params: ModelParams, stack: HopStack, training: bool = False,
     return _linear(embedding, params, "classifier")
 
 
-def cross_entropy(logits: ad.Tensor, labels, node_indices) -> ad.Tensor:
-    """Mean negative log-likelihood of the true class over the given nodes."""
-    idx = np.asarray(node_indices, dtype=np.intp)
-    if idx.size == 0:
+def cross_entropy(logits: ad.Tensor, labels) -> ad.Tensor:
+    """Mean negative log-likelihood of the true class; row i of both arguments is one node."""
+    lab = np.asarray(labels, dtype=np.intp)
+    if lab.size == 0:
         raise FairformerError("cross_entropy: empty node set")
-    lab = np.asarray(labels)[idx]
     log_probs = ad.log_softmax_rows(logits)
-    picked = ad.pick(log_probs, idx, lab)
-    return ad.scale(ad.sum_all(picked), -1.0 / idx.size)
+    picked = ad.pick(log_probs, np.arange(lab.size), lab)
+    return ad.scale(ad.sum_all(picked), -1.0 / lab.size)
 
 
 _MODEL_MAGIC = b"FFMD"

@@ -108,31 +108,40 @@ def _select(matvec, n, k, tol, max_iters, seed, which):
 _TIE_SCREEN_TOL = 1e-1
 
 
-def _tie_at_cut(matvec, n, theta, vectors, tol, max_iters, seed) -> bool:
-    """Best effort: does |lambda_{t+1}| match |lambda_t| within tol?
+def _settle_cut(matvec, n, theta, vectors, resid, tol, max_iters, seed):
+    """Swap in pairs the main solve missed; then, does |lambda_{t+1}| match
+    |lambda_t| within tol? Returns (theta, vectors, resid, tie).
 
-    The largest-magnitude eigenvalue mu of the deflated operator A - V diag(theta) V^T
-    estimates lambda_{t+1}. A loose solve settles most cases, since |mu| plus its
-    residual then falls clearly below |lambda_t|; only otherwise is mu refined at
-    tol. A refinement that does not converge reports no tie.
+    The top eigenpair (mu, v) of the deflated operator A - V diag(theta) V^T
+    estimates lambda_{t+1}. A loose solve settles most cases, since |mu| plus
+    its residual then falls clearly below |lambda_t|; only otherwise is mu
+    refined at tol. A refined |mu| above |lambda_t| by more than tol is a missed
+    pair (Krylov solves find one copy of a repeated eigenvalue at a time): it
+    replaces the last pair and the check repeats. A refinement that does not
+    converge reports no tie.
     """
-    if theta.size >= n:
-        return False
-    cut = abs(theta[-1])
-    margin = tol * max(1.0, cut)
-    scaled = vectors * theta
+    while theta.size < n:
+        cut = abs(theta[-1])
+        margin = tol * max(1.0, cut)
+        scaled = vectors * theta
 
-    def deflated(x):
-        return matvec(x) - scaled @ (vectors.T @ x)
+        def deflated(x):
+            return matvec(x) - scaled @ (vectors.T @ x)
 
-    try:
-        for step_tol in (_TIE_SCREEN_TOL, tol):
-            mu, _, resid = _select(deflated, n, 1, step_tol, max_iters, seed, "LM")
-            if abs(mu[0]) + resid[0] < cut - margin:
-                return False
-    except ConvergenceError:
-        return False
-    return abs(cut - abs(mu[0])) <= margin
+        try:
+            for step_tol in (_TIE_SCREEN_TOL, tol):
+                mu, v, mu_resid = _select(deflated, n, 1, step_tol, max_iters, seed, "LM")
+                if abs(mu[0]) + mu_resid[0] < cut - margin:
+                    return theta, vectors, resid, False
+        except ConvergenceError:
+            return theta, vectors, resid, False
+        if abs(mu[0]) <= cut + margin:
+            return theta, vectors, resid, abs(cut - abs(mu[0])) <= margin
+        theta, vectors = np.append(theta[:-1], mu), np.column_stack([vectors[:, :-1], v])
+        resid = np.append(resid[:-1], np.linalg.norm(matvec(v[:, 0]) - mu[0] * v[:, 0]))
+        order = np.argsort(-np.abs(theta), kind="stable")
+        theta, vectors, resid = theta[order], vectors[:, order], resid[order]
+    return theta, vectors, resid, False
 
 
 def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, max_iters: int = 1000,
@@ -152,7 +161,8 @@ def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, max_iters: int = 100
         return SpectralBasis(np.empty(0), np.empty((n, 0)), "adjacency", np.empty(0))
 
     theta, vectors, resid = _select(matvec, n, t, tol, max_iters, seed, "LM")
-    tie = _tie_at_cut(matvec, n, theta, vectors, tol, max_iters, seed)
+    theta, vectors, resid, tie = _settle_cut(matvec, n, theta, vectors, resid, tol, max_iters,
+                                             seed)
     if tie:
         warnings.warn("magnitude tie at the selection cut; last eigenvector is seed-dependent",
                       TieWarning, stacklevel=2)

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Graph, Split, SplitSpec, make_folds
-from .errors import FairformerError, TrainingError
+from .errors import FairformerError, TrainingError, UndefinedMetricError
 from .hops import HopStack, build_group_graph, hop_aggregate, hop_aggregate_adjacency
-from .metrics import evaluate, predict_labels
+from .metrics import accuracy, evaluate, predict_labels, statistical_parity
 from .model import ModelConfig, cross_entropy, forward, init_model, save_model
 from .spectral import fuse, laplacian_small_eigenpairs, top_magnitude_eigenpairs
 from .synth import benchmark_graph
@@ -41,7 +41,6 @@ class TrainConfig:
     heads: int = 1
     d_hidden: int = 128
     dropout: float = 0.1
-    normalization: str = "group-mean"  # hop normalization for training
     scale_structure: bool = False  # min-max structure columns to [-1, 1]
     seed: int = 0
 
@@ -75,18 +74,17 @@ class RunResult:
     best_epochs: list  # the epoch whose weights each fold keeps; 0 = the initial ones
     stop_reasons: list  # "patience" or "epochs" (the epoch cap) per fold
     t_effective: int
-    val_accuracies: list = field(default_factory=list)
+    val_accuracies: list
     mean: dict = field(default_factory=dict)
     std: dict = field(default_factory=dict)
     wall_seconds: float = 0.0
     encode_seconds: float = 0.0
 
     def __post_init__(self):
-        if self.fold_reports and not self.mean:
-            for key in ("accuracy", "delta_sp", "f1", "auc"):
-                values = np.array([getattr(r, key) for r in self.fold_reports])
-                self.mean[key] = float(values.mean())
-                self.std[key] = float(values.std())
+        for key in ("accuracy", "delta_sp", "f1", "auc"):
+            values = np.array([getattr(r, key) for r in self.fold_reports])
+            self.mean[key] = float(values.mean())
+            self.std[key] = float(values.std())
 
     def summary_text(self) -> str:
         """Deterministic report block; wall-clock timing deliberately excluded."""
@@ -126,6 +124,8 @@ def build_encodings(g: Graph, cfg: TrainConfig) -> HopStack:
     lap_st : Laplacian eigenvectors instead of adjacency eigenvectors
     no_nf  : structure columns but only the hop-0 token (k = 0)
     adj_nf : hops over the graph adjacency instead of the same-group graph
+
+    Same-group hops are group means; raw hops serve only `verify`'s q^k check.
     """
     variant = cfg.ablation
     if variant == "no_st":
@@ -141,7 +141,7 @@ def build_encodings(g: Graph, cfg: TrainConfig) -> HopStack:
         return hop_aggregate_adjacency(g, fused, cfg.k)
     k = 0 if variant == "no_nf" else cfg.k
     sg = build_group_graph(g)
-    return hop_aggregate(sg, fused, k, normalization=cfg.normalization)
+    return hop_aggregate(sg, fused, k, normalization="group-mean")
 
 
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -172,10 +172,6 @@ class Adam:
             t.data = t.data - self.lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
 
 
-def _fold_seed(base: int, fold: int) -> int:
-    return base * 1000 + fold
-
-
 def _rows(stack: HopStack, idx) -> HopStack:
     # tokens are per-node, so forward on a row subset matches the full pass to
     # rounding; not bit for bit, as a GEMM's last bits depend on its row count
@@ -187,11 +183,11 @@ def _scoring_stack(cfg: TrainConfig, stack: HopStack) -> HopStack:
 
     Group-mean hops over the same-group graph make tokens 1..k equal up to
     rounding (see `hops`), so for k >= 2 scoring keeps tokens 0 and 1 with
-    multiplicities (1, k); `forward` turns these into a log-k key bias. Raw
-    hops, adjacency hops and k < 2 keep every token.
+    multiplicities (1, k); `forward` turns these into a log-k key bias.
+    Adjacency hops and k < 2 keep every token.
     """
     k = stack.tensor.shape[1] - 1
-    if cfg.normalization != "group-mean" or cfg.ablation == "adj_nf" or k < 2:
+    if cfg.ablation == "adj_nf" or k < 2:
         return stack
     return HopStack(tensor=stack.tensor[:, :2], counts=np.array([1.0, k]))
 
@@ -206,55 +202,62 @@ def _score(params, stack: HopStack) -> np.ndarray:
                            for lo in range(0, stack.tensor.shape[0], _SCORE_BLOCK)])
 
 
+def _init_fold(cfg: TrainConfig, d: int, fold: int):
+    """Fold `fold`'s initial parameters, its Adam and its dropout stream."""
+    seed = cfg.seed * 1000 + fold
+    params = init_model(cfg.model_config(seed=seed), d)
+    optimizer = Adam(params.trainable(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
+    return params, optimizer, np.random.default_rng(seed + 7)
+
+
+def _train_step(params, optimizer, dropout_rng, stack: HopStack, labels, fold: int,
+                epoch: int) -> float:
+    """One training epoch: a dropout forward over every row of `stack`, the mean
+    cross-entropy against `labels`, backward and an Adam step. Returns the loss."""
+    logits = forward(params, stack, training=True, rng=dropout_rng)
+    loss = cross_entropy(logits, labels)
+    loss_value = float(loss.data)
+    if not np.isfinite(loss_value):
+        raise TrainingError(f"fold {fold}: loss diverged to {loss_value} at epoch {epoch}")
+    ad.zero_grads(params.trainable())
+    ad.backward(loss)
+    optimizer.step()
+    return loss_value
+
+
 def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, score_stack: HopStack,
               split: Split, fold: int, log_lines=None):
-    mcfg = cfg.model_config(seed=_fold_seed(cfg.seed, fold))
-    params = init_model(mcfg, stack.d)
-    optimizer = Adam(params.trainable(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
-    dropout_rng = np.random.default_rng(_fold_seed(cfg.seed, fold) + 7)
-
+    params, optimizer, dropout_rng = _init_fold(cfg, stack.d, fold)
     train_stack = _rows(stack, split.train)
-    val_stack = _rows(score_stack, split.val)
     train_labels = g.labels[split.train]
-    train_rows = np.arange(split.train.size)
+    val_stack = _rows(score_stack, split.val)
     val_labels = g.labels[split.val]
     val_sens = g.sensitive[split.val]
 
     def val_metrics():
-        logits = _score(params, val_stack)
-        pred = predict_labels(logits)
-        acc = float((pred == val_labels).mean())
-        in1 = val_sens == 1
-        if in1.any() and (~in1).any():
-            dsp = abs(float(pred[~in1].mean()) - float(pred[in1].mean()))
-        else:
-            dsp = 0.0
-        return acc, dsp
+        pred = predict_labels(_score(params, val_stack))
+        try:
+            dsp = statistical_parity(pred, val_sens).delta
+        except UndefinedMetricError:  # a single-group validation set has no parity
+            dsp = float("nan")
+        return accuracy(pred, val_labels), dsp
 
     best_acc, _ = val_metrics()  # initial parameters are the first candidate
     best_state = params.state_copy()
     best_epoch = 0
     stale = 0
-    epochs_done = 0
     stop = "epochs"
 
     for epoch in range(1, cfg.epochs + 1):
         try:
-            logits = forward(params, train_stack, training=True, rng=dropout_rng)
-            loss = cross_entropy(logits, train_labels, train_rows)
-            loss_value = float(loss.data)
-            if not np.isfinite(loss_value):
-                raise TrainingError(f"fold {fold}: loss diverged to {loss_value} at epoch {epoch}")
-            ad.zero_grads(params.trainable())
-            ad.backward(loss)
-            optimizer.step()
+            loss_value = _train_step(params, optimizer, dropout_rng, train_stack, train_labels,
+                                     fold, epoch)
             acc, val_dsp = val_metrics()
         except TrainingError:
             raise
         except FairformerError as exc:
             raise TrainingError(
                 f"fold {fold}: training diverged at epoch {epoch}: {exc}") from exc
-        epochs_done = epoch
         if log_lines is not None:
             log_lines.append(f"fold={fold} epoch={epoch} loss={loss_value!r} val_acc={acc!r} "
                              f"val_delta_sp={val_dsp!r}")
@@ -272,7 +275,7 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, score_stack: HopStack
     params.load_state(best_state)
     test_logits = _score(params, _rows(score_stack, split.test))
     report = evaluate(test_logits, g.labels[split.test], g.sensitive[split.test])
-    return report, params, best_epoch, epochs_done, best_acc, stop
+    return report, params, best_epoch, epoch, best_acc, stop  # epochs >= 1, so epoch is bound
 
 
 def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
@@ -280,9 +283,7 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
     """Cross-validated training; one seeded re-split and parameter init per fold."""
     start = time.perf_counter()
     if splits is None:
-        spec = split_spec or SplitSpec(seed=cfg.seed, folds=cfg.folds)
-        spec = replace(spec, folds=cfg.folds)
-        splits = make_folds(g, spec)
+        splits = make_folds(g, replace(split_spec or SplitSpec(seed=cfg.seed), folds=cfg.folds))
     if len(splits) != cfg.folds:
         raise FairformerError(f"expected {cfg.folds} splits, got {len(splits)}")
 
@@ -334,30 +335,27 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
 
 def ablate(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
            serial: bool = True) -> dict:
-    """All ablation variants under identical folds (asserted via split hashes)."""
-    spec = split_spec or SplitSpec(seed=cfg.seed, folds=cfg.folds)
-    spec = replace(spec, folds=cfg.folds)
-    splits = make_folds(g, spec)
-    results = {}
-    for variant in ABLATION_VARIANTS:
-        results[variant] = train(g, replace(cfg, ablation=variant), splits=splits,
-                                 serial=serial)
-    hashes = {tuple(r.split_hashes) for r in results.values()}
-    if len(hashes) != 1:
+    """All ablation variants, each drawing the same folds (asserted via split hashes)."""
+    results = {variant: train(g, replace(cfg, ablation=variant), split_spec=split_spec,
+                              serial=serial)
+               for variant in ABLATION_VARIANTS}
+    if len({tuple(r.split_hashes) for r in results.values()}) != 1:
         raise FairformerError("ablation variants diverged on splits")
     return results
+
+
+def sweep_configs(cfg: TrainConfig, param: str, values) -> list:
+    """[(value, cfg with `param` set to value), ...]; each config is validated here."""
+    if param not in ("t", "layers"):
+        raise FairformerError("sweep parameter must be 't' or 'layers'")
+    return [(int(value), replace(cfg, **{param: int(value)})) for value in values]
 
 
 def sweep(g: Graph, cfg: TrainConfig, param: str, values, split_spec: SplitSpec | None = None,
           serial: bool = True) -> list:
     """One training run per parameter value; returns [(value, RunResult), ...]."""
-    if param not in ("t", "layers"):
-        raise FairformerError("sweep parameter must be 't' or 'layers'")
-    out = []
-    for value in values:
-        out.append((int(value), train(g, replace(cfg, **{param: int(value)}),
-                                      split_spec=split_spec, serial=serial)))
-    return out
+    return [(value, train(g, swept, split_spec=split_spec, serial=serial))
+            for value, swept in sweep_configs(cfg, param, values)]
 
 
 def sweep_table(param: str, rows) -> str:
@@ -405,8 +403,9 @@ def bench_scaling(sizes, k: int = 2, t: int = 4, d_hidden: int = 32, seed: int =
                   epochs_timed: int = 3, repeats: int = 2) -> BenchReport:
     """Measure encoding and per-epoch time on synthetic graphs of growing n.
 
-    Fixed k, t and feature width; the fitted log-log exponent in n should stay
-    near 1 for both phases (the pass flag uses the 1.3 ceiling).
+    The timed epoch is `train`'s step (`_train_step`) over all n rows. Fixed k,
+    t and feature width; the fitted log-log exponent in n should stay near 1
+    for both phases (the pass flag uses the 1.3 ceiling).
     """
     sizes = [int(n) for n in sizes]
     if len(set(sizes)) < 2:
@@ -424,18 +423,11 @@ def bench_scaling(sizes, k: int = 2, t: int = 4, d_hidden: int = 32, seed: int =
             best_encode = min(best_encode, time.perf_counter() - start)
         encode_times.append(best_encode)
 
-        mcfg = cfg.model_config(seed=seed)
-        params = init_model(mcfg, stack.d)
-        optimizer = Adam(params.trainable(), lr=cfg.learning_rate)
-        train_idx = np.arange(g.n)
+        params, optimizer, dropout_rng = _init_fold(cfg, stack.d, 0)
         samples = []
-        for _ in range(epochs_timed):
+        for epoch in range(1, epochs_timed + 1):
             start = time.perf_counter()
-            logits = forward(params, stack)
-            loss = cross_entropy(logits, g.labels, train_idx)
-            ad.zero_grads(params.trainable())
-            ad.backward(loss)
-            optimizer.step()
+            _train_step(params, optimizer, dropout_rng, stack, g.labels, 0, epoch)
             samples.append(time.perf_counter() - start)
         epoch_times.append(float(np.median(samples)))
 

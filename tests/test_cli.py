@@ -32,11 +32,12 @@ def test_top_level_help_matches_golden(capsys):
     assert capsys.readouterr().out == (DATA / "help_top.txt").read_text()
 
 
-def test_train_help_matches_golden(capsys):
+@pytest.mark.parametrize("verb", ["train", "ablate", "sweep"])
+def test_train_help_matches_golden(capsys, verb):
     with pytest.raises(SystemExit) as exc:
-        run_cli(["train", "--help"])
+        run_cli([verb, "--help"])
     assert exc.value.code == 0
-    assert capsys.readouterr().out == (DATA / "help_train.txt").read_text()
+    assert capsys.readouterr().out == (DATA / f"help_{verb}.txt").read_text()
 
 
 def test_unknown_flag_is_usage_error():
@@ -144,7 +145,9 @@ def test_bad_size_fails_early(capsys, args, code, names):
     (["train", "--t", "-1"], "t=-1 must be >= 0"),
     (["ablate", "--heads", "3", "--hidden", "8"], "divisible by heads=3"),
     (["sweep", "--param", "layers", "--min", "1", "--max", "2", "--hidden", "0"], "d_hidden=0"),
-], ids=["hidden", "heads", "epochs", "layers", "k", "t", "ablate_heads", "sweep_hidden"])
+    (["sweep", "--param", "layers", "--min", "0", "--max", "1"], "layers must be >= 1"),
+], ids=["hidden", "heads", "epochs", "layers", "k", "t", "ablate_heads", "sweep_hidden",
+        "sweep_layers"])
 def test_bad_config_fails_before_loading_graph(monkeypatch, capsys, args, names):
     def unreachable(**kwargs):
         raise AssertionError("the graph was loaded before the config was checked")

@@ -72,6 +72,29 @@ def test_tie_warning_on_arpack_path(cycle, t, tie):
     assert np.allclose(np.abs(basis.eigenvalues), np.sort(np.abs(lam))[::-1][:t], atol=1e-9)
 
 
+def test_missed_copies_of_a_repeated_eigenvalue_are_swapped_in():
+    # three copies of one random 10-node component plus one other: Krylov solves
+    # find one copy of a repeated eigenvalue at a time, and the cut check swaps in the rest
+    wrong = []
+    for seed in range(40):
+        a = random_connected_graph(10, density=0.3, seed=seed).adjacency
+        b = random_connected_graph(10, density=0.3, seed=1000 + seed).adjacency
+        adj = sp.block_diag([a, a, a, b], format="csr")
+        want = np.sort(np.abs(np.linalg.eigvalsh(adj.toarray())))[::-1]
+        for t in (3, 6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TieWarning)
+                basis = top_magnitude_eigenpairs(adj, t)
+            if not np.allclose(np.abs(basis.eigenvalues), want[:t], rtol=0, atol=1e-8):
+                wrong.append((seed, t))
+            vecs = basis.structure_matrix
+            resid = np.linalg.norm(adj @ vecs - vecs * basis.eigenvalues, axis=0)
+            assert np.all(resid <= 1e-10 * np.maximum(1.0, np.abs(basis.eigenvalues)))
+            assert np.allclose(vecs.T @ vecs, np.eye(t), rtol=0, atol=1e-9)
+            assert np.all(np.abs(basis.eigenvalues)[:-1] >= np.abs(basis.eigenvalues)[1:])
+    assert wrong == []
+
+
 def test_edgeless_graph_is_all_ties():
     g = graph_from_dense(np.zeros((20, 20)))
     with pytest.warns(TieWarning):
