@@ -13,12 +13,11 @@ from .data import Graph, Split, SplitSpec, binarize_labels, load_dataset, load_m
 from .errors import FairformerError
 from .metrics import EvalReport, statistical_parity
 from .spectral import SpectralBasis, fuse, laplacian_small_eigenpairs, top_magnitude_eigenpairs
-from .hops import HopStack, SensitiveGroupGraph, build_group_graph, hop_aggregate, hop_aggregate_adjacency
+from .hops import HopStack, build_group_graph, hop_aggregate, hop_aggregate_adjacency
 
 __all__ = [
     "Graph", "Split", "SplitSpec", "binarize_labels", "load_dataset", "load_manifest",
     "make_split", "FairformerError", "EvalReport", "statistical_parity", "SpectralBasis",
     "fuse", "laplacian_small_eigenpairs", "top_magnitude_eigenpairs", "HopStack",
-    "SensitiveGroupGraph", "build_group_graph", "hop_aggregate", "hop_aggregate_adjacency",
-    "__version__",
+    "build_group_graph", "hop_aggregate", "hop_aggregate_adjacency", "__version__",
 ]

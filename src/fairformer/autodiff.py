@@ -8,6 +8,8 @@ in float64; broadcasting is restricted to the bias-add pattern (a trailing
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
@@ -104,41 +106,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product.
 
     Supported shapes: (m,p)@(p,q), (B,m,p)@(p,q) and (B,m,p)@(B,p,q).
-    Backward: dA = g·Bᵀ, dB = Aᵀ·g. (B,m,p)@(p,q) runs as one (B·m,p)@(p,q)
+    Backward: dA = g·Bᵀ, dB = Aᵀ·g. (…,p)@(p,q) runs as one (rows,p)@(p,q)
     GEMM both ways, which also does the batch-sum of dB.
     """
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
+    if ad.ndim in (2, 3) and bd.ndim == 2:
+        if ad.shape[-1] != bd.shape[0]:
             raise FairformerError(f"matmul: inner dims {ad.shape} vs {bd.shape}")
+        flat = ad.reshape(math.prod(ad.shape[:-1]), ad.shape[-1])
 
         def backward(g):
-            _accumulate(a, g @ bd.T)
-            _accumulate(b, ad.T @ g)
-
-    elif ad.ndim == 3 and bd.ndim == 2:
-        if ad.shape[2] != bd.shape[0]:
-            raise FairformerError(f"matmul: inner dims {ad.shape} vs {bd.shape}")
-        rows = ad.shape[0] * ad.shape[1]
-        flat = ad.reshape(rows, ad.shape[2])
-
-        def backward(g):
-            g2 = g.reshape(rows, g.shape[2])
+            g2 = g.reshape(flat.shape[0], g.shape[-1])
             _accumulate(a, (g2 @ bd.T).reshape(ad.shape))
             _accumulate(b, flat.T @ g2)
 
-        return _result((flat @ bd).reshape(ad.shape[:2] + bd.shape[1:]), (a, b), backward)
+        return _result((flat @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), (a, b), backward)
 
-    elif ad.ndim == 3 and bd.ndim == 3:
-        if ad.shape[0] != bd.shape[0] or ad.shape[2] != bd.shape[1]:
-            raise FairformerError(f"matmul: batch shapes {ad.shape} vs {bd.shape}")
-
-        def backward(g):
-            _accumulate(a, g @ bd.transpose(0, 2, 1))
-            _accumulate(b, ad.transpose(0, 2, 1) @ g)
-
-    else:
+    if ad.ndim != 3 or bd.ndim != 3:
         raise FairformerError(f"matmul: unsupported ranks {ad.ndim} and {bd.ndim}")
+    if ad.shape[0] != bd.shape[0] or ad.shape[2] != bd.shape[1]:
+        raise FairformerError(f"matmul: batch shapes {ad.shape} vs {bd.shape}")
+
+    def backward(g):
+        _accumulate(a, g @ bd.transpose(0, 2, 1))
+        _accumulate(b, ad.transpose(0, 2, 1) @ g)
+
     return _result(ad @ bd, (a, b), backward)
 
 

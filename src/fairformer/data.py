@@ -175,13 +175,16 @@ def load_dataset(node_file, edge_file, schema: ColumnSchema | None = None) -> Gr
             if schema.sensitive not in feature_names:
                 feature_names.append(schema.sensitive)
 
-        ids, rows, raw_labels, mask = [], [], [], []
+        id_of, rows, raw_labels, mask = {}, [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):
                 raise IngestionError(f"{node_file}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            ids.append(row[col_index[schema.id_column]].strip())
+            node_id = row[col_index[schema.id_column]].strip()
+            if node_id in id_of:
+                raise IngestionError(f"{node_file}:{lineno}: duplicate node id {node_id!r}")
+            id_of[node_id] = len(id_of)
             values = []
             for name in feature_names:
                 cell = row[col_index[name]].strip()
@@ -206,15 +209,14 @@ def load_dataset(node_file, edge_file, schema: ColumnSchema | None = None) -> Gr
                     value = math.nan
                 if not value.is_integer():  # also rejects nan and inf
                     raise IngestionError(f"{node_file}:{lineno}: non-integer label {label_cell!r}")
+                if value < 0:
+                    raise SchemaError(f"{node_file}:{lineno}: negative label {label_cell!r}")
                 raw_labels.append(value)
                 mask.append(True)
 
-    if not ids:
+    if not id_of:
         raise IngestionError(f"{node_file}: no node rows")
-    if len(set(ids)) != len(ids):
-        raise IngestionError(f"{node_file}: duplicate node ids")
-    id_of = {node_id: i for i, node_id in enumerate(ids)}
-    n = len(ids)
+    n = len(id_of)
 
     features = np.asarray(rows, dtype=np.float64)
     sensitive_index = feature_names.index(schema.sensitive)
@@ -225,8 +227,6 @@ def load_dataset(node_file, edge_file, schema: ColumnSchema | None = None) -> Gr
 
     label_mask = np.asarray(mask, dtype=bool)
     raw = np.asarray(raw_labels, dtype=np.float64)  # integral, but may exceed int64
-    if np.any(raw[label_mask] < 0):
-        raise SchemaError(f"{node_file}: negative label on a labeled node")
     labels = np.full(n, -1, dtype=np.int64)
     labels[label_mask] = binarize_labels(raw[label_mask])
 

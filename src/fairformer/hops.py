@@ -31,22 +31,6 @@ _MODES = ("raw", "group-mean")
 
 
 @dataclass(frozen=True)
-class SensitiveGroupGraph:
-    """Partition of nodes by sensitive value; adjacency is implicit, self-loops included."""
-
-    group_of: np.ndarray  # (n,) int8 in {0, 1}
-    group_sizes: tuple  # (m0, m1); m1 is the size of the sensitive-1 group
-
-    @property
-    def n(self) -> int:
-        return self.group_of.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.group_sizes[1]
-
-
-@dataclass(frozen=True)
 class HopStack:
     """Per-node token sequences: tensor[v, j] is the hop-j embedding of node v.
 
@@ -61,12 +45,9 @@ class HopStack:
         return self.tensor.shape[2]
 
 
-def build_group_graph(g: Graph) -> SensitiveGroupGraph:
-    """Partition nodes by their sensitive value."""
-    sens = g.sensitive
-    group_of = sens.astype(np.int8)
-    m1 = int(group_of.sum())
-    return SensitiveGroupGraph(group_of=group_of, group_sizes=(g.n - m1, m1))
+def build_group_graph(g: Graph) -> np.ndarray:
+    """Each node's sensitive group, 0 or 1: the same-group graph is fixed by it."""
+    return g.sensitive.astype(np.intp)
 
 
 def _features_of(h) -> np.ndarray:
@@ -76,29 +57,27 @@ def _features_of(h) -> np.ndarray:
     return arr
 
 
-def _group_apply(sg: SensitiveGroupGraph, x: np.ndarray, mean: bool) -> np.ndarray:
-    mask1 = sg.group_of == 1
+def _group_apply(group: np.ndarray, x: np.ndarray, mean: bool) -> np.ndarray:
     sums = np.zeros((2, x.shape[1]))
-    sums[0] = x[~mask1].sum(axis=0)
-    sums[1] = x[mask1].sum(axis=0)
+    sums[0] = x[group == 0].sum(axis=0)
+    sums[1] = x[group == 1].sum(axis=0)
     if mean:  # an empty group's sum is 0, so dividing it by 1 keeps it 0
-        sums /= np.maximum(sg.group_sizes, 1)[:, None]
-    return sums[sg.group_of.astype(np.intp)]
+        sums /= np.maximum(np.bincount(group, minlength=2), 1)[:, None]
+    return sums[group]
 
 
 def _hop_stack(x: np.ndarray, k: int, step) -> HopStack:
-    """Slice 0 is x and slice j is step applied to slice j - 1, never a matrix power."""
-    slices = np.empty((k + 1, x.shape[0], x.shape[1]))
-    slices[0] = x
-    current = x
+    """Token 0 is x and token j is step applied to token j - 1, never a matrix power."""
+    tensor = np.empty((x.shape[0], k + 1, x.shape[1]))
+    tensor[:, 0] = x
     for j in range(1, k + 1):
-        current = step(current)
-        slices[j] = current
-    return HopStack(tensor=slices.transpose(1, 0, 2).copy())
+        tensor[:, j] = step(tensor[:, j - 1])
+    return HopStack(tensor=tensor)
 
 
-def hop_aggregate(sg: SensitiveGroupGraph, h, k: int, normalization: str = "raw") -> HopStack:
-    """Stack hop slices over the same-group graph: slice 0 is the input itself.
+def hop_aggregate(group, h, k: int, normalization: str = "raw") -> HopStack:
+    """Stack hop slices over the same-group graph of `group` (each node's 0/1
+    sensitive group, see `build_group_graph`): slice 0 is the input itself.
 
     Each step is a per-group row sum, divided by the group size in group-mean
     mode.
@@ -107,11 +86,15 @@ def hop_aggregate(sg: SensitiveGroupGraph, h, k: int, normalization: str = "raw"
         raise FairformerError("k must be >= 0")
     if normalization not in _MODES:
         raise FairformerError(f"normalization must be one of {_MODES}")
+    group = np.asarray(group)
+    if group.ndim != 1 or not np.all((group == 0) | (group == 1)):
+        raise FairformerError("sensitive groups must be a 1-D array of 0s and 1s")
+    group = group.astype(np.intp)
     x = _features_of(h)
-    if x.shape[0] != sg.n:
-        raise FairformerError(f"feature rows {x.shape[0]} do not match group graph n={sg.n}")
+    if x.shape[0] != group.size:
+        raise FairformerError(f"feature rows {x.shape[0]} do not match {group.size} groups")
     mean = normalization == "group-mean"
-    return _hop_stack(x, k, lambda current: _group_apply(sg, current, mean))
+    return _hop_stack(x, k, lambda current: _group_apply(group, current, mean))
 
 
 def hop_aggregate_adjacency(g: Graph, h, k: int) -> HopStack:
@@ -142,7 +125,7 @@ class GroupScalingReport:
         return self.exact_pass and self.float_pass
 
 
-def group_scaling_report(sg: SensitiveGroupGraph, h, k_max: int) -> GroupScalingReport:
+def group_scaling_report(group, h, k_max: int) -> GroupScalingReport:
     """Verify the q^k sensitive-column identity for k = 1..k_max.
 
     Two routes: an arbitrary-precision integer recurrence over the implicit
@@ -162,9 +145,10 @@ def group_scaling_report(sg: SensitiveGroupGraph, h, k_max: int) -> GroupScaling
         raise FairformerError("no binary column found to certify")
     column = x[:, col_idx]
 
+    stack = hop_aggregate(group, x, k_max, normalization="raw")  # also checks `group`
     ints = [int(v) for v in column]
-    groups = sg.group_of.tolist()
-    q = sg.q
+    groups = np.asarray(group, dtype=np.intp).tolist()
+    q = sum(groups)
 
     exact_ok = True
     current = ints
@@ -178,7 +162,6 @@ def group_scaling_report(sg: SensitiveGroupGraph, h, k_max: int) -> GroupScaling
             exact_ok = False
             break
 
-    stack = hop_aggregate(sg, x, k_max, normalization="raw")
     float_col = stack.tensor[:, :, col_idx]
     deviations = []
     for k in range(1, k_max + 1):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import FairformerError, ModelError
 from .hops import HopStack
+from .synth import refuse_unfit
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,18 @@ def _param_spec(cfg: ModelConfig, d_input: int):
 
 
 def init_model(cfg: ModelConfig, d_input: int) -> ModelParams:
-    """Seed-controlled initialization: uniform(+-1/sqrt(fan_in)) linear maps."""
+    """Seed-controlled initialization: uniform(+-1/sqrt(fan_in)) linear maps.
+
+    Refuses up front a shape whose training state cannot fit in physical memory:
+    the weights, their grads, Adam's two moments and the best-epoch copy.
+    """
+    def count(layers):  # every layer holds the same tensors, so count one or two
+        return sum(math.prod(shape) for _, shape, _ in _param_spec(replace(cfg, layers=layers),
+                                                                    d_input))
+
+    values = count(1) + (cfg.layers - 1) * (count(2) - count(1))
+    refuse_unfit(5 * 8 * values, f"a model of d_input={d_input} d_hidden={cfg.d_hidden} "
+                                 f"layers={cfg.layers} ({values} parameters) in training")
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams(config=cfg, d_input=d_input)
     for name, shape, init in _param_spec(cfg, d_input):
@@ -141,7 +153,7 @@ def project_tokens(stack: HopStack, params: ModelParams) -> ad.Tensor:
 
 
 def _attention(tokens: ad.Tensor, params: ModelParams, prefix: str, cfg: ModelConfig,
-               training: bool, rng, collect=None, key_bias=None) -> ad.Tensor:
+               training: bool, rng, key_bias=None) -> ad.Tensor:
     n, s, dh = tokens.data.shape
     h = cfg.heads
     dk = dh // h
@@ -159,8 +171,6 @@ def _attention(tokens: ad.Tensor, params: ModelParams, prefix: str, cfg: ModelCo
     if key_bias is not None:
         scores = ad.add(scores, key_bias)
     attn = ad.softmax_rows(scores)
-    if collect is not None:
-        collect.append(attn.data.copy())
     attn = _maybe_dropout(attn, cfg.dropout, training, rng)
     context = ad.matmul(attn, v)
     context = ad.reshape(context, (n, h, s, dk))
@@ -170,8 +180,7 @@ def _attention(tokens: ad.Tensor, params: ModelParams, prefix: str, cfg: ModelCo
 
 
 def encoder_layer(tokens: ad.Tensor, params: ModelParams, layer_index: int,
-                  training: bool = False, rng=None, collect_attention=None,
-                  key_bias=None) -> ad.Tensor:
+                  training: bool = False, rng=None, key_bias=None) -> ad.Tensor:
     """One pre-LN block: tokens + attention(LN(tokens)), then + FFN(LN(...)).
 
     `key_bias` (s,) is added to every attention score row, one entry per key token.
@@ -181,8 +190,7 @@ def encoder_layer(tokens: ad.Tensor, params: ModelParams, layer_index: int,
 
     normed = ad.layer_norm(tokens, params[f"{prefix}.norm_attn.gain"],
                            params[f"{prefix}.norm_attn.bias"])
-    attended = ad.add(_attention(normed, params, prefix, cfg, training, rng,
-                                 collect=collect_attention, key_bias=key_bias), tokens)
+    attended = ad.add(_attention(normed, params, prefix, cfg, training, rng, key_bias), tokens)
 
     normed2 = ad.layer_norm(attended, params[f"{prefix}.norm_ffn.gain"],
                             params[f"{prefix}.norm_ffn.bias"])
@@ -207,7 +215,7 @@ def readout(tokens: ad.Tensor, params: ModelParams, key_bias=None) -> ad.Tensor:
 
 
 def forward(params: ModelParams, stack: HopStack, training: bool = False,
-            rng=None, collect_attention=None) -> ad.Tensor:
+            rng=None) -> ad.Tensor:
     """Hop stack -> per-node logits (n, 2). Deterministic when training=False.
 
     A stack with `counts` holds each distinct token once: log(counts) joins every
@@ -223,8 +231,7 @@ def forward(params: ModelParams, stack: HopStack, training: bool = False,
     key_bias = None if stack.counts is None else ad.Tensor(np.log(stack.counts))
     tokens = project_tokens(stack, params)
     for i in range(params.config.layers):
-        tokens = encoder_layer(tokens, params, i, training=training, rng=rng,
-                               collect_attention=collect_attention, key_bias=key_bias)
+        tokens = encoder_layer(tokens, params, i, training=training, rng=rng, key_bias=key_bias)
     embedding = readout(tokens, params, key_bias)
     return _linear(embedding, params, "classifier")
 

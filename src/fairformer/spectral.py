@@ -74,8 +74,7 @@ def _select(matvec, n, k, tol, max_iters, seed, which):
     at most `max_iters` restarts of an `ncv`-dimensional Krylov basis; operators
     too small for ARPACK (n <= k + 2) are solved densely. Returns (eigenvalues,
     vectors, true residuals) ordered by |eigenvalue| descending for "LM" and
-    ascending for "SA"; raises ConvergenceError when a residual exceeds
-    tol * max(1, |eigenvalue|).
+    ascending for "SA"; `_check_residuals` gates them.
     """
     if n <= k + 2:
         theta, vectors = np.linalg.eigh(np.column_stack([matvec(e) for e in np.eye(n)]))
@@ -97,12 +96,23 @@ def _select(matvec, n, k, tol, max_iters, seed, which):
     order = np.argsort(-np.abs(theta) if which == "LM" else theta, kind="stable")[:k]
     theta, vectors = theta[order], vectors[:, order]
     resid = np.array([np.linalg.norm(matvec(v) - lam * v) for lam, v in zip(theta, vectors.T)])
+    return theta, vectors, resid
+
+
+def _check_residuals(theta, resid, tol, max_iters) -> None:
+    """Raise ConvergenceError when a residual exceeds tol * max(1, |eigenvalue|)."""
     bad = resid > tol * np.maximum(1.0, np.abs(theta))
     if np.any(bad):
         raise ConvergenceError(
             f"eigensolver residual {resid[bad].max():.3e} exceeds tol={tol:.1e} "
             f"(restart cap max_iters={max_iters})")
-    return theta, vectors, resid
+
+
+def _basis(theta, vectors, resid, tol, max_iters, source, **flags) -> SpectralBasis:
+    """The final pairs, gated on their residuals, as a sign-canonical SpectralBasis."""
+    _check_residuals(theta, resid, tol, max_iters)
+    return SpectralBasis(eigenvalues=theta, structure_matrix=_canonicalize_signs(vectors),
+                         source=source, residuals=resid, **flags)
 
 
 _TIE_SCREEN_TOL = 1e-1
@@ -131,6 +141,7 @@ def _settle_cut(matvec, n, theta, vectors, resid, tol, max_iters, seed):
         try:
             for step_tol in (_TIE_SCREEN_TOL, tol):
                 mu, v, mu_resid = _select(deflated, n, 1, step_tol, max_iters, seed, "LM")
+                _check_residuals(mu, mu_resid, step_tol, max_iters)
                 if abs(mu[0]) + mu_resid[0] < cut - margin:
                     return theta, vectors, resid, False
         except ConvergenceError:
@@ -163,17 +174,11 @@ def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, max_iters: int = 100
     theta, vectors, resid = _select(matvec, n, t, tol, max_iters, seed, "LM")
     theta, vectors, resid, tie = _settle_cut(matvec, n, theta, vectors, resid, tol, max_iters,
                                              seed)
+    basis = _basis(theta, vectors, resid, tol, max_iters, "adjacency", tie_warning=tie)
     if tie:
         warnings.warn("magnitude tie at the selection cut; last eigenvector is seed-dependent",
                       TieWarning, stacklevel=2)
-
-    return SpectralBasis(
-        eigenvalues=theta,
-        structure_matrix=_canonicalize_signs(vectors),
-        source="adjacency",
-        residuals=resid,
-        tie_warning=tie,
-    )
+    return basis
 
 
 def laplacian_small_eigenpairs(g: Graph, t: int, tol: float = 1e-10,
@@ -202,19 +207,13 @@ def laplacian_small_eigenpairs(g: Graph, t: int, tol: float = 1e-10,
     theta = np.where(np.abs(theta) <= tol, 0.0, theta)
 
     n_components = connected_components(g.adjacency, directed=False)[0]
-    degenerate = n_components > t + 1
-    if degenerate:
+    basis = _basis(theta, vectors, resid, tol, max_iters, "laplacian",
+                   degenerate_warning=n_components > t + 1)
+    if basis.degenerate_warning:
         warnings.warn(
             f"laplacian kernel has dimension {n_components}; selection includes degenerate pairs",
             DegenerateSpectrumWarning, stacklevel=2)
-
-    return SpectralBasis(
-        eigenvalues=theta,
-        structure_matrix=_canonicalize_signs(vectors),
-        source="laplacian",
-        residuals=resid,
-        degenerate_warning=degenerate,
-    )
+    return basis
 
 
 def fuse(g: Graph, basis: SpectralBasis, scale_structure: bool = False) -> np.ndarray:

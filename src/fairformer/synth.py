@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .data import Graph
-from .errors import IngestionError
+from .errors import FairformerError, IngestionError
 
 # tracemalloc peaks per node pair of dense edge sampling. sensitive_block_graph: 28.03, 28.01
 # and 28.01 bytes at n = 1000, 2000 and 4000. random_connected_graph grows with density: 10.0,
@@ -42,14 +42,12 @@ _COMMUNITY_CONTRAST = 8.0
 _BENCH_NOISE_DIM = 7
 
 
-def _refuse_unfit_dense(n: int, bytes_per_pair: int) -> None:
-    """Raise IngestionError when dense n x n edge sampling cannot fit in physical memory."""
-    need = bytes_per_pair * n * n
+def refuse_unfit(need: int, what: str, error=FairformerError) -> None:
+    """Raise `error` when `need` bytes exceed physical memory; `what` names the cause."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise IngestionError(
-            f"synthetic graph with n={n} needs about {need / 1e9:.1f} GB for dense edge "
-            f"sampling, more than the {have / 1e9:.1f} GB of physical memory found")
+        raise error(f"{what} needs about {need / 1e9:.1f} GB, more than the "
+                    f"{have / 1e9:.1f} GB of physical memory found")
 
 
 def _connect_components(adj: sp.csr_matrix, rng) -> sp.csr_matrix:
@@ -88,7 +86,7 @@ def random_connected_graph(n: int, density: float = 0.2, seed: int = 0) -> Graph
     are balanced coin flips. Intended for n up to a few hundred (dense edge
     sampling); raises IngestionError when that cannot fit in physical memory.
     """
-    _refuse_unfit_dense(n, _RANDOM_BYTES_PER_PAIR)
+    refuse_unfit(_RANDOM_BYTES_PER_PAIR * n * n, f"dense edge sampling at n={n}", IngestionError)
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < density, k=1)
     dense = (upper | upper.T).astype(np.float64)
@@ -115,7 +113,7 @@ def sensitive_block_graph(n: int = 1000, seed: int = 0, *, avg_degree: float = 2
     dense n x n arrays; raises IngestionError when they cannot fit in physical
     memory.
     """
-    _refuse_unfit_dense(n, _BLOCK_BYTES_PER_PAIR)
+    refuse_unfit(_BLOCK_BYTES_PER_PAIR * n * n, f"dense edge sampling at n={n}", IngestionError)
     rng = np.random.default_rng(seed)
     sens = _force_both_values(rng.integers(0, 2, n), rng)
     p_pos = np.where(sens == 1, 0.5 + _LEAK / 2.0, 0.5 - _LEAK / 2.0)

@@ -22,7 +22,7 @@ from .hops import HopStack, build_group_graph, hop_aggregate, hop_aggregate_adja
 from .metrics import accuracy, evaluate, predict_labels, statistical_parity
 from .model import ModelConfig, cross_entropy, forward, init_model, save_model
 from .spectral import fuse, laplacian_small_eigenpairs, top_magnitude_eigenpairs
-from .synth import benchmark_graph
+from .synth import benchmark_graph, refuse_unfit
 
 ABLATION_VARIANTS = ("full", "no_st", "lap_st", "no_nf", "adj_nf")
 
@@ -105,17 +105,6 @@ class RunResult:
         return "\n".join(lines)
 
 
-def _effective_t(cfg: TrainConfig, n: int) -> int:
-    """Structure columns `build_encodings` uses: `cfg.t` clamped to the n
-    adjacency eigenvectors, or to the n - 1 nontrivial Laplacian ones for
-    `lap_st`; `no_st` uses none."""
-    if cfg.ablation == "no_st":
-        return 0
-    if cfg.ablation == "lap_st":
-        return min(cfg.t, max(n - 1, 0))
-    return min(cfg.t, n)
-
-
 def build_encodings(g: Graph, cfg: TrainConfig) -> HopStack:
     """Assemble the hop-token stack for a config/ablation variant.
 
@@ -126,22 +115,27 @@ def build_encodings(g: Graph, cfg: TrainConfig) -> HopStack:
     adj_nf : hops over the graph adjacency instead of the same-group graph
 
     Same-group hops are group means; raw hops serve only `verify`'s q^k check.
+    `cfg.t` is clamped to the eigenvectors there are. A stack that cannot fit in
+    physical memory is refused, naming k, after the structure solve and before
+    the stack is allocated.
     """
     variant = cfg.ablation
     if variant == "no_st":
         fused = g.features
-    elif variant == "lap_st":
-        basis = laplacian_small_eigenpairs(g, _effective_t(cfg, g.n), seed=cfg.seed)
+    elif variant == "lap_st":  # the Laplacian has n - 1 nontrivial eigenvectors
+        basis = laplacian_small_eigenpairs(g, min(cfg.t, g.n - 1), seed=cfg.seed)
         fused = fuse(g, basis, scale_structure=cfg.scale_structure)
     else:
-        basis = top_magnitude_eigenpairs(g, _effective_t(cfg, g.n), seed=cfg.seed)
+        basis = top_magnitude_eigenpairs(g, min(cfg.t, g.n), seed=cfg.seed)
         fused = fuse(g, basis, scale_structure=cfg.scale_structure)
 
-    if variant == "adj_nf":
-        return hop_aggregate_adjacency(g, fused, cfg.k)
     k = 0 if variant == "no_nf" else cfg.k
-    sg = build_group_graph(g)
-    return hop_aggregate(sg, fused, k, normalization="group-mean")
+    width = fused.shape[1]
+    refuse_unfit(8 * g.n * (k + 1) * width,
+                 f"the hop stack of k={k} ({g.n} nodes x {k + 1} tokens x {width} columns)")
+    if variant == "adj_nf":
+        return hop_aggregate_adjacency(g, fused, k)
+    return hop_aggregate(build_group_graph(g), fused, k, normalization="group-mean")
 
 
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -311,7 +305,7 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
         epochs_run=epochs_run,
         best_epochs=best_epochs,
         stop_reasons=stops,
-        t_effective=_effective_t(cfg, g.n),
+        t_effective=stack.d - g.d,
         val_accuracies=val_accuracies,
         wall_seconds=time.perf_counter() - start,
         encode_seconds=encode_seconds,

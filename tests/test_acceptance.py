@@ -15,8 +15,8 @@ import pytest
 import fairformer.autodiff as ad
 from fairformer.cli import main as cli_main
 from fairformer.data import SplitSpec, make_folds
-from fairformer.hops import (HopStack, SensitiveGroupGraph, group_scaling_report,
-                             hop_aggregate, hop_aggregate_adjacency)
+from fairformer.hops import (HopStack, group_scaling_report, hop_aggregate,
+                             hop_aggregate_adjacency)
 from fairformer.model import ModelConfig, cross_entropy, forward, init_model
 from fairformer.oracles import dense_eig, dense_power_apply, fd_gradient
 from fairformer.spectral import spectral_alignment_report, top_magnitude_eigenpairs
@@ -41,9 +41,7 @@ def test_criterion_1_group_scaling_exact():
         sens = rng.integers(0, 2, n).astype(np.float64)
         features = rng.standard_normal((n, d + 1))
         features[:, d] = sens
-        sg = SensitiveGroupGraph(group_of=sens.astype(np.int8),
-                                 group_sizes=(int((sens == 0).sum()), int((sens == 1).sum())))
-        report = group_scaling_report(sg, features[:, d:d + 1], k_max=k)
+        report = group_scaling_report(sens, features[:, d:d + 1], k_max=k)
         assert report.exact_pass and report.float_pass
         worst = max(worst, report.max_abs_deviation)
     elapsed = time.perf_counter() - start
@@ -185,10 +183,8 @@ def test_criterion_5_hop_encodings_match_dense_oracles():
         k = int(rng.integers(1, 5))
         sens = rng.integers(0, 2, n)
         h = rng.standard_normal((n, d))
-        sg = SensitiveGroupGraph(group_of=sens.astype(np.int8),
-                                 group_sizes=(int((sens == 0).sum()), int((sens == 1).sum())))
         dense_as = (sens[:, None] == sens[None, :]).astype(np.float64)
-        stack = hop_aggregate(sg, h, k=k, normalization="raw")
+        stack = hop_aggregate(sens, h, k=k, normalization="raw")
         for j in range(k + 1):
             want = dense_power_apply(dense_as, h, j)
             scale = max(1.0, float(np.max(np.abs(want))))

@@ -88,24 +88,36 @@ def test_train_with_manifest(tmp_path, capsys):
     assert "mean.accuracy" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("row,names", [("4,nan,0,0", "'f0'"), ("4,inf,0,0", "'f0'"),
-                                       ("4,0.5,0,inf", "label 'inf'"),
-                                       ("4,0.5,0,0.7", "label '0.7'"),
-                                       ("4,0.5,0,-0.5", "label '-0.5'")],
-                         ids=["nan_feature", "inf_feature", "inf_label", "fractional_label",
-                              "negative_fractional_label"])
-def test_non_finite_cell_is_data_error(tmp_path, capsys, row, names):
+@pytest.mark.parametrize("file,line,row,error,where,names", [
+    ("nodes.csv", 6, "4,nan,0,0", "IngestionError", "nodes.csv:6", "'f0'"),
+    ("nodes.csv", 6, "4,inf,0,0", "IngestionError", "nodes.csv:6", "'f0'"),
+    ("nodes.csv", 6, "4,0.5,0,inf", "IngestionError", "nodes.csv:6", "label 'inf'"),
+    ("nodes.csv", 6, "4,0.5,0,0.7", "IngestionError", "nodes.csv:6", "label '0.7'"),
+    ("nodes.csv", 6, "4,0.5,0,-0.5", "IngestionError", "nodes.csv:6", "label '-0.5'"),
+    ("nodes.csv", 6, "4,0.5,0", "IngestionError", "nodes.csv:6", "expected 4 cells, got 3"),
+    ("nodes.csv", 6, "3,0.5,0,0", "IngestionError", "nodes.csv:6", "duplicate node id '3'"),
+    ("nodes.csv", 6, "4,0.5,0,-1", "SchemaError", "nodes.csv:6", "negative label '-1'"),
+    ("edges.csv", 3, "2", "IngestionError", "edges.csv:3", "expected two id columns"),
+    ("nodes.csv", None, None, "IngestionError", "nodes.csv", "empty node file"),
+    ("nodes.csv", 1, "id,f0,label", "SchemaError", "nodes.csv", "column 'sensitive' missing"),
+], ids=["nan_feature", "inf_feature", "inf_label", "fractional_label", "negative_fractional_label",
+        "short_row", "duplicate_id", "negative_label", "one_id_edge", "empty_node_file",
+        "missing_column"])
+def test_non_finite_cell_is_data_error(tmp_path, capsys, file, line, row, error, where, names):
     manifest = write_tiny_dataset(tmp_path)
-    nodes = tmp_path / "nodes.csv"
-    lines = nodes.read_text().splitlines()
-    lines[5] = row  # node 4 sits on line 6, under the header
-    nodes.write_text("\n".join(lines) + "\n")
+    path = tmp_path / file
+    lines = path.read_text().splitlines()
+    if line is None:  # the file is emptied
+        path.write_text("")
+    else:
+        lines[line - 1] = row
+        path.write_text("\n".join(lines) + "\n")
     code = run_cli(["train", "--manifest", str(manifest), "--epochs", "2", "--folds", "1",
                     "--k", "1", "--t", "2", "--hidden", "8", "--cap", "5", "--serial"])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("error=IngestionError")
-    assert "nodes.csv:6" in err and names in err
+    assert err.startswith(f"error={error}")
+    assert where in err and names in err
 
 
 @pytest.mark.parametrize("args,code,names", [
@@ -123,9 +135,16 @@ def test_non_finite_cell_is_data_error(tmp_path, capsys, row, names):
     (["train", "--synthetic", "40", "--cap", "0"], 2, "--cap"),
     (["bench", "--epochs-timed", "0"], 2, "--epochs-timed"),
     (["bench", "--epochs-timed", "-3"], 2, "--epochs-timed"),
+    (["train", "--synthetic", "200", "--epochs", "1", "--folds", "1", "--k", "100000000"], 1,
+     "hop stack of k=100000000"),
+    (["train", "--synthetic", "40", "--hidden", "1000000000", "--epochs", "1", "--folds", "1",
+      "--t", "2", "--serial"], 1, "d_hidden=1000000000"),
+    (["train", "--synthetic", "40", "--layers", "1000000", "--epochs", "1", "--folds", "1",
+      "--t", "2", "--serial"], 1, "layers=1000000"),
 ], ids=["train_synthetic", "inspect_synthetic", "hidden", "verify_n", "verify_graphs",
         "verify_kmax", "sizes_zero", "sizes_negative", "sizes_one_distinct", "synthetic_too_large",
-        "cap_zero", "epochs_timed_zero", "epochs_timed_negative"])
+        "cap_zero", "epochs_timed_zero", "epochs_timed_negative", "k_too_large",
+        "hidden_too_large", "layers_too_large"])
 def test_bad_size_fails_early(capsys, args, code, names):
     try:
         got = run_cli(args)

@@ -103,6 +103,30 @@ def test_manifest_roundtrip(tmp_path):
     assert g.sensitive.tolist() == [0.0, 1.0]
 
 
+def test_manifest_features_list_selects_columns(tmp_path):
+    nodes, edges = write_dataset(tmp_path, ["0,1.0,5.0,0,0", "1,2.0,6.0,1,1"], ["0,1"],
+                                 header="id,f0,f1,sensitive,label")
+    manifest = tmp_path / "data.manifest"
+    manifest.write_text(f"nodes={nodes.name}\nedges={edges.name}\nsensitive=sensitive\n"
+                        "label=label\nfeatures=f1\n")
+    g = load_dataset(*load_manifest(manifest))
+    # only the listed column, then the sensitive column appended after it
+    assert g.features.tolist() == [[5.0, 0.0], [6.0, 1.0]]
+    assert g.sensitive_index == 1
+
+
+def test_manifest_standardize_scores_all_but_the_sensitive_column(tmp_path):
+    nodes, edges = write_dataset(tmp_path, ["0,1.0,0,0", "1,3.0,1,1", "2,5.0,1,0", "3,7.0,0,1"],
+                                 ["0,1", "2,3"])
+    manifest = tmp_path / "data.manifest"
+    manifest.write_text(f"nodes={nodes.name}\nedges={edges.name}\nsensitive=sensitive\n"
+                        "label=label\nstandardize=1\n")
+    g = load_dataset(*load_manifest(manifest))
+    f0 = np.array([1.0, 3.0, 5.0, 7.0])
+    assert np.allclose(g.features[:, 0], (f0 - f0.mean()) / f0.std(), rtol=0, atol=1e-15)
+    assert g.sensitive.tolist() == [0.0, 1.0, 1.0, 0.0]
+
+
 def test_manifest_missing_key(tmp_path):
     manifest = tmp_path / "bad.manifest"
     manifest.write_text("nodes=x.csv\nedges=y.csv\n")

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from fairformer.data import Graph
 from fairformer.errors import FairformerError
 from fairformer.hops import (HopStack, build_group_graph, group_scaling_report, hop_aggregate,
-                             hop_aggregate_adjacency, SensitiveGroupGraph)
+                             hop_aggregate_adjacency)
 from fairformer.oracles import dense_power_apply
 from fairformer.synth import random_connected_graph
 
@@ -29,12 +29,27 @@ def dense_group_adjacency(sens):
 
 
 def test_build_group_graph_counts():
-    assert group_graph([1, 1, 0, 0]).group_sizes == (2, 2)
-    assert group_graph([1, 1, 0, 0]).q == 2
-    assert group_graph([0, 0, 0]).group_sizes == (3, 0)
-    assert group_graph([0, 0, 0]).q == 0
-    assert group_graph([1]).group_sizes == (0, 1)
-    assert group_graph([1]).q == 1
+    group = group_graph([1, 1, 0, 0])
+    assert group.dtype.kind == "i" and group.tolist() == [1, 1, 0, 0]
+    assert group_graph([0, 0, 0]).tolist() == [0, 0, 0]
+    assert group_graph([1]).tolist() == [1]
+    h = np.ones((4, 1))
+    assert group_scaling_report(group, h, k_max=1).q == 2
+    assert group_scaling_report(group_graph([0, 0, 0]), h[:3], k_max=1).q == 0
+
+
+@pytest.mark.parametrize("group", [[0, 2], [0.5, 1.0], [-1, 0], [[0, 1]]],
+                         ids=["two", "fraction", "negative", "2-D"])
+def test_groups_other_than_0_or_1_are_refused(group):
+    with pytest.raises(FairformerError, match="0s and 1s"):
+        hop_aggregate(group, np.zeros((2, 1)), k=1)
+    with pytest.raises(FairformerError, match="0s and 1s"):
+        group_scaling_report(group, np.zeros((2, 1)), k_max=1)
+
+
+def test_group_rows_must_match_feature_rows():
+    with pytest.raises(FairformerError, match="do not match 3 groups"):
+        hop_aggregate([0, 1, 1], np.zeros((2, 1)), k=1)
 
 
 def test_raw_hop_scales_sensitive_column():
@@ -66,12 +81,10 @@ def test_group_hops_match_dense_oracle(seed, mode):
     k = int(rng.integers(1, 5))
     sens = rng.integers(0, 2, n)
     h = rng.standard_normal((n, d))
-    sg = SensitiveGroupGraph(group_of=sens.astype(np.int8),
-                             group_sizes=(int((sens == 0).sum()), int((sens == 1).sum())))
     a_s = dense_group_adjacency(sens)
     if mode == "group-mean":
         a_s = a_s / a_s.sum(axis=1, keepdims=True)
-    stack = hop_aggregate(sg, h, k=k, normalization=mode)
+    stack = hop_aggregate(sens, h, k=k, normalization=mode)
     for j in range(k + 1):
         want = dense_power_apply(a_s, h, j)
         scale = max(1.0, np.max(np.abs(want)))
@@ -83,9 +96,7 @@ def test_group_mean_keeps_sensitive_column():
     n = 50
     sens = rng.integers(0, 2, n).astype(float)
     feats = np.column_stack([rng.standard_normal(n), sens])
-    sg = SensitiveGroupGraph(group_of=sens.astype(np.int8),
-                             group_sizes=(int((sens == 0).sum()), int((sens == 1).sum())))
-    stack = hop_aggregate(sg, feats, k=3, normalization="group-mean")
+    stack = hop_aggregate(sens, feats, k=3, normalization="group-mean")
     for j in range(4):
         assert np.array_equal(stack.tensor[:, j, 1], sens)
 
@@ -96,9 +107,7 @@ def test_same_group_nodes_share_hop_tokens(mode):
     n = 30
     sens = rng.integers(0, 2, n)
     h = rng.standard_normal((n, 3))
-    sg = SensitiveGroupGraph(group_of=sens.astype(np.int8),
-                             group_sizes=(int((sens == 0).sum()), int((sens == 1).sum())))
-    stack = hop_aggregate(sg, h, k=2, normalization=mode)
+    stack = hop_aggregate(sens, h, k=2, normalization=mode)
     for j in (1, 2):
         for grp in (0, 1):
             rows = stack.tensor[sens == grp, j, :]

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,43 @@ def small_params(d_input=6, **kw):
     cfg = ModelConfig(**{"d_hidden": 8, "layers": 1, "heads": 1, "dropout": 0.0, "seed": 3,
                          **kw})
     return init_model(cfg, d_input)
+
+
+def record_attention(monkeypatch) -> list:
+    """Every attention weight array computed from here on: the 3-D outputs of
+    `softmax_rows` (the readout's weights are 2-D)."""
+    collected = []
+    softmax_rows = ad.softmax_rows
+
+    def recording(t):
+        out = softmax_rows(t)
+        if out.data.ndim == 3:
+            collected.append(out.data.copy())
+        return out
+
+    monkeypatch.setattr(ad, "softmax_rows", recording)
+    return collected
+
+
+@pytest.mark.parametrize("shape,names", [({"d_hidden": 10**9}, "d_hidden=1000000000"),
+                                         ({"layers": 10**9}, "layers=1000000000")],
+                         ids=["hidden", "layers"])
+def test_model_that_cannot_fit_is_refused_before_it_is_allocated(shape, names):
+    tracemalloc.start()
+    try:
+        with pytest.raises(FairformerError, match=rf"model of d_input=6 .*{names}.* needs about"):
+            init_model(ModelConfig(**shape), 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_param_count_of_the_refusal_matches_the_model(monkeypatch):
+    sizes = []
+    monkeypatch.setattr("fairformer.model.refuse_unfit", lambda need, what: sizes.append(need))
+    params = small_params(layers=3)
+    assert sizes == [5 * 8 * sum(t.data.size for t in params.trainable())]
 
 
 def test_projection_identity_passthrough():
@@ -57,31 +95,31 @@ def test_projection_width_mismatch():
         project_tokens(make_stack(d=4), small_params(d_input=6))
 
 
-def test_encoder_singleton_attention_weight_is_one():
+def test_encoder_singleton_attention_weight_is_one(monkeypatch):
     stack = make_stack(n=2, k=0, d=6, seed=5)
     params = small_params()
     tokens = project_tokens(stack, params)
-    collected = []
-    encoder_layer(tokens, params, 0, collect_attention=collected)
+    collected = record_attention(monkeypatch)
+    encoder_layer(tokens, params, 0)
     assert np.allclose(collected[0], 1.0)
 
 
-def test_encoder_identical_tokens_attend_uniformly():
+def test_encoder_identical_tokens_attend_uniformly(monkeypatch):
     rng = np.random.default_rng(7)
     token = rng.standard_normal(6)
     stack = HopStack(tensor=np.tile(token, (3, 2, 1)))
     params = small_params()
     tokens = project_tokens(stack, params)
-    collected = []
-    encoder_layer(tokens, params, 0, collect_attention=collected)
+    collected = record_attention(monkeypatch)
+    encoder_layer(tokens, params, 0)
     assert np.allclose(collected[0], 0.5, atol=1e-12)
 
 
-def test_attention_rows_sum_to_one_every_layer():
+def test_attention_rows_sum_to_one_every_layer(monkeypatch):
     stack = make_stack(n=4, k=3, d=6, seed=8)
     params = small_params(layers=3)
-    collected = []
-    forward(params, stack, collect_attention=collected)
+    collected = record_attention(monkeypatch)
+    forward(params, stack)
     assert len(collected) == 3
     for attn in collected:
         assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-9)

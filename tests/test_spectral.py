@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -74,11 +75,13 @@ def test_tie_warning_on_arpack_path(cycle, t, tie):
 
 def test_missed_copies_of_a_repeated_eigenvalue_are_swapped_in():
     # three copies of one random 10-node component plus one other: Krylov solves
-    # find one copy of a repeated eigenvalue at a time, and the cut check swaps in the rest
+    # find one copy of a repeated eigenvalue at a time, and the cut check swaps in the rest.
+    # At density 0.2, seed 5 the main solve returns an unconverged pair in place of a
+    # missed copy; only the basis returned is gated, so the swap replaces it
     wrong = []
-    for seed in range(40):
-        a = random_connected_graph(10, density=0.3, seed=seed).adjacency
-        b = random_connected_graph(10, density=0.3, seed=1000 + seed).adjacency
+    for density, seed in itertools.product((0.3, 0.2), range(40)):
+        a = random_connected_graph(10, density=density, seed=seed).adjacency
+        b = random_connected_graph(10, density=density, seed=1000 + seed).adjacency
         adj = sp.block_diag([a, a, a, b], format="csr")
         want = np.sort(np.abs(np.linalg.eigvalsh(adj.toarray())))[::-1]
         for t in (3, 6):
@@ -86,7 +89,7 @@ def test_missed_copies_of_a_repeated_eigenvalue_are_swapped_in():
                 warnings.simplefilter("ignore", TieWarning)
                 basis = top_magnitude_eigenpairs(adj, t)
             if not np.allclose(np.abs(basis.eigenvalues), want[:t], rtol=0, atol=1e-8):
-                wrong.append((seed, t))
+                wrong.append((density, seed, t))
             vecs = basis.structure_matrix
             resid = np.linalg.norm(adj @ vecs - vecs * basis.eigenvalues, axis=0)
             assert np.all(resid <= 1e-10 * np.maximum(1.0, np.abs(basis.eigenvalues)))

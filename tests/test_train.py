@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import fairformer.train as train_module
 from fairformer import autodiff as ad
 from fairformer.data import Graph, Split, SplitSpec, make_folds
 from fairformer.errors import FairformerError, TrainingError
-from fairformer.hops import HopStack, SensitiveGroupGraph, hop_aggregate
+from fairformer.hops import HopStack, hop_aggregate
 from fairformer.model import cross_entropy, forward, init_model
 from fairformer.synth import sensitive_block_graph
 from model_oracle import forward_direct
@@ -270,13 +271,27 @@ def test_scoring_after_adam_step_sees_updated_weights():
 def test_report_records_the_effective_t():
     g = sensitive_block_graph(n=40, seed=12, avg_degree=8.0)
     spec = SplitSpec(train_per_class_cap=5, seed=0, folds=1)
-    for ablation, want in [("full", 40), ("lap_st", 39), ("no_st", 0)]:
+    for ablation, want in [("full", 40), ("lap_st", 39), ("no_st", 0), ("no_nf", 40),
+                           ("adj_nf", 40)]:
         result = train(g, quick_config(epochs=1, folds=1, t=50, d_hidden=8, ablation=ablation),
                        split_spec=spec)
         lines = result.summary_text().splitlines()
         assert "config.t=50" in lines and f"t_effective={want}" in lines
     assert "t_effective=3" in train(g, quick_config(epochs=1, folds=1, t=3, d_hidden=8),
                                     split_spec=spec).summary_text().splitlines()
+
+
+def test_hop_stack_that_cannot_fit_is_refused_before_it_is_allocated():
+    g = sensitive_block_graph(n=200, seed=3, avg_degree=8.0)
+    tracemalloc.start()
+    try:
+        # 200 nodes x (10**8 + 1) tokens x 15 columns x 8 bytes: 2.4 TB
+        with pytest.raises(FairformerError, match=r"hop stack of k=100000000 .* needs about"):
+            build_encodings(g, TrainConfig(k=10**8, t=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_report_names_the_selected_epoch_and_why_training_stopped(tmp_path):
@@ -303,9 +318,7 @@ def group_mean_stack(n, k, d=5, seed=0):
     """Same-group hops of features with a nonzero mean, so the tied tokens differ in the last bits."""
     rng = np.random.default_rng(seed)
     sens = rng.integers(0, 2, n)
-    sg = SensitiveGroupGraph(group_of=sens.astype(np.int8),
-                             group_sizes=(int((sens == 0).sum()), int((sens == 1).sum())))
-    return hop_aggregate(sg, 3.0 + rng.standard_normal((n, d)), k, normalization="group-mean")
+    return hop_aggregate(sens, 3.0 + rng.standard_normal((n, d)), k, normalization="group-mean")
 
 
 @pytest.mark.parametrize("k,heads,layers", list(itertools.product((2, 3), (1, 2), (1, 2))))
