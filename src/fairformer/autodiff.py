@@ -86,8 +86,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise FairformerError(f"mul: shape mismatch {a.data.shape} vs {b.data.shape}")
 
     def backward(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        if a.requires_grad:
+            _accumulate(a, g * b.data)
+        if b.requires_grad:
+            _accumulate(b, g * a.data)
 
     return _result(a.data * b.data, (a, b), backward)
 
@@ -106,8 +108,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product.
 
     Supported shapes: (m,p)@(p,q), (B,m,p)@(p,q) and (B,m,p)@(B,p,q).
-    Backward: dA = g·Bᵀ, dB = Aᵀ·g. (…,p)@(p,q) runs as one (rows,p)@(p,q)
-    GEMM both ways, which also does the batch-sum of dB.
+    Backward: dA = g·Bᵀ, dB = Aᵀ·g, each only for an operand that requires grad
+    (the projection's token input does not). (…,p)@(p,q) runs as one
+    (rows,p)@(p,q) GEMM both ways, which also does the batch-sum of dB.
     """
     ad, bd = a.data, b.data
     if ad.ndim in (2, 3) and bd.ndim == 2:
@@ -117,8 +120,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def backward(g):
             g2 = g.reshape(flat.shape[0], g.shape[-1])
-            _accumulate(a, (g2 @ bd.T).reshape(ad.shape))
-            _accumulate(b, flat.T @ g2)
+            if a.requires_grad:
+                _accumulate(a, (g2 @ bd.T).reshape(ad.shape))
+            if b.requires_grad:
+                _accumulate(b, flat.T @ g2)
 
         return _result((flat @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), (a, b), backward)
 
@@ -128,8 +133,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise FairformerError(f"matmul: batch shapes {ad.shape} vs {bd.shape}")
 
     def backward(g):
-        _accumulate(a, g @ bd.transpose(0, 2, 1))
-        _accumulate(b, ad.transpose(0, 2, 1) @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ bd.transpose(0, 2, 1))
+        if b.requires_grad:
+            _accumulate(b, ad.transpose(0, 2, 1) @ g)
 
     return _result(ad @ bd, (a, b), backward)
 

@@ -19,6 +19,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .data import Graph
+from .synth import refuse_unfit
 from .errors import (ConvergenceError, FairformerError, SpectralGapError,
                      TieWarning, DegenerateSpectrumWarning, UndefinedCosineError)
 
@@ -67,6 +68,26 @@ def _canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _krylov_dim(n, k):
+    """ARPACK's Krylov dimension ncv for k pairs; it equals n on the dense path (n <= k + 2)."""
+    return min(n, max(2 * k + 1, 20))
+
+
+def _refuse_unfit_solve(n, t):
+    """Refuse, before it allocates, a structure solve of t pairs that cannot fit in memory.
+
+    Charged in float64s: the Krylov basis (n * ncv), ARPACK's workspace (ncv^2) and five
+    n * t copies of the selected vectors (the solve's output, its reordering, the cut
+    check's deflation and swap, the sign canonicalization). The dense path's LAPACK
+    workspace is untraced, so it was measured by resident memory instead: at n = 500 and
+    1000 on `benchmark_graph`, tracemalloc put the ARPACK peak at 4.0 n^2 floats for
+    t = n - 3 (charged 7.0) and 3.5 for t = n / 2 (charged 4.5), and resident memory grew
+    by 6.2 n^2 floats plus 2.3 MB on the dense path at t = n (charged 7.0).
+    """
+    ncv = _krylov_dim(n, t)
+    refuse_unfit(8 * (n * ncv + ncv * ncv + 5 * n * t), f"the structure solve of t={t} at n={n}")
+
+
 def _select(matvec, n, k, tol, max_iters, seed, which):
     """The k eigenpairs of a symmetric operator chosen by `which` ("LM" or "SA").
 
@@ -79,7 +100,7 @@ def _select(matvec, n, k, tol, max_iters, seed, which):
     if n <= k + 2:
         theta, vectors = np.linalg.eigh(np.column_stack([matvec(e) for e in np.eye(n)]))
     else:
-        ncv = min(n, max(2 * k + 1, 20))
+        ncv = _krylov_dim(n, k)
         op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
         v0 = np.random.default_rng(seed).standard_normal(n)
         try:
@@ -115,7 +136,8 @@ def _basis(theta, vectors, resid, tol, max_iters, source, **flags) -> SpectralBa
                          source=source, residuals=resid, **flags)
 
 
-_TIE_SCREEN_TOL = 1e-1
+# Loose tolerances of the cut check's deflated solve, tried before the caller's tol
+_LOOSE_CUT_TOLS = (1e-1, 1e-4)
 
 
 def _settle_cut(matvec, n, theta, vectors, resid, tol, max_iters, seed):
@@ -123,12 +145,19 @@ def _settle_cut(matvec, n, theta, vectors, resid, tol, max_iters, seed):
     |lambda_t| within tol? Returns (theta, vectors, resid, tie).
 
     The top eigenpair (mu, v) of the deflated operator A - V diag(theta) V^T
-    estimates lambda_{t+1}. A loose solve settles most cases, since |mu| plus
-    its residual then falls clearly below |lambda_t|; only otherwise is mu
-    refined at tol. A refined |mu| above |lambda_t| by more than tol is a missed
-    pair (Krylov solves find one copy of a repeated eigenvalue at a time): it
-    replaces the last pair and the check repeats. A refinement that does not
-    converge reports no tie.
+    estimates lambda_{t+1}. It is solved on a ladder of tolerances, 1e-1, 1e-4
+    and then tol: a rung settles the cut as soon as |mu| plus its residual falls
+    clearly below |lambda_t|, so a small gap past the cut (5.8e-4 relative
+    between |lambda_5| and |lambda_6| of `benchmark_graph(16000)`) settles at
+    1e-4 instead of at tol, while 1e-1 settles the wide gaps. A settled rung
+    can only answer "no tie, no missed pair", which is what the full-tolerance
+    solve answers too; a loose rung that does not converge or fails its
+    residual gate passes on to the next. Every other answer comes from the
+    full-tolerance solve, with the same seed and start vector: a refined |mu|
+    above |lambda_t| by more than tol is a missed pair (Krylov solves find one
+    copy of a repeated eigenvalue at a time), which replaces the last pair
+    before the check repeats, and a refinement that does not converge reports
+    no tie.
     """
     while theta.size < n:
         cut = abs(theta[-1])
@@ -138,13 +167,16 @@ def _settle_cut(matvec, n, theta, vectors, resid, tol, max_iters, seed):
         def deflated(x):
             return matvec(x) - scaled @ (vectors.T @ x)
 
-        try:
-            for step_tol in (_TIE_SCREEN_TOL, tol):
+        for step_tol in (*_LOOSE_CUT_TOLS, tol):
+            try:
                 mu, v, mu_resid = _select(deflated, n, 1, step_tol, max_iters, seed, "LM")
                 _check_residuals(mu, mu_resid, step_tol, max_iters)
-                if abs(mu[0]) + mu_resid[0] < cut - margin:
-                    return theta, vectors, resid, False
-        except ConvergenceError:
+            except ConvergenceError:
+                mu = None
+                continue
+            if abs(mu[0]) + mu_resid[0] < cut - margin:
+                return theta, vectors, resid, False
+        if mu is None:
             return theta, vectors, resid, False
         if abs(mu[0]) <= cut + margin:
             return theta, vectors, resid, abs(cut - abs(mu[0])) <= margin
@@ -163,13 +195,15 @@ def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, max_iters: int = 100
     array; only mat-vec products are applied. `max_iters` caps the eigensolver's
     restarts. A magnitude tie at the cut index (|lambda_t| matching
     |lambda_{t+1}| within tol) sets tie_warning: the basis stays valid but which
-    eigenvector fills the last slot is seed-dependent.
+    eigenvector fills the last slot is seed-dependent. A solve that cannot fit
+    in physical memory is refused, naming t and n, before it allocates.
     """
     matvec, n = _as_matvec(a)
     if t < 0 or t > n:
         raise FairformerError(f"t={t} out of range for n={n}")
     if t == 0:
         return SpectralBasis(np.empty(0), np.empty((n, 0)), "adjacency", np.empty(0))
+    _refuse_unfit_solve(n, t)
 
     theta, vectors, resid = _select(matvec, n, t, tol, max_iters, seed, "LM")
     theta, vectors, resid, tie = _settle_cut(matvec, n, theta, vectors, resid, tol, max_iters,
@@ -189,12 +223,14 @@ def laplacian_small_eigenpairs(g: Graph, t: int, tol: float = 1e-10,
     s = 2 * max_degree + 1 > lambda_max(L). `max_iters` caps the eigensolver's
     restarts. Graphs with more than t + 1 connected components cannot avoid the
     remaining kernel, so the result carries degenerate_warning and may include
-    (near-)zero eigenvalues.
+    (near-)zero eigenvalues. A solve that cannot fit in physical memory is
+    refused, naming t and n, before it allocates.
     """
     if t < 0 or t > g.n - 1:
         raise FairformerError(f"t={t} out of range for the deflated Laplacian of n={g.n}")
     if t == 0:
         return SpectralBasis(np.empty(0), np.empty((g.n, 0)), "laplacian", np.empty(0))
+    _refuse_unfit_solve(g.n, t)
 
     adjacency_matvec, n = _as_matvec(g)
     degrees = np.asarray(g.adjacency.sum(axis=1)).ravel()

@@ -155,6 +155,17 @@ def test_bad_size_fails_early(capsys, args, code, names):
     assert names in err and "Traceback" not in err
 
 
+def test_structure_solve_that_cannot_fit_exits_1(monkeypatch, capsys):
+    # 1.5 MB of physical memory: generating the 200-node graph charges 1.1 MB, the t=197
+    # structure solve 2.2 MB
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1_500_000}
+    monkeypatch.setattr("fairformer.synth.os.sysconf", pages.__getitem__)
+    assert run_cli(["train", "--synthetic", "200", "--t", "197", "--epochs", "1", "--folds", "1",
+                    "--serial"]) == 1
+    err = capsys.readouterr().err
+    assert "structure solve of t=197 at n=200 needs about" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("args,names", [
     (["train", "--hidden", "0"], "d_hidden=0"),
     (["train", "--heads", "3", "--hidden", "8"], "divisible by heads=3"),

@@ -1,17 +1,19 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import fairformer.spectral as spectral
 from fairformer.data import Graph
 from fairformer.errors import (ConvergenceError, FairformerError, SpectralGapError, TieWarning,
                                DegenerateSpectrumWarning, UndefinedCosineError)
 from fairformer.oracles import dense_eig
 from fairformer.spectral import (fuse, laplacian_small_eigenpairs,
                                  spectral_alignment_report, top_magnitude_eigenpairs)
-from fairformer.synth import benchmark_graph, random_connected_graph
+from fairformer.synth import benchmark_graph, random_connected_graph, sensitive_block_graph
 
 
 def graph_from_dense(dense, sens=None, labels=None):
@@ -96,6 +98,82 @@ def test_missed_copies_of_a_repeated_eigenvalue_are_swapped_in():
             assert np.allclose(vecs.T @ vecs, np.eye(t), rtol=0, atol=1e-9)
             assert np.all(np.abs(basis.eigenvalues)[:-1] >= np.abs(basis.eigenvalues)[1:])
     assert wrong == []
+
+
+@pytest.fixture(scope="module")
+def past_the_gap_graphs():
+    return {"benchmark_graph": benchmark_graph(4000),
+            "sensitive_block_graph": sensitive_block_graph(2000)}
+
+
+def assert_same_basis(got, want):
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert np.array_equal(got.structure_matrix, want.structure_matrix)
+    assert np.array_equal(got.residuals, want.residuals)
+    assert got.tie_warning == want.tie_warning
+
+
+@pytest.mark.parametrize("name", ["benchmark_graph", "sensitive_block_graph"])
+def test_cut_ladder_returns_the_single_screen_basis(monkeypatch, past_the_gap_graphs, name):
+    # a 1e-4 rung can only end the cut check with "no tie, no missed pair", so the basis
+    # equals the one of a 1e-1 screen followed directly by the full-tolerance solve
+    g = past_the_gap_graphs[name]
+    ladder = [top_magnitude_eigenpairs(g, t) for t in range(5, 9)]
+    monkeypatch.setattr(spectral, "_LOOSE_CUT_TOLS", (1e-1,))
+    for t, got in zip(range(5, 9), ladder):
+        assert_same_basis(got, top_magnitude_eigenpairs(g, t))
+
+
+def recorded_select_calls(monkeypatch, fail_loose=False):
+    calls = []
+    select = spectral._select
+
+    def recording(matvec, n, k, tol, *args):
+        calls.append((k, tol))
+        if fail_loose and k == 1 and tol in spectral._LOOSE_CUT_TOLS:
+            raise ConvergenceError("loose rung failed")
+        return select(matvec, n, k, tol, *args)
+
+    monkeypatch.setattr(spectral, "_select", recording)
+    return calls
+
+
+def test_past_the_gap_cut_settles_without_a_full_tolerance_solve(monkeypatch,
+                                                                 past_the_gap_graphs):
+    # |lambda_5| and |lambda_6| of benchmark_graph lie inside its clustered bulk: the 1e-1
+    # screen cannot separate them, the 1e-4 rung does
+    calls = recorded_select_calls(monkeypatch)
+    top_magnitude_eigenpairs(past_the_gap_graphs["benchmark_graph"], 5, tol=1e-10)
+    assert calls == [(5, 1e-10), (1, 1e-1), (1, 1e-4)]
+
+
+def test_loose_rungs_that_fail_pass_on_to_the_full_tolerance_solve(monkeypatch,
+                                                                   past_the_gap_graphs):
+    g = past_the_gap_graphs["benchmark_graph"]
+    want = top_magnitude_eigenpairs(g, 5)
+    calls = recorded_select_calls(monkeypatch, fail_loose=True)
+    assert_same_basis(top_magnitude_eigenpairs(g, 5), want)
+    assert calls == [(5, 1e-10), (1, 1e-1), (1, 1e-4), (1, 1e-10)]
+
+
+@pytest.mark.parametrize("solve,t", [(top_magnitude_eigenpairs, 997),
+                                     (top_magnitude_eigenpairs, 1000),
+                                     (laplacian_small_eigenpairs, 999)],
+                         ids=["adjacency_arpack", "adjacency_dense", "laplacian"])
+def test_structure_solve_that_cannot_fit_is_refused_before_it_allocates(monkeypatch, solve, t):
+    # 8 MB of physical memory: a t=5 solve at n=1000 charges 0.4 MB, t near n over 50 MB
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 8 * 10**6}
+    monkeypatch.setattr("fairformer.synth.os.sysconf", pages.__getitem__)
+    g = benchmark_graph(1000)
+    assert solve(g, 5).t == 5
+    tracemalloc.start()
+    try:
+        with pytest.raises(FairformerError, match=rf"structure solve of t={t} at n=1000 needs"):
+            solve(g, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_edgeless_graph_is_all_ties():
