@@ -1,11 +1,11 @@
 """Structure encoding from adjacency eigenvectors.
 
-The production eigensolver is implicitly restarted Lanczos (ARPACK, through
-scipy's `eigsh`) driven purely by mat-vec products, so it never forms a dense
-factorization of the operator and its Krylov basis stays at a fixed dimension
-between restarts. Dense n x n eigendecompositions are reserved for operators
-too small for ARPACK and for the alignment certificate below, which is
-restricted to n <= 500 by contract.
+The eigensolver is implicitly restarted Lanczos (ARPACK, through scipy's
+`eigsh`) driven by mat-vec products, with a Krylov basis of fixed dimension ncv.
+When that basis would span the whole space (ncv = n) restarting gains nothing,
+so the operator is applied once to the identity and solved by `eigh`: graphs of
+at most 20 nodes, t >= (n - 1) / 2, and the alignment certificate below, which
+is restricted to n <= 500 by contract.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .data import Graph
 from .synth import refuse_unfit
 from .errors import (ConvergenceError, FairformerError, SpectralGapError,
                      TieWarning, DegenerateSpectrumWarning, UndefinedCosineError)
+
+_MAX_ITERS = 1000  # ARPACK's restart cap (eigsh's maxiter)
 
 
 @dataclass(frozen=True)
@@ -45,16 +47,19 @@ class SpectralBasis:
 
 
 def _as_matvec(a):
-    """Return (matvec over column blocks, n) for Graph, sparse or dense input."""
+    """Return (product with a vector or a column block, n); an operator other than a Graph
+    (validated when built) must be square, finite and exactly symmetric."""
     if isinstance(a, Graph):
         mat = a.adjacency
         return (lambda x: mat @ x), a.n
-    if sp.issparse(a):
-        return (lambda x: a @ x), a.shape[0]
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise FairformerError(f"expected a square operator, got shape {arr.shape}")
-    return (lambda x: arr @ x), arr.shape[0]
+    mat = a.tocsr() if sp.issparse(a) else np.asarray(a, dtype=np.float64)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise FairformerError(f"expected a square operator, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat.data if sp.issparse(mat) else mat)):
+        raise FairformerError("operator has non-finite entries")
+    if abs(mat - mat.T).sum():
+        raise FairformerError("operator is not symmetric")
+    return (lambda x: mat @ x), mat.shape[0]
 
 
 def _canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
@@ -69,69 +74,69 @@ def _canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _krylov_dim(n, k):
-    """ARPACK's Krylov dimension ncv for k pairs; it equals n on the dense path (n <= k + 2)."""
+    """ARPACK's Krylov dimension ncv for k pairs; `_select` goes dense once it reaches n."""
     return min(n, max(2 * k + 1, 20))
 
 
 def _refuse_unfit_solve(n, t):
     """Refuse, before it allocates, a structure solve of t pairs that cannot fit in memory.
 
-    Charged in float64s: the Krylov basis (n * ncv), ARPACK's workspace (ncv^2) and five
-    n * t copies of the selected vectors (the solve's output, its reordering, the cut
-    check's deflation and swap, the sign canonicalization). The dense path's LAPACK
-    workspace is untraced, so it was measured by resident memory instead: at n = 500 and
-    1000 on `benchmark_graph`, tracemalloc put the ARPACK peak at 4.0 n^2 floats for
-    t = n - 3 (charged 7.0) and 3.5 for t = n / 2 (charged 4.5), and resident memory grew
-    by 6.2 n^2 floats plus 2.3 MB on the dense path at t = n (charged 7.0).
+    ARPACK is charged in float64s for its Krylov basis (n * ncv), its workspace (ncv^2)
+    and five n * t copies of the selected vectors: 4.5 n^2 at t = n / 2 - 1. The dense
+    route (`eigh`'s input, copy, workspace and output) is charged 6 n^2 floats plus 4 MB.
+    Measured as resident growth on `benchmark_graph` at n = 500, 1000 and 2000, both
+    solvers: at most 3.1 n^2 floats for ARPACK at t = n / 2 - 1, and for the dense route
+    at t from n / 2 to n, 5.2 to 5.5 n^2 at n >= 1000 and 6.4 n^2 at n = 500.
     """
     ncv = _krylov_dim(n, t)
-    refuse_unfit(8 * (n * ncv + ncv * ncv + 5 * n * t), f"the structure solve of t={t} at n={n}")
+    need = 8 * 6 * n * n + 4_000_000 if ncv == n else 8 * (n * ncv + ncv * ncv + 5 * n * t)
+    refuse_unfit(need, f"the structure solve of t={t} at n={n}")
 
 
-def _select(matvec, n, k, tol, max_iters, seed, which):
+def _select(matvec, n, k, tol, seed, which):
     """The k eigenpairs of a symmetric operator chosen by `which` ("LM" or "SA").
 
     Implicitly restarted Lanczos (ARPACK's `eigsh`) on mat-vec products, with
-    at most `max_iters` restarts of an `ncv`-dimensional Krylov basis; operators
-    too small for ARPACK (n <= k + 2) are solved densely. Returns (eigenvalues,
-    vectors, true residuals) ordered by |eigenvalue| descending for "LM" and
-    ascending for "SA"; `_check_residuals` gates them.
+    at most `_MAX_ITERS` restarts of an `ncv`-dimensional Krylov basis. When that
+    basis would span the whole space (ncv = n), the operator is applied once to
+    the identity and solved by `eigh` instead. Returns (eigenvalues, vectors,
+    true residuals) ordered by |eigenvalue| descending for "LM" and ascending for
+    "SA"; `_check_residuals` gates them.
     """
-    if n <= k + 2:
-        theta, vectors = np.linalg.eigh(np.column_stack([matvec(e) for e in np.eye(n)]))
+    ncv = _krylov_dim(n, k)
+    if ncv == n:
+        theta, vectors = np.linalg.eigh(matvec(np.eye(n)))
     else:
-        ncv = _krylov_dim(n, k)
         op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
         v0 = np.random.default_rng(seed).standard_normal(n)
         try:
-            theta, vectors = eigsh(op, k=k, which=which, v0=v0, ncv=ncv, maxiter=max_iters,
+            theta, vectors = eigsh(op, k=k, which=which, v0=v0, ncv=ncv, maxiter=_MAX_ITERS,
                                    tol=tol)
         except ArpackNoConvergence as exc:
             raise ConvergenceError(
                 f"eigensolver converged {len(exc.eigenvalues)} of {k} eigenpairs before the "
-                f"restart cap max_iters={max_iters} (Krylov dimension ncv={ncv})") from None
+                f"restart cap max_iters={_MAX_ITERS} (Krylov dimension ncv={ncv})") from None
         except ArpackError as exc:
             if np.any(matvec(v0)):
                 raise ConvergenceError(f"eigensolver failed: {exc}") from None
             theta, vectors = np.zeros(k), np.eye(n, k)  # ARPACK stops on the zero operator
     order = np.argsort(-np.abs(theta) if which == "LM" else theta, kind="stable")[:k]
     theta, vectors = theta[order], vectors[:, order]
-    resid = np.array([np.linalg.norm(matvec(v) - lam * v) for lam, v in zip(theta, vectors.T)])
-    return theta, vectors, resid
+    return theta, vectors, np.linalg.norm(matvec(vectors) - vectors * theta, axis=0)
 
 
-def _check_residuals(theta, resid, tol, max_iters) -> None:
+def _check_residuals(theta, resid, tol) -> None:
     """Raise ConvergenceError when a residual exceeds tol * max(1, |eigenvalue|)."""
     bad = resid > tol * np.maximum(1.0, np.abs(theta))
     if np.any(bad):
         raise ConvergenceError(
             f"eigensolver residual {resid[bad].max():.3e} exceeds tol={tol:.1e} "
-            f"(restart cap max_iters={max_iters})")
+            f"(restart cap max_iters={_MAX_ITERS})")
 
 
-def _basis(theta, vectors, resid, tol, max_iters, source, **flags) -> SpectralBasis:
+def _basis(theta, vectors, resid, tol, source, **flags) -> SpectralBasis:
     """The final pairs, gated on their residuals, as a sign-canonical SpectralBasis."""
-    _check_residuals(theta, resid, tol, max_iters)
+    _check_residuals(theta, resid, tol)
     return SpectralBasis(eigenvalues=theta, structure_matrix=_canonicalize_signs(vectors),
                          source=source, residuals=resid, **flags)
 
@@ -140,7 +145,7 @@ def _basis(theta, vectors, resid, tol, max_iters, source, **flags) -> SpectralBa
 _LOOSE_CUT_TOLS = (1e-1, 1e-4)
 
 
-def _settle_cut(matvec, n, theta, vectors, resid, tol, max_iters, seed):
+def _settle_cut(matvec, n, theta, vectors, resid, tol, seed):
     """Swap in pairs the main solve missed; then, does |lambda_{t+1}| match
     |lambda_t| within tol? Returns (theta, vectors, resid, tie).
 
@@ -169,8 +174,8 @@ def _settle_cut(matvec, n, theta, vectors, resid, tol, max_iters, seed):
 
         for step_tol in (*_LOOSE_CUT_TOLS, tol):
             try:
-                mu, v, mu_resid = _select(deflated, n, 1, step_tol, max_iters, seed, "LM")
-                _check_residuals(mu, mu_resid, step_tol, max_iters)
+                mu, v, mu_resid = _select(deflated, n, 1, step_tol, seed, "LM")
+                _check_residuals(mu, mu_resid, step_tol)
             except ConvergenceError:
                 mu = None
                 continue
@@ -181,22 +186,21 @@ def _settle_cut(matvec, n, theta, vectors, resid, tol, max_iters, seed):
         if abs(mu[0]) <= cut + margin:
             return theta, vectors, resid, abs(cut - abs(mu[0])) <= margin
         theta, vectors = np.append(theta[:-1], mu), np.column_stack([vectors[:, :-1], v])
-        resid = np.append(resid[:-1], np.linalg.norm(matvec(v[:, 0]) - mu[0] * v[:, 0]))
+        resid = np.append(resid[:-1], np.linalg.norm(matvec(v) - v * mu, axis=0))
         order = np.argsort(-np.abs(theta), kind="stable")
         theta, vectors, resid = theta[order], vectors[:, order], resid[order]
     return theta, vectors, resid, False
 
 
-def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, max_iters: int = 1000,
-                             seed: int = 0) -> SpectralBasis:
+def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, seed: int = 0) -> SpectralBasis:
     """The t eigenpairs of largest |eigenvalue| of a symmetric operator.
 
     Accepts a Graph (its adjacency), a scipy sparse matrix or a dense symmetric
-    array; only mat-vec products are applied. `max_iters` caps the eigensolver's
-    restarts. A magnitude tie at the cut index (|lambda_t| matching
-    |lambda_{t+1}| within tol) sets tie_warning: the basis stays valid but which
-    eigenvector fills the last slot is seed-dependent. A solve that cannot fit
-    in physical memory is refused, naming t and n, before it allocates.
+    array; an array that is not finite and exactly symmetric is refused. A
+    magnitude tie at the cut index (|lambda_t| matching |lambda_{t+1}| within
+    tol) sets tie_warning: the basis stays valid but which eigenvector fills
+    the last slot is seed-dependent. A solve that cannot fit in physical
+    memory is refused, naming t and n, before it allocates.
     """
     matvec, n = _as_matvec(a)
     if t < 0 or t > n:
@@ -205,10 +209,9 @@ def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, max_iters: int = 100
         return SpectralBasis(np.empty(0), np.empty((n, 0)), "adjacency", np.empty(0))
     _refuse_unfit_solve(n, t)
 
-    theta, vectors, resid = _select(matvec, n, t, tol, max_iters, seed, "LM")
-    theta, vectors, resid, tie = _settle_cut(matvec, n, theta, vectors, resid, tol, max_iters,
-                                             seed)
-    basis = _basis(theta, vectors, resid, tol, max_iters, "adjacency", tie_warning=tie)
+    theta, vectors, resid = _select(matvec, n, t, tol, seed, "LM")
+    theta, vectors, resid, tie = _settle_cut(matvec, n, theta, vectors, resid, tol, seed)
+    basis = _basis(theta, vectors, resid, tol, "adjacency", tie_warning=tie)
     if tie:
         warnings.warn("magnitude tie at the selection cut; last eigenvector is seed-dependent",
                       TieWarning, stacklevel=2)
@@ -216,15 +219,15 @@ def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, max_iters: int = 100
 
 
 def laplacian_small_eigenpairs(g: Graph, t: int, tol: float = 1e-10,
-                               max_iters: int = 1000, seed: int = 0) -> SpectralBasis:
+                               seed: int = 0) -> SpectralBasis:
     """The t smallest nontrivial eigenpairs of L = D - A.
 
     The constant eigenvector is shifted above the spectrum: L + s 11^T / n with
-    s = 2 * max_degree + 1 > lambda_max(L). `max_iters` caps the eigensolver's
-    restarts. Graphs with more than t + 1 connected components cannot avoid the
-    remaining kernel, so the result carries degenerate_warning and may include
-    (near-)zero eigenvalues. A solve that cannot fit in physical memory is
-    refused, naming t and n, before it allocates.
+    s = 2 * max_degree + 1 > lambda_max(L). Graphs with more than t + 1
+    connected components cannot avoid the remaining kernel, so the result
+    carries degenerate_warning and may include (near-)zero eigenvalues. A
+    solve that cannot fit in physical memory is refused, naming t and n,
+    before it allocates.
     """
     if t < 0 or t > g.n - 1:
         raise FairformerError(f"t={t} out of range for the deflated Laplacian of n={g.n}")
@@ -236,14 +239,14 @@ def laplacian_small_eigenpairs(g: Graph, t: int, tol: float = 1e-10,
     degrees = np.asarray(g.adjacency.sum(axis=1)).ravel()
     shift = 2.0 * degrees.max() + 1.0
 
-    def matvec(x):
-        return degrees * x - adjacency_matvec(x) + shift * x.sum() / n
+    def matvec(x):  # x is a vector or a column block; degrees scale its rows
+        return (degrees * x.T).T - adjacency_matvec(x) + shift * x.sum(axis=0) / n
 
-    theta, vectors, resid = _select(matvec, n, t, tol, max_iters, seed, "SA")
+    theta, vectors, resid = _select(matvec, n, t, tol, seed, "SA")
     theta = np.where(np.abs(theta) <= tol, 0.0, theta)
 
     n_components = connected_components(g.adjacency, directed=False)[0]
-    basis = _basis(theta, vectors, resid, tol, max_iters, "laplacian",
+    basis = _basis(theta, vectors, resid, tol, "laplacian",
                    degenerate_warning=n_components > t + 1)
     if basis.degenerate_warning:
         warnings.warn(
@@ -252,21 +255,24 @@ def laplacian_small_eigenpairs(g: Graph, t: int, tol: float = 1e-10,
     return basis
 
 
+_FLAT_SPREAD = 1e-6  # largest column spread, relative to its magnitude, left unscaled
+
+
 def fuse(g: Graph, basis: SpectralBasis, scale_structure: bool = False) -> np.ndarray:
     """[H | B]: node features with the structure matrix appended, features first.
 
     scale_structure min-max rescales each structure column to [-1, 1] before
     concatenation (off by default; unit-norm eigenvector columns are used raw).
+    A column whose spread is at most 1e-6 of its magnitude (a regular graph's
+    Perron vector, say) is constant up to rounding and is kept as it is.
     """
     if basis.n != g.n:
         raise FairformerError(f"basis has {basis.n} rows but graph has {g.n} nodes")
     b = basis.structure_matrix
-    if scale_structure and b.shape[1]:
-        b = b.copy()
-        for i in range(b.shape[1]):
-            lo, hi = b[:, i].min(), b[:, i].max()
-            if hi > lo:
-                b[:, i] = -1.0 + 2.0 * (b[:, i] - lo) / (hi - lo)
+    if scale_structure:
+        lo, hi = b.min(axis=0), b.max(axis=0)
+        wide = hi - lo > _FLAT_SPREAD * np.maximum(np.abs(lo), np.abs(hi))
+        b = np.where(wide, -1.0 + 2.0 * (b - lo) / np.where(wide, hi - lo, 1.0), b)
     return np.concatenate([g.features, b], axis=1)
 
 
@@ -305,7 +311,8 @@ def spectral_alignment_report(g: Graph, k_max: int,
                               column: np.ndarray | None = None) -> AlignmentReport:
     """Certify the dominant-eigenvector alignment identity on a small graph.
 
-    Dense route: full symmetric eigendecomposition (n <= 500 enforced).
+    Dense route: all n eigenpairs from `top_magnitude_eigenpairs`, whose Krylov
+    basis then spans the graph, so it runs `eigh` (n <= 500 enforced).
     Direct route: repeated sparse mat-vec application. The two cosine series
     must agree to machine precision; their gap to the limit cosine is bounded
     by decay_constant * ratio^k when the hop-1 fit is applicable.
@@ -321,11 +328,8 @@ def spectral_alignment_report(g: Graph, k_max: int,
     if norm_h == 0:
         raise UndefinedCosineError("reference column is identically zero")
 
-    dense = g.adjacency.toarray().astype(np.float64)
-    lam, pvecs = np.linalg.eigh(dense)
-    order = np.argsort(-np.abs(lam), kind="stable")
-    lam = lam[order]
-    pvecs = _canonicalize_signs(pvecs[:, order])
+    basis = top_magnitude_eigenpairs(g, g.n)
+    lam, pvecs = basis.eigenvalues, basis.structure_matrix
     if g.n < 2 or abs(lam[0]) - abs(lam[1]) <= _GAP_RTOL * max(1.0, abs(lam[0])):
         raise SpectralGapError(
             f"|lambda_1|={abs(lam[0]):.6g} and |lambda_2|={abs(lam[1]) if g.n > 1 else 0:.6g} "

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Graph, Split, SplitSpec, make_folds
-from .errors import FairformerError, TrainingError, UndefinedMetricError
+from .errors import FairformerError, SplitError, TrainingError, UndefinedMetricError
 from .hops import HopStack, build_group_graph, hop_aggregate, hop_aggregate_adjacency
 from .metrics import accuracy, evaluate, predict_labels, statistical_parity
 from .model import ModelConfig, cross_entropy, forward, init_model, save_model
@@ -280,6 +280,13 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
         splits = make_folds(g, replace(split_spec or SplitSpec(seed=cfg.seed), folds=cfg.folds))
     if len(splits) != cfg.folds:
         raise FairformerError(f"expected {cfg.folds} splits, got {len(splits)}")
+    for fold, split in enumerate(splits):  # `evaluate` needs both groups and both classes
+        sizes = [int(np.sum(col[split.test] == v)) for col in (g.sensitive, g.labels)
+                 for v in (0, 1)]
+        if 0 in sizes:
+            raise SplitError(f"fold {fold}: the test set holds sensitive groups of sizes "
+                             f"({sizes[0]}, {sizes[1]}) and classes of sizes ({sizes[2]}, "
+                             f"{sizes[3]}); scoring needs both of each")
 
     encode_start = time.perf_counter()
     stack = build_encodings(g, cfg)

@@ -157,13 +157,22 @@ def test_bad_size_fails_early(capsys, args, code, names):
 
 def test_structure_solve_that_cannot_fit_exits_1(monkeypatch, capsys):
     # 1.5 MB of physical memory: generating the 200-node graph charges 1.1 MB, the t=197
-    # structure solve 2.2 MB
+    # structure solve (dense route) 5.9 MB
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1_500_000}
     monkeypatch.setattr("fairformer.synth.os.sysconf", pages.__getitem__)
     assert run_cli(["train", "--synthetic", "200", "--t", "197", "--epochs", "1", "--folds", "1",
                     "--serial"]) == 1
     err = capsys.readouterr().err
     assert "structure solve of t=197 at n=200 needs about" in err and "Traceback" not in err
+
+
+def test_unscorable_test_set_is_data_error(capsys):
+    # 5 nodes, seed 1: the one test node holds a single sensitive group and class
+    assert run_cli(["train", "--synthetic", "5", "--seed", "1", "--epochs", "5", "--folds", "1",
+                    "--serial"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error=SplitError detail='fold 0: the test set holds sensitive groups "
+                          "of sizes (0, 1) and classes of sizes (0, 1)")
 
 
 @pytest.mark.parametrize("args,names", [

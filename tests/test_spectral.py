@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 import fairformer.spectral as spectral
 from fairformer.data import Graph
@@ -64,15 +65,17 @@ def test_path2_tie_warning():
 @pytest.mark.parametrize("cycle,t,tie", [(False, 1, True), (True, 3, True),
                                          (False, 2, False), (True, 2, False)])
 def test_tie_warning_on_arpack_path(cycle, t, tie):
-    # P20 has eigenvalues +-2cos(j pi / 21); C20 has +-2 once and +-2cos(pi / 10) twice each
-    g = path_or_cycle_graph(20, cycle)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        basis = top_magnitude_eigenpairs(g, t=t)
-    assert basis.tie_warning == tie
-    assert any(issubclass(w.category, TieWarning) for w in caught) == tie
-    lam = np.linalg.eigvalsh(g.adjacency.toarray())
-    assert np.allclose(np.abs(basis.eigenvalues), np.sort(np.abs(lam))[::-1][:t], atol=1e-9)
+    # Pn has eigenvalues +-2cos(j pi / (n + 1)); Cn (n even) has +-2 once and +-2cos(2 pi / n)
+    # twice each. n = 40 is solved by ARPACK; n = 20 takes the dense route (ncv = n)
+    for n in (20, 40):
+        g = path_or_cycle_graph(n, cycle)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            basis = top_magnitude_eigenpairs(g, t=t)
+        assert basis.tie_warning == tie
+        assert any(issubclass(w.category, TieWarning) for w in caught) == tie
+        lam = np.linalg.eigvalsh(g.adjacency.toarray())
+        assert np.allclose(np.abs(basis.eigenvalues), np.sort(np.abs(lam))[::-1][:t], atol=1e-9)
 
 
 def test_missed_copies_of_a_repeated_eigenvalue_are_swapped_in():
@@ -156,12 +159,13 @@ def test_loose_rungs_that_fail_pass_on_to_the_full_tolerance_solve(monkeypatch,
     assert calls == [(5, 1e-10), (1, 1e-1), (1, 1e-4), (1, 1e-10)]
 
 
-@pytest.mark.parametrize("solve,t", [(top_magnitude_eigenpairs, 997),
+@pytest.mark.parametrize("solve,t", [(top_magnitude_eigenpairs, 400),
                                      (top_magnitude_eigenpairs, 1000),
                                      (laplacian_small_eigenpairs, 999)],
                          ids=["adjacency_arpack", "adjacency_dense", "laplacian"])
 def test_structure_solve_that_cannot_fit_is_refused_before_it_allocates(monkeypatch, solve, t):
-    # 8 MB of physical memory: a t=5 solve at n=1000 charges 0.4 MB, t near n over 50 MB
+    # 8 MB of physical memory: a t=5 solve at n=1000 charges 0.4 MB, t=400 (ARPACK with
+    # ncv=801) 27.5 MB and the dense route (t >= 500) 52 MB
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 8 * 10**6}
     monkeypatch.setattr("fairformer.synth.os.sysconf", pages.__getitem__)
     g = benchmark_graph(1000)
@@ -177,11 +181,13 @@ def test_structure_solve_that_cannot_fit_is_refused_before_it_allocates(monkeypa
 
 
 def test_edgeless_graph_is_all_ties():
-    g = graph_from_dense(np.zeros((20, 20)))
-    with pytest.warns(TieWarning):
-        basis = top_magnitude_eigenpairs(g, t=5)
-    assert np.array_equal(basis.eigenvalues, np.zeros(5))
-    assert np.allclose(basis.structure_matrix.T @ basis.structure_matrix, np.eye(5))
+    # n = 20 takes the dense route; at n = 40 ARPACK stops on the zero operator
+    for n in (20, 40):
+        g = graph_from_dense(np.zeros((n, n)))
+        with pytest.warns(TieWarning):
+            basis = top_magnitude_eigenpairs(g, t=5)
+        assert np.array_equal(basis.eigenvalues, np.zeros(5))
+        assert np.allclose(basis.structure_matrix.T @ basis.structure_matrix, np.eye(5))
 
 
 def test_residual_invariant_per_column():
@@ -205,20 +211,66 @@ def test_matches_jacobi_oracle(seed):
     a = rng.standard_normal((n, n))
     a = (a + a.T) / 2
     lam_ref, vec_ref = dense_eig(a)
-    # n - 3 is the last ARPACK case; n - 2 and above take the dense path
-    for t in (t_random, n - 3, n - 2, n - 1, n):
+    # every seed draws n > 20, so n // 2 - 1 is the last ARPACK case (ncv = 2t + 1 < n);
+    # n // 2 and above take the dense route
+    for t in (t_random, n // 2 - 1, n // 2, n - 3, n - 2, n - 1, n):
         basis = top_magnitude_eigenpairs(a, t=t, tol=1e-11)
         assert np.allclose(basis.eigenvalues, lam_ref[:t], atol=1e-6)
         for i in range(t):
             assert np.allclose(basis.structure_matrix[:, i], vec_ref[:, i], atol=1e-6)
 
 
-def test_restart_cap_raises_convergence_error():
+@pytest.mark.parametrize("solve", [top_magnitude_eigenpairs, laplacian_small_eigenpairs])
+def test_krylov_basis_spanning_the_graph_routes_to_eigh(monkeypatch, solve):
+    # n = 41: t = 19 runs ARPACK with ncv = 39; t = 20 would need ncv = 41 = n
+    g = random_connected_graph(41, density=0.2, seed=3)
+    dense = g.adjacency.toarray()
+    if solve is top_magnitude_eigenpairs:
+        want = np.sort(np.abs(np.linalg.eigvalsh(dense)))[::-1]
+    else:
+        want = np.linalg.eigvalsh(np.diag(dense.sum(axis=1)) - dense)[1:]
+    arpack_ks = []
+
+    def recording(op, k, **kwargs):
+        arpack_ks.append(k)
+        return eigsh(op, k, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", recording)
+    for t, on_arpack in ((19, True), (20, False)):
+        basis = solve(g, t)
+        got = np.abs(basis.eigenvalues) if solve is top_magnitude_eigenpairs else basis.eigenvalues
+        assert np.allclose(got, want[:t], rtol=0, atol=1e-9)
+        assert (t in arpack_ks) == on_arpack  # at t = 20 only the k = 1 cut check runs ARPACK
+    assert set(arpack_ks) <= {19, 1}
+
+
+def test_restart_cap_raises_convergence_error(monkeypatch):
     g = benchmark_graph(2000)
+    monkeypatch.setattr(spectral, "_MAX_ITERS", 1)
     with pytest.raises(ConvergenceError, match=r"max_iters=1 \(Krylov dimension ncv=20\)"):
-        top_magnitude_eigenpairs(g, 5, max_iters=1)
+        top_magnitude_eigenpairs(g, 5)
     with pytest.raises(ConvergenceError, match=r"max_iters=1 \(Krylov dimension ncv=20\)"):
-        laplacian_small_eigenpairs(g, 5, max_iters=1)
+        laplacian_small_eigenpairs(g, 5)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("case,cause", [("non_symmetric", "operator is not symmetric"),
+                                        ("nan_diagonal", "operator has non-finite entries")],
+                         ids=["non_symmetric", "nan_diagonal"])
+def test_bad_operator_is_refused_before_the_solve(monkeypatch, sparse, case, cause):
+    if case == "non_symmetric":
+        a = np.random.default_rng(0).standard_normal((10, 10))
+    else:
+        a = np.eye(10)
+        a[3, 3] = np.nan
+
+    def unreachable(*args):
+        raise AssertionError("the solve ran on a bad operator")
+
+    monkeypatch.setattr(spectral, "_select", unreachable)
+    with pytest.raises(FairformerError, match=f"^{cause}$") as exc:
+        top_magnitude_eigenpairs(sp.csr_matrix(a) if sparse else a, 2)
+    assert type(exc.value) is FairformerError
 
 
 def test_t_zero_and_out_of_range():
@@ -284,6 +336,19 @@ def test_fuse_dimension_mismatch():
     basis = top_magnitude_eigenpairs(np.diag([1.0, 2.0]), t=1)
     with pytest.raises(FairformerError):
         fuse(g, basis)
+
+
+def test_fuse_scaling_keeps_a_column_flat_up_to_rounding():
+    # the Perron vector of C51 is 1/sqrt(51) up to the solver's rounding; min-max scaling
+    # would stretch that noise over [-1, 1]
+    g = path_or_cycle_graph(51, cycle=True)
+    basis = top_magnitude_eigenpairs(g, t=1)
+    perron = basis.structure_matrix[:, 0]
+    assert 0 < np.ptp(perron) <= 1e-6 * np.max(np.abs(perron))
+    assert np.array_equal(fuse(g, basis, scale_structure=True)[:, g.d], perron)
+    varied = top_magnitude_eigenpairs(random_connected_graph(51, density=0.2, seed=0), t=1)
+    scaled = fuse(g, varied, scale_structure=True)[:, g.d]
+    assert scaled.min() == -1.0 and scaled.max() == 1.0
 
 
 def test_fuse_slices_recover_inputs_bit_exact():

@@ -9,7 +9,7 @@ from dataclasses import replace
 import fairformer.train as train_module
 from fairformer import autodiff as ad
 from fairformer.data import Graph, Split, SplitSpec, make_folds
-from fairformer.errors import FairformerError, TrainingError
+from fairformer.errors import FairformerError, SplitError, TrainingError
 from fairformer.hops import HopStack, hop_aggregate
 from fairformer.model import cross_entropy, forward, init_model
 from fairformer.synth import sensitive_block_graph
@@ -211,6 +211,23 @@ def test_single_group_validation_logs_nan_parity(tmp_path):
     assert len(log) == 3 and all(line.endswith(" val_delta_sp=nan") for line in log)
     assert all(" val_acc=nan " not in line for line in log)
     assert 0.0 <= result.val_accuracies[0] <= 1.0  # selection still runs on accuracy
+
+
+def test_unscorable_test_set_is_refused_before_encoding(monkeypatch):
+    # a sensitive column of all 1s leaves every test set one group, so no statistical parity
+    base = separable_graph(n=60)
+    feats = base.features.copy()
+    feats[:, base.sensitive_index] = 1.0
+    g = Graph(adjacency=base.adjacency, features=feats, sensitive_index=base.sensitive_index,
+              labels=base.labels, label_mask=base.label_mask)
+
+    def unreachable(*args):
+        raise AssertionError("the encoding was built for a test set that cannot be scored")
+
+    monkeypatch.setattr(train_module, "build_encodings", unreachable)
+    with pytest.raises(SplitError, match=r"^fold 0: the test set holds sensitive groups of "
+                                         r"sizes \(0, 15\) and classes of sizes \(8, 7\)"):
+        train(g, quick_config(folds=2), split_spec=SplitSpec(seed=0, folds=2))
 
 
 def random_stack(n, d=5, tokens=3, seed=0):
