@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,8 @@ class Graph:
     directions of every undirected edge present). features holds the raw node
     table columns; features[:, sensitive_index] is exactly 0/1. labels are
     binary for every node where label_mask is True and -1 elsewhere.
+    `spectral` keeps the graph's last structure solve per source in `_solves`;
+    `dataclasses.replace` starts the copy without it.
     """
 
     adjacency: sp.csr_matrix
@@ -37,6 +39,7 @@ class Graph:
     sensitive_index: int
     labels: np.ndarray
     label_mask: np.ndarray
+    _solves: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:

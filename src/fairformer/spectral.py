@@ -6,6 +6,14 @@ When that basis would span the whole space (ncv = n) restarting gains nothing,
 so the operator is applied once to the identity and solved by `eigh`: graphs of
 at most 20 nodes, t >= (n - 1) / 2, and the alignment certificate below, which
 is restricted to n <= 500 by contract.
+
+A basis is a pure function of the graph, its source, t, tol and seed, so a
+Graph remembers its last adjacency and its last Laplacian solve: asking again
+with the same t, tol and seed returns that basis without solving, and the basis
+arrays are read-only so no caller can change another's. `ablate` and
+`sweep --param layers` therefore solve each source once per graph.
+`dataclasses.replace(g)` starts with nothing remembered, and a sparse or dense
+operator is never remembered.
 """
 
 from __future__ import annotations
@@ -36,6 +44,10 @@ class SpectralBasis:
     residuals: np.ndarray
     tie_warning: bool = False
     degenerate_warning: bool = False
+
+    def __post_init__(self):
+        for arr in (self.eigenvalues, self.structure_matrix, self.residuals):
+            arr.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -91,6 +103,18 @@ def _refuse_unfit_solve(n, t):
     ncv = _krylov_dim(n, t)
     need = 8 * 6 * n * n + 4_000_000 if ncv == n else 8 * (n * ncv + ncv * ncv + 5 * n * t)
     refuse_unfit(need, f"the structure solve of t={t} at n={n}")
+
+
+def _remembered(a, source, key, solve) -> SpectralBasis:
+    """The basis Graph `a` kept from its last `source` solve when that solve's
+    (t, tol, seed) equals `key`; otherwise `solve()`, kept in its place. A sparse
+    or dense operator is solved every time."""
+    if not isinstance(a, Graph):
+        return solve()
+    kept = a._solves.get(source)
+    if kept is None or kept[0] != key:
+        kept = a._solves[source] = (key, solve())
+    return kept[1]
 
 
 def _select(matvec, n, k, tol, seed, which):
@@ -158,11 +182,13 @@ def _settle_cut(matvec, n, theta, vectors, resid, tol, seed):
     can only answer "no tie, no missed pair", which is what the full-tolerance
     solve answers too; a loose rung that does not converge or fails its
     residual gate passes on to the next. Every other answer comes from the
-    full-tolerance solve, with the same seed and start vector: a refined |mu|
-    above |lambda_t| by more than tol is a missed pair (Krylov solves find one
-    copy of a repeated eigenvalue at a time), which replaces the last pair
-    before the check repeats, and a refinement that does not converge reports
-    no tie.
+    full-tolerance solve: a refined |mu| above |lambda_t| by more than tol is a
+    missed pair (Krylov solves find one copy of a repeated eigenvalue at a
+    time), which replaces the last pair before the check repeats, and a
+    refinement that does not converge reports no tie. Every rung starts from
+    the start vector of seed + 1: the main solve's start vector leans towards
+    the copy it already found, and from it the deflated solve missed the second
+    copy of -2cos(pi / n) on the odd cycles C51 and C101.
     """
     while theta.size < n:
         cut = abs(theta[-1])
@@ -174,7 +200,7 @@ def _settle_cut(matvec, n, theta, vectors, resid, tol, seed):
 
         for step_tol in (*_LOOSE_CUT_TOLS, tol):
             try:
-                mu, v, mu_resid = _select(deflated, n, 1, step_tol, seed, "LM")
+                mu, v, mu_resid = _select(deflated, n, 1, step_tol, seed + 1, "LM")
                 _check_residuals(mu, mu_resid, step_tol)
             except ConvergenceError:
                 mu = None
@@ -200,19 +226,24 @@ def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, seed: int = 0) -> Sp
     magnitude tie at the cut index (|lambda_t| matching |lambda_{t+1}| within
     tol) sets tie_warning: the basis stays valid but which eigenvector fills
     the last slot is seed-dependent. A solve that cannot fit in physical
-    memory is refused, naming t and n, before it allocates.
+    memory is refused, naming t and n, before it allocates. A Graph returns its
+    last adjacency basis, read-only, when t, tol and seed repeat, and warns
+    about a tie on every call that returns one.
     """
     matvec, n = _as_matvec(a)
     if t < 0 or t > n:
         raise FairformerError(f"t={t} out of range for n={n}")
     if t == 0:
         return SpectralBasis(np.empty(0), np.empty((n, 0)), "adjacency", np.empty(0))
-    _refuse_unfit_solve(n, t)
 
-    theta, vectors, resid = _select(matvec, n, t, tol, seed, "LM")
-    theta, vectors, resid, tie = _settle_cut(matvec, n, theta, vectors, resid, tol, seed)
-    basis = _basis(theta, vectors, resid, tol, "adjacency", tie_warning=tie)
-    if tie:
+    def solve():
+        _refuse_unfit_solve(n, t)
+        theta, vectors, resid = _select(matvec, n, t, tol, seed, "LM")
+        theta, vectors, resid, tie = _settle_cut(matvec, n, theta, vectors, resid, tol, seed)
+        return _basis(theta, vectors, resid, tol, "adjacency", tie_warning=tie)
+
+    basis = _remembered(a, "adjacency", (t, tol, seed), solve)
+    if basis.tie_warning:
         warnings.warn("magnitude tie at the selection cut; last eigenvector is seed-dependent",
                       TieWarning, stacklevel=2)
     return basis
@@ -227,28 +258,32 @@ def laplacian_small_eigenpairs(g: Graph, t: int, tol: float = 1e-10,
     connected components cannot avoid the remaining kernel, so the result
     carries degenerate_warning and may include (near-)zero eigenvalues. A
     solve that cannot fit in physical memory is refused, naming t and n,
-    before it allocates.
+    before it allocates. The graph's last Laplacian basis, read-only, is
+    returned when t, tol and seed repeat, and warns as the solve did.
     """
     if t < 0 or t > g.n - 1:
         raise FairformerError(f"t={t} out of range for the deflated Laplacian of n={g.n}")
     if t == 0:
         return SpectralBasis(np.empty(0), np.empty((g.n, 0)), "laplacian", np.empty(0))
-    _refuse_unfit_solve(g.n, t)
 
-    adjacency_matvec, n = _as_matvec(g)
-    degrees = np.asarray(g.adjacency.sum(axis=1)).ravel()
-    shift = 2.0 * degrees.max() + 1.0
+    def solve():
+        _refuse_unfit_solve(g.n, t)
+        adjacency_matvec, n = _as_matvec(g)
+        degrees = np.asarray(g.adjacency.sum(axis=1)).ravel()
+        shift = 2.0 * degrees.max() + 1.0
 
-    def matvec(x):  # x is a vector or a column block; degrees scale its rows
-        return (degrees * x.T).T - adjacency_matvec(x) + shift * x.sum(axis=0) / n
+        def matvec(x):  # x is a vector or a column block; degrees scale its rows
+            return (degrees * x.T).T - adjacency_matvec(x) + shift * x.sum(axis=0) / n
 
-    theta, vectors, resid = _select(matvec, n, t, tol, seed, "SA")
-    theta = np.where(np.abs(theta) <= tol, 0.0, theta)
+        theta, vectors, resid = _select(matvec, n, t, tol, seed, "SA")
+        theta = np.where(np.abs(theta) <= tol, 0.0, theta)
+        n_components = connected_components(g.adjacency, directed=False)[0]
+        return _basis(theta, vectors, resid, tol, "laplacian",
+                      degenerate_warning=n_components > t + 1)
 
-    n_components = connected_components(g.adjacency, directed=False)[0]
-    basis = _basis(theta, vectors, resid, tol, "laplacian",
-                   degenerate_warning=n_components > t + 1)
+    basis = _remembered(g, "laplacian", (t, tol, seed), solve)
     if basis.degenerate_warning:
+        n_components = connected_components(g.adjacency, directed=False)[0]
         warnings.warn(
             f"laplacian kernel has dimension {n_components}; selection includes degenerate pairs",
             DegenerateSpectrumWarning, stacklevel=2)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 import warnings
@@ -103,6 +104,82 @@ def test_missed_copies_of_a_repeated_eigenvalue_are_swapped_in():
     assert wrong == []
 
 
+@pytest.mark.parametrize("n", [51, 101])
+def test_cut_check_finds_the_second_copy_on_odd_cycles(n):
+    # Cn (n odd) has -2cos(pi / n) twice; the deflated solve must see the copy the main
+    # solve did not take
+    g = path_or_cycle_graph(n, cycle=True)
+    lam = np.linalg.eigvalsh(g.adjacency.toarray())
+    want = lam[np.argsort(-np.abs(lam), kind="stable")]
+    basis = top_magnitude_eigenpairs(g, t=3)
+    assert not basis.tie_warning
+    assert np.allclose(basis.eigenvalues, want[:3], rtol=0, atol=1e-9)
+    assert np.allclose(want[1:3], -2 * np.cos(np.pi / n), rtol=0, atol=1e-12)
+    with pytest.warns(TieWarning):
+        assert top_magnitude_eigenpairs(g, t=2).tie_warning
+
+
+def test_a_graph_returns_its_last_solve_per_source(monkeypatch):
+    g = random_connected_graph(60, density=0.1, seed=2)
+    adjacency = top_magnitude_eigenpairs(g, 4, seed=1)
+    laplacian = laplacian_small_eigenpairs(g, 4, seed=1)
+
+    def unreachable(*args):
+        raise AssertionError("a remembered basis was solved again")
+
+    select = spectral._select
+    monkeypatch.setattr(spectral, "_select", unreachable)
+    assert top_magnitude_eigenpairs(g, 4, seed=1) is adjacency
+    assert laplacian_small_eigenpairs(g, 4, seed=1) is laplacian
+    monkeypatch.setattr(spectral, "_select", select)
+    fresh = dataclasses.replace(g)  # starts with nothing remembered
+    assert fresh._solves == {}
+    assert_same_basis(top_magnitude_eigenpairs(fresh, 4, seed=1), adjacency)
+    assert_same_basis(laplacian_small_eigenpairs(fresh, 4, seed=1), laplacian)
+
+
+@pytest.mark.parametrize("change", [{"t": 3}, {"tol": 1e-9}, {"seed": 2}],
+                         ids=["t", "tol", "seed"])
+@pytest.mark.parametrize("solve", [top_magnitude_eigenpairs, laplacian_small_eigenpairs])
+def test_a_changed_solve_key_solves_again(solve, change):
+    g = random_connected_graph(60, density=0.1, seed=2)
+    key = {"t": 4, "tol": 1e-10, "seed": 1}
+    kept = solve(g, **key)
+    other = solve(g, **{**key, **change})
+    assert other is not kept
+    assert other is solve(g, **{**key, **change})  # the latest solve is the one kept
+    assert solve(g, **key) is not kept
+
+
+def test_a_remembered_tie_still_warns():
+    # C40 at t=3 cuts inside the pair at 2cos(2 pi / 40), as in the ARPACK tie test
+    g = path_or_cycle_graph(40, cycle=True)
+    with pytest.warns(TieWarning):
+        first = top_magnitude_eigenpairs(g, t=3)
+    with pytest.warns(TieWarning):
+        again = top_magnitude_eigenpairs(g, t=3)
+    assert again is first and again.tie_warning
+    empty = graph_from_dense(np.zeros((3, 3)), sens=[0, 1, 0], labels=[0, 1, 0])
+    for _ in range(2):
+        with pytest.warns(DegenerateSpectrumWarning, match="kernel has dimension 3"):
+            assert laplacian_small_eigenpairs(empty, t=1).degenerate_warning
+
+
+@pytest.mark.parametrize("operator", ["graph", "sparse", "dense"])
+def test_basis_arrays_are_read_only(operator):
+    g = random_connected_graph(30, density=0.2, seed=4)
+    a = {"graph": g, "sparse": g.adjacency, "dense": g.adjacency.toarray()}[operator]
+    bases = [top_magnitude_eigenpairs(a, 3), top_magnitude_eigenpairs(a, 0)]
+    if operator == "graph":
+        bases.append(laplacian_small_eigenpairs(g, 3))
+    for basis in bases:
+        for arr in (basis.eigenvalues, basis.structure_matrix, basis.residuals):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+    if operator != "graph":  # an operator other than a Graph is solved every time
+        assert top_magnitude_eigenpairs(a, 3) is not bases[0]
+
+
 @pytest.fixture(scope="module")
 def past_the_gap_graphs():
     return {"benchmark_graph": benchmark_graph(4000),
@@ -123,8 +200,9 @@ def test_cut_ladder_returns_the_single_screen_basis(monkeypatch, past_the_gap_gr
     g = past_the_gap_graphs[name]
     ladder = [top_magnitude_eigenpairs(g, t) for t in range(5, 9)]
     monkeypatch.setattr(spectral, "_LOOSE_CUT_TOLS", (1e-1,))
+    fresh = dataclasses.replace(g)  # a copy remembers no solve
     for t, got in zip(range(5, 9), ladder):
-        assert_same_basis(got, top_magnitude_eigenpairs(g, t))
+        assert_same_basis(got, top_magnitude_eigenpairs(fresh, t))
 
 
 def recorded_select_calls(monkeypatch, fail_loose=False):
@@ -146,7 +224,8 @@ def test_past_the_gap_cut_settles_without_a_full_tolerance_solve(monkeypatch,
     # |lambda_5| and |lambda_6| of benchmark_graph lie inside its clustered bulk: the 1e-1
     # screen cannot separate them, the 1e-4 rung does
     calls = recorded_select_calls(monkeypatch)
-    top_magnitude_eigenpairs(past_the_gap_graphs["benchmark_graph"], 5, tol=1e-10)
+    top_magnitude_eigenpairs(dataclasses.replace(past_the_gap_graphs["benchmark_graph"]), 5,
+                             tol=1e-10)
     assert calls == [(5, 1e-10), (1, 1e-1), (1, 1e-4)]
 
 
@@ -155,7 +234,7 @@ def test_loose_rungs_that_fail_pass_on_to_the_full_tolerance_solve(monkeypatch,
     g = past_the_gap_graphs["benchmark_graph"]
     want = top_magnitude_eigenpairs(g, 5)
     calls = recorded_select_calls(monkeypatch, fail_loose=True)
-    assert_same_basis(top_magnitude_eigenpairs(g, 5), want)
+    assert_same_basis(top_magnitude_eigenpairs(dataclasses.replace(g), 5), want)
     assert calls == [(5, 1e-10), (1, 1e-1), (1, 1e-4), (1, 1e-10)]
 
 

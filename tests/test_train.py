@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from dataclasses import replace
 
+import fairformer.spectral as spectral
 import fairformer.train as train_module
 from fairformer import autodiff as ad
 from fairformer.data import Graph, Split, SplitSpec, make_folds
@@ -142,6 +143,39 @@ def test_ablate_covers_variants_with_shared_splits():
     assert len(hashes) == 1
 
 
+def recorded_solves(monkeypatch):
+    """(k, which) of every `spectral._select` call: the main solves have k = t, the cut
+    check's deflated solves k = 1."""
+    calls = []
+    select = spectral._select
+
+    def recording(matvec, n, k, tol, seed, which):
+        calls.append((k, which))
+        return select(matvec, n, k, tol, seed, which)
+
+    monkeypatch.setattr(spectral, "_select", recording)
+    return calls
+
+
+def test_ablate_solves_each_structure_source_once(monkeypatch):
+    # full, no_nf and adj_nf share one adjacency basis; lap_st solves the Laplacian
+    g = sensitive_block_graph(n=100, seed=9, avg_degree=10.0)
+    calls = recorded_solves(monkeypatch)
+    ablate(g, quick_config(epochs=2, folds=1, t=2),
+           split_spec=SplitSpec(train_per_class_cap=15, seed=0, folds=1))
+    assert calls.count((2, "LM")) == 1 and calls.count((2, "SA")) == 1
+    assert set(calls) <= {(2, "LM"), (1, "LM"), (2, "SA")}
+
+
+def test_sweep_over_layers_solves_once(monkeypatch):
+    g = sensitive_block_graph(n=100, seed=10, avg_degree=10.0)
+    calls = recorded_solves(monkeypatch)
+    rows = sweep(g, quick_config(epochs=2, folds=1, t=2), "layers", range(1, 3),
+                 split_spec=SplitSpec(train_per_class_cap=15, seed=0, folds=1))
+    assert len(rows) == 2
+    assert calls.count((2, "LM")) == 1
+
+
 def test_sweep_rows_and_table():
     g = sensitive_block_graph(n=100, seed=10, avg_degree=10.0)
     cfg = quick_config(epochs=2, folds=1)
@@ -185,8 +219,16 @@ def test_bench_times_the_training_step(monkeypatch):
     monkeypatch.setattr(train_module, "forward", recording_forward)
     monkeypatch.setattr(Adam, "step", recording_step)
     bench_scaling([200, 400], k=1, t=2, d_hidden=8, epochs_timed=2, repeats=1)
-    assert forwards == [(True, True, 200)] * 2 + [(True, True, 400)] * 2
-    assert decays == [TrainConfig().weight_decay] * 4 and decays[0] > 0
+    # the first step at n = 200 is the untimed warm-up
+    assert forwards == [(True, True, 200)] * 3 + [(True, True, 400)] * 2
+    assert decays == [TrainConfig().weight_decay] * 5 and decays[0] > 0
+
+
+def test_bench_times_a_cold_solve_in_every_encode(monkeypatch):
+    # the graph remembers its basis, so a timed encode on it would skip the solve
+    calls = recorded_solves(monkeypatch)
+    bench_scaling([200, 400], k=1, t=2, d_hidden=8, epochs_timed=1, repeats=2)
+    assert calls.count((2, "LM")) == 1 + 2 * 2  # the warm-up encode and every timed one
 
 
 def test_mean_within_fold_range():
