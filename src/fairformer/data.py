@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,16 +22,16 @@ import scipy.sparse as sp
 from .errors import IngestionError, SchemaError, SplitError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable node-classification graph.
 
     adjacency is a symmetric 0/1 CSR matrix (stored entries are 1.0, both
     directions of every undirected edge present). features holds the raw node
     table columns; features[:, sensitive_index] is exactly 0/1. labels are
-    binary for every node where label_mask is True and -1 elsewhere.
-    `spectral` keeps the graph's last structure solve per source in `_solves`;
-    `dataclasses.replace` starts the copy without it.
+    binary for every node where label_mask is True and -1 elsewhere. Every
+    array, the adjacency's included, is read-only once built; `==` means
+    identity, and a Graph is hashable.
     """
 
     adjacency: sp.csr_matrix
@@ -39,7 +39,6 @@ class Graph:
     sensitive_index: int
     labels: np.ndarray
     label_mask: np.ndarray
-    _solves: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -81,9 +80,9 @@ class Graph:
 
     def __post_init__(self):
         self.validate()
-        self.features.setflags(write=False)
-        self.labels.setflags(write=False)
-        self.label_mask.setflags(write=False)
+        a = self.adjacency
+        for arr in (a.data, a.indices, a.indptr, self.features, self.labels, self.label_mask):
+            arr.setflags(write=False)
 
 
 def binarize_labels(raw_labels) -> np.ndarray:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .data import Graph
 from .errors import FairformerError
+from .synth import refuse_unfit
 
 _MODES = ("raw", "group-mean")
 
@@ -67,8 +68,14 @@ def _group_apply(group: np.ndarray, x: np.ndarray, mean: bool) -> np.ndarray:
 
 
 def _hop_stack(x: np.ndarray, k: int, step) -> HopStack:
-    """Token 0 is x and token j is step applied to token j - 1, never a matrix power."""
-    tensor = np.empty((x.shape[0], k + 1, x.shape[1]))
+    """Token 0 is x and token j is step applied to token j - 1, never a matrix power;
+    a stack that cannot fit in physical memory is refused, naming k, before allocation."""
+    if k < 0:
+        raise FairformerError("k must be >= 0")
+    n, width = x.shape
+    refuse_unfit(8 * n * (k + 1) * width,
+                 f"the hop stack of k={k} ({n} nodes x {k + 1} tokens x {width} columns)")
+    tensor = np.empty((n, k + 1, width))
     tensor[:, 0] = x
     for j in range(1, k + 1):
         tensor[:, j] = step(tensor[:, j - 1])
@@ -82,8 +89,6 @@ def hop_aggregate(group, h, k: int, normalization: str = "raw") -> HopStack:
     Each step is a per-group row sum, divided by the group size in group-mean
     mode.
     """
-    if k < 0:
-        raise FairformerError("k must be >= 0")
     if normalization not in _MODES:
         raise FairformerError(f"normalization must be one of {_MODES}")
     group = np.asarray(group)
@@ -102,8 +107,6 @@ def hop_aggregate_adjacency(g: Graph, h, k: int) -> HopStack:
 
     Each step is one sparse product with the raw adjacency.
     """
-    if k < 0:
-        raise FairformerError("k must be >= 0")
     x = _features_of(h)
     if x.shape[0] != g.n:
         raise FairformerError(f"feature rows {x.shape[0]} do not match graph n={g.n}")
@@ -125,31 +128,40 @@ class GroupScalingReport:
         return self.exact_pass and self.float_pass
 
 
+def _float_or_inf(value: int) -> float:
+    """float(value), correctly rounded, or inf past float64's range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf
+
+
 def group_scaling_report(group, h, k_max: int) -> GroupScalingReport:
     """Verify the q^k sensitive-column identity for k = 1..k_max.
 
     Two routes: an arbitrary-precision integer recurrence over the implicit
     group adjacency (python ints never overflow, so k_max is honored in full)
     and the float64 production path, which must match exactly as long as
-    q^k_max stays inside the 2^53 integer window.
+    q^k_max stays inside the 2^53 integer window; past float64's range it fails.
     """
     if k_max < 1:
         raise FairformerError("k_max must be >= 1")
     x = _features_of(h)
-    col_idx = None
-    for j in range(x.shape[1]):  # certify the first exactly-binary column
-        if np.all(np.isin(x[:, j], (0.0, 1.0))):
-            col_idx = j
-            break
-    if col_idx is None:
+    binary = np.flatnonzero(np.all((x == 0.0) | (x == 1.0), axis=0))
+    if binary.size == 0:
         raise FairformerError("no binary column found to certify")
-    column = x[:, col_idx]
+    column = x[:, binary[0]]  # certify the first exactly-binary column
 
-    stack = hop_aggregate(group, x, k_max, normalization="raw")  # also checks `group`
+    with np.errstate(over="ignore", invalid="ignore"):  # past float64's range: inf, then nan
+        stack = hop_aggregate(group, x, k_max, normalization="raw")  # also checks `group`
+        groups = np.asarray(group, dtype=np.intp).tolist()
+        q = sum(groups)
+        powers = np.array([_float_or_inf(q ** k) for k in range(1, k_max + 1)])
+        want = np.where(column == 1.0, powers[:, None], 0.0)  # (k_max, n)
+        deviations = np.abs(stack.tensor[:, 1:, binary[0]].T - want)
+    max_dev = float(deviations.max()) if deviations.size else 0.0
+
     ints = [int(v) for v in column]
-    groups = np.asarray(group, dtype=np.intp).tolist()
-    q = sum(groups)
-
     exact_ok = True
     current = ints
     for k in range(1, k_max + 1):
@@ -161,13 +173,6 @@ def group_scaling_report(group, h, k_max: int) -> GroupScalingReport:
         if current != expected:
             exact_ok = False
             break
-
-    float_col = stack.tensor[:, :, col_idx]
-    deviations = []
-    for k in range(1, k_max + 1):
-        expected = np.array([float(q ** k * v) for v in ints])
-        deviations.append(np.max(np.abs(float_col[:, k] - expected)) if len(ints) else 0.0)
-    max_dev = float(max(deviations)) if deviations else 0.0
 
     return GroupScalingReport(q=q, k_checked=k_max, exact_pass=exact_ok,
                               float_pass=(max_dev == 0.0), max_abs_deviation=max_dev)

@@ -86,7 +86,8 @@ def auc_score(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC undefined: both classes must be present")
 
-    # a tie group of c scores ending at 1-based sorted position e shares rank e - (c - 1) / 2
+    # a tie group of c scores ending at 1-based sorted position e shares rank e - (c - 1) / 2;
+    # scipy.stats.rankdata gives the same bits, but importing scipy.stats adds ~35 MB of RSS
     _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
     ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[group]
     rank_sum_pos = float(ranks[labels == 1].sum())

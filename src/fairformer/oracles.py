@@ -1,9 +1,9 @@
 """Slow, independent brute-force references used by tests and the verify command.
 
-Nothing in here is imported by production modules; the dependency points the
-other way so every cross-check stays a genuine dual route. The eigensolver is
-a threshold cyclic Jacobi iteration in round-robin order, written without
-reference to the implicitly restarted Lanczos (ARPACK) solver in `spectral`.
+Of the production modules only `cli` imports this one (`verify` checks against
+`dense_eig`); nothing here imports what it checks, so every cross-check stays a genuine
+dual route. The eigensolver is a threshold cyclic Jacobi iteration in round-robin order,
+written without reference to the implicitly restarted Lanczos (ARPACK) solver in `spectral`.
 """
 
 from __future__ import annotations

@@ -7,18 +7,19 @@ so the operator is applied once to the identity and solved by `eigh`: graphs of
 at most 20 nodes, t >= (n - 1) / 2, and the alignment certificate below, which
 is restricted to n <= 500 by contract.
 
-A basis is a pure function of the graph, its source, t, tol and seed, so a
-Graph remembers its last adjacency and its last Laplacian solve: asking again
-with the same t, tol and seed returns that basis without solving, and the basis
-arrays are read-only so no caller can change another's. `ablate` and
+A basis is a pure function of the immutable graph, its source, t, tol and seed,
+so this module remembers each Graph's last adjacency and Laplacian solve: asking
+again with the same t, tol and seed returns that basis without solving, and the
+basis arrays are read-only so no caller can change another's. `ablate` and
 `sweep --param layers` therefore solve each source once per graph.
-`dataclasses.replace(g)` starts with nothing remembered, and a sparse or dense
-operator is never remembered.
+`dataclasses.replace(g)` is a new Graph that remembers nothing, and a sparse or
+dense operator is never remembered.
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import (ConvergenceError, FairformerError, SpectralGapError,
                      TieWarning, DegenerateSpectrumWarning, UndefinedCosineError)
 
 _MAX_ITERS = 1000  # ARPACK's restart cap (eigsh's maxiter)
+_SOLVES = weakref.WeakKeyDictionary()  # Graph -> {source: ((t, tol, seed), basis)}
 
 
 @dataclass(frozen=True)
@@ -106,14 +108,15 @@ def _refuse_unfit_solve(n, t):
 
 
 def _remembered(a, source, key, solve) -> SpectralBasis:
-    """The basis Graph `a` kept from its last `source` solve when that solve's
-    (t, tol, seed) equals `key`; otherwise `solve()`, kept in its place. A sparse
-    or dense operator is solved every time."""
+    """The basis kept from Graph `a`'s last `source` solve when that solve's
+    (t, tol, seed) equals `key`; otherwise `solve()`, kept in its place. Only this
+    function touches `_SOLVES`, whose weak keys drop a Graph's solves with the
+    Graph. A sparse or dense operator is solved every time."""
     if not isinstance(a, Graph):
         return solve()
-    kept = a._solves.get(source)
+    kept = _SOLVES.get(a, {}).get(source)
     if kept is None or kept[0] != key:
-        kept = a._solves[source] = (key, solve())
+        kept = _SOLVES.setdefault(a, {})[source] = (key, solve())
     return kept[1]
 
 
@@ -226,9 +229,9 @@ def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, seed: int = 0) -> Sp
     magnitude tie at the cut index (|lambda_t| matching |lambda_{t+1}| within
     tol) sets tie_warning: the basis stays valid but which eigenvector fills
     the last slot is seed-dependent. A solve that cannot fit in physical
-    memory is refused, naming t and n, before it allocates. A Graph returns its
-    last adjacency basis, read-only, when t, tol and seed repeat, and warns
-    about a tie on every call that returns one.
+    memory is refused, naming t and n, before it allocates. A Graph's last
+    adjacency basis, read-only, is returned when t, tol and seed repeat, and
+    warns about a tie on every call that returns one.
     """
     matvec, n = _as_matvec(a)
     if t < 0 or t > n:

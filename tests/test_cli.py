@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import fairformer
+from fairformer import autodiff as ad
 from fairformer.cli import main
+from fairformer.errors import ConvergenceError
 
 DATA = Path(__file__).parent / "data"
 
@@ -66,6 +73,47 @@ def test_verify_passes_and_is_deterministic(tmp_path, capsys):
     assert (out_a / "report.txt").read_bytes() == (out_b / "report.txt").read_bytes()
     out = capsys.readouterr().out
     assert "all_pass=1" in out
+
+
+def test_verify_past_float_range_fails_the_float_route(capsys):
+    # q = 16 at the default n=30, so 16^300 is past float64's range
+    assert run_cli(["verify", "--kmax", "300", "--graphs", "1"]) == 1
+    captured = capsys.readouterr()
+    scaling = next(line for line in captured.out.splitlines() if "check=group_scaling" in line)
+    assert "q=16 " in scaling and " exact_pass=1 float_pass=0 " in scaling
+    assert not np.isfinite(float(scaling.split("max_abs_deviation=")[1]))
+    assert captured.out.endswith("all_pass=0\n") and "Traceback" not in captured.err
+
+
+def test_convergence_failure_exits_4(monkeypatch, capsys):
+    def no_convergence(*args):
+        raise ConvergenceError("eigensolver failed: stubbed")
+
+    monkeypatch.setattr("fairformer.spectral._select", no_convergence)
+    assert run_cli(["train", "--synthetic", "40", "--epochs", "1", "--folds", "1", "--t", "2",
+                    "--serial"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error=ConvergenceError") and "Traceback" not in err
+
+
+def test_diverged_loss_exits_4(monkeypatch, capsys):
+    cross_entropy = fairformer.train.cross_entropy
+    monkeypatch.setattr("fairformer.train.cross_entropy",
+                        lambda logits, labels: ad.scale(cross_entropy(logits, labels), np.nan))
+    assert run_cli(["train", "--synthetic", "40", "--epochs", "3", "--folds", "1", "--t", "2",
+                    "--serial"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error=TrainingError") and "Traceback" not in err
+    assert "fold 0: loss diverged to nan at epoch 1" in err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone raises a fresh interpreter's peak resident memory by about a half
+    src = str(Path(fairformer.__file__).resolve().parents[1])
+    probe = "import sys, fairformer.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "False\n"
 
 
 def test_train_synthetic_run_and_determinism(tmp_path):
@@ -137,6 +185,7 @@ def test_non_finite_cell_is_data_error(tmp_path, capsys, file, line, row, error,
     (["bench", "--epochs-timed", "-3"], 2, "--epochs-timed"),
     (["train", "--synthetic", "200", "--epochs", "1", "--folds", "1", "--k", "100000000"], 1,
      "hop stack of k=100000000"),
+    (["verify", "--n", "500", "--kmax", "100000000"], 1, "hop stack of k=100000000"),
     (["train", "--synthetic", "40", "--hidden", "1000000000", "--epochs", "1", "--folds", "1",
       "--t", "2", "--serial"], 1, "d_hidden=1000000000"),
     (["train", "--synthetic", "40", "--layers", "1000000", "--epochs", "1", "--folds", "1",
@@ -144,7 +193,7 @@ def test_non_finite_cell_is_data_error(tmp_path, capsys, file, line, row, error,
 ], ids=["train_synthetic", "inspect_synthetic", "hidden", "verify_n", "verify_graphs",
         "verify_kmax", "sizes_zero", "sizes_negative", "sizes_one_distinct", "synthetic_too_large",
         "cap_zero", "epochs_timed_zero", "epochs_timed_negative", "k_too_large",
-        "hidden_too_large", "layers_too_large"])
+        "verify_kmax_too_large", "hidden_too_large", "layers_too_large"])
 def test_bad_size_fails_early(capsys, args, code, names):
     try:
         got = run_cli(args)

@@ -236,6 +236,29 @@ def test_features_are_read_only():
         g.features[0, 0] = 99.0
 
 
+def test_graphs_compare_by_identity():
+    g = sensitive_block_graph(50, seed=1)
+    assert (g == sensitive_block_graph(50, seed=1)) is False
+    assert g == g
+    assert {g: 1}[g] == 1 and len({g, g}) == 1
+
+
+@pytest.mark.filterwarnings("ignore::scipy.sparse.SparseEfficiencyWarning")
+def test_adjacency_is_read_only():
+    g = random_connected_graph(60, density=0.1, seed=2)
+    before = g.adjacency.copy()
+    rows, cols = g.adjacency.nonzero()
+    with pytest.raises(ValueError):
+        g.adjacency[rows[0], cols[0]] = 0.0  # a value edit
+    row, col = np.argwhere(before.toarray() == 0)[0]
+    with pytest.raises(ValueError):
+        g.adjacency[row, col] = 1.0  # a structural insert
+    for arr in (g.adjacency.data, g.adjacency.indices, g.adjacency.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    assert g.adjacency.nnz == before.nnz and (g.adjacency != before).nnz == 0
+
+
 @pytest.mark.parametrize("generator,gigabytes", [(sensitive_block_graph, "28000"),
                                                  (random_connected_graph, "43000")],
                          ids=["sensitive_block_graph", "random_connected_graph"])

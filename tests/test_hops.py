@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -177,3 +179,39 @@ def test_group_scaling_rejects_fractional_column():
     sg = group_graph([0, 1])
     with pytest.raises(FairformerError):
         group_scaling_report(sg, np.array([[0.5], [1.0]]), k_max=2)
+
+
+def test_group_scaling_past_float_range_fails_the_float_route():
+    g = random_connected_graph(30, density=0.25, seed=0)
+    report = group_scaling_report(build_group_graph(g), g.features, k_max=300)
+    assert report.q ** 300 > 2 ** 1024  # past float64's range
+    assert report.exact_pass and not report.float_pass and not report.passed
+    assert not np.isfinite(report.max_abs_deviation)
+
+
+def test_group_scaling_reports_the_float_route_past_2_to_the_53():
+    # 23^12 passes 2^53; the deviation is read on the certified column of the full stack
+    g = random_connected_graph(40, density=0.25, seed=6)
+    report = group_scaling_report(build_group_graph(g), g.features, k_max=12)
+    assert report.q == 23 and report.exact_pass
+    assert not report.float_pass and report.max_abs_deviation == 12.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda g, x: group_scaling_report(build_group_graph(g), x, k_max=10**8),
+    lambda g, x: hop_aggregate(build_group_graph(g), x, 10**8),
+    lambda g, x: hop_aggregate_adjacency(g, x, 10**8),
+], ids=["group_scaling_report", "hop_aggregate", "hop_aggregate_adjacency"])
+def test_hop_stack_that_cannot_fit_is_refused_before_it_is_allocated(build):
+    g = random_connected_graph(30, density=0.25, seed=0)
+    x = np.zeros((g.n, 1000))
+    tracemalloc.start()
+    try:
+        # 30 nodes x (10**8 + 1) tokens x 1000 columns x 8 bytes: 24 TB
+        with pytest.raises(FairformerError, match=r"hop stack of k=100000000 \(30 nodes x "
+                           r"100000001 tokens x 1000 columns\) needs about"):
+            build(g, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import itertools
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -131,11 +133,42 @@ def test_a_graph_returns_its_last_solve_per_source(monkeypatch):
     monkeypatch.setattr(spectral, "_select", unreachable)
     assert top_magnitude_eigenpairs(g, 4, seed=1) is adjacency
     assert laplacian_small_eigenpairs(g, 4, seed=1) is laplacian
-    monkeypatch.setattr(spectral, "_select", select)
-    fresh = dataclasses.replace(g)  # starts with nothing remembered
-    assert fresh._solves == {}
+    main_solves = []  # the cut check's deflated solves ask for one pair
+
+    def counted(matvec, n, k, tol, seed, which):
+        if k == 4:
+            main_solves.append(which)
+        return select(matvec, n, k, tol, seed, which)
+
+    monkeypatch.setattr(spectral, "_select", counted)
+    fresh = dataclasses.replace(g)  # a new Graph: nothing remembered
     assert_same_basis(top_magnitude_eigenpairs(fresh, 4, seed=1), adjacency)
     assert_same_basis(laplacian_small_eigenpairs(fresh, 4, seed=1), laplacian)
+    assert main_solves == ["LM", "SA"]
+    assert top_magnitude_eigenpairs(g, 4, seed=1) is adjacency
+    assert main_solves == ["LM", "SA"]
+
+
+def test_a_remembered_basis_cannot_go_stale():
+    # zeroing one edge of this graph in place once left the t=3 eigenvalues remembered as
+    # [6.6856, -4.5557, 4.4964], where a fresh solve gives [6.6644, -4.5953, 4.4745]
+    g = random_connected_graph(60, density=0.1, seed=2)
+    kept = top_magnitude_eigenpairs(g, 3)
+    rows, cols = g.adjacency.nonzero()
+    with pytest.raises(ValueError):
+        g.adjacency[rows[0], cols[0]] = 0.0
+    assert top_magnitude_eigenpairs(g, 3) is kept
+    assert_same_basis(top_magnitude_eigenpairs(dataclasses.replace(g), 3), kept)
+
+
+def test_remembered_solves_do_not_keep_a_graph_alive():
+    g = random_connected_graph(60, density=0.1, seed=2)
+    basis = top_magnitude_eigenpairs(g, 3)
+    laplacian_small_eigenpairs(g, 3)
+    alive = weakref.ref(g)
+    del g
+    gc.collect()
+    assert alive() is None and basis.t == 3
 
 
 @pytest.mark.parametrize("change", [{"t": 3}, {"tol": 1e-9}, {"seed": 2}],
