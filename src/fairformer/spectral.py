@@ -8,12 +8,16 @@ at most 20 nodes, t >= (n - 1) / 2, and the alignment certificate below, which
 is restricted to n <= 500 by contract.
 
 A basis is a pure function of the immutable graph, its source, t, tol and seed,
-so this module remembers each Graph's last adjacency and Laplacian solve: asking
-again with the same t, tol and seed returns that basis without solving, and the
-basis arrays are read-only so no caller can change another's. `ablate` and
-`sweep --param layers` therefore solve each source once per graph.
-`dataclasses.replace(g)` is a new Graph that remembers nothing, and a sparse or
-dense operator is never remembered.
+so this module remembers each Graph's adjacency and Laplacian solve of the largest
+t asked for: asking again with the same tol and seed returns that basis at its own
+t, and its first t pairs at a smaller t, without solving. A slice carries the tie
+or degenerate flag a solve at its t would (from the kept eigenvalues and the
+component count), and agrees with a fresh solve to within the solver's tolerance,
+not bit for bit; a repeated eigenvalue inside it gets an arbitrary basis of its
+eigenspace, as a solve would give. The basis arrays are read-only so no caller can
+change another's. `ablate`, `sweep --param layers` and `sweep --param t` therefore
+solve each source once per graph. `dataclasses.replace(g)` is a new Graph that
+remembers nothing, and a sparse or dense operator is never remembered.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .errors import (ConvergenceError, FairformerError, SpectralGapError,
                      TieWarning, DegenerateSpectrumWarning, UndefinedCosineError)
 
 _MAX_ITERS = 1000  # ARPACK's restart cap (eigsh's maxiter)
-_SOLVES = weakref.WeakKeyDictionary()  # Graph -> {source: ((t, tol, seed), basis)}
+_SOLVES = weakref.WeakKeyDictionary()  # Graph -> {source: ((tol, seed), basis)}
 
 
 @dataclass(frozen=True)
@@ -107,17 +111,24 @@ def _refuse_unfit_solve(n, t):
     refuse_unfit(need, f"the structure solve of t={t} at n={n}")
 
 
-def _remembered(a, source, key, solve) -> SpectralBasis:
-    """The basis kept from Graph `a`'s last `source` solve when that solve's
-    (t, tol, seed) equals `key`; otherwise `solve()`, kept in its place. Only this
-    function touches `_SOLVES`, whose weak keys drop a Graph's solves with the
-    Graph. A sparse or dense operator is solved every time."""
+def _remembered(a, source, t, key, solve, cut_flags) -> SpectralBasis:
+    """Graph `a`'s kept `source` basis when that solve's (tol, seed) equals `key` and
+    its t is at least t; otherwise `solve()`, kept in its place. At its own t the
+    kept basis itself is returned; at a smaller t, a read-only view of its first t
+    eigenvalues, columns and residuals, flagged by `cut_flags(kept eigenvalues, t)`
+    as a solve at t would be, without calling `_select`. Only this function touches
+    `_SOLVES`, whose weak keys drop a Graph's solves with the Graph. A sparse or
+    dense operator is solved every time."""
     if not isinstance(a, Graph):
         return solve()
     kept = _SOLVES.get(a, {}).get(source)
-    if kept is None or kept[0] != key:
+    if kept is None or kept[0] != key or kept[1].t < t:
         kept = _SOLVES.setdefault(a, {})[source] = (key, solve())
-    return kept[1]
+    basis = kept[1]
+    if basis.t == t:
+        return basis
+    return SpectralBasis(basis.eigenvalues[:t], basis.structure_matrix[:, :t], source,
+                         basis.residuals[:t], **cut_flags(basis.eigenvalues, t))
 
 
 def _select(matvec, n, k, tol, seed, which):
@@ -168,6 +179,11 @@ def _basis(theta, vectors, resid, tol, source, **flags) -> SpectralBasis:
                          source=source, residuals=resid, **flags)
 
 
+def _is_tie(last, following, tol) -> bool:
+    """Does |following| match |last|, the magnitude at the cut, within tol * max(1, |last|)?"""
+    return abs(abs(last) - abs(following)) <= tol * max(1.0, abs(last))
+
+
 # Loose tolerances of the cut check's deflated solve, tried before the caller's tol
 _LOOSE_CUT_TOLS = (1e-1, 1e-4)
 
@@ -213,7 +229,7 @@ def _settle_cut(matvec, n, theta, vectors, resid, tol, seed):
         if mu is None:
             return theta, vectors, resid, False
         if abs(mu[0]) <= cut + margin:
-            return theta, vectors, resid, abs(cut - abs(mu[0])) <= margin
+            return theta, vectors, resid, _is_tie(theta[-1], mu[0], tol)
         theta, vectors = np.append(theta[:-1], mu), np.column_stack([vectors[:, :-1], v])
         resid = np.append(resid[:-1], np.linalg.norm(matvec(v) - v * mu, axis=0))
         order = np.argsort(-np.abs(theta), kind="stable")
@@ -229,9 +245,11 @@ def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, seed: int = 0) -> Sp
     magnitude tie at the cut index (|lambda_t| matching |lambda_{t+1}| within
     tol) sets tie_warning: the basis stays valid but which eigenvector fills
     the last slot is seed-dependent. A solve that cannot fit in physical
-    memory is refused, naming t and n, before it allocates. A Graph's last
-    adjacency basis, read-only, is returned when t, tol and seed repeat, and
-    warns about a tie on every call that returns one.
+    memory is refused, naming t and n, before it allocates. A Graph's kept
+    adjacency basis (the largest t solved at this tol and seed) serves every t up
+    to its own: read-only, the kept object at its t and its first t pairs below,
+    whose tie_warning compares |lambda_t| with the kept |lambda_{t+1}|. Every call
+    that returns a tie warns about it.
     """
     matvec, n = _as_matvec(a)
     if t < 0 or t > n:
@@ -245,7 +263,10 @@ def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, seed: int = 0) -> Sp
         theta, vectors, resid, tie = _settle_cut(matvec, n, theta, vectors, resid, tol, seed)
         return _basis(theta, vectors, resid, tol, "adjacency", tie_warning=tie)
 
-    basis = _remembered(a, "adjacency", (t, tol, seed), solve)
+    def cut_flags(eigenvalues, t):  # a slice's cut lies inside the kept eigenvalues
+        return {"tie_warning": _is_tie(eigenvalues[t - 1], eigenvalues[t], tol)}
+
+    basis = _remembered(a, "adjacency", t, (tol, seed), solve, cut_flags)
     if basis.tie_warning:
         warnings.warn("magnitude tie at the selection cut; last eigenvector is seed-dependent",
                       TieWarning, stacklevel=2)
@@ -261,8 +282,9 @@ def laplacian_small_eigenpairs(g: Graph, t: int, tol: float = 1e-10,
     connected components cannot avoid the remaining kernel, so the result
     carries degenerate_warning and may include (near-)zero eigenvalues. A
     solve that cannot fit in physical memory is refused, naming t and n,
-    before it allocates. The graph's last Laplacian basis, read-only, is
-    returned when t, tol and seed repeat, and warns as the solve did.
+    before it allocates. The graph's kept Laplacian basis (the largest t solved
+    at this tol and seed) serves every t up to its own, read-only, and its first
+    t pairs warn as a solve at t would.
     """
     if t < 0 or t > g.n - 1:
         raise FairformerError(f"t={t} out of range for the deflated Laplacian of n={g.n}")
@@ -280,11 +302,12 @@ def laplacian_small_eigenpairs(g: Graph, t: int, tol: float = 1e-10,
 
         theta, vectors, resid = _select(matvec, n, t, tol, seed, "SA")
         theta = np.where(np.abs(theta) <= tol, 0.0, theta)
-        n_components = connected_components(g.adjacency, directed=False)[0]
-        return _basis(theta, vectors, resid, tol, "laplacian",
-                      degenerate_warning=n_components > t + 1)
+        return _basis(theta, vectors, resid, tol, "laplacian", **cut_flags(theta, t))
 
-    basis = _remembered(g, "laplacian", (t, tol, seed), solve)
+    def cut_flags(eigenvalues, t):
+        return {"degenerate_warning": connected_components(g.adjacency, directed=False)[0] > t + 1}
+
+    basis = _remembered(g, "laplacian", t, (tol, seed), solve, cut_flags)
     if basis.degenerate_warning:
         n_components = connected_components(g.adjacency, directed=False)[0]
         warnings.warn(
@@ -351,7 +374,8 @@ def spectral_alignment_report(g: Graph, k_max: int,
 
     Dense route: all n eigenpairs from `top_magnitude_eigenpairs`, whose Krylov
     basis then spans the graph, so it runs `eigh` (n <= 500 enforced).
-    Direct route: repeated sparse mat-vec application. The two cosine series
+    Direct route: repeated sparse mat-vec application, the iterate normalized
+    after each product. The two cosine series
     must agree to machine precision; their gap to the limit cosine is bounded
     by decay_constant * ratio^k when the hop-1 fit is applicable.
     """
@@ -384,13 +408,14 @@ def spectral_alignment_report(g: Graph, k_max: int,
     ks = np.arange(1, k_max + 1)
     direct = np.zeros(k_max)
     formula = np.zeros(k_max)
-    x = h.copy()
+    x = h
     for i, k in enumerate(ks):
         x = g.adjacency @ x
         nx = np.linalg.norm(x)
         if nx == 0:
             raise UndefinedCosineError(f"hop-{k} aggregate vanished; cosine undefined")
-        direct[i] = float((x @ h) / (nx * norm_h))
+        x /= nx  # the cosine does not depend on scale, and |lambda_1|^k overflows
+        direct[i] = float((x @ h) / norm_h)
         num = alphas[0] ** 2 + np.sum(alphas[1:] ** 2 * r_signed[1:] ** k)
         den = np.sqrt(alphas[0] ** 2 + np.sum(alphas[1:] ** 2 * r_signed[1:] ** (2 * k)))
         formula[i] = float(num / (den * np.sqrt(total)))

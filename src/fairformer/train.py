@@ -351,9 +351,14 @@ def sweep_configs(cfg: TrainConfig, param: str, values) -> list:
 
 def sweep(g: Graph, cfg: TrainConfig, param: str, values, split_spec: SplitSpec | None = None,
           serial: bool = True) -> list:
-    """One training run per parameter value; returns [(value, RunResult), ...]."""
-    return [(value, train(g, swept, split_spec=split_spec, serial=serial))
-            for value, swept in sweep_configs(cfg, param, values)]
+    """One training run per parameter value; returns [(value, RunResult), ...] in the
+    order given. A t sweep trains from the largest t down, so the first run solves the
+    structure basis and every later one takes its first t pairs (see `spectral`)."""
+    configs = sweep_configs(cfg, param, values)
+    runs = sorted(configs, key=lambda run: -run[0]) if param == "t" else configs
+    results = {value: train(g, swept, split_spec=split_spec, serial=serial)
+               for value, swept in runs}
+    return [(value, results[value]) for value, _ in configs]
 
 
 def sweep_table(param: str, rows) -> str:

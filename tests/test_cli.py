@@ -85,6 +85,14 @@ def test_verify_past_float_range_fails_the_float_route(capsys):
     assert captured.out.endswith("all_pass=0\n") and "Traceback" not in captured.err
 
 
+def test_verify_alignment_holds_past_the_overflow_of_raw_hops(capsys):
+    # |lambda_1|^180 passes 1e154, where an unscaled hop iterate's squared norm overflows;
+    # graph 1's q = 17 fails the float route by design, so only the alignment lines count
+    run_cli(["verify", "--kmax", "180"])
+    lines = [line for line in capsys.readouterr().out.splitlines() if "check=alignment_" in line]
+    assert len(lines) == 6 and not any("pass=0" in line for line in lines)
+
+
 def test_convergence_failure_exits_4(monkeypatch, capsys):
     def no_convergence(*args):
         raise ConvergenceError("eigensolver failed: stubbed")

@@ -171,7 +171,7 @@ def test_remembered_solves_do_not_keep_a_graph_alive():
     assert alive() is None and basis.t == 3
 
 
-@pytest.mark.parametrize("change", [{"t": 3}, {"tol": 1e-9}, {"seed": 2}],
+@pytest.mark.parametrize("change", [{"t": 5}, {"tol": 1e-9}, {"seed": 2}],
                          ids=["t", "tol", "seed"])
 @pytest.mark.parametrize("solve", [top_magnitude_eigenpairs, laplacian_small_eigenpairs])
 def test_a_changed_solve_key_solves_again(solve, change):
@@ -196,6 +196,73 @@ def test_a_remembered_tie_still_warns():
     for _ in range(2):
         with pytest.warns(DegenerateSpectrumWarning, match="kernel has dimension 3"):
             assert laplacian_small_eigenpairs(empty, t=1).degenerate_warning
+
+
+@pytest.mark.parametrize("solve", [top_magnitude_eigenpairs, laplacian_small_eigenpairs])
+def test_a_smaller_t_is_the_kept_solve_sliced(monkeypatch, solve):
+    g = random_connected_graph(60, density=0.1, seed=2)
+    fresh = {t: solve(dataclasses.replace(g), t, seed=1) for t in range(1, 6)}
+    kept = solve(g, 6, seed=1)
+    calls = recorded_select_calls(monkeypatch)
+    for t, want in fresh.items():
+        got = solve(g, t, seed=1)
+        assert np.array_equal(got.eigenvalues, kept.eigenvalues[:t])
+        assert np.array_equal(got.structure_matrix, kept.structure_matrix[:, :t])
+        assert np.array_equal(got.residuals, kept.residuals[:t])
+        for arr in (got.eigenvalues, got.structure_matrix, got.residuals):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+        assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-12)
+        assert np.allclose(got.structure_matrix, want.structure_matrix, rtol=0, atol=1e-8)
+        assert (got.tie_warning, got.degenerate_warning) == (want.tie_warning,
+                                                             want.degenerate_warning)
+    assert solve(g, 6, seed=1) is kept and calls == []
+
+
+def flag_and_warnings(solve, g, t):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        basis = solve(g, t)
+    return basis.tie_warning, basis.degenerate_warning, [w.category for w in caught]
+
+
+def test_a_slice_flags_a_tie_as_a_solve_would(monkeypatch):
+    # C40's magnitudes are 2 twice, then 2cos(2 pi / 40) and 2cos(4 pi / 40) four times
+    # each: t = 1, 3, 4 and 5 cut inside a tie, t = 2 and 6 between two
+    g = path_or_cycle_graph(40, cycle=True)
+    fresh = [flag_and_warnings(top_magnitude_eigenpairs, dataclasses.replace(g), t)
+             for t in range(1, 7)]
+    assert [tie for tie, _, _ in fresh] == [True, False, True, True, True, False]
+    with pytest.warns(TieWarning):
+        top_magnitude_eigenpairs(g, t=7)
+    calls = recorded_select_calls(monkeypatch)
+    assert [flag_and_warnings(top_magnitude_eigenpairs, g, t) for t in range(1, 7)] == fresh
+    assert calls == []
+
+
+def test_a_laplacian_slice_warns_of_the_kernel_a_solve_would_hit(monkeypatch):
+    # three components: t = 2 holds the kernel past the constant vector, t = 1 does not
+    g = graph_from_dense(np.zeros((3, 3)), sens=[0, 1, 0], labels=[0, 1, 0])
+    assert flag_and_warnings(laplacian_small_eigenpairs, g, 2) == (False, False, [])
+    calls = recorded_select_calls(monkeypatch)
+    with pytest.warns(DegenerateSpectrumWarning, match="kernel has dimension 3"):
+        assert laplacian_small_eigenpairs(g, t=1).degenerate_warning
+    assert calls == []
+
+
+@pytest.mark.parametrize("change", [{"t": 5}, {"tol": 1e-9}, {"seed": 2}],
+                         ids=["t", "tol", "seed"])
+@pytest.mark.parametrize("solve", [top_magnitude_eigenpairs, laplacian_small_eigenpairs])
+def test_a_new_solve_replaces_the_kept_basis(monkeypatch, solve, change):
+    # a larger t still serves the smaller one; another tol or seed leaves nothing to serve it
+    g = random_connected_graph(60, density=0.1, seed=2)
+    key = {"t": 4, "tol": 1e-10, "seed": 1}
+    solve(g, **key)
+    replaced = solve(g, **{**key, **change})
+    calls = recorded_select_calls(monkeypatch)
+    solve(g, **key)
+    assert (calls == []) == ("t" in change)
+    assert (solve(g, **{**key, **change}) is replaced) == ("t" in change)
 
 
 @pytest.mark.parametrize("operator", ["graph", "sparse", "dense"])
@@ -265,7 +332,7 @@ def test_past_the_gap_cut_settles_without_a_full_tolerance_solve(monkeypatch,
 def test_loose_rungs_that_fail_pass_on_to_the_full_tolerance_solve(monkeypatch,
                                                                    past_the_gap_graphs):
     g = past_the_gap_graphs["benchmark_graph"]
-    want = top_magnitude_eigenpairs(g, 5)
+    want = top_magnitude_eigenpairs(dataclasses.replace(g), 5)  # g may keep a larger t
     calls = recorded_select_calls(monkeypatch, fail_loose=True)
     assert_same_basis(top_magnitude_eigenpairs(dataclasses.replace(g), 5), want)
     assert calls == [(5, 1e-10), (1, 1e-1), (1, 1e-4), (1, 1e-10)]

@@ -176,6 +176,20 @@ def test_sweep_over_layers_solves_once(monkeypatch):
     assert calls.count((2, "LM")) == 1
 
 
+@pytest.mark.parametrize("values", [[3, 1, 2], [1, 3, 2]])
+def test_sweep_over_t_solves_once_at_the_largest_t(monkeypatch, values):
+    g = sensitive_block_graph(n=100, seed=10, avg_degree=10.0)
+    cfg = quick_config(epochs=2, folds=1)
+    calls = recorded_solves(monkeypatch)
+    spectral.top_magnitude_eigenpairs(replace(g), 3, seed=cfg.seed)  # a copy keeps no basis
+    solo, calls[:] = list(calls), []
+    rows = sweep(g, cfg, "t", values,
+                 split_spec=SplitSpec(train_per_class_cap=15, seed=0, folds=1))
+    assert [value for value, _ in rows] == values
+    assert [result.t_effective for _, result in rows] == values
+    assert calls.count((3, "LM")) == 1 and calls == solo  # the t=3 solve and its cut check
+
+
 def test_sweep_rows_and_table():
     g = sensitive_block_graph(n=100, seed=10, avg_degree=10.0)
     cfg = quick_config(epochs=2, folds=1)
