@@ -65,10 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_data_flags(p, synthetic_default=None):
+    def add_data_flags(p):
         p.add_argument("--manifest", type=Path, default=None,
                        help="dataset manifest (nodes=, edges=, sensitive=, label=)")
-        p.add_argument("--synthetic", type=_positive_int, default=synthetic_default, metavar="N",
+        p.add_argument("--synthetic", type=_positive_int, default=None, metavar="N",
                        help="use the built-in planted fixture with N nodes instead of a manifest")
 
     def add_common_flags(p):
@@ -77,38 +77,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--serial", action="store_true",
                        help="single-threaded execution (byte-identical reports)")
 
-    def add_train_flags(p):
-        p.add_argument("--epochs", type=int, default=500, help="training epochs per fold")
-        p.add_argument("--k", type=int, default=2, help="hop count for token sequences")
-        p.add_argument("--t", type=int, default=5, help="number of structure eigenvectors")
-        p.add_argument("--layers", type=int, default=1, help="transformer layers")
-        p.add_argument("--heads", type=int, default=1, help="attention heads")
-        p.add_argument("--hidden", type=int, default=128, help="hidden width")
-        p.add_argument("--folds", type=int, default=5, help="cross-validation folds")
-        p.add_argument("--ablation", choices=ABLATION_VARIANTS, default="full",
+    for verb, help_text in (("train", "train with cross-validation"),
+                            ("ablate", "train every encoding variant on shared splits"),
+                            ("sweep", "sweep t or layer count")):
+        p = sub.add_parser(verb, help=help_text, formatter_class=_Formatter)
+        add_data_flags(p)
+        add_common_flags(p)
+        p.add_argument("--epochs", type=int, default=TrainConfig.epochs,
+                       help="training epochs per fold")
+        p.add_argument("--k", type=int, default=TrainConfig.k, help="hop count for token sequences")
+        p.add_argument("--t", type=int, default=TrainConfig.t,
+                       help="number of structure eigenvectors")
+        p.add_argument("--layers", type=int, default=TrainConfig.layers, help="transformer layers")
+        p.add_argument("--heads", type=int, default=TrainConfig.heads, help="attention heads")
+        p.add_argument("--hidden", type=int, default=TrainConfig.d_hidden, help="hidden width")
+        p.add_argument("--folds", type=int, default=TrainConfig.folds,
+                       help="cross-validation folds")
+        p.add_argument("--ablation", choices=ABLATION_VARIANTS, default=TrainConfig.ablation,
                        help="encoding variant")
-        p.add_argument("--cap", type=_positive_int, default=50,
+        p.add_argument("--cap", type=_positive_int, default=SplitSpec.train_per_class_cap,
                        help="per-class training node cap")
         p.add_argument("--scale-structure", action="store_true",
                        help="min-max scale structure columns to [-1, 1]")
 
-    p_train = sub.add_parser("train", help="train with cross-validation",
-                             formatter_class=_Formatter)
-    add_data_flags(p_train)
-    add_common_flags(p_train)
-    add_train_flags(p_train)
-
-    p_ablate = sub.add_parser("ablate", help="train every encoding variant on shared splits",
-                              formatter_class=_Formatter)
-    add_data_flags(p_ablate)
-    add_common_flags(p_ablate)
-    add_train_flags(p_ablate)
-
-    p_sweep = sub.add_parser("sweep", help="sweep t or layer count",
-                             formatter_class=_Formatter)
-    add_data_flags(p_sweep)
-    add_common_flags(p_sweep)
-    add_train_flags(p_sweep)
+    p_sweep = sub.choices["sweep"]
     p_sweep.add_argument("--param", choices=("t", "layers"), required=True,
                          help="which parameter to sweep")
     p_sweep.add_argument("--min", type=int, required=True, help="smallest value")
@@ -151,7 +143,7 @@ def _load_graph(args):
 
 
 def _split_spec(args) -> SplitSpec:
-    return SplitSpec(train_per_class_cap=args.cap, seed=args.seed, folds=args.folds)
+    return SplitSpec(train_per_class_cap=args.cap, seed=args.seed)
 
 
 def _train_config(args) -> TrainConfig:

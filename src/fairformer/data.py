@@ -106,17 +106,24 @@ class ColumnSchema:
     standardize: bool = False  # per-column z-scoring of non-sensitive features
 
 
+_MANIFEST_KEYS = ("nodes", "edges", "sensitive", "label", "id", "delimiter", "features",
+                  "unlabeled", "standardize")
+_MANIFEST_BOOLEANS = {"0": False, "false": False, "no": False, "1": True, "true": True,
+                      "yes": True}
+
+
 def load_manifest(path) -> tuple[Path, Path, ColumnSchema]:
     """Parse a key=value manifest: nodes=..., edges=..., sensitive=..., label=...
 
-    Optional keys: id, delimiter, features (comma list), unlabeled (comma
-    list of label cell values to treat as missing), standardize (0/1).
-    Relative file paths resolve against the manifest's directory.
+    Optional keys: id, delimiter (one character, or \\t for a tab), features
+    (comma list), unlabeled (comma list of label cell values to treat as
+    missing), standardize (0/1/false/true/no/yes, in any case). An unknown key
+    is refused. Relative file paths resolve against the manifest's directory.
     """
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"manifest not found: {path}")
-    entries = {}
+    entries, where = {}, {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -124,19 +131,32 @@ def load_manifest(path) -> tuple[Path, Path, ColumnSchema]:
         if "=" not in line:
             raise IngestionError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _MANIFEST_KEYS:
+            raise IngestionError(f"{path}:{lineno}: unknown key {key!r}; known keys are "
+                                 f"{', '.join(_MANIFEST_KEYS)}")
+        entries[key], where[key] = value.strip(), f"{path}:{lineno}"
     for required in ("nodes", "edges", "sensitive", "label"):
         if required not in entries:
             raise IngestionError(f"{path}: manifest missing key {required!r}")
+    delimiter = entries.get("delimiter", ",")
+    delimiter = "\t" if delimiter == "\\t" else delimiter
+    if len(delimiter) != 1:
+        raise IngestionError(f"{where['delimiter']}: delimiter must be one character or \\t, "
+                             f"got {entries['delimiter']!r}")
+    standardize = _MANIFEST_BOOLEANS.get(entries.get("standardize", "0").lower())
+    if standardize is None:
+        raise IngestionError(f"{where['standardize']}: standardize must be one of "
+                             f"{'/'.join(_MANIFEST_BOOLEANS)}, got {entries['standardize']!r}")
     base = path.parent
     schema = ColumnSchema(
         id_column=entries.get("id", "id"),
         sensitive=entries["sensitive"],
         label=entries["label"],
         feature_columns=tuple(c.strip() for c in entries["features"].split(",")) if "features" in entries else None,
-        delimiter=entries.get("delimiter", ","),
+        delimiter=delimiter,
         unlabeled_values=tuple(v.strip() for v in entries.get("unlabeled", "").split(",")) if "unlabeled" in entries else ("",),
-        standardize=entries.get("standardize", "0") not in ("0", "false", "no"),
+        standardize=standardize,
     )
     return base / entries["nodes"], base / entries["edges"], schema
 
@@ -233,7 +253,6 @@ def load_dataset(node_file, edge_file, schema: ColumnSchema | None = None) -> Gr
     labels[label_mask] = binarize_labels(raw[label_mask])
 
     if schema.standardize:
-        features = features.copy()
         for j in range(features.shape[1]):
             if j == sensitive_index:
                 continue
@@ -271,7 +290,6 @@ def load_dataset(node_file, edge_file, schema: ColumnSchema | None = None) -> Gr
     col_idx = np.asarray(dst + src, dtype=np.int64)
     adjacency = sp.coo_matrix((np.ones(row_idx.size), (row_idx, col_idx)), shape=(n, n)).tocsr()
     adjacency.data[:] = 1.0  # collapse duplicates
-    adjacency.eliminate_zeros()
 
     return Graph(adjacency=adjacency, features=features, sensitive_index=sensitive_index,
                  labels=labels, label_mask=label_mask)

@@ -10,14 +10,13 @@ is restricted to n <= 500 by contract.
 A basis is a pure function of the immutable graph, its source, t, tol and seed,
 so this module remembers each Graph's adjacency and Laplacian solve of the largest
 t asked for: asking again with the same tol and seed returns that basis at its own
-t, and its first t pairs at a smaller t, without solving. A slice carries the tie
-or degenerate flag a solve at its t would (from the kept eigenvalues and the
-component count), and agrees with a fresh solve to within the solver's tolerance,
-not bit for bit; a repeated eigenvalue inside it gets an arbitrary basis of its
-eigenspace, as a solve would give. The basis arrays are read-only so no caller can
-change another's. `ablate`, `sweep --param layers` and `sweep --param t` therefore
-solve each source once per graph. `dataclasses.replace(g)` is a new Graph that
-remembers nothing, and a sparse or dense operator is never remembered.
+t, and `SpectralBasis.head` of it at a smaller t, without solving. Each solver
+flags such a slice by its own cut rule, as a solve at that t would be flagged. A
+slice agrees with a fresh solve to within the solver's tolerance, not bit for bit.
+Basis arrays are read-only, so no caller can change another's. `ablate`,
+`sweep --param layers` and `sweep --param t` therefore solve each source once per
+graph. `dataclasses.replace(g)` is a new Graph that remembers nothing, and a sparse
+or dense operator is never remembered.
 """
 
 from __future__ import annotations
@@ -62,6 +61,15 @@ class SpectralBasis:
     @property
     def t(self) -> int:
         return self.structure_matrix.shape[1]
+
+    def head(self, t: int, **flags) -> SpectralBasis:
+        """This basis at its own t; below it, read-only views of its first t eigenvalues,
+        columns and residuals carrying `flags`. A repeated eigenvalue inside the slice
+        keeps an arbitrary basis of its eigenspace, as a solve would give it."""
+        if t == self.t:
+            return self
+        return SpectralBasis(self.eigenvalues[:t], self.structure_matrix[:, :t], self.source,
+                             self.residuals[:t], **flags)
 
 
 def _as_matvec(a):
@@ -111,24 +119,17 @@ def _refuse_unfit_solve(n, t):
     refuse_unfit(need, f"the structure solve of t={t} at n={n}")
 
 
-def _remembered(a, source, t, key, solve, cut_flags) -> SpectralBasis:
+def _remembered(a, source, t, key, solve) -> SpectralBasis:
     """Graph `a`'s kept `source` basis when that solve's (tol, seed) equals `key` and
-    its t is at least t; otherwise `solve()`, kept in its place. At its own t the
-    kept basis itself is returned; at a smaller t, a read-only view of its first t
-    eigenvalues, columns and residuals, flagged by `cut_flags(kept eigenvalues, t)`
-    as a solve at t would be, without calling `_select`. Only this function touches
-    `_SOLVES`, whose weak keys drop a Graph's solves with the Graph. A sparse or
-    dense operator is solved every time."""
+    its t is at least t; otherwise `solve()`, kept in its place. Only this function
+    touches `_SOLVES`, whose weak keys drop a Graph's solves with the Graph. A sparse
+    or dense operator is solved every time."""
     if not isinstance(a, Graph):
         return solve()
     kept = _SOLVES.get(a, {}).get(source)
     if kept is None or kept[0] != key or kept[1].t < t:
         kept = _SOLVES.setdefault(a, {})[source] = (key, solve())
-    basis = kept[1]
-    if basis.t == t:
-        return basis
-    return SpectralBasis(basis.eigenvalues[:t], basis.structure_matrix[:, :t], source,
-                         basis.residuals[:t], **cut_flags(basis.eigenvalues, t))
+    return kept[1]
 
 
 def _select(matvec, n, k, tol, seed, which):
@@ -244,12 +245,10 @@ def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, seed: int = 0) -> Sp
     array; an array that is not finite and exactly symmetric is refused. A
     magnitude tie at the cut index (|lambda_t| matching |lambda_{t+1}| within
     tol) sets tie_warning: the basis stays valid but which eigenvector fills
-    the last slot is seed-dependent. A solve that cannot fit in physical
-    memory is refused, naming t and n, before it allocates. A Graph's kept
-    adjacency basis (the largest t solved at this tol and seed) serves every t up
-    to its own: read-only, the kept object at its t and its first t pairs below,
-    whose tie_warning compares |lambda_t| with the kept |lambda_{t+1}|. Every call
-    that returns a tie warns about it.
+    the last slot is seed-dependent, and every call that returns one warns. A
+    solve that cannot fit in physical memory is refused, naming t and n, before it
+    allocates. A slice of a Graph's kept basis compares |lambda_t| with the kept
+    |lambda_{t+1}|.
     """
     matvec, n = _as_matvec(a)
     if t < 0 or t > n:
@@ -263,10 +262,10 @@ def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, seed: int = 0) -> Sp
         theta, vectors, resid, tie = _settle_cut(matvec, n, theta, vectors, resid, tol, seed)
         return _basis(theta, vectors, resid, tol, "adjacency", tie_warning=tie)
 
-    def cut_flags(eigenvalues, t):  # a slice's cut lies inside the kept eigenvalues
-        return {"tie_warning": _is_tie(eigenvalues[t - 1], eigenvalues[t], tol)}
-
-    basis = _remembered(a, "adjacency", t, (tol, seed), solve, cut_flags)
+    basis = _remembered(a, "adjacency", t, (tol, seed), solve)
+    if basis.t > t:
+        basis = basis.head(t, tie_warning=_is_tie(basis.eigenvalues[t - 1],
+                                                  basis.eigenvalues[t], tol))
     if basis.tie_warning:
         warnings.warn("magnitude tie at the selection cut; last eigenvector is seed-dependent",
                       TieWarning, stacklevel=2)
@@ -280,36 +279,32 @@ def laplacian_small_eigenpairs(g: Graph, t: int, tol: float = 1e-10,
     The constant eigenvector is shifted above the spectrum: L + s 11^T / n with
     s = 2 * max_degree + 1 > lambda_max(L). Graphs with more than t + 1
     connected components cannot avoid the remaining kernel, so the result
-    carries degenerate_warning and may include (near-)zero eigenvalues. A
-    solve that cannot fit in physical memory is refused, naming t and n,
-    before it allocates. The graph's kept Laplacian basis (the largest t solved
-    at this tol and seed) serves every t up to its own, read-only, and its first
-    t pairs warn as a solve at t would.
+    carries degenerate_warning and may include (near-)zero eigenvalues, whether it
+    is solved or sliced from the graph's kept basis. A solve that cannot fit in
+    physical memory is refused, naming t and n, before it allocates.
     """
     if t < 0 or t > g.n - 1:
         raise FairformerError(f"t={t} out of range for the deflated Laplacian of n={g.n}")
     if t == 0:
         return SpectralBasis(np.empty(0), np.empty((g.n, 0)), "laplacian", np.empty(0))
+    n_components = connected_components(g.adjacency, directed=False)[0]
+    degenerate = n_components > t + 1
 
     def solve():
         _refuse_unfit_solve(g.n, t)
-        adjacency_matvec, n = _as_matvec(g)
         degrees = np.asarray(g.adjacency.sum(axis=1)).ravel()
         shift = 2.0 * degrees.max() + 1.0
 
         def matvec(x):  # x is a vector or a column block; degrees scale its rows
-            return (degrees * x.T).T - adjacency_matvec(x) + shift * x.sum(axis=0) / n
+            return (degrees * x.T).T - g.adjacency @ x + shift * x.sum(axis=0) / g.n
 
-        theta, vectors, resid = _select(matvec, n, t, tol, seed, "SA")
+        theta, vectors, resid = _select(matvec, g.n, t, tol, seed, "SA")
         theta = np.where(np.abs(theta) <= tol, 0.0, theta)
-        return _basis(theta, vectors, resid, tol, "laplacian", **cut_flags(theta, t))
+        return _basis(theta, vectors, resid, tol, "laplacian", degenerate_warning=degenerate)
 
-    def cut_flags(eigenvalues, t):
-        return {"degenerate_warning": connected_components(g.adjacency, directed=False)[0] > t + 1}
-
-    basis = _remembered(g, "laplacian", t, (tol, seed), solve, cut_flags)
+    basis = _remembered(g, "laplacian", t, (tol, seed), solve).head(
+        t, degenerate_warning=degenerate)
     if basis.degenerate_warning:
-        n_components = connected_components(g.adjacency, directed=False)[0]
         warnings.warn(
             f"laplacian kernel has dimension {n_components}; selection includes degenerate pairs",
             DegenerateSpectrumWarning, stacklevel=2)

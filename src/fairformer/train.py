@@ -37,10 +37,10 @@ class TrainConfig:
     ablation: str = "full"
     k: int = 2
     t: int = 5
-    layers: int = 1
-    heads: int = 1
-    d_hidden: int = 128
-    dropout: float = 0.1
+    layers: int = ModelConfig.layers
+    heads: int = ModelConfig.heads
+    d_hidden: int = ModelConfig.d_hidden
+    dropout: float = ModelConfig.dropout
     scale_structure: bool = False  # min-max structure columns to [-1, 1]
     seed: int = 0
 
@@ -217,7 +217,7 @@ def _train_step(params, optimizer, dropout_rng, stack: HopStack, labels, fold: i
 
 
 def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, score_stack: HopStack,
-              split: Split, fold: int, log_lines=None):
+              split: Split, fold: int, log_lines: list):
     params, optimizer, dropout_rng = _init_fold(cfg, stack.d, fold)
     train_stack = _rows(stack, split.train)
     train_labels = g.labels[split.train]
@@ -249,9 +249,8 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, score_stack: HopStack
         except FairformerError as exc:
             raise TrainingError(
                 f"fold {fold}: training diverged at epoch {epoch}: {exc}") from exc
-        if log_lines is not None:
-            log_lines.append(f"fold={fold} epoch={epoch} loss={loss_value!r} val_acc={acc!r} "
-                             f"val_delta_sp={val_dsp!r}")
+        log_lines.append(f"fold={fold} epoch={epoch} loss={loss_value!r} val_acc={acc!r} "
+                         f"val_delta_sp={val_dsp!r}")
         if acc > best_acc:
             best_acc = acc
             best_state = params.state_copy()
@@ -293,7 +292,7 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
     logs: list[list[str]] = [[] for _ in splits]
 
     def job(fold):
-        return _run_fold(g, cfg, stack, score_stack, splits[fold], fold, log_lines=logs[fold])
+        return _run_fold(g, cfg, stack, score_stack, splits[fold], fold, logs[fold])
 
     if serial or len(splits) == 1:
         outcomes = [job(f) for f in range(len(splits))]

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,8 +9,10 @@ import pytest
 
 import fairformer
 from fairformer import autodiff as ad
-from fairformer.cli import main
+from fairformer.cli import _split_spec, _train_config, build_parser, main
+from fairformer.data import SplitSpec
 from fairformer.errors import ConvergenceError
+from fairformer.train import TrainConfig
 
 DATA = Path(__file__).parent / "data"
 
@@ -174,6 +177,29 @@ def test_non_finite_cell_is_data_error(tmp_path, capsys, file, line, row, error,
     err = capsys.readouterr().err
     assert err.startswith(f"error={error}")
     assert where in err and names in err
+
+
+@pytest.mark.parametrize("line,names", [
+    ("delimiter=;;", "delimiter must be one character or \\\\t, got ';;'"),
+    ("standardize=maybe", "standardize must be one of 0/false/no/1/true/yes, got 'maybe'"),
+    ("standarize=1", "unknown key 'standarize'"),
+], ids=["delimiter", "standardize", "unknown_key"])
+def test_bad_manifest_value_is_data_error(tmp_path, capsys, line, names):
+    manifest = write_tiny_dataset(tmp_path)
+    manifest.write_text(manifest.read_text() + line + "\n")
+    assert run_cli(["inspect", "--manifest", str(manifest)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error=IngestionError")
+    assert "data.manifest:5" in err and names in err
+
+
+@pytest.mark.parametrize("argv", [["train"], ["ablate"],
+                                  ["sweep", "--param", "t", "--min", "1", "--max", "2"]],
+                         ids=["train", "ablate", "sweep"])
+def test_training_flag_defaults_are_the_library_defaults(argv):
+    args = build_parser().parse_args(argv + ["--synthetic", "10"])
+    assert dataclasses.asdict(_train_config(args)) == dataclasses.asdict(TrainConfig())
+    assert _split_spec(args) == SplitSpec()
 
 
 @pytest.mark.parametrize("args,code,names", [

@@ -134,6 +134,40 @@ def test_manifest_missing_key(tmp_path):
         load_manifest(manifest)
 
 
+def test_manifest_tab_delimiter_loads_a_tsv(tmp_path):
+    nodes, edges = write_dataset(tmp_path, ["0\t1.0\t0\t0", "1\t2.0\t1\t1"], ["0\t1"],
+                                 header="id\tf0\tsensitive\tlabel")
+    manifest = tmp_path / "data.manifest"
+    manifest.write_text(f"nodes={nodes.name}\nedges={edges.name}\nsensitive=sensitive\n"
+                        "label=label\ndelimiter=\\t\n")
+    g = load_dataset(*load_manifest(manifest))
+    assert g.features.tolist() == [[1.0, 0.0], [2.0, 1.0]]
+    assert g.undirected_edge_count() == 1
+
+
+@pytest.mark.parametrize("value,refused", [("False", False), ("NO", False), ("off", True),
+                                           ("", True)])
+def test_manifest_standardize_takes_only_a_boolean_word(tmp_path, value, refused):
+    nodes, edges = write_dataset(tmp_path, ["0,1.0,0,0", "1,3.0,1,1", "2,5.0,1,0", "3,7.0,0,1"],
+                                 ["0,1", "2,3"])
+    manifest = tmp_path / "data.manifest"
+    manifest.write_text(f"nodes={nodes.name}\nedges={edges.name}\nsensitive=sensitive\n"
+                        f"label=label\nstandardize={value}\n")
+    if refused:
+        with pytest.raises(IngestionError, match=f"data.manifest:5: standardize .* got '{value}'"):
+            load_manifest(manifest)
+    else:
+        assert load_dataset(*load_manifest(manifest)).features[:, 0].tolist() == [1, 3, 5, 7]
+
+
+def test_manifest_unknown_key_is_refused_at_its_line(tmp_path):
+    manifest = tmp_path / "data.manifest"
+    manifest.write_text("nodes=x.csv\nedges=y.csv\nsensitive=s\nlabel=l\nstandarize=1\n")
+    with pytest.raises(IngestionError, match="data.manifest:5: unknown key 'standarize'; "
+                                             "known keys are nodes, edges, .*standardize"):
+        load_manifest(manifest)
+
+
 def test_binarize_examples():
     assert binarize_labels([0, 1, 2, 3]).tolist() == [0, 1, 1, 1]
     assert binarize_labels([0, 0, 0]).tolist() == [0, 0, 0]

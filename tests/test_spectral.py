@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
 
 import fairformer.spectral as spectral
@@ -248,6 +249,22 @@ def test_a_laplacian_slice_warns_of_the_kernel_a_solve_would_hit(monkeypatch):
     with pytest.warns(DegenerateSpectrumWarning, match="kernel has dimension 3"):
         assert laplacian_small_eigenpairs(g, t=1).degenerate_warning
     assert calls == []
+
+
+def test_a_laplacian_call_counts_components_once(monkeypatch):
+    g = graph_from_dense(np.zeros((3, 3)), sens=[0, 1, 0], labels=[0, 1, 0])
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return connected_components(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "connected_components", counted)
+    for t, degenerate in ((1, True), (2, False), (1, True)):  # a solve, a solve, a slice
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateSpectrumWarning)
+            assert laplacian_small_eigenpairs(g, t).degenerate_warning == degenerate
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("change", [{"t": 5}, {"tol": 1e-9}, {"seed": 2}],
