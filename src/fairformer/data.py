@@ -117,8 +117,9 @@ def load_manifest(path) -> tuple[Path, Path, ColumnSchema]:
 
     Optional keys: id, delimiter (one character, or \\t for a tab), features
     (comma list), unlabeled (comma list of label cell values to treat as
-    missing), standardize (0/1/false/true/no/yes, in any case). An unknown key
-    is refused. Relative file paths resolve against the manifest's directory.
+    missing), standardize (0/1/false/true/no/yes, in any case). An unknown or
+    repeated key is refused. Relative file paths resolve against the manifest's
+    directory.
     """
     path = Path(path)
     if not path.exists():
@@ -135,6 +136,8 @@ def load_manifest(path) -> tuple[Path, Path, ColumnSchema]:
         if key not in _MANIFEST_KEYS:
             raise IngestionError(f"{path}:{lineno}: unknown key {key!r}; known keys are "
                                  f"{', '.join(_MANIFEST_KEYS)}")
+        if key in where:
+            raise IngestionError(f"{path}:{lineno}: key {key!r} repeats {where[key]}")
         entries[key], where[key] = value.strip(), f"{path}:{lineno}"
     for required in ("nodes", "edges", "sensitive", "label"):
         if required not in entries:

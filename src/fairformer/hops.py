@@ -11,11 +11,11 @@ keeping magnitudes bounded during training.
 
 Note the algebra: because each group is complete, every hop token for j >= 2
 is a scalar multiple of the hop-1 token (raw) or identical to it (group-mean),
-the latter up to rounding, as a mean of means is not bit-equal. The hop count
-is still exposed as a depth parameter for parity with the adjacency-based
-variant, where depth is meaningful. Training runs on all k + 1 tokens;
-validation and test scoring use the group-mean tie, running tokens 0 and 1
-with multiplicities (1, k) (`HopStack.counts`, see `model.forward`).
+the latter up to rounding, as a mean of means is not bit-equal. So a
+group-mean stack of k >= 2 hops is kept as tokens 0 and 1 with multiplicities
+(1, k) (`HopStack.counts`, see `model.forward`), for training and scoring
+alike: its size does not grow with k, which only weighs the group token by
+log k. Depth is meaningful only for adjacency hops, which keep every token.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class HopStack:
     """
 
     tensor: np.ndarray  # (n, k + 1, d), or (n, distinct tokens, d) with counts
-    counts: np.ndarray | None = None  # (distinct tokens,) multiplicities
+    counts: tuple | None = None  # (distinct tokens,) integer multiplicities
 
     @property
     def d(self) -> int:
@@ -103,14 +103,21 @@ def hop_aggregate(group, h, k: int, normalization: str = "raw") -> HopStack:
 
 
 def hop_aggregate_adjacency(g: Graph, h, k: int) -> HopStack:
-    """Hop stack over the graph adjacency instead of the same-group graph.
+    """Hop stack over the graph adjacency instead of the same-group graph (the
+    `adj_nf` ablation).
 
-    Each step is one sparse product with the raw adjacency.
+    Each step is one sparse product with the raw adjacency, so hop j grows like
+    |lambda_1|^j; a stack that leaves float64's range is refused, naming k and
+    its first non-finite hop.
     """
     x = _features_of(h)
     if x.shape[0] != g.n:
         raise FairformerError(f"feature rows {x.shape[0]} do not match graph n={g.n}")
-    return _hop_stack(x, k, lambda current: g.adjacency @ current)
+    stack = _hop_stack(x, k, lambda current: g.adjacency @ current)
+    bad = next((j for j in range(k + 1) if not np.isfinite(stack.tensor[:, j]).all()), None)
+    if bad is not None:
+        raise FairformerError(f"the adj_nf hop stack of k={k} leaves float64's range at hop {bad}")
+    return stack
 
 
 @dataclass(frozen=True)

@@ -221,14 +221,13 @@ def forward(params: ModelParams, stack: HopStack, training: bool = False,
     A stack with `counts` holds each distinct token once: log(counts) joins every
     attention and readout softmax as a per-key bias, since c * e^s = e^(s + log c)
     makes one key stand for c equal ones. Equal queries give equal outputs, so
-    the logits are those of the expanded stack up to rounding. Training refuses
-    such a stack, because dropout draws per token.
+    the logits and their gradients are those of the expanded stack up to
+    rounding; in training, the tied tokens share each dropout draw.
     """
     if training and params.config.dropout > 0.0 and rng is None:
         raise FairformerError("training forward with dropout needs an rng")
-    if training and stack.counts is not None:
-        raise FairformerError("a stack with token counts is for scoring only")
-    key_bias = None if stack.counts is None else ad.Tensor(np.log(stack.counts))
+    key_bias = (None if stack.counts is None
+                else ad.Tensor(np.array([math.log(c) for c in stack.counts])))
     tokens = project_tokens(stack, params)
     for i in range(params.config.layers):
         tokens = encoder_layer(tokens, params, i, training=training, rng=rng, key_bias=key_bias)

@@ -115,6 +115,8 @@ def build_encodings(g: Graph, cfg: TrainConfig) -> HopStack:
     adj_nf : hops over the graph adjacency instead of the same-group graph
 
     Same-group hops are group means; raw hops serve only `verify`'s q^k check.
+    Their tokens 1..k are tied (see `hops`), so for k >= 2 the stack is tokens
+    0 and 1 with counts (1, k), and k weighs the group token by log k.
     `cfg.t` is clamped to the eigenvectors there are. The hop builders refuse a
     stack that cannot fit in physical memory, after the structure solve and
     before the stack is allocated.
@@ -132,7 +134,8 @@ def build_encodings(g: Graph, cfg: TrainConfig) -> HopStack:
     k = 0 if variant == "no_nf" else cfg.k
     if variant == "adj_nf":
         return hop_aggregate_adjacency(g, fused, k)
-    return hop_aggregate(build_group_graph(g), fused, k, normalization="group-mean")
+    stack = hop_aggregate(build_group_graph(g), fused, min(k, 1), normalization="group-mean")
+    return stack if k < 2 else replace(stack, counts=(1, k))
 
 
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -169,20 +172,6 @@ def _rows(stack: HopStack, idx) -> HopStack:
     return HopStack(tensor=stack.tensor[idx], counts=stack.counts)
 
 
-def _scoring_stack(cfg: TrainConfig, stack: HopStack) -> HopStack:
-    """The stack validation and test scoring run on.
-
-    Group-mean hops over the same-group graph make tokens 1..k equal up to
-    rounding (see `hops`), so for k >= 2 scoring keeps tokens 0 and 1 with
-    multiplicities (1, k); `forward` turns these into a log-k key bias.
-    Adjacency hops and k < 2 keep every token.
-    """
-    k = stack.tensor.shape[1] - 1
-    if cfg.ablation == "adj_nf" or k < 2:
-        return stack
-    return HopStack(tensor=stack.tensor[:, :2], counts=np.array([1.0, k]))
-
-
 _SCORE_BLOCK = 256  # rows per eval forward; bounds the scoring peak whatever n is
 
 
@@ -216,12 +205,12 @@ def _train_step(params, optimizer, dropout_rng, stack: HopStack, labels, fold: i
     return loss_value
 
 
-def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, score_stack: HopStack,
-              split: Split, fold: int, log_lines: list):
+def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: int,
+              log_lines: list):
     params, optimizer, dropout_rng = _init_fold(cfg, stack.d, fold)
     train_stack = _rows(stack, split.train)
     train_labels = g.labels[split.train]
-    val_stack = _rows(score_stack, split.val)
+    val_stack = _rows(stack, split.val)
     val_labels = g.labels[split.val]
     val_sens = g.sensitive[split.val]
 
@@ -263,7 +252,7 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, score_stack: HopStack
                 break
 
     params.load_state(best_state)
-    test_logits = _score(params, _rows(score_stack, split.test))
+    test_logits = _score(params, _rows(stack, split.test))
     report = evaluate(test_logits, g.labels[split.test], g.sensitive[split.test])
     return report, params, best_epoch, epoch, best_acc, stop  # epochs >= 1, so epoch is bound
 
@@ -287,12 +276,11 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
     encode_start = time.perf_counter()
     stack = build_encodings(g, cfg)
     encode_seconds = time.perf_counter() - encode_start
-    score_stack = _scoring_stack(cfg, stack)
 
     logs: list[list[str]] = [[] for _ in splits]
 
     def job(fold):
-        return _run_fold(g, cfg, stack, score_stack, splits[fold], fold, logs[fold])
+        return _run_fold(g, cfg, stack, splits[fold], fold, logs[fold])
 
     if serial or len(splits) == 1:
         outcomes = [job(f) for f in range(len(splits))]

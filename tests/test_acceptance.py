@@ -230,10 +230,15 @@ def test_criterion_6_directional_fairness_effect():
     best_acc = max(mean_acc.values())
     ordering = mean_dsp["full"] < mean_dsp["adj_nf"] and mean_dsp["full"] < mean_dsp["no_st"]
     close = mean_acc["full"] >= best_acc - 0.05
+    wins = {v: sum(f < o for f, o in zip(dsp["full"], dsp[v])) for v in ("adj_nf", "no_st")}
+    per_seed = " ".join(f"{seed}:{dsp['full'][i]:.4f}/{dsp['adj_nf'][i]:.4f}/{dsp['no_st'][i]:.4f}"
+                        for i, seed in enumerate(FIXTURE_SEEDS))
     verdict(6, ordering and close and elapsed < 600.0,
             f"delta_sp full={mean_dsp['full']:.4f} adj_nf={mean_dsp['adj_nf']:.4f} "
             f"no_st={mean_dsp['no_st']:.4f} | acc full={mean_acc['full']:.3f} "
-            f"best={best_acc:.3f} | elapsed={elapsed:.0f}s (budget 600s)")
+            f"best={best_acc:.3f} | per_seed full<adj_nf={wins['adj_nf']}/{len(FIXTURE_SEEDS)} "
+            f"full<no_st={wins['no_st']}/{len(FIXTURE_SEEDS)} seed:full/adj_nf/no_st {per_seed} "
+            f"| elapsed={elapsed:.0f}s (budget 600s)")
 
 
 NBA_MANIFEST = os.environ.get("FAIRFORMER_NBA_MANIFEST", "")

@@ -183,7 +183,8 @@ def test_non_finite_cell_is_data_error(tmp_path, capsys, file, line, row, error,
     ("delimiter=;;", "delimiter must be one character or \\\\t, got ';;'"),
     ("standardize=maybe", "standardize must be one of 0/false/no/1/true/yes, got 'maybe'"),
     ("standarize=1", "unknown key 'standarize'"),
-], ids=["delimiter", "standardize", "unknown_key"])
+    ("label=f0", "key 'label' repeats "),
+], ids=["delimiter", "standardize", "unknown_key", "repeated_key"])
 def test_bad_manifest_value_is_data_error(tmp_path, capsys, line, names):
     manifest = write_tiny_dataset(tmp_path)
     manifest.write_text(manifest.read_text() + line + "\n")
@@ -217,8 +218,8 @@ def test_training_flag_defaults_are_the_library_defaults(argv):
     (["train", "--synthetic", "40", "--cap", "0"], 2, "--cap"),
     (["bench", "--epochs-timed", "0"], 2, "--epochs-timed"),
     (["bench", "--epochs-timed", "-3"], 2, "--epochs-timed"),
-    (["train", "--synthetic", "200", "--epochs", "1", "--folds", "1", "--k", "100000000"], 1,
-     "hop stack of k=100000000"),
+    (["train", "--synthetic", "200", "--epochs", "1", "--folds", "1", "--ablation", "adj_nf",
+      "--k", "100000000"], 1, "hop stack of k=100000000"),
     (["verify", "--n", "500", "--kmax", "100000000"], 1, "hop stack of k=100000000"),
     (["train", "--synthetic", "40", "--hidden", "1000000000", "--epochs", "1", "--folds", "1",
       "--t", "2", "--serial"], 1, "d_hidden=1000000000"),
@@ -247,6 +248,21 @@ def test_structure_solve_that_cannot_fit_exits_1(monkeypatch, capsys):
                     "--serial"]) == 1
     err = capsys.readouterr().err
     assert "structure solve of t=197 at n=200 needs about" in err and "Traceback" not in err
+
+
+def test_adjacency_hop_stack_past_float_range_exits_1_before_training(monkeypatch, recwarn,
+                                                                       capsys):
+    # |lambda_1| is about 25.7 on this graph, so raw adjacency hop 300 is past 1e308
+    def no_training(*args):
+        raise AssertionError("a fold was set up for training")
+
+    monkeypatch.setattr("fairformer.train._init_fold", no_training)
+    assert run_cli(["train", "--synthetic", "300", "--ablation", "adj_nf", "--k", "300",
+                    "--epochs", "1", "--folds", "1", "--serial"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error=FairformerError detail=\"the adj_nf hop stack of k=300 "
+                          "leaves float64's range at hop ")
+    assert "Traceback" not in err and not recwarn.list
 
 
 def test_unscorable_test_set_is_data_error(capsys):

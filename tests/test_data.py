@@ -168,6 +168,15 @@ def test_manifest_unknown_key_is_refused_at_its_line(tmp_path):
         load_manifest(manifest)
 
 
+def test_manifest_repeated_key_is_refused_at_both_lines(tmp_path):
+    manifest = tmp_path / "data.manifest"
+    manifest.write_text("nodes=x.csv\nlabel=label\n# comment\nedges=y.csv\nlabel=f1\n")
+    with pytest.raises(IngestionError) as exc:
+        load_manifest(manifest)
+    message = str(exc.value)
+    assert f"{manifest}:5: key 'label' repeats {manifest}:2" in message
+
+
 def test_binarize_examples():
     assert binarize_labels([0, 1, 2, 3]).tolist() == [0, 1, 1, 1]
     assert binarize_labels([0, 0, 0]).tolist() == [0, 0, 0]

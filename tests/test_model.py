@@ -209,22 +209,30 @@ def test_dropout_training_vs_eval():
         forward(params, stack, training=True)
 
 
-@pytest.mark.parametrize("heads,layers", [(1, 1), (2, 2)])
+@pytest.mark.parametrize("heads,layers", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_counts_stand_for_repeated_tokens(heads, layers):
+    """A counted stack trains as its expanded stack: the logits and every gradient."""
     distinct = make_stack(n=4, k=1, d=6, seed=23).tensor
     expanded = HopStack(tensor=distinct[:, [0, 1, 1, 1]])
-    collapsed = HopStack(tensor=distinct, counts=np.array([1.0, 3.0]))
-    params = small_params(heads=heads, layers=layers)
-    np.testing.assert_allclose(forward(params, collapsed).data, forward(params, expanded).data,
-                               rtol=0, atol=1e-12)
-    unit = HopStack(tensor=distinct, counts=np.ones(2))  # log 1 = 0 adds nothing
+    counted = HopStack(tensor=distinct, counts=(1, 3))
+    labels = np.array([0, 1, 1, 0])
+    params = small_params(heads=heads, layers=layers)  # dropout 0
+    logits, grads = [], []
+    for stack in (counted, expanded):
+        out = forward(params, stack, training=True)
+        ad.zero_grads(params.trainable())
+        ad.backward(cross_entropy(out, labels))
+        logits.append(out.data)
+        grads.append({name: t.grad.copy() for name, t in params.tensors.items()})
+    np.testing.assert_allclose(logits[0], logits[1], rtol=0, atol=1e-12)
+    for name in params.tensors:
+        np.testing.assert_allclose(grads[0][name], grads[1][name], rtol=0, atol=1e-12,
+                                   err_msg=name)
+    if heads == 1:
+        np.testing.assert_allclose(logits[0], forward_direct(params, expanded.tensor),
+                                   rtol=0, atol=1e-12)
+    unit = HopStack(tensor=distinct, counts=(1, 1))  # log 1 = 0 adds nothing
     assert np.array_equal(forward(params, unit).data, forward(params, HopStack(distinct)).data)
-
-
-def test_training_forward_refuses_counts():
-    stack = HopStack(tensor=make_stack(n=2, k=1).tensor, counts=np.array([1.0, 2.0]))
-    with pytest.raises(FairformerError, match="scoring only"):
-        forward(small_params(), stack, training=True, rng=np.random.default_rng(0))
 
 
 def test_cross_entropy_uniform_logits():

@@ -115,11 +115,11 @@ def test_run_directory_layout(tmp_path):
 def test_encoding_variants():
     g = sensitive_block_graph(n=60, seed=8, avg_degree=8.0)
     base = quick_config(k=2, t=3)
-    full = build_encodings(g, base)
-    assert full.tensor.shape == (60, 3, g.d + 3)
+    full = build_encodings(g, base)  # tokens 0 and 1 with counts (1, 2)
+    assert full.tensor.shape == (60, 2, g.d + 3)
 
     no_st = build_encodings(g, replace(base, ablation="no_st"))
-    assert no_st.tensor.shape == (60, 3, g.d)
+    assert no_st.tensor.shape == (60, 2, g.d)
 
     no_nf = build_encodings(g, replace(base, ablation="no_nf"))
     assert no_nf.tensor.shape == (60, 1, g.d + 3)
@@ -129,7 +129,7 @@ def test_encoding_variants():
     assert not np.allclose(lap.tensor, full.tensor)
 
     adj = build_encodings(g, replace(base, ablation="adj_nf"))
-    assert adj.tensor.shape == full.tensor.shape
+    assert adj.tensor.shape == (60, 3, g.d + 3)
     assert np.array_equal(adj.tensor[:, 0, :], full.tensor[:, 0, :])
     assert not np.allclose(adj.tensor[:, 1, :], full.tensor[:, 1, :])
 
@@ -358,12 +358,25 @@ def test_hop_stack_that_cannot_fit_is_refused_before_it_is_allocated():
     g = sensitive_block_graph(n=200, seed=3, avg_degree=8.0)
     tracemalloc.start()
     try:
-        # 200 nodes x (10**8 + 1) tokens x 15 columns x 8 bytes: 2.4 TB
+        # adjacency hops keep every token: 200 nodes x (10**8 + 1) tokens x 15 columns x
+        # 8 bytes is 2.4 TB
         with pytest.raises(FairformerError, match=r"hop stack of k=100000000 .* needs about"):
-            build_encodings(g, TrainConfig(k=10**8, t=5))
+            build_encodings(g, TrainConfig(k=10**8, t=5, ablation="adj_nf"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_group_mean_stack_memory_does_not_grow_with_k():
+    g = sensitive_block_graph(n=200, seed=3, avg_degree=8.0)
+    tracemalloc.start()
+    try:
+        stack = build_encodings(g, TrainConfig(k=10**8, t=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.tensor.shape == (200, 2, g.d + 5) and stack.counts == (1, 10**8)
     assert peak < 1_000_000
 
 
@@ -398,9 +411,9 @@ def group_mean_stack(n, k, d=5, seed=0):
 def test_collapsed_scoring_matches_every_token(k, heads, layers):
     block = train_module._SCORE_BLOCK
     full = group_mean_stack(2 * block + 1, k)
+    collapsed = replace(group_mean_stack(2 * block + 1, 1), counts=(1, k))
+    assert np.array_equal(collapsed.tensor, full.tensor[:, :2])
     cfg = quick_config(k=k, heads=heads, layers=layers, d_hidden=8)
-    collapsed = train_module._scoring_stack(cfg, full)
-    assert collapsed.tensor.shape[1] == 2 and collapsed.counts.tolist() == [1.0, k]
     params = init_model(cfg.model_config(seed=10 * k + heads + layers), full.d)
     oracle = forward_direct(params, full.tensor) if heads == 1 else None
     for n in (1, block - 1, block, block + 1, 2 * block + 1):
@@ -421,28 +434,27 @@ def test_scoring_collapses_only_tied_group_mean_tokens(overrides, tied):
     g = sensitive_block_graph(n=60, seed=8, avg_degree=8.0)
     cfg = quick_config(**{"k": 3, "t": 3, **overrides})
     stack = build_encodings(g, cfg)
-    scoring = train_module._scoring_stack(cfg, stack)
-    assert stack.counts is None
     if not tied:
-        assert scoring is stack
+        assert stack.counts is None
+        assert stack.tensor.shape[1] == (1 if cfg.ablation == "no_nf" else cfg.k + 1)
         return
-    assert np.array_equal(scoring.tensor, stack.tensor[:, :2])
-    assert scoring.counts.tolist() == [1.0, 3.0]
-    np.testing.assert_allclose(stack.tensor[:, 2:], stack.tensor[:, 1:2].repeat(2, axis=1),
+    assert stack.counts == (1, 3)
+    expanded = hop_aggregate(g.sensitive, stack.tensor[:, 0], 3, normalization="group-mean")
+    assert np.array_equal(stack.tensor, expanded.tensor[:, :2])
+    np.testing.assert_allclose(expanded.tensor[:, 2:], expanded.tensor[:, 1:2].repeat(2, axis=1),
                                rtol=0, atol=1e-12)
 
 
-def test_training_runs_every_token_and_scoring_the_distinct_ones(monkeypatch):
+def test_training_and_scoring_run_the_same_tokens(monkeypatch):
     calls = []
 
     def recording_forward(params, stack, training=False, **kwargs):
-        counts = None if stack.counts is None else tuple(stack.counts)
-        calls.append((training, stack.tensor.shape[1], counts))
+        calls.append((training, stack.tensor.shape[1], stack.counts))
         return forward(params, stack, training=training, **kwargs)
 
     monkeypatch.setattr(train_module, "forward", recording_forward)
     g = sensitive_block_graph(n=100, seed=7, avg_degree=10.0)
     train(g, quick_config(k=3, epochs=2, folds=1, dropout=0.1),
           split_spec=SplitSpec(train_per_class_cap=15, seed=0, folds=1))
-    assert [c for c in calls if c[0]] == [(True, 4, None)] * 2
-    assert {c for c in calls if not c[0]} == {(False, 2, (1.0, 3.0))}
+    assert [c for c in calls if c[0]] == [(True, 2, (1, 3))] * 2
+    assert {c for c in calls if not c[0]} == {(False, 2, (1, 3))}
