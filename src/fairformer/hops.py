@@ -11,11 +11,12 @@ keeping magnitudes bounded during training.
 
 Note the algebra: because each group is complete, every hop token for j >= 2
 is a scalar multiple of the hop-1 token (raw) or identical to it (group-mean),
-the latter up to rounding, as a mean of means is not bit-equal. So a
-group-mean stack of k >= 2 hops is kept as tokens 0 and 1 with multiplicities
-(1, k) (`HopStack.counts`, see `model.forward`), for training and scoring
-alike: its size does not grow with k, which only weighs the group token by
-log k. Depth is meaningful only for adjacency hops, which keep every token.
+the latter up to rounding, as a mean of means is not bit-equal. So
+`train.build_encodings` keeps a group-mean stack of k >= 2 hops as tokens 0
+and 1 with multiplicities (1, k) (`HopStack.counts`, see `model.forward`), for
+training and scoring alike: its size does not grow with k, which only weighs
+the group token by log k. Depth is meaningful only for adjacency hops, which
+keep every token.
 """
 
 from __future__ import annotations
