@@ -4,6 +4,11 @@ Only the operations the hop-token transformer needs are provided, each with
 an explicit backward rule so the whole tape stays auditable. Everything runs
 in float64; broadcasting is restricted to the bias-add pattern (a trailing
 1-D vector added over the last axis).
+
+`backward` frees the tape as it sweeps it: each interior node gives up its
+grad, its closure (and with it the forward values the closure saved) and its
+parents once its closure has run, while leaves keep their grads. A swept node
+cannot be differentiated through again; reaching one raises `FairformerError`.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ class Tensor:
 
     Tensors produced by ops keep references to their parents and a backward
     closure; `backward(loss)` replays those closures in reverse topological
-    order. Leaf tensors with ``requires_grad=False`` never receive a grad.
+    order and then drops them (`_done` marks a swept node). Leaf tensors with
+    ``requires_grad=False`` never receive a grad.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_done")
@@ -261,14 +267,17 @@ def sum_all(a: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Populate grads of every requires_grad leaf reachable from `loss`.
 
-    The recorded graph is swept once in reverse topological order; calling
-    backward a second time on the same tape is an error because the closures
-    capture forward values that a fresh forward pass must rebuild.
+    The recorded graph is swept once in reverse topological order, and the
+    sweep frees what it has consumed: once an interior node's closure has run,
+    its grad, closure and parents are dropped, so the closures' saved forward
+    values go with them and a training step holds its forward tape plus one
+    frontier of grads. Leaves keep their grads. A tape is therefore good for
+    one backward: reaching a swept node, from the same loss or from a second
+    loss that shares a subgraph with the first, raises `FairformerError`
+    ("tape already consumed") before any grad is touched.
     """
     if loss.data.shape != ():
         raise FairformerError("backward: loss must be a scalar tensor")
-    if loss._done:
-        raise FairformerError("backward: tape already consumed; run a new forward pass")
     if not loss.requires_grad:
         return
 
@@ -280,6 +289,8 @@ def backward(loss: Tensor) -> None:
         if expanded:
             order.append(node)
             continue
+        if node._done:
+            raise FairformerError("backward: tape already consumed; run a new forward pass")
         if id(node) in seen:
             continue
         seen.add(id(node))
@@ -289,10 +300,12 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward_fn is not None and node.grad is not None:
-            node._backward_fn(node.grad)
-        node._done = True
+    while order:
+        node = order.pop()
+        if node._backward_fn is None:  # a leaf: its grad is the result
+            continue
+        node._backward_fn(node.grad)
+        node.grad, node._backward_fn, node._parents, node._done = None, None, (), True
 
 
 def zero_grads(tensors) -> None:

@@ -103,21 +103,41 @@ def hop_aggregate(group, h, k: int, normalization: str = "raw") -> HopStack:
     return _hop_stack(x, k, lambda current: _group_apply(group, current, mean))
 
 
+# The largest |entry| an adj_nf hop of `width` columns may hold is this over
+# sqrt(width). The first layer norm squares the projected tokens: a hop row x
+# projects to D entries each at most |x|_2 * |W[:, i]|_2 + |b_i| (Cauchy-Schwarz),
+# with |x|_2 <= sqrt(width) * max|x|, and the variance sums D squares of centred
+# entries, each at most (2 * max|y|)^2. So it stays finite while
+# 2 * sqrt(D) * |W[:, i]|_2 * |x|_2 < sqrt(float max). The 2^20 margin covers a
+# hidden width D up to 2^16 with weight columns grown to 2^11 times their initial
+# norm, which is at most 1. On `--synthetic 300` (|lambda_1| about 25.7) hop 104
+# passes, hop 105 is refused, and the layer norm itself overflowed from hop 109.
+_LAYER_NORM_SCALE = float(np.sqrt(np.finfo(np.float64).max)) * 2.0 ** -20
+
+
 def hop_aggregate_adjacency(g: Graph, h, k: int) -> HopStack:
     """Hop stack over the graph adjacency instead of the same-group graph (the
     `adj_nf` ablation).
 
     Each step is one sparse product with the raw adjacency, so hop j grows like
-    |lambda_1|^j; a stack that leaves float64's range is refused, naming k and
-    its first non-finite hop.
+    |lambda_1|^j. A stack that leaves float64's range is refused, naming k and
+    its first non-finite hop; a finite one is refused, naming k and the hop, from
+    the first hop too large for the model's first layer norm to square.
     """
     x = _features_of(h)
     if x.shape[0] != g.n:
         raise FairformerError(f"feature rows {x.shape[0]} do not match graph n={g.n}")
     stack = _hop_stack(x, k, lambda current: g.adjacency @ current)
-    bad = next((j for j in range(k + 1) if not np.isfinite(stack.tensor[:, j]).all()), None)
+    scale = [np.abs(stack.tensor[:, j]).max() for j in range(k + 1)]
+    bad = next((j for j, m in enumerate(scale) if not np.isfinite(m)), None)
     if bad is not None:
         raise FairformerError(f"the adj_nf hop stack of k={k} leaves float64's range at hop {bad}")
+    limit = _LAYER_NORM_SCALE / np.sqrt(x.shape[1])
+    big = next((j for j, m in enumerate(scale) if m > limit), None)
+    if big is not None:
+        raise FairformerError(
+            f"the adj_nf hop stack of k={k} outgrows what layer norm can square at hop {big}: "
+            f"its largest |entry| is {scale[big]:.3g}, the limit {limit:.3g}")
     return stack
 
 

@@ -212,8 +212,38 @@ def test_second_backward_is_error():
     x = ad.Tensor(np.ones(3), requires_grad=True)
     loss = ad.sum_all(x)
     ad.backward(loss)
-    with pytest.raises(FairformerError):
+    with pytest.raises(FairformerError, match="tape already consumed"):
         ad.backward(loss)
+
+
+def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
+    rng = np.random.default_rng(21)
+    x = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w = ad.Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    frozen = ad.Tensor(rng.standard_normal((3, 2)))
+    h = ad.matmul(x, w)
+    y = ad.gelu(ad.mul(h, frozen))
+    z = ad.softmax_rows(y)
+    loss = ad.sum_all(ad.mul(z, ad.Tensor(rng.standard_normal((3, 2)))))
+    interior = [h, y, z, loss]
+    assert all(t._backward_fn is not None and t._parents for t in interior)
+    ad.backward(loss)
+    for t in interior:
+        assert t.grad is None and t._backward_fn is None and t._parents == ()
+    assert x.grad.shape == (3, 4) and w.grad.shape == (4, 2)
+    assert frozen.grad is None
+
+
+def test_second_loss_through_a_swept_subgraph_is_error():
+    # y = 2x feeds both losses, whose true total gradient is 2 + 6 = 8; sweeping
+    # on with y's kept grad would read 10, with y's closure dropped silently 2
+    x = ad.Tensor(np.array([1.0]), requires_grad=True)
+    y = ad.scale(x, 2.0)
+    ad.backward(ad.sum_all(y))
+    assert np.array_equal(x.grad, [2.0])
+    with pytest.raises(FairformerError, match="tape already consumed"):
+        ad.backward(ad.sum_all(ad.scale(y, 3.0)))
+    assert np.array_equal(x.grad, [2.0])
 
 
 def test_grad_accumulates_over_shared_input():

@@ -265,6 +265,22 @@ def test_adjacency_hop_stack_past_float_range_exits_1_before_training(monkeypatc
     assert "Traceback" not in err and not recwarn.list
 
 
+@pytest.mark.parametrize("k, code", [(100, 0), (109, 1)])
+def test_adjacency_hop_stack_past_layer_norm_range_exits_1_before_training(monkeypatch, recwarn,
+                                                                            capsys, k, code):
+    # finite but huge: hop 100 reads about 1.3e141, and from hop 109 on the first
+    # layer norm's variance overflowed and the run trained on zeros
+    if code:
+        monkeypatch.setattr("fairformer.train._init_fold", lambda *args: pytest.fail("trained"))
+    assert run_cli(["train", "--synthetic", "300", "--ablation", "adj_nf", "--k", str(k),
+                    "--epochs", "1", "--folds", "1", "--serial"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith(f"error=FairformerError detail='the adj_nf hop stack of k={k} "
+                              "outgrows what layer norm can square at hop 105: ")
+    assert "Traceback" not in err and not recwarn.list
+
+
 def test_unscorable_test_set_is_data_error(capsys):
     # 5 nodes, seed 1: the one test node holds a single sensitive group and class
     assert run_cli(["train", "--synthetic", "5", "--seed", "1", "--epochs", "5", "--folds", "1",

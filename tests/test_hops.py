@@ -6,8 +6,9 @@ import scipy.sparse as sp
 
 from fairformer.data import Graph
 from fairformer.errors import FairformerError
-from fairformer.hops import (HopStack, build_group_graph, group_scaling_report, hop_aggregate,
-                             hop_aggregate_adjacency)
+from fairformer.hops import (_LAYER_NORM_SCALE, HopStack, build_group_graph, group_scaling_report,
+                             hop_aggregate, hop_aggregate_adjacency)
+from fairformer.model import ModelConfig, forward, init_model
 from fairformer.oracles import dense_power_apply
 from fairformer.synth import random_connected_graph
 
@@ -135,6 +136,36 @@ def test_adjacency_hops_match_dense_oracle():
         want = dense_power_apply(dense, h, j)
         scale = max(1.0, np.max(np.abs(want)))
         assert np.max(np.abs(stack.tensor[:, j, :] - want)) <= 1e-9 * scale
+
+
+def doubling_hops(width, top_over_limit):
+    """A triangle, on which each adjacency hop doubles rows of alternating-sign
+    features; hop 3 is `top_over_limit` times the layer-norm limit."""
+    g = random_connected_graph(3, density=1.0, seed=0)
+    limit = _LAYER_NORM_SCALE / np.sqrt(width)
+    signs = np.where(np.arange(width) % 2 == 0, 1.0, -1.0)
+    return g, np.tile(signs, (3, 1)) * limit * top_over_limit / 8.0
+
+
+@pytest.mark.parametrize("k", [4, 9])
+def test_adjacency_hop_past_the_layer_norm_bound_is_refused_naming_k_and_hop(k, recwarn):
+    g, h = doubling_hops(width=15, top_over_limit=0.75)  # hop 4 is 1.5 times the limit
+    with pytest.raises(FairformerError, match=rf"adj_nf hop stack of k={k} outgrows what layer "
+                                              r"norm can square at hop 4: "):
+        hop_aggregate_adjacency(g, h, k=k)
+    assert not recwarn.list
+
+
+def test_largest_accepted_adjacency_hop_passes_layer_norm_with_room():
+    g, h = doubling_hops(width=15, top_over_limit=1.0)
+    stack = hop_aggregate_adjacency(g, h, k=3)
+    params = init_model(ModelConfig(), 15)
+    # 2^15 stands for projection weights grown that much in training; the bound's
+    # margin covers about 2^15.5 at the default hidden width of 128
+    for grown in (1.0, 2.0 ** 15):
+        with np.errstate(over="raise", invalid="raise"):
+            logits = forward(params, HopStack(tensor=stack.tensor * grown))
+        assert np.all(np.isfinite(logits.data))
 
 
 def test_adjacency_raw_handles_isolated_nodes():

@@ -341,6 +341,32 @@ def test_scoring_after_adam_step_sees_updated_weights():
     np.testing.assert_allclose(after, forward(params, stack).data, rtol=0, atol=1e-12)
 
 
+def test_training_step_peak_stays_near_its_forward_tape():
+    # backward frees each interior node once its closure has run, so a step holds
+    # its forward tape plus one frontier of grads; keeping every grad and closure
+    # to the end of the step read about 3x the tape here
+    cfg = TrainConfig()
+    g = sensitive_block_graph(n=100, seed=0)
+    stack = build_encodings(g, cfg)
+    params, optimizer, dropout_rng = train_module._init_fold(cfg, stack.d, 0)
+    train_module._train_step(params, optimizer, dropout_rng, stack, g.labels, 0, 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = cross_entropy(forward(params, stack, training=True,
+                                     rng=np.random.default_rng(1)), g.labels)
+        tape = tracemalloc.get_traced_memory()[0] - base
+        del loss
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        train_module._train_step(params, optimizer, dropout_rng, stack, g.labels, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert tape > 1_000_000
+    assert peak <= 1.5 * tape, f"step peak {peak} B against a {tape} B forward tape"
+
+
 def test_report_records_the_effective_t():
     g = sensitive_block_graph(n=40, seed=12, avg_degree=8.0)
     spec = SplitSpec(train_per_class_cap=5, seed=0, folds=1)
