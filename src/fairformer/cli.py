@@ -39,14 +39,20 @@ class _Formatter(argparse.ArgumentDefaultsHelpFormatter):
         super().__init__(prog, width=96, max_help_position=34)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, kind: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _size_list(text: str) -> list:
@@ -73,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common_flags(p):
         p.add_argument("--out", type=Path, default=None, help="output directory for report files")
-        p.add_argument("--seed", type=int, default=0, help="base random seed")
+        p.add_argument("--seed", type=_non_negative_int, default=0, help="base random seed")
         p.add_argument("--serial", action="store_true",
                        help="single-threaded execution (byte-identical reports)")
 
@@ -154,12 +160,12 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _write_report(out_dir, name, text):
-    if out_dir is None:
-        return
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / name).write_text(text + "\n")
+def _report(args, name, text, echo=True):
+    """Print a verb's report (unless `echo` is off) and, with --out, write it there as `name`."""
+    if echo:
+        print(text)
+    if args.out is not None:  # `main` made it
+        (args.out / name).write_text(text + "\n")
 
 
 def _cmd_train(args) -> int:
@@ -173,11 +179,9 @@ def _cmd_train(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg = _train_config(args)
     results = ablate(_load_graph(args), cfg, split_spec=_split_spec(args), serial=args.serial)
-    table = sweep_table("variant", results.items())
-    print(table)
-    _write_report(args.out, "report.txt", table)
+    _report(args, "report.txt", sweep_table("variant", results.items()))
     for variant, result in results.items():
-        _write_report(args.out, f"report_{variant}.txt", result.summary_text())
+        _report(args, f"report_{variant}.txt", result.summary_text(), echo=False)
     return EXIT_OK
 
 
@@ -189,9 +193,7 @@ def _cmd_sweep(args) -> int:
     sweep_configs(cfg, args.param, values)  # a bad swept value fails before the graph loads
     rows = sweep(_load_graph(args), cfg, args.param, values, split_spec=_split_spec(args),
                  serial=args.serial)
-    table = sweep_table(args.param, rows)
-    print(table)
-    _write_report(args.out, "sweep.tsv", table)
+    _report(args, "sweep.tsv", sweep_table(args.param, rows))
     return EXIT_OK
 
 
@@ -227,17 +229,14 @@ def _cmd_verify(args) -> int:
         all_ok &= eig_ok
 
     lines.append(f"all_pass={int(all_ok)}")
-    report = "\n".join(lines)
-    print(report)
-    _write_report(args.out, "report.txt", report)
+    _report(args, "report.txt", "\n".join(lines))
     return EXIT_OK if all_ok else EXIT_FAILURE
 
 
 def _cmd_bench(args) -> int:
     report = bench_scaling(args.sizes, k=args.k, t=args.t, d_hidden=args.hidden, seed=args.seed,
                            epochs_timed=args.epochs_timed)
-    print(report.table())
-    _write_report(args.out, "bench.txt", report.table())
+    _report(args, "bench.txt", report.table())
     return EXIT_OK if report.passed else EXIT_FAILURE
 
 
@@ -255,9 +254,7 @@ def _cmd_inspect(args) -> int:
         f"labeled_nodes={int(g.label_mask.sum())}",
         f"label_counts={int((labeled == 0).sum())},{int((labeled == 1).sum())}",
     ]
-    report = "\n".join(lines)
-    print(report)
-    _write_report(args.out, "report.txt", report)
+    _report(args, "report.txt", "\n".join(lines))
     return EXIT_OK
 
 
@@ -274,17 +271,20 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.out is not None:  # a bad --out fails before any data is read or any work is done
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"{parser.prog} {args.verb}: error: argument --out: cannot create "
+                  f"{str(args.out)!r}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return _HANDLERS[args.verb](args)
-    except (IngestionError, SchemaError, SplitError, FileNotFoundError) as exc:
-        print(f"error={type(exc).__name__} detail={str(exc)!r}", file=sys.stderr)
-        return EXIT_DATA
-    except (ConvergenceError, TrainingError) as exc:
-        print(f"error={type(exc).__name__} detail={str(exc)!r}", file=sys.stderr)
-        return EXIT_CONVERGENCE
     except FairformerError as exc:
         print(f"error={type(exc).__name__} detail={str(exc)!r}", file=sys.stderr)
-        return EXIT_FAILURE
+        if isinstance(exc, (IngestionError, SchemaError, SplitError)):
+            return EXIT_DATA
+        return EXIT_CONVERGENCE if isinstance(exc, (ConvergenceError, TrainingError)) else EXIT_FAILURE
 
 
 if __name__ == "__main__":

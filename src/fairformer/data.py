@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -112,6 +113,22 @@ _MANIFEST_BOOLEANS = {"0": False, "false": False, "no": False, "1": True, "true"
                       "yes": True}
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The whole file as text, line endings kept. A file that cannot be found,
+    read or decoded is an IngestionError naming it, and a decode error its line."""
+    try:
+        with path.open(newline="") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise IngestionError(f"{what} not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise IngestionError(f"{path}:{line}: byte {exc.object[exc.start]:#04x} is not "
+                             f"{exc.encoding} text") from None
+    except OSError as exc:
+        raise IngestionError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def load_manifest(path) -> tuple[Path, Path, ColumnSchema]:
     """Parse a key=value manifest: nodes=..., edges=..., sensitive=..., label=...
 
@@ -122,10 +139,8 @@ def load_manifest(path) -> tuple[Path, Path, ColumnSchema]:
     directory.
     """
     path = Path(path)
-    if not path.exists():
-        raise IngestionError(f"manifest not found: {path}")
     entries, where = {}, {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path, "manifest").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -174,12 +189,9 @@ def load_dataset(node_file, edge_file, schema: ColumnSchema | None = None) -> Gr
     """
     schema = schema or ColumnSchema()
     node_file, edge_file = Path(node_file), Path(edge_file)
-    if not node_file.exists():
-        raise IngestionError(f"node file not found: {node_file}")
-    if not edge_file.exists():
-        raise IngestionError(f"edge file not found: {edge_file}")
+    node_text, edge_text = _read_text(node_file, "node file"), _read_text(edge_file, "edge file")
 
-    with node_file.open(newline="") as fh:
+    with io.StringIO(node_text, newline="") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         try:
             header = next(reader)
@@ -272,7 +284,7 @@ def load_dataset(node_file, edge_file, schema: ColumnSchema | None = None) -> Gr
             return False
 
     src, dst = [], []
-    with edge_file.open(newline="") as fh:
+    with io.StringIO(edge_text, newline="") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         for lineno, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):
@@ -340,15 +352,6 @@ class Split:
 _HOLDOUT_FRACTION = 0.25  # of all labeled nodes, for validation and again for test
 
 
-def _balanced_shares(total: int, class_order) -> dict:
-    """Split `total` slots across classes as evenly as possible (within one)."""
-    shares = {}
-    base, extra = divmod(total, len(class_order))
-    for i, cls in enumerate(class_order):
-        shares[cls] = base + (1 if i < extra else 0)
-    return shares
-
-
 def make_split(g: Graph, spec: SplitSpec) -> Split:
     """Draw one seeded train/val/test split over labeled nodes.
 
@@ -364,9 +367,9 @@ def make_split(g: Graph, spec: SplitSpec) -> Split:
             raise SplitError(f"class {c} has {per_class[c].size} labeled nodes; need at least 2")
 
     holdout = int(np.floor(_HOLDOUT_FRACTION * labeled.size))
-    # give any odd slot to the larger class so small classes are not drained
-    order = sorted(classes, key=lambda c: (-per_class[c].size, c))
-    share = _balanced_shares(holdout, order)
+    # any odd slot goes to the larger class (class 0 on a tie), so small classes are not drained
+    larger = int(per_class[1].size > per_class[0].size)
+    share = {larger: (holdout + 1) // 2, 1 - larger: holdout // 2}
 
     rng = np.random.default_rng(spec.seed)
     train_parts, val_parts, test_parts = [], [], []

@@ -11,17 +11,17 @@ keeping magnitudes bounded during training.
 
 Note the algebra: because each group is complete, every hop token for j >= 2
 is a scalar multiple of the hop-1 token (raw) or identical to it (group-mean),
-the latter up to rounding, as a mean of means is not bit-equal. So
-`train.build_encodings` keeps a group-mean stack of k >= 2 hops as tokens 0
-and 1 with multiplicities (1, k) (`HopStack.counts`, see `model.forward`), for
-training and scoring alike: its size does not grow with k, which only weighs
-the group token by log k. Depth is meaningful only for adjacency hops, which
-keep every token.
+the latter up to rounding, as a mean of means is not bit-equal. So a group-mean
+stack of k >= 2 hops is built as tokens 0 and 1 with multiplicities (1, k)
+(`HopStack.counts`, see `model.forward`), the one stack training and scoring
+run: its size does not grow with k, which only weighs the group token by log k.
+Raw stacks, which serve `verify`'s q^k check, and adjacency stacks keep every
+token.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,7 +88,7 @@ def hop_aggregate(group, h, k: int, normalization: str = "raw") -> HopStack:
     sensitive group, see `build_group_graph`): slice 0 is the input itself.
 
     Each step is a per-group row sum, divided by the group size in group-mean
-    mode.
+    mode, where k >= 2 hops come back as tokens 0 and 1 with counts (1, k).
     """
     if normalization not in _MODES:
         raise FairformerError(f"normalization must be one of {_MODES}")
@@ -100,7 +100,9 @@ def hop_aggregate(group, h, k: int, normalization: str = "raw") -> HopStack:
     if x.shape[0] != group.size:
         raise FairformerError(f"feature rows {x.shape[0]} do not match {group.size} groups")
     mean = normalization == "group-mean"
-    return _hop_stack(x, k, lambda current: _group_apply(group, current, mean))
+    stack = _hop_stack(x, min(k, 1) if mean else k,
+                       lambda current: _group_apply(group, current, mean))
+    return replace(stack, counts=(1, k)) if mean and k >= 2 else stack
 
 
 # The largest |entry| an adj_nf hop of `width` columns may hold is this over
@@ -120,24 +122,21 @@ def hop_aggregate_adjacency(g: Graph, h, k: int) -> HopStack:
     `adj_nf` ablation).
 
     Each step is one sparse product with the raw adjacency, so hop j grows like
-    |lambda_1|^j. A stack that leaves float64's range is refused, naming k and
-    its first non-finite hop; a finite one is refused, naming k and the hop, from
-    the first hop too large for the model's first layer norm to square.
+    |lambda_1|^j. The stack is refused, naming k and the hop, from the first hop
+    too large for the model's first layer norm to square. That hop is finite:
+    one step multiplies the largest |entry| by at most the largest degree.
     """
     x = _features_of(h)
     if x.shape[0] != g.n:
         raise FairformerError(f"feature rows {x.shape[0]} do not match graph n={g.n}")
     stack = _hop_stack(x, k, lambda current: g.adjacency @ current)
-    scale = [np.abs(stack.tensor[:, j]).max() for j in range(k + 1)]
-    bad = next((j for j, m in enumerate(scale) if not np.isfinite(m)), None)
-    if bad is not None:
-        raise FairformerError(f"the adj_nf hop stack of k={k} leaves float64's range at hop {bad}")
     limit = _LAYER_NORM_SCALE / np.sqrt(x.shape[1])
-    big = next((j for j, m in enumerate(scale) if m > limit), None)
-    if big is not None:
-        raise FairformerError(
-            f"the adj_nf hop stack of k={k} outgrows what layer norm can square at hop {big}: "
-            f"its largest |entry| is {scale[big]:.3g}, the limit {limit:.3g}")
+    for j in range(k + 1):
+        top = np.abs(stack.tensor[:, j]).max(initial=0.0)
+        if not top <= limit:  # also refuses nan
+            raise FairformerError(
+                f"the adj_nf hop stack of k={k} outgrows what layer norm can square at hop {j}: "
+                f"its largest |entry| is {top:.3g}, the limit {limit:.3g}")
     return stack
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -19,12 +19,13 @@ from . import autodiff as ad
 from .data import Graph, Split, SplitSpec, make_folds
 from .errors import FairformerError, SplitError, TrainingError, UndefinedMetricError
 from .hops import HopStack, build_group_graph, hop_aggregate, hop_aggregate_adjacency
-from .metrics import accuracy, evaluate, predict_labels, statistical_parity
+from .metrics import EvalReport, accuracy, evaluate, predict_labels, statistical_parity
 from .model import ModelConfig, cross_entropy, forward, init_model, save_model
 from .spectral import fuse, laplacian_small_eigenpairs, top_magnitude_eigenpairs
 from .synth import benchmark_graph
 
 ABLATION_VARIANTS = ("full", "no_st", "lap_st", "no_nf", "adj_nf")
+_METRICS = tuple(f.name for f in fields(EvalReport))  # every report and table lists these
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class RunResult:
     encode_seconds: float = 0.0
 
     def __post_init__(self):
-        for key in ("accuracy", "delta_sp", "f1", "auc"):
+        for key in _METRICS:
             values = np.array([getattr(r, key) for r in self.fold_reports])
             self.mean[key] = float(values.mean())
             self.std[key] = float(values.std())
@@ -96,9 +97,8 @@ class RunResult:
                          f"epochs={self.epochs_run[i]} best_epoch={self.best_epochs[i]} "
                          f"stop={self.stop_reasons[i]} "
                          f"val_accuracy={self.val_accuracies[i]!r} "
-                         f"accuracy={report.accuracy!r} delta_sp={report.delta_sp!r} "
-                         f"f1={report.f1!r} auc={report.auc!r}")
-        for key in ("accuracy", "delta_sp", "f1", "auc"):
+                         + " ".join(f"{key}={getattr(report, key)!r}" for key in _METRICS))
+        for key in _METRICS:
             lines.append(f"mean.{key}={self.mean[key]!r}")
             lines.append(f"std.{key}={self.std[key]!r}")
             lines.append(f"mean.{key}_pct={self.mean[key] * 100:.2f}")
@@ -114,12 +114,10 @@ def build_encodings(g: Graph, cfg: TrainConfig) -> HopStack:
     no_nf  : structure columns but only the hop-0 token (k = 0)
     adj_nf : hops over the graph adjacency instead of the same-group graph
 
-    Same-group hops are group means; raw hops serve only `verify`'s q^k check.
-    Their tokens 1..k are tied (see `hops`), so for k >= 2 the stack is tokens
-    0 and 1 with counts (1, k), and k weighs the group token by log k.
-    `cfg.t` is clamped to the eigenvectors there are. The hop builders refuse a
-    stack that cannot fit in physical memory, after the structure solve and
-    before the stack is allocated.
+    Same-group hops are group means, a counted stack (see `hops`). `cfg.t` is
+    clamped to the eigenvectors there are. The hop builders refuse a stack that
+    cannot fit in physical memory, after the structure solve and before the
+    stack is allocated.
     """
     variant = cfg.ablation
     if variant == "no_st":
@@ -134,8 +132,7 @@ def build_encodings(g: Graph, cfg: TrainConfig) -> HopStack:
     k = 0 if variant == "no_nf" else cfg.k
     if variant == "adj_nf":
         return hop_aggregate_adjacency(g, fused, k)
-    stack = hop_aggregate(build_group_graph(g), fused, min(k, 1), normalization="group-mean")
-    return stack if k < 2 else replace(stack, counts=(1, k))
+    return hop_aggregate(build_group_graph(g), fused, k, normalization="group-mean")
 
 
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -349,10 +346,9 @@ def sweep(g: Graph, cfg: TrainConfig, param: str, values, split_spec: SplitSpec 
 
 
 def sweep_table(param: str, rows) -> str:
-    lines = [f"{param}\taccuracy\tdelta_sp\tf1\tauc"]
+    lines = ["\t".join((param,) + _METRICS)]
     for value, result in rows:
-        lines.append(f"{value}\t{result.mean['accuracy']!r}\t{result.mean['delta_sp']!r}"
-                     f"\t{result.mean['f1']!r}\t{result.mean['auc']!r}")
+        lines.append("\t".join([str(value)] + [repr(result.mean[key]) for key in _METRICS]))
     return "\n".join(lines)
 
 

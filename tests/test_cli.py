@@ -252,7 +252,8 @@ def test_structure_solve_that_cannot_fit_exits_1(monkeypatch, capsys):
 
 def test_adjacency_hop_stack_past_float_range_exits_1_before_training(monkeypatch, recwarn,
                                                                        capsys):
-    # |lambda_1| is about 25.7 on this graph, so raw adjacency hop 300 is past 1e308
+    # |lambda_1| is about 25.7 on this graph, so raw adjacency hop 300 is past 1e308; the
+    # hops are checked in order, so the layer-norm bound refuses the stack at finite hop 105
     def no_training(*args):
         raise AssertionError("a fold was set up for training")
 
@@ -260,12 +261,12 @@ def test_adjacency_hop_stack_past_float_range_exits_1_before_training(monkeypatc
     assert run_cli(["train", "--synthetic", "300", "--ablation", "adj_nf", "--k", "300",
                     "--epochs", "1", "--folds", "1", "--serial"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error=FairformerError detail=\"the adj_nf hop stack of k=300 "
-                          "leaves float64's range at hop ")
+    assert err.startswith("error=FairformerError detail='the adj_nf hop stack of k=300 "
+                          "outgrows what layer norm can square at hop 105: ")
     assert "Traceback" not in err and not recwarn.list
 
 
-@pytest.mark.parametrize("k, code", [(100, 0), (109, 1)])
+@pytest.mark.parametrize("k, code", [(100, 0), (104, 0), (105, 1), (109, 1)])
 def test_adjacency_hop_stack_past_layer_norm_range_exits_1_before_training(monkeypatch, recwarn,
                                                                             capsys, k, code):
     # finite but huge: hop 100 reads about 1.3e141, and from hop 109 on the first
@@ -351,3 +352,63 @@ def test_bench_smoke(tmp_path, capsys):
     assert "epoch_exponent=" in out
     assert (tmp_path / "bench.txt").exists()
     assert code in (0, 1)  # tiny sizes make the exponent fit noisy
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--synthetic", "50", "--epochs", "1", "--folds", "1"],
+    ["ablate", "--synthetic", "50", "--epochs", "1", "--folds", "1"],
+    ["sweep", "--synthetic", "50", "--param", "t", "--min", "1", "--max", "2"],
+    ["verify"],
+    ["bench", "--sizes", "100,200"],
+    ["inspect", "--synthetic", "50"],
+], ids=["train", "ablate", "sweep", "verify", "bench", "inspect"])
+def test_negative_seed_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be a non-negative integer, got '-1'" in err
+    assert "Traceback" not in err
+
+
+def unreadable_inputs(tmp_path):
+    """(name, manifest) pairs whose manifest or data file cannot be read as text."""
+    manifest = write_tiny_dataset(tmp_path)
+    (tmp_path / "dir").mkdir()
+    directory_nodes = tmp_path / "directory_nodes.manifest"
+    directory_nodes.write_text(manifest.read_text().replace("nodes=nodes.csv", "nodes=dir"))
+    binary_manifest = tmp_path / "binary.manifest"
+    binary_manifest.write_bytes(manifest.read_bytes().replace(b"label=", b"label=\xff"))
+    binary_nodes = tmp_path / "binary_nodes.manifest"
+    (tmp_path / "binary.csv").write_bytes((tmp_path / "nodes.csv").read_bytes() + b"24,\xff,0,0\n")
+    binary_nodes.write_text(manifest.read_text().replace("nodes=nodes.csv", "nodes=binary.csv"))
+    return {"manifest_dir": (tmp_path / "dir", "dir"),
+            "nodes_dir": (directory_nodes, "dir"),
+            "manifest_byte": (binary_manifest, "binary.manifest:4: byte 0xff is not utf-8 text"),
+            "nodes_byte": (binary_nodes, "binary.csv:26: byte 0xff is not utf-8 text")}
+
+
+@pytest.mark.parametrize("case", ["manifest_dir", "nodes_dir", "manifest_byte", "nodes_byte"])
+def test_unreadable_input_is_data_error(tmp_path, capsys, case):
+    manifest, names = unreadable_inputs(tmp_path)[case]
+    assert run_cli(["inspect", "--manifest", str(manifest)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error=IngestionError") and names in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["train", "--synthetic", "40", "--epochs", "1", "--folds", "1"], "file"),
+    (["verify"], "file"),
+    (["inspect", "--synthetic", "40"], "file/sub"),
+], ids=["train", "verify", "inspect"])
+def test_bad_out_is_usage_error_before_any_work(tmp_path, monkeypatch, capsys, argv, out):
+    (tmp_path / "file").write_text("")
+    for name in ("sensitive_block_graph", "random_connected_graph"):
+        monkeypatch.setattr(f"fairformer.cli.{name}", lambda *a, **kw: pytest.fail("data made"))
+    monkeypatch.setattr("fairformer.train._init_fold", lambda *args: pytest.fail("trained"))
+    assert run_cli(argv + ["--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"fairformer {argv[0]}: error: argument --out: cannot create "
+                          f"'{tmp_path / out}': ")
+    assert "Traceback" not in err

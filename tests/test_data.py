@@ -177,6 +177,33 @@ def test_manifest_repeated_key_is_refused_at_both_lines(tmp_path):
     assert f"{manifest}:5: key 'label' repeats {manifest}:2" in message
 
 
+@pytest.mark.parametrize("target", ["manifest", "nodes", "edges"])
+def test_unreadable_file_is_refused_naming_it(tmp_path, target):
+    nodes, edges = write_dataset(tmp_path, ["0,1.0,0,0", "1,2.0,1,1"], ["0,1"])
+    manifest = tmp_path / "data.manifest"
+    manifest.write_text(f"nodes={nodes.name}\nedges={edges.name}\nsensitive=sensitive\n"
+                        "label=label\n")
+    path = {"manifest": manifest, "nodes": nodes, "edges": edges}[target]
+    path.unlink()
+    path.mkdir()
+    with pytest.raises(IngestionError, match=f"^cannot read {path}: "):
+        load_dataset(*load_manifest(manifest))
+
+
+@pytest.mark.parametrize("target,line", [("manifest", 3), ("nodes", 2), ("edges", 2)])
+def test_undecodable_byte_is_refused_at_its_line(tmp_path, target, line):
+    nodes, edges = write_dataset(tmp_path, ["0,1.0,0,0", "1,2.0,1,1"], ["0,1", "1,0"])
+    manifest = tmp_path / "data.manifest"
+    manifest.write_text(f"nodes={nodes.name}\nedges={edges.name}\nsensitive=sensitive\n"
+                        "label=label\n")
+    path = {"manifest": manifest, "nodes": nodes, "edges": edges}[target]
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(IngestionError, match=f"^{path}:{line}: byte 0xff is not utf-8 text$"):
+        load_dataset(*load_manifest(manifest))
+
+
 def test_binarize_examples():
     assert binarize_labels([0, 1, 2, 3]).tolist() == [0, 1, 1, 1]
     assert binarize_labels([0, 0, 0]).tolist() == [0, 0, 0]
@@ -251,6 +278,23 @@ def test_split_balanced_and_disjoint():
     # 25% of labeled nodes in val and test
     assert split.val.size == int(0.25 * 202)
     assert split.test.size == int(0.25 * 202)
+
+
+@pytest.mark.parametrize("sizes", [(14, 15), (15, 14), (14, 14)], ids=["1_larger", "0_larger",
+                                                                        "tie"])
+def test_split_gives_the_odd_holdout_slot_to_the_larger_class(sizes):
+    labels = np.repeat([0, 1], sizes)
+    n = labels.size
+    sens = np.arange(n) % 2
+    g = Graph(adjacency=sp.csr_matrix((n, n)), features=np.column_stack([np.zeros(n), sens]),
+              sensitive_index=1, labels=labels, label_mask=np.ones(n, dtype=bool))
+    split = make_split(g, SplitSpec(seed=0))
+    holdout = n // 4
+    assert holdout == 7  # of 29 and of 28 nodes; the odd slot goes to the larger class, or to 0
+    larger = int(sizes[1] > sizes[0])
+    for part in (split.val, split.test):
+        counts = np.bincount(labels[part], minlength=2)
+        assert counts[larger] == (holdout + 1) // 2 and counts[1 - larger] == holdout // 2
 
 
 def test_split_class_too_small():

@@ -88,10 +88,14 @@ def test_group_hops_match_dense_oracle(seed, mode):
     if mode == "group-mean":
         a_s = a_s / a_s.sum(axis=1, keepdims=True)
     stack = hop_aggregate(sens, h, k=k, normalization=mode)
+    # group-mean hops 1..k are tied, so k >= 2 of them come back as tokens 0 and 1 counted (1, k)
+    tokens = 2 if mode == "group-mean" and k >= 2 else k + 1
+    assert stack.tensor.shape == (n, tokens, d)
+    assert stack.counts == (None if tokens == k + 1 else (1, k))
     for j in range(k + 1):
         want = dense_power_apply(a_s, h, j)
         scale = max(1.0, np.max(np.abs(want)))
-        assert np.max(np.abs(stack.tensor[:, j, :] - want)) <= 1e-9 * scale
+        assert np.max(np.abs(stack.tensor[:, min(j, tokens - 1), :] - want)) <= 1e-9 * scale
 
 
 def test_group_mean_keeps_sensitive_column():
@@ -100,7 +104,8 @@ def test_group_mean_keeps_sensitive_column():
     sens = rng.integers(0, 2, n).astype(float)
     feats = np.column_stack([rng.standard_normal(n), sens])
     stack = hop_aggregate(sens, feats, k=3, normalization="group-mean")
-    for j in range(4):
+    assert stack.tensor.shape[1] == 2 and stack.counts == (1, 3)
+    for j in range(2):
         assert np.array_equal(stack.tensor[:, j, 1], sens)
 
 
@@ -111,7 +116,7 @@ def test_same_group_nodes_share_hop_tokens(mode):
     sens = rng.integers(0, 2, n)
     h = rng.standard_normal((n, 3))
     stack = hop_aggregate(sens, h, k=2, normalization=mode)
-    for j in (1, 2):
+    for j in range(1, stack.tensor.shape[1]):  # a group-mean stack holds tokens 0 and 1
         for grp in (0, 1):
             rows = stack.tensor[sens == grp, j, :]
             assert np.all(rows == rows[0])
@@ -154,6 +159,30 @@ def test_adjacency_hop_past_the_layer_norm_bound_is_refused_naming_k_and_hop(k, 
                                               r"norm can square at hop 4: "):
         hop_aggregate_adjacency(g, h, k=k)
     assert not recwarn.list
+
+
+def test_adjacency_hop_that_is_not_a_number_is_refused(recwarn):
+    g = random_connected_graph(3, density=1.0, seed=0)
+    h = np.array([[0.0], [np.nan], [1.0]])
+    with pytest.raises(FairformerError, match=r"k=2 outgrows what layer norm can square at "
+                                              r"hop 0: its largest \|entry\| is nan"):
+        hop_aggregate_adjacency(g, h, k=2)
+    assert not recwarn.list
+
+
+def test_adjacency_bound_scans_one_hop_at_a_time():
+    g = random_connected_graph(200, density=0.05, seed=1)
+    h = np.random.default_rng(2).standard_normal((200, 4)) * 1e-3
+    k = 20
+    stack_bytes = 200 * (k + 1) * 4 * 8
+    tracemalloc.start()
+    try:
+        stack = hop_aggregate_adjacency(g, h, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.tensor.nbytes == stack_bytes
+    assert peak < 1.25 * stack_bytes  # the stack, a few hops and the sparse product's scratch
 
 
 def test_largest_accepted_adjacency_hop_passes_layer_norm_with_room():

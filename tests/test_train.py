@@ -11,8 +11,9 @@ import fairformer.train as train_module
 from fairformer import autodiff as ad
 from fairformer.data import Graph, Split, SplitSpec, make_folds
 from fairformer.errors import FairformerError, SplitError, TrainingError
-from fairformer.hops import HopStack, hop_aggregate
+from fairformer.hops import HopStack, build_group_graph, hop_aggregate
 from fairformer.model import cross_entropy, forward, init_model
+from fairformer.oracles import dense_power_apply
 from fairformer.synth import sensitive_block_graph
 from model_oracle import forward_direct
 from fairformer.train import (ABLATION_VARIANTS, Adam, TrainConfig, ablate, bench_scaling,
@@ -426,19 +427,27 @@ def test_report_names_the_selected_epoch_and_why_training_stopped(tmp_path):
     assert f" epochs={best + 2} best_epoch={best} stop=patience " in fold_line
 
 
-def group_mean_stack(n, k, d=5, seed=0):
-    """Same-group hops of features with a nonzero mean, so the tied tokens differ in the last bits."""
+def group_mean_features(n, d=5, seed=0):
+    """Sensitive groups, and features with a nonzero mean so the tied tokens differ in the last bits."""
     rng = np.random.default_rng(seed)
-    sens = rng.integers(0, 2, n)
-    return hop_aggregate(sens, 3.0 + rng.standard_normal((n, d)), k, normalization="group-mean")
+    return rng.integers(0, 2, n), 3.0 + rng.standard_normal((n, d))
+
+
+def dense_group_mean_hops(sens, x, k):
+    """Hops 0..k of x through the dense group-mean matrix, every token kept: an
+    independent route to the stack that the counted one stands for."""
+    same = (sens[:, None] == sens[None, :]).astype(np.float64)
+    mean = same / same.sum(axis=1, keepdims=True)
+    return np.stack([dense_power_apply(mean, x, j) for j in range(k + 1)], axis=1)
 
 
 @pytest.mark.parametrize("k,heads,layers", list(itertools.product((2, 3), (1, 2), (1, 2))))
 def test_collapsed_scoring_matches_every_token(k, heads, layers):
     block = train_module._SCORE_BLOCK
-    full = group_mean_stack(2 * block + 1, k)
-    collapsed = replace(group_mean_stack(2 * block + 1, 1), counts=(1, k))
-    assert np.array_equal(collapsed.tensor, full.tensor[:, :2])
+    sens, x = group_mean_features(2 * block + 1)
+    collapsed = hop_aggregate(sens, x, k, normalization="group-mean")
+    assert collapsed.tensor.shape[1] == 2 and collapsed.counts == (1, k)
+    full = HopStack(tensor=dense_group_mean_hops(sens, x, k))
     cfg = quick_config(k=k, heads=heads, layers=layers, d_hidden=8)
     params = init_model(cfg.model_config(seed=10 * k + heads + layers), full.d)
     oracle = forward_direct(params, full.tensor) if heads == 1 else None
@@ -464,11 +473,26 @@ def test_scoring_collapses_only_tied_group_mean_tokens(overrides, tied):
         assert stack.counts is None
         assert stack.tensor.shape[1] == (1 if cfg.ablation == "no_nf" else cfg.k + 1)
         return
-    assert stack.counts == (1, 3)
-    expanded = hop_aggregate(g.sensitive, stack.tensor[:, 0], 3, normalization="group-mean")
-    assert np.array_equal(stack.tensor, expanded.tensor[:, :2])
-    np.testing.assert_allclose(expanded.tensor[:, 2:], expanded.tensor[:, 1:2].repeat(2, axis=1),
-                               rtol=0, atol=1e-12)
+    assert stack.tensor.shape[1] == 2 and stack.counts == (1, 3)
+    expanded = dense_group_mean_hops(g.sensitive, stack.tensor[:, 0], 3)
+    for j in (1, 2, 3):  # every oracle hop past 0 is token 1
+        np.testing.assert_allclose(stack.tensor[:, 1], expanded[:, j], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("ablation", ["full", "no_st", "lap_st"])
+def test_build_encodings_runs_the_library_group_mean_stack(ablation, k):
+    g = sensitive_block_graph(n=60, seed=8, avg_degree=8.0)
+    cfg = quick_config(k=k, t=3, ablation=ablation)
+    if ablation == "no_st":
+        fused = g.features
+    else:
+        solve = (spectral.laplacian_small_eigenpairs if ablation == "lap_st"
+                 else spectral.top_magnitude_eigenpairs)
+        fused = spectral.fuse(g, solve(g, cfg.t, seed=cfg.seed))
+    want = hop_aggregate(build_group_graph(g), fused, k, normalization="group-mean")
+    got = build_encodings(g, cfg)
+    assert got.counts == want.counts and np.array_equal(got.tensor, want.tensor)
 
 
 def test_training_and_scoring_run_the_same_tokens(monkeypatch):
