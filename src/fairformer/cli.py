@@ -39,20 +39,20 @@ class _Formatter(argparse.ArgumentDefaultsHelpFormatter):
         super().__init__(prog, width=96, max_help_position=34)
 
 
-def _int_at_least(low: int, kind: str):
+def _int_at_least(low: int, need: str):
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
         return value
     return parse
 
 
-_positive_int = _int_at_least(1, "positive")
-_non_negative_int = _int_at_least(0, "non-negative")
+_positive_int = _int_at_least(1, "a positive integer")
+_non_negative_int = _int_at_least(0, "a non-negative integer")
 
 
 def _size_list(text: str) -> list:
@@ -115,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="numerical certificates for the encodings",
                               formatter_class=_Formatter)
     add_common_flags(p_verify)
-    p_verify.add_argument("--n", type=_positive_int, default=30,
+    # a graph of 1 node has one sensitive group, and P2's eigenvalues +-1 have no strict gap
+    p_verify.add_argument("--n", type=_int_at_least(3, "an integer >= 3"), default=30,
                           help="nodes in the random test graph")
     p_verify.add_argument("--kmax", type=_positive_int, default=6,
                           help="largest hop count to certify")
@@ -149,7 +150,7 @@ def _load_graph(args):
 
 
 def _split_spec(args) -> SplitSpec:
-    return SplitSpec(train_per_class_cap=args.cap, seed=args.seed)
+    return SplitSpec(train_per_class_cap=args.cap, seed=args.seed, folds=args.folds)
 
 
 def _train_config(args) -> TrainConfig:

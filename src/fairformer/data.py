@@ -114,10 +114,11 @@ _MANIFEST_BOOLEANS = {"0": False, "false": False, "no": False, "1": True, "true"
 
 
 def _read_text(path: Path, what: str) -> str:
-    """The whole file as text, line endings kept. A file that cannot be found,
-    read or decoded is an IngestionError naming it, and a decode error its line."""
+    """The whole file as UTF-8 text, line endings kept and a leading byte-order mark
+    dropped. A file that cannot be found, read or decoded is an IngestionError
+    naming it, and a decode error its line."""
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             return fh.read()
     except FileNotFoundError:
         raise IngestionError(f"{what} not found: {path}") from None

@@ -20,38 +20,20 @@ def predict_labels(logits: np.ndarray) -> np.ndarray:
     return (logits[:, 1] > logits[:, 0]).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class GroupRates:
-    rate_group0: float
-    rate_group1: float
-    count_group0: int
-    count_group1: int
-
-    @property
-    def delta(self) -> float:
-        return abs(self.rate_group0 - self.rate_group1)
-
-
-def statistical_parity(pred, sens) -> GroupRates:
-    """Positive-prediction rates per sensitive group.
+def statistical_parity(pred, sens) -> float:
+    """ΔSP: the absolute gap between the two sensitive groups' positive-prediction rates.
 
     Raises when either group is empty: an undefined rate must never silently
     read as perfectly fair.
     """
     pred = np.asarray(pred)
-    sens = np.asarray(sens)
-    in1 = sens == 1
+    in1 = np.asarray(sens) == 1
     n0 = int((~in1).sum())
     n1 = int(in1.sum())
     if n0 == 0 or n1 == 0:
         raise UndefinedMetricError(
             f"statistical parity undefined: group sizes are ({n0}, {n1})")
-    return GroupRates(
-        rate_group0=float(pred[~in1].mean()),
-        rate_group1=float(pred[in1].mean()),
-        count_group0=n0,
-        count_group1=n1,
-    )
+    return abs(float(pred[~in1].mean()) - float(pred[in1].mean()))
 
 
 def accuracy(pred, labels) -> float:
@@ -108,10 +90,9 @@ def evaluate(logits, labels, sens) -> EvalReport:
     """Score utility and statistical parity; row i of each argument is the same node."""
     logits = np.asarray(logits, dtype=np.float64)
     pred = predict_labels(logits)
-    delta_sp = statistical_parity(pred, sens).delta
     return EvalReport(
         accuracy=accuracy(pred, labels),
-        delta_sp=delta_sp,
+        delta_sp=statistical_parity(pred, sens),
         f1=f1_score(pred, labels),
         auc=auc_score(logits[:, 1] - logits[:, 0], labels),
     )

@@ -76,8 +76,8 @@ class RunResult:
     stop_reasons: list  # "patience" or "epochs" (the epoch cap) per fold
     t_effective: int
     val_accuracies: list
-    mean: dict = field(default_factory=dict)
-    std: dict = field(default_factory=dict)
+    mean: dict = field(init=False, default_factory=dict)
+    std: dict = field(init=False, default_factory=dict)
     wall_seconds: float = 0.0
     encode_seconds: float = 0.0
 
@@ -214,7 +214,7 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
     def val_metrics():
         pred = predict_labels(_score(params, val_stack))
         try:
-            dsp = statistical_parity(pred, val_sens).delta
+            dsp = statistical_parity(pred, val_sens)
         except UndefinedMetricError:  # a single-group validation set has no parity
             dsp = float("nan")
         return accuracy(pred, val_labels), dsp
@@ -259,7 +259,7 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
     """Cross-validated training; one seeded re-split and parameter init per fold."""
     start = time.perf_counter()
     if splits is None:
-        splits = make_folds(g, replace(split_spec or SplitSpec(seed=cfg.seed), folds=cfg.folds))
+        splits = make_folds(g, split_spec or SplitSpec(seed=cfg.seed, folds=cfg.folds))
     if len(splits) != cfg.folds:
         raise FairformerError(f"expected {cfg.folds} splits, got {len(splits)}")
     for fold, split in enumerate(splits):  # `evaluate` needs both groups and both classes
@@ -317,13 +317,10 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
 
 def ablate(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
            serial: bool = True) -> dict:
-    """All ablation variants, each drawing the same folds (asserted via split hashes)."""
-    results = {variant: train(g, replace(cfg, ablation=variant), split_spec=split_spec,
-                              serial=serial)
-               for variant in ABLATION_VARIANTS}
-    if len({tuple(r.split_hashes) for r in results.values()}) != 1:
-        raise FairformerError("ablation variants diverged on splits")
-    return results
+    """All ablation variants; each draws the same seeded folds from the same spec."""
+    return {variant: train(g, replace(cfg, ablation=variant), split_spec=split_spec,
+                           serial=serial)
+            for variant in ABLATION_VARIANTS}
 
 
 def sweep_configs(cfg: TrainConfig, param: str, values) -> list:
@@ -336,12 +333,12 @@ def sweep_configs(cfg: TrainConfig, param: str, values) -> list:
 def sweep(g: Graph, cfg: TrainConfig, param: str, values, split_spec: SplitSpec | None = None,
           serial: bool = True) -> list:
     """One training run per parameter value; returns [(value, RunResult), ...] in the
-    order given. A t sweep trains from the largest t down, so the first run solves the
-    structure basis and every later one takes its first t pairs (see `spectral`)."""
+    order given. Runs go from the largest t down, so the first one solves the structure
+    basis and every later one takes its first t pairs (see `spectral`); a layers sweep
+    shares one t, and the stable sort keeps its order."""
     configs = sweep_configs(cfg, param, values)
-    runs = sorted(configs, key=lambda run: -run[0]) if param == "t" else configs
     results = {value: train(g, swept, split_spec=split_spec, serial=serial)
-               for value, swept in runs}
+               for value, swept in sorted(configs, key=lambda run: -run[1].t)}
     return [(value, results[value]) for value, _ in configs]
 
 

@@ -209,6 +209,8 @@ def test_training_flag_defaults_are_the_library_defaults(argv):
     (["train", "--synthetic", "40", "--hidden", "0", "--epochs", "1", "--folds", "1",
       "--t", "2", "--serial"], 1, "d_hidden=0"),
     (["verify", "--n", "0"], 2, "--n"),
+    (["verify", "--n", "1"], 2, "argument --n: must be an integer >= 3, got '1'"),
+    (["verify", "--n", "2"], 2, "argument --n: must be an integer >= 3, got '2'"),
     (["verify", "--graphs", "0"], 2, "--graphs"),
     (["verify", "--kmax", "0"], 2, "--kmax"),
     (["bench", "--sizes", "0"], 2, "--sizes"),
@@ -225,10 +227,11 @@ def test_training_flag_defaults_are_the_library_defaults(argv):
       "--t", "2", "--serial"], 1, "d_hidden=1000000000"),
     (["train", "--synthetic", "40", "--layers", "1000000", "--epochs", "1", "--folds", "1",
       "--t", "2", "--serial"], 1, "layers=1000000"),
-], ids=["train_synthetic", "inspect_synthetic", "hidden", "verify_n", "verify_graphs",
-        "verify_kmax", "sizes_zero", "sizes_negative", "sizes_one_distinct", "synthetic_too_large",
-        "cap_zero", "epochs_timed_zero", "epochs_timed_negative", "k_too_large",
-        "verify_kmax_too_large", "hidden_too_large", "layers_too_large"])
+], ids=["train_synthetic", "inspect_synthetic", "hidden", "verify_n", "verify_n_1",
+        "verify_n_2", "verify_graphs", "verify_kmax", "sizes_zero", "sizes_negative",
+        "sizes_one_distinct", "synthetic_too_large", "cap_zero", "epochs_timed_zero",
+        "epochs_timed_negative", "k_too_large", "verify_kmax_too_large", "hidden_too_large",
+        "layers_too_large"])
 def test_bad_size_fails_early(capsys, args, code, names):
     try:
         got = run_cli(args)
@@ -343,6 +346,16 @@ def test_inspect_reports_counts(tmp_path, capsys):
     assert "nodes=24" in out
     assert "directed_adjacency_entries=" in out
     assert "undirected_edges=" in out
+
+
+def test_inspect_reads_files_that_start_with_a_byte_order_mark(tmp_path, capsys):
+    manifest = write_tiny_dataset(tmp_path)
+    assert run_cli(["inspect", "--manifest", str(manifest)]) == 0
+    plain = capsys.readouterr().out
+    for path in (manifest, tmp_path / "nodes.csv"):
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert run_cli(["inspect", "--manifest", str(manifest)]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_bench_smoke(tmp_path, capsys):

@@ -190,6 +190,22 @@ def test_unreadable_file_is_refused_naming_it(tmp_path, target):
         load_dataset(*load_manifest(manifest))
 
 
+@pytest.mark.parametrize("target", ["manifest", "nodes", "edges"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, target):
+    nodes, edges = write_dataset(tmp_path, ["0,1.0,0,0", "1,2.0,1,1", "2,3.0,0,1", "3,4.0,1,0"],
+                                 ["0,1", "2,3"])
+    manifest = tmp_path / "data.manifest"
+    manifest.write_text(f"nodes={nodes.name}\nedges={edges.name}\nsensitive=sensitive\n"
+                        "label=label\n")
+    plain = load_dataset(*load_manifest(manifest))
+    path = {"manifest": manifest, "nodes": nodes, "edges": edges}[target]
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    g = load_dataset(*load_manifest(manifest))
+    assert np.array_equal(g.features, plain.features)
+    assert np.array_equal(g.labels, plain.labels)
+    assert (g.adjacency != plain.adjacency).nnz == 0
+
+
 @pytest.mark.parametrize("target,line", [("manifest", 3), ("nodes", 2), ("edges", 2)])
 def test_undecodable_byte_is_refused_at_its_line(tmp_path, target, line):
     nodes, edges = write_dataset(tmp_path, ["0,1.0,0,0", "1,2.0,1,1"], ["0,1", "1,0"])

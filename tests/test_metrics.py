@@ -9,21 +9,30 @@ from fairformer.oracles import pairwise_auc
 
 
 def test_parity_extreme_case():
-    rates = statistical_parity([1, 1, 0, 0], [0, 0, 1, 1])
-    assert rates.delta == 1.0
-    assert rates.rate_group0 == 1.0 and rates.rate_group1 == 0.0
+    assert statistical_parity([1, 1, 0, 0], [0, 0, 1, 1]) == 1.0
 
 
 def test_parity_balanced_case():
-    assert statistical_parity([1, 0, 1, 0], [0, 0, 1, 1]).delta == 0.0
+    assert statistical_parity([1, 0, 1, 0], [0, 0, 1, 1]) == 0.0
 
 
 def test_parity_quarter_case():
     pred = [1, 1, 0, 0, 1, 0, 0, 0]
     sens = [0, 0, 0, 0, 1, 1, 1, 1]
-    rates = statistical_parity(pred, sens)
-    assert rates.delta == 0.25
-    assert rates.count_group0 == 4 and rates.count_group1 == 4
+    assert statistical_parity(pred, sens) == 0.25
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=2, max_size=60))
+def test_parity_is_the_brute_force_rate_gap(pairs):
+    if len({s for _, s in pairs}) < 2:
+        return
+    positives, sizes = [0, 0], [0, 0]
+    for p, s in pairs:
+        positives[s] += p
+        sizes[s] += 1
+    got = statistical_parity([p for p, _ in pairs], [s for _, s in pairs])
+    assert type(got) is float
+    assert got == abs(positives[0] / sizes[0] - positives[1] / sizes[1])
 
 
 def test_parity_empty_group_raises():
@@ -37,8 +46,8 @@ def test_parity_group_relabel_symmetry(pairs):
     sens = np.array([s for _, s in pairs])
     if sens.min() == sens.max():
         return
-    a = statistical_parity(pred, sens).delta
-    b = statistical_parity(pred, 1 - sens).delta
+    a = statistical_parity(pred, sens)
+    b = statistical_parity(pred, 1 - sens)
     assert a == b
 
 
@@ -51,7 +60,7 @@ def test_parity_permutation_invariance(pairs, rnd):
         return
     perm = np.arange(len(pairs))
     rnd.shuffle(perm)
-    assert statistical_parity(pred, sens).delta == statistical_parity(pred[perm], sens[perm]).delta
+    assert statistical_parity(pred, sens) == statistical_parity(pred[perm], sens[perm])
 
 
 def test_constant_predictor_is_parity_fair():
@@ -60,7 +69,7 @@ def test_constant_predictor_is_parity_fair():
     sens[:2] = [0, 1]
     labels = rng.integers(0, 2, 50)
     pred = np.ones(50, dtype=int)
-    assert statistical_parity(pred, sens).delta == 0.0
+    assert statistical_parity(pred, sens) == 0.0
     assert accuracy(pred, labels) == labels.mean()
 
 
@@ -108,6 +117,6 @@ def test_evaluate_report_consistency():
     sens = rng.integers(0, 2, n)
     sens[:2] = [0, 1]
     report = evaluate(logits, labels, sens)
-    assert report.delta_sp == statistical_parity(predict_labels(logits), sens).delta
+    assert report.delta_sp == statistical_parity(predict_labels(logits), sens)
     assert 0.0 <= report.accuracy <= 1.0
     assert 0.0 <= report.delta_sp <= 1.0

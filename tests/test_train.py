@@ -171,9 +171,9 @@ def test_ablate_solves_each_structure_source_once(monkeypatch):
 def test_sweep_over_layers_solves_once(monkeypatch):
     g = sensitive_block_graph(n=100, seed=10, avg_degree=10.0)
     calls = recorded_solves(monkeypatch)
-    rows = sweep(g, quick_config(epochs=2, folds=1, t=2), "layers", range(1, 3),
+    rows = sweep(g, quick_config(epochs=2, folds=1, t=2), "layers", [2, 1],
                  split_spec=SplitSpec(train_per_class_cap=15, seed=0, folds=1))
-    assert len(rows) == 2
+    assert [(value, result.config["layers"]) for value, result in rows] == [(2, 2), (1, 1)]
     assert calls.count((2, "LM")) == 1
 
 
@@ -285,6 +285,16 @@ def test_unscorable_test_set_is_refused_before_encoding(monkeypatch):
     with pytest.raises(SplitError, match=r"^fold 0: the test set holds sensitive groups of "
                                          r"sizes \(0, 15\) and classes of sizes \(8, 7\)"):
         train(g, quick_config(folds=2), split_spec=SplitSpec(seed=0, folds=2))
+
+
+def test_split_spec_disagreeing_with_the_config_is_refused_before_encoding(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a fold was set up for a split spec the config disagrees with")
+
+    monkeypatch.setattr(train_module, "build_encodings", unreachable)
+    monkeypatch.setattr(train_module, "_run_fold", unreachable)
+    with pytest.raises(FairformerError, match=r"^expected 2 splits, got 3$"):
+        train(separable_graph(n=60), quick_config(folds=2), split_spec=SplitSpec(seed=0, folds=3))
 
 
 def random_stack(n, d=5, tokens=3, seed=0):
