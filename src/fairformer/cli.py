@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Verbs: train, ablate, sweep, verify, bench, inspect. All randomness flows
-from --seed; with --serial re-runs write byte-identical report files (wall
-clock measurements go to a separate timing.txt, which is exempt). Exit codes:
+from --seed, and re-runs write byte-identical report files with or without
+--serial, which only runs folds one after another (wall clock measurements go
+to a separate timing.txt, which is exempt). Exit codes:
 0 success, 2 usage, 3 data problems, 4 convergence/training failures,
 1 verification failure or unexpected errors.
 """
@@ -81,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None, help="output directory for report files")
         p.add_argument("--seed", type=_non_negative_int, default=0, help="base random seed")
         p.add_argument("--serial", action="store_true",
-                       help="single-threaded execution (byte-identical reports)")
+                       help="run folds one after another (reports are byte-identical "
+                            "with or without it)")
 
     for verb, help_text in (("train", "train with cross-validation"),
                             ("ablate", "train every encoding variant on shared splits"),

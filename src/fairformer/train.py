@@ -9,9 +9,14 @@ checkpoint can never be worse on validation than where training began.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -169,14 +174,100 @@ def _rows(stack: HopStack, idx) -> HopStack:
     return HopStack(tensor=stack.tensor[idx], counts=stack.counts)
 
 
-_SCORE_BLOCK = 256  # rows per eval forward; bounds the scoring peak whatever n is
+# threads the program runs at once: the CPUs this process may run on
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
-def _score(params, stack: HopStack) -> np.ndarray:
-    """Eval logits of every row, one tape-free `forward` per block of rows."""
+@functools.cache
+def _openblas_threads():
+    """(get, set) for the thread count of the OpenBLAS that numpy's wheel ships in
+    `numpy.libs`, or None where there is no such library."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")) if libs.is_dir() else ():
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+class _OneBlasThread:
+    """Holds numpy's OpenBLAS at one thread while the program runs threads of its
+    own, which would otherwise each start BLAS threads on the same cores. Scopes
+    may nest or overlap: the last one to close restores the count the first one
+    found, also when an error is raised. Without the library a scope does nothing."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._open = 0
+        self._restore = None
+
+    def __enter__(self):
+        with self._lock:
+            calls = _openblas_threads() if self._open == 0 else None
+            if calls is not None:
+                get, put = calls
+                self._restore = functools.partial(put, get())
+                put(1)
+            self._open += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._open -= 1
+            if self._open == 0 and self._restore is not None:
+                self._restore()
+                self._restore = None
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+# A set of up to this many rows is one eval forward. A larger one is cut into
+# these blocks, each full block scored as two halves, so a scoring call holds at
+# most max(_SCORE_BLOCK, workers * _SCORE_BLOCK // 2) rows in flight whatever n
+# is: one block on two workers.
+_SCORE_BLOCK = 256
+
+
+def _score_pieces(n: int) -> list:
+    """The (lo, hi) row ranges that `_score` runs one forward each on. They depend
+    on n alone, never on the worker count, so neither do the logits' bits. Halving
+    keeps every block boundary and adds no short tail: a GEMM row's last bits
+    moved with the row count only below 16 rows on the OpenBLAS numpy ships, and
+    the tests hold the halves to one forward per block, byte for byte."""
+    if n <= _SCORE_BLOCK:
+        return [(0, n)]
+    half, full = _SCORE_BLOCK // 2, n - n % _SCORE_BLOCK
+    return [(lo, lo + half) for lo in range(0, full, half)] + ([(full, n)] if full < n else [])
+
+
+def _score(params, stack: HopStack, workers: int) -> np.ndarray:
+    """Eval logits of every row, one tape-free `forward` per piece of rows. The
+    pieces are dealt in contiguous shares over up to `workers` threads, the
+    caller's own among them."""
     frozen = params.frozen()  # fresh per call: Adam.step rebinds the arrays
-    return np.concatenate([forward(frozen, _rows(stack, slice(lo, lo + _SCORE_BLOCK))).data
-                           for lo in range(0, stack.tensor.shape[0], _SCORE_BLOCK)])
+    pieces = _score_pieces(stack.tensor.shape[0])
+
+    def run(share):
+        return [forward(frozen, _rows(stack, slice(lo, hi))).data for lo, hi in share]
+
+    count = min(workers, len(pieces))
+    shares = [pieces[len(pieces) * w // count:len(pieces) * (w + 1) // count]
+              for w in range(count)]
+    if len(shares) == 1:
+        return np.concatenate(run(pieces))
+    with _ONE_BLAS_THREAD, ThreadPoolExecutor(len(shares) - 1) as pool:
+        futures = [pool.submit(run, share) for share in shares[1:]]
+        logits = run(shares[0])
+        for future in futures:
+            logits += future.result()
+    return np.concatenate(logits)
 
 
 def _init_fold(cfg: TrainConfig, d: int, fold: int):
@@ -203,7 +294,7 @@ def _train_step(params, optimizer, dropout_rng, stack: HopStack, labels, fold: i
 
 
 def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: int,
-              log_lines: list):
+              log_lines: list, workers: int):
     params, optimizer, dropout_rng = _init_fold(cfg, stack.d, fold)
     train_stack = _rows(stack, split.train)
     train_labels = g.labels[split.train]
@@ -212,7 +303,7 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
     val_sens = g.sensitive[split.val]
 
     def val_metrics():
-        pred = predict_labels(_score(params, val_stack))
+        pred = predict_labels(_score(params, val_stack, workers))
         try:
             dsp = statistical_parity(pred, val_sens)
         except UndefinedMetricError:  # a single-group validation set has no parity
@@ -249,7 +340,7 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
                 break
 
     params.load_state(best_state)
-    test_logits = _score(params, _rows(stack, split.test))
+    test_logits = _score(params, _rows(stack, split.test), workers)
     report = evaluate(test_logits, g.labels[split.test], g.sensitive[split.test])
     return report, params, best_epoch, epoch, best_acc, stop  # epochs >= 1, so epoch is bound
 
@@ -276,14 +367,15 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
 
     logs: list[list[str]] = [[] for _ in splits]
 
-    def job(fold):
-        return _run_fold(g, cfg, stack, splits[fold], fold, logs[fold])
+    def job(fold, workers):
+        return _run_fold(g, cfg, stack, splits[fold], fold, logs[fold], workers)
 
-    if serial or len(splits) == 1:
-        outcomes = [job(f) for f in range(len(splits))]
-    else:
-        with ThreadPoolExecutor(max_workers=min(4, len(splits))) as pool:
-            outcomes = list(pool.map(job, range(len(splits))))
+    fold_threads = 1 if serial else min(_WORKERS, len(splits))
+    if fold_threads == 1:  # one fold at a time, each scoring over every worker
+        outcomes = [job(f, _WORKERS) for f in range(len(splits))]
+    else:  # the pool is busy, so each fold scores in its own thread
+        with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=fold_threads) as pool:
+            outcomes = list(pool.map(job, range(len(splits)), [1] * len(splits)))
 
     reports, models, best_epochs, epochs_run, val_accuracies, stops = map(list, zip(*outcomes))
     result = RunResult(
@@ -300,7 +392,6 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
     )
 
     if out_dir is not None:
-        from pathlib import Path
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.txt").write_text(

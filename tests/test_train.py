@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -72,6 +74,103 @@ def test_parallel_folds_match_serial():
     serial = train(g, cfg, split_spec=spec, serial=True)
     threaded = train(g, cfg, split_spec=spec, serial=False)
     assert serial.summary_text() == threaded.summary_text()
+
+
+def test_folds_match_serial_when_scoring_fans_out(monkeypatch):
+    monkeypatch.setattr(train_module, "_WORKERS", 2)  # whatever this machine has
+    scorers = set()
+
+    def recording_forward(params, stack, training=False, **kwargs):
+        if not training:
+            scorers.add(threading.get_ident())
+        return forward(params, stack, training=training, **kwargs)
+
+    monkeypatch.setattr(train_module, "forward", recording_forward)
+    g = sensitive_block_graph(n=1100, seed=4, avg_degree=10.0)
+    spec = SplitSpec(seed=1, folds=2)
+    assert all(s.val.size > train_module._SCORE_BLOCK < s.test.size for s in make_folds(g, spec))
+    cfg = quick_config(epochs=3)
+    serial = train(g, cfg, split_spec=spec, serial=True)
+    assert threading.get_ident() in scorers and len(scorers) > 1  # the caller and a helper
+    threaded = train(g, cfg, split_spec=spec, serial=False)
+    assert serial.summary_text() == threaded.summary_text()
+
+
+def openblas_or_skip():
+    calls = train_module._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy ships no OpenBLAS whose thread count can be set")
+    return calls
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS at two threads for the test, at its prior count afterwards."""
+    get, put = openblas_or_skip()
+    prior = get()
+    put(2)
+    yield get
+    put(prior)
+
+
+def test_one_blas_thread_scope_restores_the_count(blas_threads):
+    scope = train_module._ONE_BLAS_THREAD
+    with scope:
+        assert blas_threads() == 1
+        with scope:
+            assert blas_threads() == 1
+        assert blas_threads() == 1  # only the outermost scope restores
+    assert blas_threads() == 2
+    with pytest.raises(TrainingError):
+        with scope:
+            raise TrainingError("raised inside the scope")
+    assert blas_threads() == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_training_leaves_the_blas_thread_count_as_it_found_it(blas_threads, monkeypatch):
+    monkeypatch.setattr(train_module, "_WORKERS", 2)
+    g = sensitive_block_graph(n=80, seed=6, avg_degree=10.0)
+    spec = SplitSpec(train_per_class_cap=15, seed=0, folds=2)
+    cfg = quick_config(epochs=2)
+    train(g, cfg, split_spec=spec, serial=False)
+    ablate(g, cfg, split_spec=spec, serial=False)
+    sweep(g, cfg, "t", [1, 2], split_spec=spec, serial=False)
+    assert blas_threads() == 2
+    with pytest.raises(TrainingError, match="diverged"):
+        train(g, quick_config(learning_rate=1e300, epochs=10), split_spec=spec, serial=False)
+    assert blas_threads() == 2
+
+
+def test_overlapping_blas_scopes_hold_one_thread_and_restore_the_count(blas_threads):
+    scope = train_module._ONE_BLAS_THREAD
+    seen = []
+
+    def hold():
+        for _ in range(200):
+            with scope:
+                seen.append(blas_threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hold) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [1] * 1600
+    assert blas_threads() == 2
+
+
+def test_one_blas_thread_scope_is_a_no_op_without_the_library(blas_threads, monkeypatch):
+    monkeypatch.setattr(train_module, "_openblas_threads", lambda: None)
+    with train_module._ONE_BLAS_THREAD:
+        assert blas_threads() == 2
+    assert blas_threads() == 2
 
 
 def test_checkpoint_never_below_initial_validation_accuracy():
@@ -312,11 +411,22 @@ def test_blocked_scoring_matches_one_forward(offset):
          "2block+1": 2 * block + 1}[offset]
     params = scoring_params()
     stack = random_stack(n)
-    got = train_module._score(params, stack)
+    got = train_module._score(params, stack, train_module._WORKERS)
     want = forward(params, stack).data
     assert got.shape == (n, 2)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 390, 2 * 256 + 1])
+def test_scoring_has_the_bytes_of_one_forward_per_block(n, workers):
+    block = train_module._SCORE_BLOCK
+    params = scoring_params()
+    stack = random_stack(n)
+    want = np.concatenate([forward(params, train_module._rows(stack, slice(lo, lo + block))).data
+                           for lo in range(0, n, block)])
+    assert train_module._score(params, stack, workers).tobytes() == want.tobytes()
 
 
 def test_scoring_records_no_tape(monkeypatch):
@@ -331,8 +441,10 @@ def test_scoring_records_no_tape(monkeypatch):
         return outputs[-1]
 
     monkeypatch.setattr(train_module, "forward", recording_forward)
-    train_module._score(params, random_stack(2 * train_module._SCORE_BLOCK + 1))
-    assert len(outputs) == 3
+    block = train_module._SCORE_BLOCK
+    n = 2 * block + 1
+    train_module._score(params, random_stack(n), 2)
+    assert len(outputs) == 2 * (n // block) + (n % block > 0)  # halves of full blocks, tail
     assert all(not out.requires_grad and out._backward_fn is None for out in outputs)
     for name, t in params.tensors.items():
         assert t.requires_grad and t.grad is sentinels[name]
@@ -342,12 +454,12 @@ def test_scoring_records_no_tape(monkeypatch):
 def test_scoring_after_adam_step_sees_updated_weights():
     params = scoring_params()
     stack = random_stack(40)
-    before = train_module._score(params, stack)
+    before = train_module._score(params, stack, train_module._WORKERS)
     optimizer = Adam(params.trainable(), lr=1e-2)
     loss = cross_entropy(forward(params, stack), np.arange(40) % 2)
     ad.backward(loss)
     optimizer.step()
-    after = train_module._score(params, stack)
+    after = train_module._score(params, stack, train_module._WORKERS)
     assert not np.allclose(after, before)
     np.testing.assert_allclose(after, forward(params, stack).data, rtol=0, atol=1e-12)
 
@@ -462,7 +574,8 @@ def test_collapsed_scoring_matches_every_token(k, heads, layers):
     params = init_model(cfg.model_config(seed=10 * k + heads + layers), full.d)
     oracle = forward_direct(params, full.tensor) if heads == 1 else None
     for n in (1, block - 1, block, block + 1, 2 * block + 1):
-        got = train_module._score(params, train_module._rows(collapsed, slice(0, n)))
+        got = train_module._score(params, train_module._rows(collapsed, slice(0, n)),
+                                  train_module._WORKERS)
         want = forward(params, train_module._rows(full, slice(0, n))).data
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
