@@ -81,9 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common_flags(p):
         p.add_argument("--out", type=Path, default=None, help="output directory for report files")
         p.add_argument("--seed", type=_non_negative_int, default=0, help="base random seed")
-        p.add_argument("--serial", action="store_true",
-                       help="run folds one after another (reports are byte-identical "
-                            "with or without it)")
 
     for verb, help_text in (("train", "train with cross-validation"),
                             ("ablate", "train every encoding variant on shared splits"),
@@ -91,6 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb, help=help_text, formatter_class=_Formatter)
         add_data_flags(p)
         add_common_flags(p)
+        p.add_argument("--serial", action="store_true",
+                       help="run folds one after another (reports are byte-identical "
+                            "with or without it)")
         p.add_argument("--epochs", type=int, default=TrainConfig.epochs,
                        help="training epochs per fold")
         p.add_argument("--k", type=int, default=TrainConfig.k, help="hop count for token sequences")

@@ -12,9 +12,10 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -247,26 +248,62 @@ def _score_pieces(n: int) -> list:
     return [(lo, lo + half) for lo in range(0, full, half)] + ([(full, n)] if full < n else [])
 
 
-def _score(params, stack: HopStack, workers: int) -> np.ndarray:
-    """Eval logits of every row, one tape-free `forward` per piece of rows. The
-    pieces are dealt in contiguous shares over up to `workers` threads, the
-    caller's own among them."""
+@functools.cache
+def _helper_threads(count: int) -> ThreadPoolExecutor:
+    """`count` threads that score beside the caller, started on first use and kept for
+    the life of the process. Threads started afresh per call each took a malloc arena
+    of their own whenever one began before the last had handed its arena back, and
+    each arena kept its own high-water mark: 10 MB more peak memory on some runs of
+    `train --synthetic 1000`."""
+    return ThreadPoolExecutor(count, thread_name_prefix="fairformer-score")
+
+
+def _score(params, stack: HopStack, workers: int, beside=None) -> np.ndarray:
+    """Eval logits of every row, one tape-free `forward` per piece of rows. Up to
+    `workers` threads, the caller's own among them, take the pieces from one shared
+    queue in turn. With `beside`, the caller first runs `beside()`, keeping nothing it
+    returns, while the other threads start on the pieces, and joins them once it
+    returns; with one worker the two run one after the other. A piece that raises
+    `FairformerError` does not stop the others; the first such piece's error is
+    raised once all have run, as if they had run in order."""
     frozen = params.frozen()  # fresh per call: Adam.step rebinds the arrays
     pieces = _score_pieces(stack.tensor.shape[0])
+    todo = queue.SimpleQueue()
+    for item in enumerate(pieces):
+        todo.put(item)
+    logits = [None] * len(pieces)
 
-    def run(share):
-        return [forward(frozen, _rows(stack, slice(lo, hi))).data for lo, hi in share]
+    def drain():
+        while True:
+            try:
+                i, (lo, hi) = todo.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                logits[i] = forward(frozen, _rows(stack, slice(lo, hi))).data
+            except FairformerError as exc:
+                logits[i] = exc
 
-    count = min(workers, len(pieces))
-    shares = [pieces[len(pieces) * w // count:len(pieces) * (w + 1) // count]
-              for w in range(count)]
-    if len(shares) == 1:
-        return np.concatenate(run(pieces))
-    with _ONE_BLAS_THREAD, ThreadPoolExecutor(len(shares) - 1) as pool:
-        futures = [pool.submit(run, share) for share in shares[1:]]
-        logits = run(shares[0])
-        for future in futures:
-            logits += future.result()
+    def run():
+        if beside is not None:
+            beside()
+        drain()
+
+    helpers = min(workers - 1, len(pieces) - (beside is None))
+    if helpers == 0:
+        run()
+    else:
+        with _ONE_BLAS_THREAD:
+            futures = [_helper_threads(workers - 1).submit(drain) for _ in range(helpers)]
+            try:
+                run()
+            finally:  # no helper may outlive the scope
+                wait(futures)
+            for future in futures:
+                future.result()
+    for part in logits:
+        if isinstance(part, FairformerError):
+            raise part
     return np.concatenate(logits)
 
 
@@ -293,44 +330,75 @@ def _train_step(params, optimizer, dropout_rng, stack: HopStack, labels, fold: i
     return loss_value
 
 
+def _diverged(fold: int, epoch: int, exc: FairformerError) -> TrainingError:
+    """The `TrainingError` that ends fold `fold` at `epoch` because of `exc`."""
+    if isinstance(exc, TrainingError):
+        return exc
+    error = TrainingError(f"fold {fold}: training diverged at epoch {epoch}: {exc}")
+    error.__cause__ = exc
+    return error
+
+
 def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: int,
               log_lines: list, workers: int):
+    """Train one fold, keep the weights of its best validation epoch and score its
+    test set on them.
+
+    Epochs overlap: after step e, the validation set is scored on `snap`, a frozen
+    view of epoch e's weights, while the caller runs step e + 1 beside the scoring
+    (`_score`). `Adam.step` rebinds each array instead of writing into it, so `snap`
+    keeps epoch e's weights, and the best checkpoint is copied from it. Step e + 1's
+    loss, or the error that ends training there, is held until epoch e's patience
+    check has run; a fold that stops at e drops it, and one that goes on raises it
+    then. The last epoch runs nothing ahead. Steps and dropout draws keep their
+    serial order, so the log, the report and the checkpoints have the same bytes as
+    when each step waits for the scoring before it.
+    """
     params, optimizer, dropout_rng = _init_fold(cfg, stack.d, fold)
     train_stack = _rows(stack, split.train)
     train_labels = g.labels[split.train]
     val_stack = _rows(stack, split.val)
     val_labels = g.labels[split.val]
     val_sens = g.sensitive[split.val]
+    ahead = []  # the step run beside the last scoring: its loss or its TrainingError
 
-    def val_metrics():
-        pred = predict_labels(_score(params, val_stack, workers))
+    def step(epoch):
+        try:
+            ahead.append(_train_step(params, optimizer, dropout_rng, train_stack,
+                                     train_labels, fold, epoch))
+        except FairformerError as exc:
+            ahead.append(_diverged(fold, epoch, exc))
+
+    def val_metrics(snap, epoch):
+        beside = functools.partial(step, epoch + 1) if epoch < cfg.epochs else None
+        pred = predict_labels(_score(snap, val_stack, workers, beside))
         try:
             dsp = statistical_parity(pred, val_sens)
         except UndefinedMetricError:  # a single-group validation set has no parity
             dsp = float("nan")
         return accuracy(pred, val_labels), dsp
 
-    best_acc, _ = val_metrics()  # initial parameters are the first candidate
-    best_state = params.state_copy()
+    snap = params.frozen()
+    best_acc, _ = val_metrics(snap, 0)  # initial parameters are the first candidate
+    best_state = snap.state_copy()
     best_epoch = 0
     stale = 0
     stop = "epochs"
 
     for epoch in range(1, cfg.epochs + 1):
+        loss_value = ahead.pop()
+        if isinstance(loss_value, TrainingError):
+            raise loss_value
+        snap = params.frozen()
         try:
-            loss_value = _train_step(params, optimizer, dropout_rng, train_stack, train_labels,
-                                     fold, epoch)
-            acc, val_dsp = val_metrics()
-        except TrainingError:
-            raise
+            acc, val_dsp = val_metrics(snap, epoch)
         except FairformerError as exc:
-            raise TrainingError(
-                f"fold {fold}: training diverged at epoch {epoch}: {exc}") from exc
+            raise _diverged(fold, epoch, exc) from exc
         log_lines.append(f"fold={fold} epoch={epoch} loss={loss_value!r} val_acc={acc!r} "
                          f"val_delta_sp={val_dsp!r}")
         if acc > best_acc:
             best_acc = acc
-            best_state = params.state_copy()
+            best_state = snap.state_copy()
             best_epoch = epoch
             stale = 0
         else:
@@ -482,7 +550,9 @@ def bench_scaling(sizes, k: int = 2, t: int = 4, d_hidden: int = 32, seed: int =
     for both phases (the pass flag uses the 1.3 ceiling). One untimed encode
     and step on the first graph take the first-call costs before any timing,
     and every timed encode runs on a fresh copy of the graph, so it times a
-    cold structure solve rather than the basis `spectral` remembers.
+    cold structure solve rather than the basis `spectral` remembers. numpy's
+    OpenBLAS is held at one thread throughout: with its own thread pool the fit
+    moved from run to run on a 2-vCPU machine.
     """
     sizes = [int(n) for n in sizes]
     if len(set(sizes)) < 2:
@@ -491,26 +561,27 @@ def bench_scaling(sizes, k: int = 2, t: int = 4, d_hidden: int = 32, seed: int =
         raise FairformerError(f"epochs_timed={epochs_timed} must be >= 1")
     cfg = TrainConfig(epochs=1, folds=1, k=k, t=t, d_hidden=d_hidden, seed=seed)
     encode_times, epoch_times = [], []
-    for n in sizes:
-        g = benchmark_graph(n, seed=seed)
-        if not encode_times:  # the untimed warm-up
-            stack = build_encodings(replace(g), cfg)
-            _train_step(*_init_fold(cfg, stack.d, 0), stack, g.labels, 0, 0)
-        best_encode = np.inf
-        for _ in range(repeats):
-            cold = replace(g)
-            start = time.perf_counter()
-            stack = build_encodings(cold, cfg)
-            best_encode = min(best_encode, time.perf_counter() - start)
-        encode_times.append(best_encode)
+    with _ONE_BLAS_THREAD:
+        for n in sizes:
+            g = benchmark_graph(n, seed=seed)
+            if not encode_times:  # the untimed warm-up
+                stack = build_encodings(replace(g), cfg)
+                _train_step(*_init_fold(cfg, stack.d, 0), stack, g.labels, 0, 0)
+            best_encode = np.inf
+            for _ in range(repeats):
+                cold = replace(g)
+                start = time.perf_counter()
+                stack = build_encodings(cold, cfg)
+                best_encode = min(best_encode, time.perf_counter() - start)
+            encode_times.append(best_encode)
 
-        params, optimizer, dropout_rng = _init_fold(cfg, stack.d, 0)
-        samples = []
-        for epoch in range(1, epochs_timed + 1):
-            start = time.perf_counter()
-            _train_step(params, optimizer, dropout_rng, stack, g.labels, 0, epoch)
-            samples.append(time.perf_counter() - start)
-        epoch_times.append(float(np.median(samples)))
+            params, optimizer, dropout_rng = _init_fold(cfg, stack.d, 0)
+            samples = []
+            for epoch in range(1, epochs_timed + 1):
+                start = time.perf_counter()
+                _train_step(params, optimizer, dropout_rng, stack, g.labels, 0, epoch)
+                samples.append(time.perf_counter() - start)
+            epoch_times.append(float(np.median(samples)))
 
     return BenchReport(
         sizes=sizes,

@@ -278,8 +278,7 @@ def test_criterion_8_scaling_benchmark():
 
 def test_criterion_9_cli_determinism(tmp_path):
     pairs = []
-    verify_args = ["verify", "--n", "24", "--kmax", "4", "--seed", "3", "--graphs", "2",
-                   "--serial"]
+    verify_args = ["verify", "--n", "24", "--kmax", "4", "--seed", "3", "--graphs", "2"]
     train_args = ["train", "--synthetic", "80", "--epochs", "3", "--folds", "1", "--k", "1",
                   "--t", "2", "--hidden", "8", "--cap", "10", "--seed", "5", "--serial"]
     for label, args, files in (

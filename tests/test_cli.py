@@ -56,6 +56,14 @@ def test_unknown_flag_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("verb", ["verify", "bench", "inspect"])
+def test_serial_is_a_usage_error_on_verbs_without_folds(verb, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([verb, "--serial"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --serial" in capsys.readouterr().err
+
+
 def test_missing_manifest_is_data_error(capsys):
     assert run_cli(["train", "--manifest", "missing.txt"]) == 3
     err = capsys.readouterr().err
@@ -70,9 +78,9 @@ def test_verify_passes_and_is_deterministic(tmp_path, capsys):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     assert run_cli(["verify", "--n", "24", "--kmax", "4", "--seed", "1", "--graphs", "2",
-                    "--serial", "--out", str(out_a)]) == 0
+                    "--out", str(out_a)]) == 0
     assert run_cli(["verify", "--n", "24", "--kmax", "4", "--seed", "1", "--graphs", "2",
-                    "--serial", "--out", str(out_b)]) == 0
+                    "--out", str(out_b)]) == 0
     assert (out_a / "report.txt").read_bytes() == (out_b / "report.txt").read_bytes()
     out = capsys.readouterr().out
     assert "all_pass=1" in out

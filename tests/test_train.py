@@ -12,9 +12,9 @@ import fairformer.spectral as spectral
 import fairformer.train as train_module
 from fairformer import autodiff as ad
 from fairformer.data import Graph, Split, SplitSpec, make_folds
-from fairformer.errors import FairformerError, SplitError, TrainingError
+from fairformer.errors import FairformerError, ModelError, SplitError, TrainingError
 from fairformer.hops import HopStack, build_group_graph, hop_aggregate
-from fairformer.model import cross_entropy, forward, init_model
+from fairformer.model import cross_entropy, forward, init_model, load_model
 from fairformer.oracles import dense_power_apply
 from fairformer.synth import sensitive_block_graph
 from model_oracle import forward_direct
@@ -197,6 +197,138 @@ def test_divergence_aborts_with_diagnostic():
         train(g, cfg, split_spec=SplitSpec(train_per_class_cap=15, seed=0, folds=1))
 
 
+def run_files(out):
+    """The bytes of every file a run wrote but its timing."""
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())
+            if path.name != "timing.txt"}
+
+
+def failing_from(monkeypatch, epoch, error):
+    """`_train_step` raising `error` at every step from `epoch` on; returns the
+    epochs of the steps that were run."""
+    step = train_module._train_step
+    epochs = []
+
+    def failing(*args):
+        epochs.append(args[-1])
+        if args[-1] >= epoch:
+            raise error
+        return step(*args)
+
+    monkeypatch.setattr(train_module, "_train_step", failing)
+    return epochs
+
+
+@pytest.mark.parametrize("error", [TrainingError("fold 0: loss diverged to nan at epoch 3"),
+                                   ModelError("non-finite activations after encoder layer 0")],
+                         ids=["training", "model"])
+def test_patience_stop_drops_a_diverged_run_ahead_step(tmp_path, monkeypatch, error):
+    # at a learning rate this small no epoch beats the initial validation accuracy,
+    # so two stale epochs stop the fold at epoch 2, with step 3 already run beside
+    # epoch 2's scoring
+    g = sensitive_block_graph(n=100, seed=7, avg_degree=10.0)
+    spec = SplitSpec(train_per_class_cap=15, seed=0, folds=1)
+    cfg = quick_config(epochs=10, folds=1, patience=2, learning_rate=1e-12)
+    clean = train(g, cfg, split_spec=spec, out_dir=tmp_path / "clean")
+    assert clean.stop_reasons == ["patience"] and clean.epochs_run == [2]
+    epochs = failing_from(monkeypatch, 3, error)
+    for workers in (1, 2):
+        monkeypatch.setattr(train_module, "_WORKERS", workers)
+        epochs.clear()
+        result = train(g, cfg, split_spec=spec, out_dir=tmp_path / str(workers))
+        assert epochs == [1, 2, 3]
+        assert result.stop_reasons == ["patience"] and result.epochs_run == [2]
+        assert result.summary_text() == clean.summary_text()
+        assert run_files(tmp_path / str(workers)) == run_files(tmp_path / "clean")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_divergence_raises_the_message_of_the_epoch_it_happens_at(monkeypatch, workers):
+    monkeypatch.setattr(train_module, "_WORKERS", workers)
+    g = sensitive_block_graph(n=80, seed=6, avg_degree=10.0)
+    spec = SplitSpec(train_per_class_cap=15, seed=0, folds=1)
+    # epoch 1's weights overflow the validation forward; step 2, run beside it, fails too
+    with pytest.raises(TrainingError) as caught:
+        train(g, quick_config(learning_rate=1e300, folds=1, epochs=10), split_spec=spec)
+    assert str(caught.value) == ("fold 0: training diverged at epoch 1: "
+                                 "softmax_rows: non-finite input")
+    cfg = quick_config(folds=1, epochs=10, patience=0)
+    failing_from(monkeypatch, 3, ModelError("non-finite activations after encoder layer 0"))
+    with pytest.raises(TrainingError) as caught:
+        train(g, cfg, split_spec=spec)
+    assert str(caught.value) == ("fold 0: training diverged at epoch 3: "
+                                 "non-finite activations after encoder layer 0")
+    assert isinstance(caught.value.__cause__, ModelError)
+    diverged = TrainingError("fold 0: loss diverged to nan at epoch 3")
+    failing_from(monkeypatch, 3, diverged)
+    with pytest.raises(TrainingError) as caught:
+        train(g, cfg, split_spec=spec)
+    assert caught.value is diverged
+
+
+@pytest.mark.parametrize("n,patience,stop", [(100, 2, "patience"), (1100, 0, "epochs")])
+def test_run_files_match_with_one_worker_and_two(tmp_path, monkeypatch, n, patience, stop):
+    # n=1100 puts validation sets above one scoring piece
+    g = sensitive_block_graph(n=n, seed=4, avg_degree=10.0)
+    spec = SplitSpec(train_per_class_cap=15, seed=1, folds=2)
+    cfg = quick_config(epochs=12, patience=patience, dropout=0.1)
+    for workers in (1, 2):
+        monkeypatch.setattr(train_module, "_WORKERS", workers)
+        train(g, cfg, split_spec=spec, serial=True, out_dir=tmp_path / str(workers))
+    assert run_files(tmp_path / "1") == run_files(tmp_path / "2")
+    assert f" stop={stop} ".encode() in run_files(tmp_path / "1")["report.txt"]
+
+
+def test_checkpoint_holds_the_weights_of_the_best_epoch(tmp_path, monkeypatch):
+    # steps run one ahead of the scoring, so the weights the fold holds when it
+    # picks epoch 3 are already step 4's
+    monkeypatch.setattr(train_module, "_WORKERS", 2)
+    g = sensitive_block_graph(n=100, seed=3, avg_degree=10.0)
+    split = make_folds(g, SplitSpec(train_per_class_cap=15, seed=0, folds=1))[0]
+    cfg = quick_config(epochs=8, folds=1, dropout=0.1, learning_rate=1e-2)
+    result = train(g, cfg, splits=[split], out_dir=tmp_path)
+    best = result.best_epochs[0]
+    assert 0 < best < cfg.epochs
+    stack = build_encodings(g, cfg)
+    params, optimizer, dropout_rng = train_module._init_fold(cfg, stack.d, 0)
+    for epoch in range(1, best + 1):  # the steps one after another, as the reference
+        train_module._train_step(params, optimizer, dropout_rng,
+                                 train_module._rows(stack, split.train),
+                                 g.labels[split.train], 0, epoch)
+    saved = load_model(tmp_path / "checkpoint_fold0.bin")
+    for name, tensor in params.tensors.items():
+        assert saved[name].data.tobytes() == tensor.data.tobytes(), name
+
+
+def test_run_ahead_step_and_validation_scoring_run_on_different_threads(monkeypatch):
+    monkeypatch.setattr(train_module, "_WORKERS", 2)
+    calls, overlapped = [], []
+    scoring = threading.Event()
+
+    def recording_forward(params, stack, training=False, **kwargs):
+        if training:  # a step waits until a scoring has started, so it cannot take the piece
+            overlapped.append(scoring.wait(timeout=10))
+            scoring.clear()
+        else:
+            scoring.set()
+        calls.append((training, threading.get_ident()))
+        return forward(params, stack, training=training, **kwargs)
+
+    monkeypatch.setattr(train_module, "forward", recording_forward)
+    g = sensitive_block_graph(n=100, seed=7, avg_degree=10.0)
+    train(g, quick_config(epochs=3, folds=1), split_spec=SplitSpec(train_per_class_cap=15,
+                                                                   seed=0, folds=1))
+    assert overlapped == [True] * 3
+    caller = threading.get_ident()
+    # one piece per scoring: epochs 0-2 are scored beside steps 1-3, on a helper;
+    # epoch 3's validation and the test set, with nothing beside them, on the caller
+    assert [training for training, _ in calls] == [False, True] * 3 + [False, False]
+    assert [ident for training, ident in calls if training] == [caller] * 3
+    assert caller not in [ident for training, ident in calls[:6] if not training]
+    assert calls[6:] == [(False, caller)] * 2
+
+
 def test_run_directory_layout(tmp_path):
     g = sensitive_block_graph(n=100, seed=7, avg_degree=10.0)
     cfg = quick_config(epochs=3, folds=1)
@@ -338,6 +470,22 @@ def test_bench_times_the_training_step(monkeypatch):
     assert decays == [TrainConfig().weight_decay] * 5 and decays[0] > 0
 
 
+def test_bench_times_under_one_blas_thread(blas_threads, monkeypatch):
+    seen = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            seen.append(blas_threads())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("build_encodings", "_train_step"):
+        monkeypatch.setattr(train_module, name, recording(getattr(train_module, name)))
+    bench_scaling([200, 400], k=1, t=2, d_hidden=8, epochs_timed=1, repeats=1)
+    assert seen == [1] * 6  # the warm-up encode and step, then one of each per size
+    assert blas_threads() == 2
+
+
 def test_bench_times_a_cold_solve_in_every_encode(monkeypatch):
     # the graph remembers its basis, so a timed encode on it would skip the solve
     calls = recorded_solves(monkeypatch)
@@ -449,6 +597,47 @@ def test_scoring_records_no_tape(monkeypatch):
     for name, t in params.tensors.items():
         assert t.requires_grad and t.grad is sentinels[name]
         assert np.all(t.grad == 7.0)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_scoring_raises_the_first_failing_piece(monkeypatch, workers):
+    block = train_module._SCORE_BLOCK
+    stack = random_stack(2 * block + 1)
+    ok = stack.tensor[0, 0, 0]
+
+    def failing_forward(params, piece, **kwargs):  # every piece but the first fails
+        if piece.tensor[0, 0, 0] != ok:
+            raise ModelError(f"piece from {piece.tensor[0, 0, 0]!r}")
+        return forward(params, piece, **kwargs)
+
+    monkeypatch.setattr(train_module, "forward", failing_forward)
+    with pytest.raises(ModelError) as caught:
+        train_module._score(scoring_params(), stack, workers)
+    assert str(caught.value) == f"piece from {stack.tensor[block // 2, 0, 0]!r}"
+
+
+def test_scoring_keeps_every_piece_under_fast_thread_switches():
+    block = train_module._SCORE_BLOCK
+    params, stack = scoring_params(), random_stack(8 * block + 1)
+    want = train_module._score(params, stack, 1).tobytes()
+    got, besides = [], []
+
+    def score_thrice():
+        for _ in range(3):
+            got.append(train_module._score(params, stack, 8,
+                                           lambda: besides.append(threading.get_ident())))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=score_thrice)
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert [logits.tobytes() for logits in got] == [want] * 3
+    assert besides == [caller.ident] * 3
 
 
 def test_scoring_after_adam_step_sees_updated_weights():
