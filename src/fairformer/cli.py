@@ -2,8 +2,12 @@
 
 Verbs: train, ablate, sweep, verify, bench, inspect. All randomness flows
 from --seed, and re-runs write byte-identical report files with or without
---serial, which only runs folds one after another (wall clock measurements go
-to a separate timing.txt, which is exempt). Exit codes:
+--serial (wall clock measurements go to a separate timing.txt, which is
+exempt). Without --serial the folds run side by side, one per CPU, on the
+program's kept helper threads, each scoring on its own thread; with it they
+run one after another, each scoring its validation set on a helper thread
+beside its next training step. Both go through one work queue
+(`train._fan_out`). Exit codes:
 0 success, 2 usage, 3 data problems, 4 convergence/training failures,
 1 verification failure or unexpected errors.
 """
@@ -12,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .data import SplitSpec, load_dataset, load_manifest
 from .errors import (ConvergenceError, FairformerError, IngestionError, SchemaError,
-                     SplitError, TrainingError)
+                     SpectralGapError, SplitError, TieWarning, TrainingError)
 from .hops import build_group_graph, group_scaling_report
 from .oracles import dense_eig
 from .spectral import spectral_alignment_report, top_magnitude_eigenpairs
@@ -200,7 +205,33 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+_ORACLE_TOL = 1e-6  # largest deviation from the dense oracle that passes
+
+
+def _eigensolver_deviation(basis, lam_ref, vec_ref) -> float:
+    """Largest deviation of `basis` from the dense oracle's pairs, both sorted by
+    |lambda|: the magnitudes slot by slot, then each eigenvalue and vector against the
+    oracle pair of the nearest eigenvalue among the top t, as +-lambda share |lambda|
+    and may come in either order. A vector is compared only where it is determined:
+    its eigenvalue is simple and, on a tie at the cut, its |lambda| is not tied with
+    |lambda_t|, since which of the tied pairs fills the last slots is arbitrary."""
+    lam, t = basis.eigenvalues, basis.t
+    gaps = np.abs(lam[:, None] - lam_ref[None, :])
+    cut_tie = basis.tie_warning & (np.abs(np.abs(lam) - abs(lam[-1]))
+                                   <= _ORACLE_TOL * max(1.0, abs(lam[-1])))
+    match = np.argmin(gaps[:, :t], axis=1)
+    signed = ~cut_tie
+    vector = signed & (np.sum(gaps <= _ORACLE_TOL, axis=1) == 1)
+    return float(max(np.max(np.abs(np.abs(lam) - np.abs(lam_ref[:t]))),
+                     np.max(gaps[signed, match[signed]], initial=0.0),
+                     np.max(np.abs(basis.structure_matrix[:, vector]
+                                   - vec_ref[:, match[vector]]), initial=0.0)))
+
+
 def _cmd_verify(args) -> int:
+    """Certificates per random graph. A certificate whose precondition fails (no
+    strict spectral gap, or a decay bound that does not apply) prints applicable=0
+    and neither passes nor fails the run."""
     lines = []
     all_ok = True
     for i in range(args.graphs):
@@ -213,22 +244,31 @@ def _cmd_verify(args) -> int:
                      f"max_abs_deviation={scaling.max_abs_deviation!r}")
         all_ok &= scaling.passed
 
-        alignment = spectral_alignment_report(g, args.kmax)
-        identity_ok = alignment.identity_max_error <= 1e-8
-        lines.append(f"graph={i} check=alignment_identity max_error={alignment.identity_max_error!r} "
-                     f"pass={int(identity_ok)}")
-        lines.append(f"graph={i} check=alignment_decay applicable={int(alignment.decay_applicable)} "
-                     f"pass={int(alignment.decay_ok)}")
-        all_ok &= identity_ok and alignment.decay_ok
+        try:
+            alignment = spectral_alignment_report(g, args.kmax)
+        except SpectralGapError:
+            lines.append(f"graph={i} check=alignment_identity applicable=0")
+            lines.append(f"graph={i} check=alignment_decay applicable=0")
+        else:
+            identity_ok = alignment.identity_max_error <= 1e-8
+            lines.append(f"graph={i} check=alignment_identity "
+                         f"max_error={alignment.identity_max_error!r} pass={int(identity_ok)}")
+            all_ok &= identity_ok
+            if alignment.decay_applicable:
+                lines.append(f"graph={i} check=alignment_decay applicable=1 "
+                             f"pass={int(alignment.decay_ok)}")
+                all_ok &= alignment.decay_ok
+            else:
+                lines.append(f"graph={i} check=alignment_decay applicable=0")
 
         t = min(4, g.n)
-        basis = top_magnitude_eigenpairs(g, t=t, tol=1e-11, seed=seed)
-        lam_ref, vec_ref = dense_eig(g.adjacency.toarray())
-        dev = max(float(np.max(np.abs(basis.eigenvalues - lam_ref[:t]))),
-                  float(np.max(np.abs(basis.structure_matrix - vec_ref[:, :t]))))
-        eig_ok = dev <= 1e-6
-        lines.append(f"graph={i} check=eigensolver_vs_oracle t={t} deviation={dev!r} "
-                     f"pass={int(eig_ok)}")
+        with warnings.catch_warnings():  # a tie at the cut is printed as tie=1
+            warnings.simplefilter("ignore", TieWarning)
+            basis = top_magnitude_eigenpairs(g, t=t, tol=1e-11, seed=seed)
+        dev = _eigensolver_deviation(basis, *dense_eig(g.adjacency.toarray()))
+        eig_ok = dev <= _ORACLE_TOL
+        lines.append(f"graph={i} check=eigensolver_vs_oracle t={t} "
+                     f"tie={int(basis.tie_warning)} deviation={dev!r} pass={int(eig_ok)}")
         all_ok &= eig_ok
 
     lines.append(f"all_pass={int(all_ok)}")

@@ -9,6 +9,7 @@ checkpoint can never be worse on validation than where training began.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -56,6 +57,12 @@ class TrainConfig:
             raise FairformerError("epochs must be >= 1")
         if self.folds < 1:
             raise FairformerError("folds must be >= 1")
+        if self.patience < 0:
+            raise FairformerError(f"patience={self.patience} must be >= 0 (0 never stops early)")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise FairformerError(f"learning_rate={self.learning_rate!r} must be finite and > 0")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise FairformerError(f"weight_decay={self.weight_decay!r} must be finite and >= 0")
         if self.k < 0:
             raise FairformerError("k must be >= 0")
         if self.t < 0:
@@ -250,61 +257,73 @@ def _score_pieces(n: int) -> list:
 
 @functools.cache
 def _helper_threads(count: int) -> ThreadPoolExecutor:
-    """`count` threads that score beside the caller, started on first use and kept for
-    the life of the process. Threads started afresh per call each took a malloc arena
-    of their own whenever one began before the last had handed its arena back, and
-    each arena kept its own high-water mark: 10 MB more peak memory on some runs of
-    `train --synthetic 1000`."""
-    return ThreadPoolExecutor(count, thread_name_prefix="fairformer-score")
+    """`count` threads that take `_fan_out` jobs beside the caller, started on first use
+    and kept for the life of the process. Threads started afresh per call each took a
+    malloc arena of their own whenever one began before the last had handed its arena
+    back, and each arena kept its own high-water mark: 10 MB more peak memory on some
+    runs of `train --synthetic 1000`."""
+    return ThreadPoolExecutor(count, thread_name_prefix="fairformer-helper")
 
 
-def _score(params, stack: HopStack, workers: int, beside=None) -> np.ndarray:
-    """Eval logits of every row, one tape-free `forward` per piece of rows. Up to
-    `workers` threads, the caller's own among them, take the pieces from one shared
-    queue in turn. With `beside`, the caller first runs `beside()`, keeping nothing it
-    returns, while the other threads start on the pieces, and joins them once it
-    returns; with one worker the two run one after the other. A piece that raises
-    `FairformerError` does not stop the others; the first such piece's error is
-    raised once all have run, as if they had run in order."""
-    frozen = params.frozen()  # fresh per call: Adam.step rebinds the arrays
-    pieces = _score_pieces(stack.tensor.shape[0])
+def _fan_out(jobs, workers: int, beside=None):
+    """Run `jobs`, callables of no arguments, and return their results in job order
+    with what `beside` returned (None without it). Up to `workers` threads, the
+    caller's own and the kept `_helper_threads`, take the jobs from one shared queue
+    in turn, and numpy's OpenBLAS is held at one thread while helpers run. With
+    `beside`, the caller first runs `beside()` while the helpers start on the jobs;
+    with one worker the two run one after the other. A job that raises
+    `FairformerError` does not stop the others; the first such job's error is raised
+    once all have run, as if they had run in order. A job must not fan out over
+    helpers itself: with every helper waiting on the pool, none would be left to run
+    its jobs."""
     todo = queue.SimpleQueue()
-    for item in enumerate(pieces):
+    for item in enumerate(jobs):
         todo.put(item)
-    logits = [None] * len(pieces)
+    results = [None] * len(jobs)
+    failures = {}
 
     def drain():
         while True:
             try:
-                i, (lo, hi) = todo.get_nowait()
+                i, job = todo.get_nowait()
             except queue.Empty:
                 return
             try:
-                logits[i] = forward(frozen, _rows(stack, slice(lo, hi))).data
+                results[i] = job()
             except FairformerError as exc:
-                logits[i] = exc
+                failures[i] = exc
 
-    def run():
-        if beside is not None:
-            beside()
-        drain()
+    helpers = min(workers - 1, len(jobs) - (beside is None))
+    with _ONE_BLAS_THREAD if helpers > 0 else contextlib.nullcontext():
+        futures = [_helper_threads(workers - 1).submit(drain) for _ in range(helpers)]
+        try:
+            ahead = None if beside is None else beside()
+            drain()
+        finally:  # no helper may outlive the scope
+            wait(futures)
+    for future in futures:
+        future.result()
+    if failures:
+        raise failures[min(failures)]
+    return results, ahead
 
-    helpers = min(workers - 1, len(pieces) - (beside is None))
-    if helpers == 0:
-        run()
-    else:
-        with _ONE_BLAS_THREAD:
-            futures = [_helper_threads(workers - 1).submit(drain) for _ in range(helpers)]
-            try:
-                run()
-            finally:  # no helper may outlive the scope
-                wait(futures)
-            for future in futures:
-                future.result()
-    for part in logits:
-        if isinstance(part, FairformerError):
-            raise part
-    return np.concatenate(logits)
+
+def _score_jobs(params, stack: HopStack) -> list:
+    """One `_fan_out` job per `_score_pieces` range of `stack`'s rows: a tape-free
+    `forward` returning that range's eval logits on the weights `params` holds now
+    (a frozen view: `Adam.step` rebinds the arrays)."""
+    frozen = params.frozen()
+
+    def piece(lo, hi):
+        return forward(frozen, _rows(stack, slice(lo, hi))).data
+
+    return [functools.partial(piece, lo, hi) for lo, hi in _score_pieces(stack.tensor.shape[0])]
+
+
+def _score(params, stack: HopStack, workers: int) -> np.ndarray:
+    """Eval logits of every row, its pieces fanned out over `workers` threads."""
+    pieces, _ = _fan_out(_score_jobs(params, stack), workers)
+    return np.concatenate(pieces)
 
 
 def _init_fold(cfg: TrainConfig, d: int, fold: int):
@@ -346,13 +365,13 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
 
     Epochs overlap: after step e, the validation set is scored on `snap`, a frozen
     view of epoch e's weights, while the caller runs step e + 1 beside the scoring
-    (`_score`). `Adam.step` rebinds each array instead of writing into it, so `snap`
-    keeps epoch e's weights, and the best checkpoint is copied from it. Step e + 1's
-    loss, or the error that ends training there, is held until epoch e's patience
-    check has run; a fold that stops at e drops it, and one that goes on raises it
-    then. The last epoch runs nothing ahead. Steps and dropout draws keep their
-    serial order, so the log, the report and the checkpoints have the same bytes as
-    when each step waits for the scoring before it.
+    (`_fan_out`). `Adam.step` rebinds each array instead of writing into it, so `snap`
+    keeps epoch e's weights, and the best checkpoint is copied from it. The fan-out
+    returns step e + 1's loss, or the error that ends training there, and it is held
+    until epoch e's patience check has run; a fold that stops at e drops it, and one
+    that goes on raises it then. The last epoch runs nothing ahead. Steps and dropout
+    draws keep their serial order, so the log, the report and the checkpoints have
+    the same bytes as when each step waits for the scoring before it.
     """
     params, optimizer, dropout_rng = _init_fold(cfg, stack.d, fold)
     train_stack = _rows(stack, split.train)
@@ -360,38 +379,40 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
     val_stack = _rows(stack, split.val)
     val_labels = g.labels[split.val]
     val_sens = g.sensitive[split.val]
-    ahead = []  # the step run beside the last scoring: its loss or its TrainingError
 
     def step(epoch):
         try:
-            ahead.append(_train_step(params, optimizer, dropout_rng, train_stack,
-                                     train_labels, fold, epoch))
+            return _train_step(params, optimizer, dropout_rng, train_stack, train_labels,
+                               fold, epoch)
         except FairformerError as exc:
-            ahead.append(_diverged(fold, epoch, exc))
+            return _diverged(fold, epoch, exc)
 
     def val_metrics(snap, epoch):
+        """Epoch `epoch`'s validation accuracy and parity, and the loss or the
+        TrainingError of step epoch + 1, run beside the scoring (None after the last)."""
         beside = functools.partial(step, epoch + 1) if epoch < cfg.epochs else None
-        pred = predict_labels(_score(snap, val_stack, workers, beside))
+        pieces, ahead = _fan_out(_score_jobs(snap, val_stack), workers, beside)
+        pred = predict_labels(np.concatenate(pieces))
         try:
             dsp = statistical_parity(pred, val_sens)
         except UndefinedMetricError:  # a single-group validation set has no parity
             dsp = float("nan")
-        return accuracy(pred, val_labels), dsp
+        return accuracy(pred, val_labels), dsp, ahead
 
     snap = params.frozen()
-    best_acc, _ = val_metrics(snap, 0)  # initial parameters are the first candidate
+    best_acc, _, ahead = val_metrics(snap, 0)  # initial parameters are the first candidate
     best_state = snap.state_copy()
     best_epoch = 0
     stale = 0
     stop = "epochs"
 
     for epoch in range(1, cfg.epochs + 1):
-        loss_value = ahead.pop()
+        loss_value = ahead
         if isinstance(loss_value, TrainingError):
             raise loss_value
         snap = params.frozen()
         try:
-            acc, val_dsp = val_metrics(snap, epoch)
+            acc, val_dsp, ahead = val_metrics(snap, epoch)
         except FairformerError as exc:
             raise _diverged(fold, epoch, exc) from exc
         log_lines.append(f"fold={fold} epoch={epoch} loss={loss_value!r} val_acc={acc!r} "
@@ -434,16 +455,13 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
     encode_seconds = time.perf_counter() - encode_start
 
     logs: list[list[str]] = [[] for _ in splits]
-
-    def job(fold, workers):
-        return _run_fold(g, cfg, stack, splits[fold], fold, logs[fold], workers)
-
-    fold_threads = 1 if serial else min(_WORKERS, len(splits))
-    if fold_threads == 1:  # one fold at a time, each scoring over every worker
-        outcomes = [job(f, _WORKERS) for f in range(len(splits))]
-    else:  # the pool is busy, so each fold scores in its own thread
-        with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=fold_threads) as pool:
-            outcomes = list(pool.map(job, range(len(splits)), [1] * len(splits)))
+    fold_workers = 1 if serial else min(_WORKERS, len(splits))
+    # one fold at a time scores over every worker; folds side by side score alone,
+    # as a fold on a helper thread must not fan out over the helpers
+    score_workers = _WORKERS if fold_workers == 1 else 1
+    outcomes, _ = _fan_out([functools.partial(_run_fold, g, cfg, stack, split, fold, logs[fold],
+                                              score_workers)
+                            for fold, split in enumerate(splits)], fold_workers)
 
     reports, models, best_epochs, epochs_run, val_accuracies, stops = map(list, zip(*outcomes))
     result = RunResult(
@@ -559,6 +577,8 @@ def bench_scaling(sizes, k: int = 2, t: int = 4, d_hidden: int = 32, seed: int =
         raise FairformerError("bench_scaling needs at least two distinct sizes to fit an exponent")
     if epochs_timed < 1:
         raise FairformerError(f"epochs_timed={epochs_timed} must be >= 1")
+    if repeats < 1:
+        raise FairformerError(f"repeats={repeats} must be >= 1")
     cfg = TrainConfig(epochs=1, folds=1, k=k, t=t, d_hidden=d_hidden, seed=seed)
     encode_times, epoch_times = [], []
     with _ONE_BLAS_THREAD:

@@ -9,9 +9,12 @@ import pytest
 
 import fairformer
 from fairformer import autodiff as ad
-from fairformer.cli import _split_spec, _train_config, build_parser, main
+from fairformer.cli import _eigensolver_deviation, _split_spec, _train_config, build_parser, main
 from fairformer.data import SplitSpec
-from fairformer.errors import ConvergenceError
+from fairformer.errors import ConvergenceError, TieWarning
+from fairformer.oracles import dense_eig
+from fairformer.spectral import SpectralBasis, top_magnitude_eigenpairs
+from fairformer.synth import random_connected_graph
 from fairformer.train import TrainConfig
 
 DATA = Path(__file__).parent / "data"
@@ -102,6 +105,56 @@ def test_verify_alignment_holds_past_the_overflow_of_raw_hops(capsys):
     run_cli(["verify", "--kmax", "180"])
     lines = [line for line in capsys.readouterr().out.splitlines() if "check=alignment_" in line]
     assert len(lines) == 6 and not any("pass=0" in line for line in lines)
+
+
+@pytest.mark.parametrize("args,lines", [
+    # a three-node path: +-sqrt(2) have no strict gap, so neither alignment check applies
+    (["--n", "3", "--graphs", "2"],
+     ["graph=1 check=alignment_identity applicable=0",
+      "graph=1 check=alignment_decay applicable=0",
+      "graph=1 check=eigensolver_vs_oracle t=3 tie=0 "]),
+    (["--n", "8", "--seed", "6", "--graphs", "1"],
+     ["graph=0 check=alignment_identity max_error=",
+      "graph=0 check=alignment_decay applicable=0"]),
+    # -1.618 twice at the cut t=4: the fourth vector is any unit vector of a 2-d eigenspace
+    (["--n", "10", "--seed", "0", "--graphs", "1"],
+     ["graph=0 check=alignment_decay applicable=0",
+      "graph=0 check=eigensolver_vs_oracle t=4 tie=1 "]),
+    # a star: 0 is a double eigenvalue inside t=4
+    (["--n", "4", "--seed", "4", "--graphs", "1"],
+     ["graph=0 check=eigensolver_vs_oracle t=4 tie=0 "]),
+], ids=["no_gap", "decay_not_applicable", "tie_at_cut", "double_eigenvalue"])
+def test_verify_passes_small_graphs_on_the_checks_that_apply(capsys, args, lines):
+    assert run_cli(["verify"] + args) == 0
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    for line in lines:
+        assert any(got.startswith(line) for got in out), line
+    assert not any("pass=0" in got for got in out)
+    assert out[-1] == "all_pass=1" and captured.err == ""
+
+
+def test_verify_oracle_deviation_checks_only_what_a_solve_determines():
+    # the path on three nodes has +-sqrt(2) and 0: at t=1 either of +-sqrt(2) fills the slot
+    lam_path, vec_path = dense_eig(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
+    other = SpectralBasis(lam_path[1:2], vec_path[:, 1:2], "adjacency", np.zeros(1),
+                          tie_warning=True)
+    assert _eigensolver_deviation(other, lam_path, vec_path) <= 1e-12
+    untied = dataclasses.replace(other, tie_warning=False)
+    assert _eigensolver_deviation(untied, lam_path, vec_path) > 2.8
+    g = random_connected_graph(10, density=0.25, seed=0)
+    lam_ref, vec_ref = dense_eig(g.adjacency.toarray())
+    with pytest.warns(TieWarning):
+        tied = top_magnitude_eigenpairs(g, t=4, tol=1e-11, seed=0)
+    assert _eigensolver_deviation(tied, lam_ref, vec_ref) <= 1e-6
+    exact = SpectralBasis(lam_ref[:3], vec_ref[:, :3], "adjacency", np.zeros(3))
+    assert _eigensolver_deviation(exact, lam_ref, vec_ref) == 0.0
+    wrong_vector = vec_ref[:, :3].copy()
+    wrong_vector[:, 1] = -wrong_vector[:, 1]
+    wrong_value = lam_ref[[0, 1, 3]]  # skips the third pair
+    for lam, vec in ((lam_ref[:3], wrong_vector), (wrong_value, vec_ref[:, [0, 1, 3]])):
+        basis = SpectralBasis(lam, vec, "adjacency", np.zeros(3))
+        assert _eigensolver_deviation(basis, lam_ref, vec_ref) > 1e-2
 
 
 def test_convergence_failure_exits_4(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import sys
 import threading
@@ -51,6 +52,21 @@ def test_bad_variant_rejected():
         TrainConfig(ablation="everything")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("patience", -1), ("learning_rate", -1.0), ("learning_rate", 0.0),
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ("weight_decay", -1e-5), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+])
+def test_bad_optimizer_settings_rejected(field, value):
+    with pytest.raises(FairformerError, match=f"{field}="):
+        TrainConfig(**{field: value})
+
+
+def test_zero_patience_and_zero_weight_decay_are_accepted():
+    cfg = TrainConfig(patience=0, weight_decay=0.0)
+    assert cfg.patience == 0 and cfg.weight_decay == 0.0
+
+
 def test_separable_fixture_reaches_perfect_accuracy():
     g = separable_graph()
     cfg = quick_config(epochs=200, folds=1, t=0, ablation="no_st")
@@ -94,6 +110,70 @@ def test_folds_match_serial_when_scoring_fans_out(monkeypatch):
     assert threading.get_ident() in scorers and len(scorers) > 1  # the caller and a helper
     threaded = train(g, cfg, split_spec=spec, serial=False)
     assert serial.summary_text() == threaded.summary_text()
+
+
+def test_side_by_side_folds_run_on_the_kept_helper_threads(monkeypatch):
+    monkeypatch.setattr(train_module, "_WORKERS", 2)  # whatever this machine has
+    run_fold = train_module._run_fold
+    seen = []
+
+    def recording_run_fold(*args):
+        seen.append((threading.get_ident(), threading.active_count()))
+        return run_fold(*args)
+
+    monkeypatch.setattr(train_module, "_run_fold", recording_run_fold)
+    g = sensitive_block_graph(n=120, seed=4, avg_degree=10.0)
+    cfg = quick_config(epochs=3, folds=4)
+    spec = SplitSpec(train_per_class_cap=20, seed=1, folds=4)
+    train(g, cfg, split_spec=spec, serial=False)
+    threads = {thread.ident for thread in threading.enumerate()}
+    count = threading.active_count()
+    first = {ident for ident, _ in seen}
+    assert threading.get_ident() in first and first <= threads  # no fold thread was let go
+    seen.clear()
+    train(g, cfg, split_spec=spec, serial=False)
+    assert {ident for ident, _ in seen} <= threads
+    assert [active for _, active in seen] == [count] * 4
+    assert threading.active_count() == count
+
+
+def test_side_by_side_folds_raise_the_first_folds_error(monkeypatch):
+    monkeypatch.setattr(train_module, "_WORKERS", 2)
+    step = train_module._train_step
+    diverge_at = {0: 3, 1: 1}  # fold 1 fails first in time, fold 0 first in fold order
+    failed = []
+
+    def failing(params, optimizer, rng, stack, labels, fold, epoch):
+        if epoch >= diverge_at[fold]:
+            failed.append(fold)
+            raise TrainingError(f"fold {fold}: loss diverged to nan at epoch {epoch}")
+        return step(params, optimizer, rng, stack, labels, fold, epoch)
+
+    monkeypatch.setattr(train_module, "_train_step", failing)
+    g = sensitive_block_graph(n=120, seed=4, avg_degree=10.0)
+    spec = SplitSpec(train_per_class_cap=20, seed=1, folds=2)
+    with pytest.raises(TrainingError) as caught:
+        train(g, quick_config(epochs=6), split_spec=spec, serial=False)
+    assert str(caught.value) == "fold 0: loss diverged to nan at epoch 3"
+    assert sorted(set(failed)) == [0, 1]  # both folds ran to their divergence
+
+
+def test_fan_out_returns_in_job_order_and_raises_the_first_error_after_all_ran():
+    ran = []
+
+    def job(i):
+        ran.append(i)
+        if i in (2, 4):
+            raise ModelError(f"job {i}")
+        return i * i
+
+    jobs = [functools.partial(job, i) for i in range(6)]
+    assert train_module._fan_out(jobs[:2], 3, lambda: "beside") == ([0, 1], "beside")
+    for workers in (1, 2, 3):
+        ran.clear()
+        with pytest.raises(ModelError, match="job 2"):
+            train_module._fan_out(jobs, workers)
+        assert sorted(ran) == list(range(6))
 
 
 def openblas_or_skip():
@@ -447,6 +527,8 @@ def test_bench_scaling_smoke():
         bench_scaling([200, 200])
     with pytest.raises(FairformerError, match="epochs_timed=0"):
         bench_scaling([200, 400], epochs_timed=0)
+    with pytest.raises(FairformerError, match="repeats=0"):
+        bench_scaling([200, 400], repeats=0)
 
 
 def test_bench_times_the_training_step(monkeypatch):
@@ -624,8 +706,10 @@ def test_scoring_keeps_every_piece_under_fast_thread_switches():
 
     def score_thrice():
         for _ in range(3):
-            got.append(train_module._score(params, stack, 8,
-                                           lambda: besides.append(threading.get_ident())))
+            pieces, ahead = train_module._fan_out(train_module._score_jobs(params, stack), 8,
+                                                  threading.get_ident)
+            got.append(np.concatenate(pieces))
+            besides.append(ahead)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
