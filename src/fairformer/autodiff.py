@@ -3,7 +3,15 @@
 Only the operations the hop-token transformer needs are provided, each with
 an explicit backward rule so the whole tape stays auditable. Everything runs
 in float64; broadcasting is restricted to the bias-add pattern (a trailing
-1-D vector added over the last axis).
+1-D vector added over the last axis), which `matmul` also takes as `bias=`.
+
+Grads are never written in place. A tensor's first grad is kept by reference
+(it may be the very array another tensor holds, or a view of it) and each
+later one is added out of place, so no closure may write into the `g` it is
+given or into a grad it has passed on. Kernels write in place only into
+arrays they have just allocated, with the same IEEE operations in the same
+order as the out-of-place expressions, so their results match those bit for
+bit.
 
 `backward` frees the tape as it sweeps it: each interior node gives up its
 grad, its closure (and with it the forward values the closure saved) and its
@@ -61,11 +69,13 @@ def _result(data, parents, backward_fn):
 
 
 def _accumulate(t, g):
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    """Add `g` to `t`'s grad: the first by reference, later ones out of place.
+
+    `g` may be shared (a residual `add` hands the same array to both operands),
+    so neither `t.grad` nor `g` is ever written in place.
+    """
+    if t.requires_grad:
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -110,19 +120,27 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _result(a.data * c, (a,), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product.
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product, plus an optional 1-D `bias` over the last axis.
 
-    Supported shapes: (m,p)@(p,q), (B,m,p)@(p,q) and (B,m,p)@(B,p,q).
-    Backward: dA = g·Bᵀ, dB = Aᵀ·g, each only for an operand that requires grad
-    (the projection's token input does not). (…,p)@(p,q) runs as one
-    (rows,p)@(p,q) GEMM both ways, which also does the batch-sum of dB.
+    Supported shapes: (m,p)@(p,q), (B,m,p)@(p,q) and (B,m,p)@(B,p,q); `bias`
+    (q,) only with a 2-D `b`. Backward: dA = g·Bᵀ, dB = Aᵀ·g, dbias = the row
+    sum of g, each only for an operand that requires grad (the projection's
+    token input does not). (…,p)@(p,q) runs as one (rows,p)@(p,q) GEMM both
+    ways, which also does the batch-sum of dB. The bias is added in place to
+    the GEMM's fresh output: the same sums as `add(matmul(a, b), bias)`
+    without a second activation.
     """
     ad, bd = a.data, b.data
     if ad.ndim in (2, 3) and bd.ndim == 2:
         if ad.shape[-1] != bd.shape[0]:
             raise FairformerError(f"matmul: inner dims {ad.shape} vs {bd.shape}")
+        if bias is not None and bias.data.shape != bd.shape[1:]:
+            raise FairformerError(f"matmul: bias {bias.data.shape} does not match {bd.shape}")
         flat = ad.reshape(math.prod(ad.shape[:-1]), ad.shape[-1])
+        out = flat @ bd
+        if bias is not None:
+            out += bias.data
 
         def backward(g):
             g2 = g.reshape(flat.shape[0], g.shape[-1])
@@ -130,9 +148,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 _accumulate(a, (g2 @ bd.T).reshape(ad.shape))
             if b.requires_grad:
                 _accumulate(b, flat.T @ g2)
+            if bias is not None and bias.requires_grad:
+                _accumulate(bias, g2.sum(axis=0))
 
-        return _result((flat @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), (a, b), backward)
+        parents = (a, b) if bias is None else (a, b, bias)
+        return _result(out.reshape(ad.shape[:-1] + bd.shape[1:]), parents, backward)
 
+    if bias is not None:
+        raise FairformerError("matmul: a bias needs a 2-D right operand")
     if ad.ndim != 3 or bd.ndim != 3:
         raise FairformerError(f"matmul: unsupported ranks {ad.ndim} and {bd.ndim}")
     if ad.shape[0] != bd.shape[0] or ad.shape[2] != bd.shape[1]:
@@ -195,13 +218,16 @@ def softmax_rows(a: Tensor) -> Tensor:
     """Softmax over the last axis, computed with max-subtraction."""
     if not np.all(np.isfinite(a.data)):
         raise FairformerError("softmax_rows: non-finite input")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        _accumulate(a, s * (g - dot))
+        da = g * s
+        dot = da.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=da)
+        da *= s
+        _accumulate(a, da)
 
     return _result(s, (a,), backward)
 
@@ -226,31 +252,46 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise FairformerError(f"layer_norm: affine shape must be ({d},)")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.square(xhat).sum(axis=-1, keepdims=True) / d  # as ndarray.var sums it
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def backward(g):
-        gg = g * gain.data
-        m1 = gg.mean(axis=-1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, (gg - m1 - xhat * m2) * inv)
+        dx = g * gain.data
+        m1 = dx.mean(axis=-1, keepdims=True)
+        t = dx * xhat
+        m2 = t.mean(axis=-1, keepdims=True)
+        dx -= m1
+        dx -= np.multiply(xhat, m2, out=t)
+        dx *= inv
+        _accumulate(x, dx)
         lead = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=lead))
+        _accumulate(gain, np.multiply(g, xhat, out=t).sum(axis=lead))
         _accumulate(bias, g.sum(axis=lead))
 
-    return _result(xhat * gain.data + bias.data, (x, gain, bias), backward)
+    return _result(out, (x, gain, bias), backward)
 
 
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU, x * Phi(x), with Phi the standard normal CDF."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / _SQRT_2))
+    cdf = np.divide(x, _SQRT_2, out=np.empty_like(x))  # out= keeps a 0-d x an array
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def backward(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x ** 2)
-        _accumulate(a, g * (cdf + x * pdf))
+        da = np.square(x, out=np.empty_like(x))  # then pdf, then g * (cdf + x * pdf)
+        da *= -0.5
+        np.exp(da, out=da)
+        da *= _INV_SQRT_2PI
+        da *= x
+        da += cdf
+        da *= g
+        _accumulate(a, da)
 
     return _result(x * cdf, (a,), backward)
 

@@ -194,8 +194,6 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.min > args.max:
-        raise FairformerError("--min must not exceed --max")
     cfg = _train_config(args)
     values = range(args.min, args.max + 1)
     sweep_configs(cfg, args.param, values)  # a bad swept value fails before the graph loads
@@ -314,6 +312,10 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.verb == "sweep" and args.min > args.max:
+        print(f"{parser.prog} sweep: error: argument --max: must not be below --min "
+              f"({args.min}), got {args.max}", file=sys.stderr)
+        return EXIT_USAGE
     if args.out is not None:  # a bad --out fails before any data is read or any work is done
         try:
             args.out.mkdir(parents=True, exist_ok=True)

@@ -135,12 +135,12 @@ def init_model(cfg: ModelConfig, d_input: int) -> ModelParams:
 def _maybe_dropout(t: ad.Tensor, p: float, training: bool, rng) -> ad.Tensor:
     if not training or p <= 0.0:
         return t
-    mask = (rng.random(t.data.shape) >= p).astype(np.float64) / (1.0 - p)
+    mask = (rng.random(t.data.shape) >= p) / (1.0 - p)  # the bools divide as 0.0 and 1.0
     return ad.mul(t, ad.Tensor(mask))
 
 
 def _linear(t: ad.Tensor, params: ModelParams, name: str) -> ad.Tensor:
-    return ad.add(ad.matmul(t, params[f"{name}.weight"]), params[f"{name}.bias"])
+    return ad.matmul(t, params[f"{name}.weight"], bias=params[f"{name}.bias"])
 
 
 def project_tokens(stack: HopStack, params: ModelParams) -> ad.Tensor:

@@ -98,6 +98,7 @@ def _op_cases():
         ("matmul", lambda ts: ad.matmul(ts[0], ts[1]), [(3, 4), (4, 2)]),
         ("matmul_batched", lambda ts: ad.matmul(ts[0], ts[1]), [(2, 3, 4), (4, 2)]),
         ("add_bias", lambda ts: ad.add(ts[0], ts[1]), [(3, 5), (5,)]),
+        ("linear", lambda ts: ad.matmul(ts[0], ts[1], bias=ts[2]), [(2, 3, 4), (4, 2), (2,)]),
         ("mul", lambda ts: ad.mul(ts[0], ts[1]), [(4, 3), (4, 3)]),
         ("scale", lambda ts: ad.scale(ts[0], 1.7), [(4, 3)]),
         ("transpose", lambda ts: ad.transpose_last(ts[0]), [(3, 4)]),

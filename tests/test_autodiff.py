@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 import fairformer.autodiff as ad
 from fairformer.errors import FairformerError
@@ -11,6 +12,16 @@ def rel_err(got, want):
     want = np.asarray(want, dtype=float)
     denom = max(np.max(np.abs(want)), 1e-8)
     return np.max(np.abs(got - want)) / denom
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def sweep_with_upstream(out, upstream):
+    """Backward from `out` with `upstream` as its grad, bit for bit (1.0 * u == u)."""
+    ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(upstream))))
 
 
 def check_grads(build, arrays, tol=1e-5, step=1e-5):
@@ -251,6 +262,137 @@ def test_grad_accumulates_over_shared_input():
     loss = ad.sum_all(ad.add(x, x))
     ad.backward(loss)
     assert np.allclose(x.grad, 2.0)
+
+
+def test_grads_are_never_written_in_place():
+    # one residual add hands the same upstream array to both leaves; x then takes
+    # a second grad, which must not reach y's grad through the shared array
+    rng = np.random.default_rng(22)
+    xv, yv = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    w, v = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    x, y = ad.Tensor(xv, requires_grad=True), ad.Tensor(yv, requires_grad=True)
+
+    def build(ts, spy=None):
+        s = ad.add(ts[0], ts[1])
+        if spy is not None:
+            inner = s._backward_fn
+
+            def recording(g):
+                spy.append((g, g.copy()))
+                inner(g)
+
+            s._backward_fn = recording
+        residual = ad.sum_all(ad.mul(s, ad.Tensor(w)))
+        return ad.add(residual, ad.sum_all(ad.mul(ts[0], ad.Tensor(v))))
+
+    incoming = []
+    ad.backward(build([x, y], incoming))
+    [(g, before)] = incoming
+    assert y.grad is g and x.grad is not g
+    assert np.array_equal(g, before)
+    fd = fd_gradient(lambda arrs: float(build([ad.Tensor(a) for a in arrs]).data),
+                     [xv.copy(), yv.copy()], step=1e-5)
+    assert rel_err(x.grad, fd[0]) <= 1e-6 and rel_err(y.grad, fd[1]) <= 1e-6
+
+    first = (x.grad, y.grad)
+    ad.zero_grads([x, y])
+    ad.backward(build([x, y]))
+    assert same_bits(x.grad, first[0]) and same_bits(y.grad, first[1])
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+def test_matmul_bias_matches_add_of_matmul_bit_for_bit(shape):
+    rng = np.random.default_rng(23)
+    arrays = [rng.standard_normal(shape), rng.standard_normal((4, 6)), rng.standard_normal(6)]
+    upstream = rng.standard_normal(shape[:-1] + (6,))
+    runs = []
+    for fused in (True, False):
+        a, w, b = (ad.Tensor(v, requires_grad=True) for v in arrays)
+        out = ad.matmul(a, w, bias=b) if fused else ad.add(ad.matmul(a, w), b)
+        runs.append([out.data])
+        sweep_with_upstream(out, upstream)
+        runs[-1] += [a.grad, w.grad, b.grad]
+    assert all(same_bits(got, want) for got, want in zip(*runs))
+
+
+def test_matmul_bias_shape_is_checked():
+    a, w = ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 4)))
+    with pytest.raises(FairformerError, match="bias"):
+        ad.matmul(a, w, bias=ad.Tensor(np.ones(3)))
+    with pytest.raises(FairformerError, match="bias"):
+        ad.matmul(ad.Tensor(np.ones((2, 2, 3))), ad.Tensor(np.ones((2, 3, 4))),
+                  bias=ad.Tensor(np.ones(4)))
+
+
+# The out-of-place expressions the in-place kernels replace; each must give the
+# same bits, forward and backward.
+_SQRT_2 = np.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def reference_gelu(x, g):
+    cdf = 0.5 * (1.0 + erf(x / _SQRT_2))
+    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x ** 2)
+    return [x * cdf, g * (cdf + x * pdf)]
+
+
+def reference_layer_norm(x, gain, bias, g, eps=1e-5):
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv
+    gg = g * gain
+    m1 = gg.mean(axis=-1, keepdims=True)
+    m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+    lead = tuple(range(g.ndim - 1))
+    return [xhat * gain + bias, (gg - m1 - xhat * m2) * inv, (g * xhat).sum(axis=lead),
+            g.sum(axis=lead)]
+
+
+def reference_softmax_rows(x, g):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=-1, keepdims=True)
+    return [s, s * (g - (g * s).sum(axis=-1, keepdims=True))]
+
+
+def run_op(op, arrays, upstream):
+    """[forward, grad of each input] through the tape; a 0-d output is its own loss."""
+    leaves = [ad.Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    if out.data.ndim == 0:
+        ad.backward(ad.scale(out, float(upstream)))
+    else:
+        sweep_with_upstream(out, upstream)
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (4, 9), (2, 3, 16)])
+def test_gelu_matches_the_out_of_place_expressions_bit_for_bit(shape):
+    rng = np.random.default_rng(24)
+    x = rng.standard_normal(shape) * 3.0
+    g = np.asarray(rng.standard_normal(shape))
+    got = run_op(ad.gelu, [x], g)
+    assert all(same_bits(a, b) for a, b in zip(got, reference_gelu(np.asarray(x), g)))
+
+
+@pytest.mark.parametrize("shape", [(7,), (4, 9), (2, 3, 16)])
+def test_layer_norm_matches_the_out_of_place_expressions_bit_for_bit(shape):
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal(shape) * 2.0 + 0.5
+    gain, bias = rng.standard_normal(shape[-1]), rng.standard_normal(shape[-1])
+    g = rng.standard_normal(shape)
+    got = run_op(ad.layer_norm, [x, gain, bias], g)
+    assert all(same_bits(a, b) for a, b in zip(got, reference_layer_norm(x, gain, bias, g)))
+
+
+@pytest.mark.parametrize("shape", [(7,), (4, 9), (2, 3, 16)])
+def test_softmax_rows_matches_the_out_of_place_expressions_bit_for_bit(shape):
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal(shape) * 4.0
+    g = rng.standard_normal(shape)
+    got = run_op(ad.softmax_rows, [x], g)
+    assert all(same_bits(a, b) for a, b in zip(got, reference_softmax_rows(x, g)))
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

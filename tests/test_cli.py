@@ -377,6 +377,15 @@ def test_bad_config_fails_before_loading_graph(monkeypatch, capsys, args, names)
     assert err.startswith("error=FairformerError") and names in err
 
 
+def test_sweep_min_above_max_is_usage_error_before_out_is_made(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["sweep", "--synthetic", "40", "--param", "t", "--min", "5", "--max", "3"]
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "fairformer sweep: error: argument --max: must not be below --min (5), got 3\n"
+    assert not out.exists()
+
+
 def test_sweep_table_rows(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = run_cli(["sweep", "--synthetic", "80", "--param", "t", "--min", "1", "--max", "3",
