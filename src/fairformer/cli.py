@@ -1,13 +1,10 @@
 """Command-line interface.
 
 Verbs: train, ablate, sweep, verify, bench, inspect. All randomness flows
-from --seed, and re-runs write byte-identical report files with or without
---serial (wall clock measurements go to a separate timing.txt, which is
-exempt). Without --serial the folds run side by side, one per CPU, on the
-program's kept helper threads, each scoring on its own thread; with it they
-run one after another, each scoring its validation set on a helper thread
-beside its next training step. Both go through one work queue
-(`train._fan_out`). Exit codes:
+from --seed, and re-runs write byte-identical report files (wall clock
+measurements go to a separate timing.txt, which is exempt). Folds run one
+after another, each scoring its validation set on the program's kept helper
+threads beside its next training step (`train._fan_out`). Exit codes:
 0 success, 2 usage, 3 data problems, 4 convergence/training failures,
 1 verification failure or unexpected errors.
 """
@@ -93,9 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb, help=help_text, formatter_class=_Formatter)
         add_data_flags(p)
         add_common_flags(p)
-        p.add_argument("--serial", action="store_true",
-                       help="run folds one after another (reports are byte-identical "
-                            "with or without it)")
         p.add_argument("--epochs", type=int, default=TrainConfig.epochs,
                        help="training epochs per fold")
         p.add_argument("--k", type=int, default=TrainConfig.k, help="hop count for token sequences")
@@ -178,15 +172,14 @@ def _report(args, name, text, echo=True):
 
 def _cmd_train(args) -> int:
     cfg = _train_config(args)
-    result = train(_load_graph(args), cfg, split_spec=_split_spec(args), serial=args.serial,
-                   out_dir=args.out)
+    result = train(_load_graph(args), cfg, split_spec=_split_spec(args), out_dir=args.out)
     print(result.summary_text())
     return EXIT_OK
 
 
 def _cmd_ablate(args) -> int:
     cfg = _train_config(args)
-    results = ablate(_load_graph(args), cfg, split_spec=_split_spec(args), serial=args.serial)
+    results = ablate(_load_graph(args), cfg, split_spec=_split_spec(args))
     _report(args, "report.txt", sweep_table("variant", results.items()))
     for variant, result in results.items():
         _report(args, f"report_{variant}.txt", result.summary_text(), echo=False)
@@ -197,8 +190,7 @@ def _cmd_sweep(args) -> int:
     cfg = _train_config(args)
     values = range(args.min, args.max + 1)
     sweep_configs(cfg, args.param, values)  # a bad swept value fails before the graph loads
-    rows = sweep(_load_graph(args), cfg, args.param, values, split_spec=_split_spec(args),
-                 serial=args.serial)
+    rows = sweep(_load_graph(args), cfg, args.param, values, split_spec=_split_spec(args))
     _report(args, "sweep.tsv", sweep_table(args.param, rows))
     return EXIT_OK
 

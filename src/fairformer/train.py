@@ -359,19 +359,20 @@ def _diverged(fold: int, epoch: int, exc: FairformerError) -> TrainingError:
 
 
 def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: int,
-              log_lines: list, workers: int):
+              log_lines: list):
     """Train one fold, keep the weights of its best validation epoch and score its
     test set on them.
 
     Epochs overlap: after step e, the validation set is scored on `snap`, a frozen
     view of epoch e's weights, while the caller runs step e + 1 beside the scoring
-    (`_fan_out`). `Adam.step` rebinds each array instead of writing into it, so `snap`
-    keeps epoch e's weights, and the best checkpoint is copied from it. The fan-out
-    returns step e + 1's loss, or the error that ends training there, and it is held
-    until epoch e's patience check has run; a fold that stops at e drops it, and one
-    that goes on raises it then. The last epoch runs nothing ahead. Steps and dropout
-    draws keep their serial order, so the log, the report and the checkpoints have
-    the same bytes as when each step waits for the scoring before it.
+    (`_fan_out` over `_WORKERS` threads). `Adam.step` rebinds each array instead of
+    writing into it, so `snap` keeps epoch e's weights, and the best checkpoint is
+    copied from it. The fan-out returns step e + 1's loss, or the error that ends
+    training there, and it is held until epoch e's patience check has run; a fold
+    that stops at e drops it, and one that goes on raises it then. The last epoch
+    runs nothing ahead. Steps and dropout draws keep their serial order, so the log,
+    the report and the checkpoints have the same bytes as when each step waits for
+    the scoring before it.
     """
     params, optimizer, dropout_rng = _init_fold(cfg, stack.d, fold)
     train_stack = _rows(stack, split.train)
@@ -391,7 +392,7 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
         """Epoch `epoch`'s validation accuracy and parity, and the loss or the
         TrainingError of step epoch + 1, run beside the scoring (None after the last)."""
         beside = functools.partial(step, epoch + 1) if epoch < cfg.epochs else None
-        pieces, ahead = _fan_out(_score_jobs(snap, val_stack), workers, beside)
+        pieces, ahead = _fan_out(_score_jobs(snap, val_stack), _WORKERS, beside)
         pred = predict_labels(np.concatenate(pieces))
         try:
             dsp = statistical_parity(pred, val_sens)
@@ -429,14 +430,17 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
                 break
 
     params.load_state(best_state)
-    test_logits = _score(params, _rows(stack, split.test), workers)
+    test_logits = _score(params, _rows(stack, split.test), _WORKERS)
     report = evaluate(test_logits, g.labels[split.test], g.sensitive[split.test])
     return report, params, best_epoch, epoch, best_acc, stop  # epochs >= 1, so epoch is bound
 
 
 def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
           splits: list | None = None, serial: bool = True, out_dir=None) -> RunResult:
-    """Cross-validated training; one seeded re-split and parameter init per fold."""
+    """Cross-validated training; one seeded re-split and parameter init per fold.
+
+    Folds run one after another on the caller's thread, so the first fold that
+    fails ends the run. `serial` is ignored: it stays for callers that still pass it."""
     start = time.perf_counter()
     if splits is None:
         splits = make_folds(g, split_spec or SplitSpec(seed=cfg.seed, folds=cfg.folds))
@@ -454,14 +458,8 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
     stack = build_encodings(g, cfg)
     encode_seconds = time.perf_counter() - encode_start
 
-    logs: list[list[str]] = [[] for _ in splits]
-    fold_workers = 1 if serial else min(_WORKERS, len(splits))
-    # one fold at a time scores over every worker; folds side by side score alone,
-    # as a fold on a helper thread must not fan out over the helpers
-    score_workers = _WORKERS if fold_workers == 1 else 1
-    outcomes, _ = _fan_out([functools.partial(_run_fold, g, cfg, stack, split, fold, logs[fold],
-                                              score_workers)
-                            for fold, split in enumerate(splits)], fold_workers)
+    log: list[str] = []
+    outcomes = [_run_fold(g, cfg, stack, split, fold, log) for fold, split in enumerate(splits)]
 
     reports, models, best_epochs, epochs_run, val_accuracies, stops = map(list, zip(*outcomes))
     result = RunResult(
@@ -482,8 +480,7 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.txt").write_text(
             "\n".join(f"{k}={v!r}" for k, v in cfg.echo().items()) + "\n")
-        (out / "train_log.txt").write_text(
-            "\n".join(line for fold_log in logs for line in fold_log) + "\n")
+        (out / "train_log.txt").write_text("\n".join(log) + "\n")
         (out / "report.txt").write_text(result.summary_text() + "\n")
         (out / "timing.txt").write_text(
             f"wall_seconds={result.wall_seconds}\nencode_seconds={result.encode_seconds}\n")
@@ -492,11 +489,9 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
     return result
 
 
-def ablate(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
-           serial: bool = True) -> dict:
+def ablate(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None) -> dict:
     """All ablation variants; each draws the same seeded folds from the same spec."""
-    return {variant: train(g, replace(cfg, ablation=variant), split_spec=split_spec,
-                           serial=serial)
+    return {variant: train(g, replace(cfg, ablation=variant), split_spec=split_spec)
             for variant in ABLATION_VARIANTS}
 
 
@@ -507,14 +502,14 @@ def sweep_configs(cfg: TrainConfig, param: str, values) -> list:
     return [(int(value), replace(cfg, **{param: int(value)})) for value in values]
 
 
-def sweep(g: Graph, cfg: TrainConfig, param: str, values, split_spec: SplitSpec | None = None,
-          serial: bool = True) -> list:
+def sweep(g: Graph, cfg: TrainConfig, param: str, values,
+          split_spec: SplitSpec | None = None) -> list:
     """One training run per parameter value; returns [(value, RunResult), ...] in the
     order given. Runs go from the largest t down, so the first one solves the structure
     basis and every later one takes its first t pairs (see `spectral`); a layers sweep
     shares one t, and the stable sort keeps its order."""
     configs = sweep_configs(cfg, param, values)
-    results = {value: train(g, swept, split_spec=split_spec, serial=serial)
+    results = {value: train(g, swept, split_spec=split_spec)
                for value, swept in sorted(configs, key=lambda run: -run[1].t)}
     return [(value, results[value]) for value, _ in configs]
 

@@ -59,10 +59,11 @@ def test_unknown_flag_is_usage_error():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("verb", ["verify", "bench", "inspect"])
-def test_serial_is_a_usage_error_on_verbs_without_folds(verb, capsys):
+@pytest.mark.parametrize("verb", ["train", "ablate", "sweep", "verify", "bench", "inspect"])
+def test_serial_is_a_usage_error_on_every_verb(verb, capsys):
+    required = ["--param", "t", "--min", "1", "--max", "2"] if verb == "sweep" else []
     with pytest.raises(SystemExit) as exc:
-        run_cli([verb, "--serial"])
+        run_cli([verb, *required, "--serial"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --serial" in capsys.readouterr().err
 
@@ -162,8 +163,8 @@ def test_convergence_failure_exits_4(monkeypatch, capsys):
         raise ConvergenceError("eigensolver failed: stubbed")
 
     monkeypatch.setattr("fairformer.spectral._select", no_convergence)
-    assert run_cli(["train", "--synthetic", "40", "--epochs", "1", "--folds", "1", "--t", "2",
-                    "--serial"]) == 4
+    assert run_cli(["train", "--synthetic", "40", "--epochs", "1", "--folds", "1",
+                    "--t", "2"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error=ConvergenceError") and "Traceback" not in err
 
@@ -172,8 +173,8 @@ def test_diverged_loss_exits_4(monkeypatch, capsys):
     cross_entropy = fairformer.train.cross_entropy
     monkeypatch.setattr("fairformer.train.cross_entropy",
                         lambda logits, labels: ad.scale(cross_entropy(logits, labels), np.nan))
-    assert run_cli(["train", "--synthetic", "40", "--epochs", "3", "--folds", "1", "--t", "2",
-                    "--serial"]) == 4
+    assert run_cli(["train", "--synthetic", "40", "--epochs", "3", "--folds", "1",
+                    "--t", "2"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error=TrainingError") and "Traceback" not in err
     assert "fold 0: loss diverged to nan at epoch 1" in err
@@ -190,7 +191,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 def test_train_synthetic_run_and_determinism(tmp_path):
     args = ["train", "--synthetic", "80", "--epochs", "3", "--folds", "1", "--k", "1",
-            "--t", "2", "--hidden", "8", "--cap", "10", "--seed", "2", "--serial"]
+            "--t", "2", "--hidden", "8", "--cap", "10", "--seed", "2"]
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     assert run_cli(args + ["--out", str(out_a)]) == 0
@@ -203,7 +204,7 @@ def test_train_synthetic_run_and_determinism(tmp_path):
 def test_train_with_manifest(tmp_path, capsys):
     manifest = write_tiny_dataset(tmp_path)
     code = run_cli(["train", "--manifest", str(manifest), "--epochs", "2", "--folds", "1",
-                    "--k", "1", "--t", "2", "--hidden", "8", "--cap", "5", "--serial"])
+                    "--k", "1", "--t", "2", "--hidden", "8", "--cap", "5"])
     assert code == 0
     assert "mean.accuracy" in capsys.readouterr().out
 
@@ -233,7 +234,7 @@ def test_non_finite_cell_is_data_error(tmp_path, capsys, file, line, row, error,
         lines[line - 1] = row
         path.write_text("\n".join(lines) + "\n")
     code = run_cli(["train", "--manifest", str(manifest), "--epochs", "2", "--folds", "1",
-                    "--k", "1", "--t", "2", "--hidden", "8", "--cap", "5", "--serial"])
+                    "--k", "1", "--t", "2", "--hidden", "8", "--cap", "5"])
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error={error}")
@@ -268,7 +269,7 @@ def test_training_flag_defaults_are_the_library_defaults(argv):
     (["train", "--synthetic", "-5"], 2, "--synthetic"),
     (["inspect", "--synthetic", "-5"], 2, "--synthetic"),
     (["train", "--synthetic", "40", "--hidden", "0", "--epochs", "1", "--folds", "1",
-      "--t", "2", "--serial"], 1, "d_hidden=0"),
+      "--t", "2"], 1, "d_hidden=0"),
     (["verify", "--n", "0"], 2, "--n"),
     (["verify", "--n", "1"], 2, "argument --n: must be an integer >= 3, got '1'"),
     (["verify", "--n", "2"], 2, "argument --n: must be an integer >= 3, got '2'"),
@@ -285,9 +286,9 @@ def test_training_flag_defaults_are_the_library_defaults(argv):
       "--k", "100000000"], 1, "hop stack of k=100000000"),
     (["verify", "--n", "500", "--kmax", "100000000"], 1, "hop stack of k=100000000"),
     (["train", "--synthetic", "40", "--hidden", "1000000000", "--epochs", "1", "--folds", "1",
-      "--t", "2", "--serial"], 1, "d_hidden=1000000000"),
+      "--t", "2"], 1, "d_hidden=1000000000"),
     (["train", "--synthetic", "40", "--layers", "1000000", "--epochs", "1", "--folds", "1",
-      "--t", "2", "--serial"], 1, "layers=1000000"),
+      "--t", "2"], 1, "layers=1000000"),
 ], ids=["train_synthetic", "inspect_synthetic", "hidden", "verify_n", "verify_n_1",
         "verify_n_2", "verify_graphs", "verify_kmax", "sizes_zero", "sizes_negative",
         "sizes_one_distinct", "synthetic_too_large", "cap_zero", "epochs_timed_zero",
@@ -308,8 +309,8 @@ def test_structure_solve_that_cannot_fit_exits_1(monkeypatch, capsys):
     # structure solve (dense route) 5.9 MB
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1_500_000}
     monkeypatch.setattr("fairformer.synth.os.sysconf", pages.__getitem__)
-    assert run_cli(["train", "--synthetic", "200", "--t", "197", "--epochs", "1", "--folds", "1",
-                    "--serial"]) == 1
+    assert run_cli(["train", "--synthetic", "200", "--t", "197", "--epochs", "1",
+                    "--folds", "1"]) == 1
     err = capsys.readouterr().err
     assert "structure solve of t=197 at n=200 needs about" in err and "Traceback" not in err
 
@@ -323,7 +324,7 @@ def test_adjacency_hop_stack_past_float_range_exits_1_before_training(monkeypatc
 
     monkeypatch.setattr("fairformer.train._init_fold", no_training)
     assert run_cli(["train", "--synthetic", "300", "--ablation", "adj_nf", "--k", "300",
-                    "--epochs", "1", "--folds", "1", "--serial"]) == 1
+                    "--epochs", "1", "--folds", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error=FairformerError detail='the adj_nf hop stack of k=300 "
                           "outgrows what layer norm can square at hop 105: ")
@@ -338,7 +339,7 @@ def test_adjacency_hop_stack_past_layer_norm_range_exits_1_before_training(monke
     if code:
         monkeypatch.setattr("fairformer.train._init_fold", lambda *args: pytest.fail("trained"))
     assert run_cli(["train", "--synthetic", "300", "--ablation", "adj_nf", "--k", str(k),
-                    "--epochs", "1", "--folds", "1", "--serial"]) == code
+                    "--epochs", "1", "--folds", "1"]) == code
     err = capsys.readouterr().err
     if code:
         assert err.startswith(f"error=FairformerError detail='the adj_nf hop stack of k={k} "
@@ -348,8 +349,8 @@ def test_adjacency_hop_stack_past_layer_norm_range_exits_1_before_training(monke
 
 def test_unscorable_test_set_is_data_error(capsys):
     # 5 nodes, seed 1: the one test node holds a single sensitive group and class
-    assert run_cli(["train", "--synthetic", "5", "--seed", "1", "--epochs", "5", "--folds", "1",
-                    "--serial"]) == 3
+    assert run_cli(["train", "--synthetic", "5", "--seed", "1", "--epochs", "5",
+                    "--folds", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error=SplitError detail='fold 0: the test set holds sensitive groups "
                           "of sizes (0, 1) and classes of sizes (0, 1)")
@@ -390,7 +391,7 @@ def test_sweep_table_rows(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = run_cli(["sweep", "--synthetic", "80", "--param", "t", "--min", "1", "--max", "3",
                     "--epochs", "2", "--folds", "1", "--k", "1", "--hidden", "8",
-                    "--cap", "10", "--serial", "--out", str(out)])
+                    "--cap", "10", "--out", str(out)])
     assert code == 0
     table = (out / "sweep.tsv").read_text().strip().splitlines()
     assert len(table) == 4  # header + 3 rows
@@ -400,8 +401,7 @@ def test_sweep_table_rows(tmp_path, capsys):
 def test_ablate_writes_variant_reports(tmp_path, capsys):
     out = tmp_path / "ablate"
     code = run_cli(["ablate", "--synthetic", "80", "--epochs", "2", "--folds", "1",
-                    "--k", "1", "--t", "2", "--hidden", "8", "--cap", "10", "--serial",
-                    "--out", str(out)])
+                    "--k", "1", "--t", "2", "--hidden", "8", "--cap", "10", "--out", str(out)])
     assert code == 0
     table = (out / "report.txt").read_text().splitlines()
     assert len(table) == 6  # header + 5 variants

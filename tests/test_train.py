@@ -83,79 +83,60 @@ def test_same_seed_reproduces_run():
     assert a.summary_text() == b.summary_text()
 
 
-def test_parallel_folds_match_serial():
+def test_serial_keyword_is_ignored():
+    # perfbench's `TrainWorkload` passes serial=True; drop this test along with that
+    # keyword in the next declared benchmark change
     g = sensitive_block_graph(n=120, seed=4, avg_degree=10.0)
-    cfg = quick_config()
-    spec = SplitSpec(train_per_class_cap=20, seed=1, folds=2)
-    serial = train(g, cfg, split_spec=spec, serial=True)
-    threaded = train(g, cfg, split_spec=spec, serial=False)
-    assert serial.summary_text() == threaded.summary_text()
+    cfg = quick_config(epochs=5)
+    splits = make_folds(g, SplitSpec(train_per_class_cap=20, seed=1, folds=2))
+    assert (train(g, cfg, splits=splits, serial=True).summary_text()
+            == train(g, cfg, splits=splits).summary_text())
 
 
-def test_folds_match_serial_when_scoring_fans_out(monkeypatch):
+def helper_idents():
+    return {thread.ident for thread in threading.enumerate()
+            if thread.name.startswith("fairformer-helper")}
+
+
+def test_a_second_train_starts_no_thread(monkeypatch):
     monkeypatch.setattr(train_module, "_WORKERS", 2)  # whatever this machine has
-    scorers = set()
-
-    def recording_forward(params, stack, training=False, **kwargs):
-        if not training:
-            scorers.add(threading.get_ident())
-        return forward(params, stack, training=training, **kwargs)
-
-    monkeypatch.setattr(train_module, "forward", recording_forward)
     g = sensitive_block_graph(n=1100, seed=4, avg_degree=10.0)
     spec = SplitSpec(seed=1, folds=2)
     assert all(s.val.size > train_module._SCORE_BLOCK < s.test.size for s in make_folds(g, spec))
     cfg = quick_config(epochs=3)
-    serial = train(g, cfg, split_spec=spec, serial=True)
-    assert threading.get_ident() in scorers and len(scorers) > 1  # the caller and a helper
-    threaded = train(g, cfg, split_spec=spec, serial=False)
-    assert serial.summary_text() == threaded.summary_text()
+    train(g, cfg, split_spec=spec)
+    helpers, count = helper_idents(), threading.active_count()
+    assert helpers  # the sets were fanned out over a kept helper
+    start, started = threading.Thread.start, []
+
+    def recording_start(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    train(g, cfg, split_spec=spec)
+    assert started == []
+    assert threading.active_count() == count and helper_idents() == helpers
 
 
-def test_side_by_side_folds_run_on_the_kept_helper_threads(monkeypatch):
-    monkeypatch.setattr(train_module, "_WORKERS", 2)  # whatever this machine has
-    run_fold = train_module._run_fold
-    seen = []
-
-    def recording_run_fold(*args):
-        seen.append((threading.get_ident(), threading.active_count()))
-        return run_fold(*args)
-
-    monkeypatch.setattr(train_module, "_run_fold", recording_run_fold)
-    g = sensitive_block_graph(n=120, seed=4, avg_degree=10.0)
-    cfg = quick_config(epochs=3, folds=4)
-    spec = SplitSpec(train_per_class_cap=20, seed=1, folds=4)
-    train(g, cfg, split_spec=spec, serial=False)
-    threads = {thread.ident for thread in threading.enumerate()}
-    count = threading.active_count()
-    first = {ident for ident, _ in seen}
-    assert threading.get_ident() in first and first <= threads  # no fold thread was let go
-    seen.clear()
-    train(g, cfg, split_spec=spec, serial=False)
-    assert {ident for ident, _ in seen} <= threads
-    assert [active for _, active in seen] == [count] * 4
-    assert threading.active_count() == count
-
-
-def test_side_by_side_folds_raise_the_first_folds_error(monkeypatch):
+def test_a_failing_fold_ends_the_run_before_the_next_fold(monkeypatch):
     monkeypatch.setattr(train_module, "_WORKERS", 2)
     step = train_module._train_step
-    diverge_at = {0: 3, 1: 1}  # fold 1 fails first in time, fold 0 first in fold order
-    failed = []
+    stepped = []
 
     def failing(params, optimizer, rng, stack, labels, fold, epoch):
-        if epoch >= diverge_at[fold]:
-            failed.append(fold)
-            raise TrainingError(f"fold {fold}: loss diverged to nan at epoch {epoch}")
+        stepped.append(fold)
+        if fold == 0 and epoch >= 3:
+            raise TrainingError(f"fold 0: loss diverged to nan at epoch {epoch}")
         return step(params, optimizer, rng, stack, labels, fold, epoch)
 
     monkeypatch.setattr(train_module, "_train_step", failing)
     g = sensitive_block_graph(n=120, seed=4, avg_degree=10.0)
     spec = SplitSpec(train_per_class_cap=20, seed=1, folds=2)
     with pytest.raises(TrainingError) as caught:
-        train(g, quick_config(epochs=6), split_spec=spec, serial=False)
+        train(g, quick_config(epochs=6), split_spec=spec)
     assert str(caught.value) == "fold 0: loss diverged to nan at epoch 3"
-    assert sorted(set(failed)) == [0, 1]  # both folds ran to their divergence
+    assert set(stepped) == {0}  # fold 1 never took a step
 
 
 def test_fan_out_returns_in_job_order_and_raises_the_first_error_after_all_ran():
@@ -213,12 +194,12 @@ def test_training_leaves_the_blas_thread_count_as_it_found_it(blas_threads, monk
     g = sensitive_block_graph(n=80, seed=6, avg_degree=10.0)
     spec = SplitSpec(train_per_class_cap=15, seed=0, folds=2)
     cfg = quick_config(epochs=2)
-    train(g, cfg, split_spec=spec, serial=False)
-    ablate(g, cfg, split_spec=spec, serial=False)
-    sweep(g, cfg, "t", [1, 2], split_spec=spec, serial=False)
+    train(g, cfg, split_spec=spec)
+    ablate(g, cfg, split_spec=spec)
+    sweep(g, cfg, "t", [1, 2], split_spec=spec)
     assert blas_threads() == 2
     with pytest.raises(TrainingError, match="diverged"):
-        train(g, quick_config(learning_rate=1e300, epochs=10), split_spec=spec, serial=False)
+        train(g, quick_config(learning_rate=1e300, epochs=10), split_spec=spec)
     assert blas_threads() == 2
 
 
@@ -350,12 +331,22 @@ def test_divergence_raises_the_message_of_the_epoch_it_happens_at(monkeypatch, w
 @pytest.mark.parametrize("n,patience,stop", [(100, 2, "patience"), (1100, 0, "epochs")])
 def test_run_files_match_with_one_worker_and_two(tmp_path, monkeypatch, n, patience, stop):
     # n=1100 puts validation sets above one scoring piece
+    scorers = set()
+
+    def recording_forward(params, stack, training=False, **kwargs):
+        if not training:
+            scorers.add(threading.get_ident())
+        return forward(params, stack, training=training, **kwargs)
+
+    monkeypatch.setattr(train_module, "forward", recording_forward)
     g = sensitive_block_graph(n=n, seed=4, avg_degree=10.0)
     spec = SplitSpec(train_per_class_cap=15, seed=1, folds=2)
     cfg = quick_config(epochs=12, patience=patience, dropout=0.1)
     for workers in (1, 2):
         monkeypatch.setattr(train_module, "_WORKERS", workers)
-        train(g, cfg, split_spec=spec, serial=True, out_dir=tmp_path / str(workers))
+        scorers.clear()
+        train(g, cfg, split_spec=spec, out_dir=tmp_path / str(workers))
+    assert threading.get_ident() in scorers and len(scorers) > 1  # the caller and a helper
     assert run_files(tmp_path / "1") == run_files(tmp_path / "2")
     assert f" stop={stop} ".encode() in run_files(tmp_path / "1")["report.txt"]
 
