@@ -93,6 +93,29 @@ def test_serial_keyword_is_ignored():
             == train(g, cfg, splits=splits).summary_text())
 
 
+def test_folds_match_serial_when_scoring_fans_out(monkeypatch):
+    scorers = set()
+
+    def recording_forward(params, stack, training=False, **kwargs):
+        if not training:
+            scorers.add(threading.get_ident())
+        return forward(params, stack, training=training, **kwargs)
+
+    monkeypatch.setattr(train_module, "forward", recording_forward)
+    g = sensitive_block_graph(n=1100, seed=4, avg_degree=10.0)
+    spec = SplitSpec(seed=1, folds=2)
+    assert all(s.val.size > train_module._SCORE_BLOCK < s.test.size for s in make_folds(g, spec))
+    cfg = quick_config(epochs=3)
+    monkeypatch.setattr(train_module, "_WORKERS", 1)
+    serial = train(g, cfg, split_spec=spec)
+    assert scorers == {threading.get_ident()}  # one worker scores on the caller alone
+    scorers.clear()
+    monkeypatch.setattr(train_module, "_WORKERS", 2)  # whatever this machine has
+    fanned = train(g, cfg, split_spec=spec)
+    assert threading.get_ident() in scorers and len(scorers) > 1  # the caller and a helper
+    assert serial.summary_text() == fanned.summary_text()
+
+
 def helper_idents():
     return {thread.ident for thread in threading.enumerate()
             if thread.name.startswith("fairformer-helper")}
