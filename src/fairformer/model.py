@@ -110,14 +110,17 @@ def init_model(cfg: ModelConfig, d_input: int) -> ModelParams:
     """Seed-controlled initialization: uniform(+-1/sqrt(fan_in)) linear maps.
 
     Refuses up front a shape whose training state cannot fit in physical memory:
-    the weights, their grads, Adam's two moments and the best-epoch copy.
+    six parameter copies live at once during an Adam step, as the validation
+    scoring of epoch e runs beside step e + 1 (see `train._run_fold`). They are
+    step e + 1's new weights, the frozen epoch-e weights being scored, the grads,
+    Adam's two moments and the best-epoch copy.
     """
     def count(layers):  # every layer holds the same tensors, so count one or two
         return sum(math.prod(shape) for _, shape, _ in _param_spec(replace(cfg, layers=layers),
                                                                     d_input))
 
     values = count(1) + (cfg.layers - 1) * (count(2) - count(1))
-    refuse_unfit(5 * 8 * values, f"a model of d_input={d_input} d_hidden={cfg.d_hidden} "
+    refuse_unfit(6 * 8 * values, f"a model of d_input={d_input} d_hidden={cfg.d_hidden} "
                                  f"layers={cfg.layers} ({values} parameters) in training")
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams(config=cfg, d_input=d_input)

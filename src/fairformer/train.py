@@ -337,15 +337,21 @@ def _init_fold(cfg: TrainConfig, d: int, fold: int):
 def _train_step(params, optimizer, dropout_rng, stack: HopStack, labels, fold: int,
                 epoch: int) -> float:
     """One training epoch: a dropout forward over every row of `stack`, the mean
-    cross-entropy against `labels`, backward and an Adam step. Returns the loss."""
+    cross-entropy against `labels`, backward and an Adam step. Returns the loss.
+
+    Every weight's grad is dropped as soon as Adam has applied it (or backward has
+    raised), so the next step's forward tape is not built beside a grads-worth of
+    arrays that nothing reads again."""
     logits = forward(params, stack, training=True, rng=dropout_rng)
     loss = cross_entropy(logits, labels)
     loss_value = float(loss.data)
     if not np.isfinite(loss_value):
         raise TrainingError(f"fold {fold}: loss diverged to {loss_value} at epoch {epoch}")
-    ad.zero_grads(params.trainable())
-    ad.backward(loss)
-    optimizer.step()
+    try:
+        ad.backward(loss)
+        optimizer.step()
+    finally:
+        ad.zero_grads(params.trainable())
     return loss_value
 
 
@@ -359,9 +365,10 @@ def _diverged(fold: int, epoch: int, exc: FairformerError) -> TrainingError:
 
 
 def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: int,
-              log_lines: list):
+              log_lines: list, models: list | None):
     """Train one fold, keep the weights of its best validation epoch and score its
-    test set on them.
+    test set on them. The fold's `ModelParams`, holding those weights, is appended
+    to `models` unless that is None; otherwise it is dropped when the fold returns.
 
     Epochs overlap: after step e, the validation set is scored on `snap`, a frozen
     view of epoch e's weights, while the caller runs step e + 1 beside the scoring
@@ -432,7 +439,9 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
     params.load_state(best_state)
     test_logits = _score(params, _rows(stack, split.test), _WORKERS)
     report = evaluate(test_logits, g.labels[split.test], g.sensitive[split.test])
-    return report, params, best_epoch, epoch, best_acc, stop  # epochs >= 1, so epoch is bound
+    if models is not None:
+        models.append(params)
+    return report, best_epoch, epoch, best_acc, stop  # epochs >= 1, so epoch is bound
 
 
 def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
@@ -440,7 +449,10 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
     """Cross-validated training; one seeded re-split and parameter init per fold.
 
     Folds run one after another on the caller's thread, so the first fold that
-    fails ends the run. `serial` is ignored: it stays for callers that still pass it."""
+    fails ends the run. A finished fold's weights are kept only when `out_dir` is
+    given, for its checkpoint, which is written with the other files once every
+    fold has run; without `out_dir` they are freed before the next fold starts.
+    `serial` is ignored: it stays for callers that still pass it."""
     start = time.perf_counter()
     if splits is None:
         splits = make_folds(g, split_spec or SplitSpec(seed=cfg.seed, folds=cfg.folds))
@@ -459,9 +471,11 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
     encode_seconds = time.perf_counter() - encode_start
 
     log: list[str] = []
-    outcomes = [_run_fold(g, cfg, stack, split, fold, log) for fold, split in enumerate(splits)]
+    models = None if out_dir is None else []
+    outcomes = [_run_fold(g, cfg, stack, split, fold, log, models)
+                for fold, split in enumerate(splits)]
 
-    reports, models, best_epochs, epochs_run, val_accuracies, stops = map(list, zip(*outcomes))
+    reports, best_epochs, epochs_run, val_accuracies, stops = map(list, zip(*outcomes))
     result = RunResult(
         config=cfg.echo(),
         fold_reports=reports,

@@ -61,7 +61,7 @@ def test_param_count_of_the_refusal_matches_the_model(monkeypatch):
     sizes = []
     monkeypatch.setattr("fairformer.model.refuse_unfit", lambda need, what: sizes.append(need))
     params = small_params(layers=3)
-    assert sizes == [5 * 8 * sum(t.data.size for t in params.trainable())]
+    assert sizes == [6 * 8 * sum(t.data.size for t in params.trainable())]
 
 
 def test_projection_identity_passthrough():

@@ -1,8 +1,10 @@
 import functools
+import gc
 import itertools
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -775,6 +777,60 @@ def test_training_step_peak_stays_near_its_forward_tape():
         tracemalloc.stop()
     assert tape > 1_000_000
     assert peak <= 1.5 * tape, f"step peak {peak} B against a {tape} B forward tape"
+
+
+def test_training_step_leaves_no_grads():
+    cfg = TrainConfig()
+    g = sensitive_block_graph(n=100, seed=0)
+    stack = build_encodings(g, cfg)
+    params, optimizer, dropout_rng = train_module._init_fold(cfg, stack.d, 0)
+    for epoch in (1, 2):
+        train_module._train_step(params, optimizer, dropout_rng, stack, g.labels, 0, epoch)
+        assert all(t.grad is None for t in params.trainable())
+
+
+def test_training_step_holds_no_grads_worth_after_adam():
+    # Adam rebinds the weights and both moments to arrays of the same size, so
+    # what a step leaves behind beyond a fresh fold is what it did not free
+    cfg = TrainConfig()
+    g = sensitive_block_graph(n=100, seed=0)
+    stack = build_encodings(g, cfg)
+    train_module._train_step(*train_module._init_fold(cfg, stack.d, 1), stack, g.labels, 1, 1)
+    tracemalloc.start()
+    try:
+        params, optimizer, dropout_rng = train_module._init_fold(cfg, stack.d, 0)
+        base = tracemalloc.get_traced_memory()[0]
+        train_module._train_step(params, optimizer, dropout_rng, stack, g.labels, 0, 1)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    grads = sum(t.data.nbytes for t in params.trainable())
+    assert grads > 1_000_000
+    assert held < 0.5 * grads, f"a step left {held} B held against {grads} B of grads"
+
+
+def test_finished_fold_weights_are_freed_without_an_out_dir(monkeypatch):
+    g = sensitive_block_graph(n=100, seed=7, avg_degree=10.0)
+    fold_params = []
+    freed_at_fold1 = []
+    init_fold, train_step = train_module._init_fold, train_module._train_step
+
+    def tracking_init(cfg, d, fold):
+        params, optimizer, dropout_rng = init_fold(cfg, d, fold)
+        fold_params.append(weakref.ref(params))
+        return params, optimizer, dropout_rng
+
+    def checking_step(params, optimizer, dropout_rng, stack, labels, fold, epoch):
+        if fold == 1 and epoch == 1:
+            gc.collect()
+            freed_at_fold1.append(fold_params[0]() is None)
+        return train_step(params, optimizer, dropout_rng, stack, labels, fold, epoch)
+
+    monkeypatch.setattr(train_module, "_init_fold", tracking_init)
+    monkeypatch.setattr(train_module, "_train_step", checking_step)
+    train(g, quick_config(epochs=3, folds=2),
+          split_spec=SplitSpec(train_per_class_cap=15, seed=0, folds=2))
+    assert freed_at_fold1 == [True]
 
 
 def test_report_records_the_effective_t():
