@@ -3,8 +3,8 @@
 Verbs: train, ablate, sweep, verify, bench, inspect. All randomness flows
 from --seed, and re-runs write byte-identical report files (wall clock
 measurements go to a separate timing.txt, which is exempt). Folds run one
-after another, each scoring its validation set on the program's kept helper
-threads beside its next training step (`train._fan_out`). Exit codes:
+after another, each scoring its validation set in pieces on the program's kept
+helper threads beside its next training step (`train._score`). Exit codes:
 0 success, 2 usage, 3 data problems, 4 convergence/training failures,
 1 verification failure or unexpected errors.
 """

@@ -83,12 +83,40 @@ def _hop_stack(x: np.ndarray, k: int, step) -> HopStack:
     return HopStack(tensor=tensor)
 
 
+# The largest |entry| a training hop of `width` columns may hold is this over
+# sqrt(width). The first layer norm squares the projected tokens: a hop row x
+# projects to D entries each at most |x|_2 * |W[:, i]|_2 + |b_i| (Cauchy-Schwarz),
+# with |x|_2 <= sqrt(width) * max|x|, and the variance sums D squares of centred
+# entries, each at most (2 * max|y|)^2. So it stays finite while
+# 2 * sqrt(D) * |W[:, i]|_2 * |x|_2 < sqrt(float max). The 2^20 margin covers a
+# hidden width D up to 2^16 with weight columns grown to 2^11 times their initial
+# norm, which is at most 1. On `--synthetic 300` (|lambda_1| about 25.7) adj_nf
+# hop 104 passes, hop 105 is refused, and the layer norm itself overflowed from
+# hop 109.
+_LAYER_NORM_SCALE = float(np.sqrt(np.finfo(np.float64).max)) * 2.0 ** -20
+
+
+def _squarable(stack: HopStack, what: str) -> HopStack:
+    """`stack`, unless a hop is too large for the model's first layer norm to square:
+    the first such hop is refused, naming `what` and the hop."""
+    limit = _LAYER_NORM_SCALE / np.sqrt(stack.d)
+    for j in range(stack.tensor.shape[1]):
+        top = np.abs(stack.tensor[:, j]).max(initial=0.0)
+        if not top <= limit:  # also refuses nan
+            raise FairformerError(
+                f"{what} outgrows what layer norm can square at hop {j}: "
+                f"its largest |entry| is {top:.3g}, the limit {limit:.3g}")
+    return stack
+
+
 def hop_aggregate(group, h, k: int, normalization: str = "raw") -> HopStack:
     """Stack hop slices over the same-group graph of `group` (each node's 0/1
     sensitive group, see `build_group_graph`): slice 0 is the input itself.
 
     Each step is a per-group row sum, divided by the group size in group-mean
-    mode, where k >= 2 hops come back as tokens 0 and 1 with counts (1, k).
+    mode, where k >= 2 hops come back as tokens 0 and 1 with counts (1, k). A
+    group-mean stack is the one training runs, so it is refused, naming k and the
+    hop, when a hop is too large for the model's first layer norm to square.
     """
     if normalization not in _MODES:
         raise FairformerError(f"normalization must be one of {_MODES}")
@@ -102,19 +130,10 @@ def hop_aggregate(group, h, k: int, normalization: str = "raw") -> HopStack:
     mean = normalization == "group-mean"
     stack = _hop_stack(x, min(k, 1) if mean else k,
                        lambda current: _group_apply(group, current, mean))
-    return replace(stack, counts=(1, k)) if mean and k >= 2 else stack
-
-
-# The largest |entry| an adj_nf hop of `width` columns may hold is this over
-# sqrt(width). The first layer norm squares the projected tokens: a hop row x
-# projects to D entries each at most |x|_2 * |W[:, i]|_2 + |b_i| (Cauchy-Schwarz),
-# with |x|_2 <= sqrt(width) * max|x|, and the variance sums D squares of centred
-# entries, each at most (2 * max|y|)^2. So it stays finite while
-# 2 * sqrt(D) * |W[:, i]|_2 * |x|_2 < sqrt(float max). The 2^20 margin covers a
-# hidden width D up to 2^16 with weight columns grown to 2^11 times their initial
-# norm, which is at most 1. On `--synthetic 300` (|lambda_1| about 25.7) hop 104
-# passes, hop 105 is refused, and the layer norm itself overflowed from hop 109.
-_LAYER_NORM_SCALE = float(np.sqrt(np.finfo(np.float64).max)) * 2.0 ** -20
+    if not mean:  # raw hops serve verify, whose q^k certificate reports their overflow
+        return stack
+    _squarable(stack, f"the group-mean hop stack of k={k}")
+    return replace(stack, counts=(1, k)) if k >= 2 else stack
 
 
 def hop_aggregate_adjacency(g: Graph, h, k: int) -> HopStack:
@@ -129,15 +148,8 @@ def hop_aggregate_adjacency(g: Graph, h, k: int) -> HopStack:
     x = _features_of(h)
     if x.shape[0] != g.n:
         raise FairformerError(f"feature rows {x.shape[0]} do not match graph n={g.n}")
-    stack = _hop_stack(x, k, lambda current: g.adjacency @ current)
-    limit = _LAYER_NORM_SCALE / np.sqrt(x.shape[1])
-    for j in range(k + 1):
-        top = np.abs(stack.tensor[:, j]).max(initial=0.0)
-        if not top <= limit:  # also refuses nan
-            raise FairformerError(
-                f"the adj_nf hop stack of k={k} outgrows what layer norm can square at hop {j}: "
-                f"its largest |entry| is {top:.3g}, the limit {limit:.3g}")
-    return stack
+    return _squarable(_hop_stack(x, k, lambda current: g.adjacency @ current),
+                      f"the adj_nf hop stack of k={k}")
 
 
 @dataclass(frozen=True)

@@ -237,9 +237,9 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 # A set of up to this many rows is one eval forward. A larger one is cut into
-# these blocks, each full block scored as two halves, so a scoring call holds at
-# most max(_SCORE_BLOCK, workers * _SCORE_BLOCK // 2) rows in flight whatever n
-# is: one block on two workers.
+# these blocks, each full block scored as two halves, so `_score` holds at most
+# max(_SCORE_BLOCK, _WORKERS * _SCORE_BLOCK // 2) rows in flight whatever n is:
+# one block on two workers.
 _SCORE_BLOCK = 256
 
 
@@ -257,45 +257,46 @@ def _score_pieces(n: int) -> list:
 
 @functools.cache
 def _helper_threads(count: int) -> ThreadPoolExecutor:
-    """`count` threads that take `_fan_out` jobs beside the caller, started on first use
-    and kept for the life of the process. Threads started afresh per call each took a
-    malloc arena of their own whenever one began before the last had handed its arena
+    """`count` threads that score `_score`'s pieces beside the caller, started on first
+    use and kept for the life of the process. Threads started afresh per call each took
+    a malloc arena of their own whenever one began before the last had handed its arena
     back, and each arena kept its own high-water mark: 10 MB more peak memory on some
     runs of `train --synthetic 1000`."""
     return ThreadPoolExecutor(count, thread_name_prefix="fairformer-helper")
 
 
-def _fan_out(jobs, workers: int, beside=None):
-    """Run `jobs`, callables of no arguments, and return their results in job order
-    with what `beside` returned (None without it). Up to `workers` threads, the
-    caller's own and the kept `_helper_threads`, take the jobs from one shared queue
-    in turn, and numpy's OpenBLAS is held at one thread while helpers run. With
-    `beside`, the caller first runs `beside()` while the helpers start on the jobs;
-    with one worker the two run one after the other. A job that raises
-    `FairformerError` does not stop the others; the first such job's error is raised
-    once all have run, as if they had run in order. A job must not fan out over
-    helpers itself: with every helper waiting on the pool, none would be left to run
-    its jobs."""
+def _score(params, stack: HopStack, beside=None):
+    """Eval logits of every row of `stack` on the weights `params` holds now (a
+    frozen view: `Adam.step` rebinds the arrays), with what `beside` returned (None
+    without it). Each `_score_pieces` range is one tape-free `forward`. Up to
+    `_WORKERS` threads, the caller's own and the kept `_helper_threads`, take the
+    pieces from one shared queue, and numpy's OpenBLAS is held at one thread while
+    helpers run. With `beside`, the caller first runs `beside()` while the helpers
+    start on the pieces; with one worker the two run one after the other. A piece
+    that raises `FairformerError` does not stop the others; the first such piece's
+    error is raised once all have run, as if they had run in order."""
+    frozen = params.frozen()
+    pieces = _score_pieces(stack.tensor.shape[0])
     todo = queue.SimpleQueue()
-    for item in enumerate(jobs):
+    for item in enumerate(pieces):
         todo.put(item)
-    results = [None] * len(jobs)
+    logits = [None] * len(pieces)
     failures = {}
 
     def drain():
         while True:
             try:
-                i, job = todo.get_nowait()
+                i, (lo, hi) = todo.get_nowait()
             except queue.Empty:
                 return
             try:
-                results[i] = job()
+                logits[i] = forward(frozen, _rows(stack, slice(lo, hi))).data
             except FairformerError as exc:
                 failures[i] = exc
 
-    helpers = min(workers - 1, len(jobs) - (beside is None))
+    helpers = min(_WORKERS - 1, len(pieces) - (beside is None))
     with _ONE_BLAS_THREAD if helpers > 0 else contextlib.nullcontext():
-        futures = [_helper_threads(workers - 1).submit(drain) for _ in range(helpers)]
+        futures = [_helper_threads(_WORKERS - 1).submit(drain) for _ in range(helpers)]
         try:
             ahead = None if beside is None else beside()
             drain()
@@ -305,25 +306,7 @@ def _fan_out(jobs, workers: int, beside=None):
         future.result()
     if failures:
         raise failures[min(failures)]
-    return results, ahead
-
-
-def _score_jobs(params, stack: HopStack) -> list:
-    """One `_fan_out` job per `_score_pieces` range of `stack`'s rows: a tape-free
-    `forward` returning that range's eval logits on the weights `params` holds now
-    (a frozen view: `Adam.step` rebinds the arrays)."""
-    frozen = params.frozen()
-
-    def piece(lo, hi):
-        return forward(frozen, _rows(stack, slice(lo, hi))).data
-
-    return [functools.partial(piece, lo, hi) for lo, hi in _score_pieces(stack.tensor.shape[0])]
-
-
-def _score(params, stack: HopStack, workers: int) -> np.ndarray:
-    """Eval logits of every row, its pieces fanned out over `workers` threads."""
-    pieces, _ = _fan_out(_score_jobs(params, stack), workers)
-    return np.concatenate(pieces)
+    return np.concatenate(logits), ahead
 
 
 def _init_fold(cfg: TrainConfig, d: int, fold: int):
@@ -372,10 +355,10 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
 
     Epochs overlap: after step e, the validation set is scored on `snap`, a frozen
     view of epoch e's weights, while the caller runs step e + 1 beside the scoring
-    (`_fan_out` over `_WORKERS` threads). `Adam.step` rebinds each array instead of
-    writing into it, so `snap` keeps epoch e's weights, and the best checkpoint is
-    copied from it. The fan-out returns step e + 1's loss, or the error that ends
-    training there, and it is held until epoch e's patience check has run; a fold
+    (`_score`'s `beside`). `Adam.step` rebinds each array instead of writing into
+    it, so `snap` keeps epoch e's weights, and the best checkpoint is copied from
+    it. `_score` returns step e + 1's loss, or the error that ends training
+    there, and it is held until epoch e's patience check has run; a fold
     that stops at e drops it, and one that goes on raises it then. The last epoch
     runs nothing ahead. Steps and dropout draws keep their serial order, so the log,
     the report and the checkpoints have the same bytes as when each step waits for
@@ -399,8 +382,8 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
         """Epoch `epoch`'s validation accuracy and parity, and the loss or the
         TrainingError of step epoch + 1, run beside the scoring (None after the last)."""
         beside = functools.partial(step, epoch + 1) if epoch < cfg.epochs else None
-        pieces, ahead = _fan_out(_score_jobs(snap, val_stack), _WORKERS, beside)
-        pred = predict_labels(np.concatenate(pieces))
+        logits, ahead = _score(snap, val_stack, beside)
+        pred = predict_labels(logits)
         try:
             dsp = statistical_parity(pred, val_sens)
         except UndefinedMetricError:  # a single-group validation set has no parity
@@ -437,7 +420,7 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
                 break
 
     params.load_state(best_state)
-    test_logits = _score(params, _rows(stack, split.test), _WORKERS)
+    test_logits, _ = _score(params, _rows(stack, split.test))
     report = evaluate(test_logits, g.labels[split.test], g.sensitive[split.test])
     if models is not None:
         models.append(params)

@@ -347,6 +347,33 @@ def test_adjacency_hop_stack_past_layer_norm_range_exits_1_before_training(monke
     assert "Traceback" not in err and not recwarn.list
 
 
+@pytest.mark.parametrize("ablation, limit", [("full", "4.52e+147"), ("no_st", "7.38e+147")])
+def test_group_mean_hop_stack_past_layer_norm_range_exits_1_before_training(
+        tmp_path, monkeypatch, recwarn, capsys, ablation, limit):
+    # one feature reads 1e300 in every third row: finite, so it loads, but far past
+    # what the first layer norm can square; training on it used to exit 0 at chance
+    rng = np.random.default_rng(3)
+    n = 80
+    rows = ["id,f0,f1,sensitive,label"]
+    for i in range(n):
+        f1 = 1e300 if i % 3 == 0 else rng.random()
+        rows.append(f"{i},{rng.random()!r},{f1!r},{i % 2},{(i // 2) % 2}")
+    (tmp_path / "nodes.csv").write_text("\n".join(rows) + "\n")
+    edges = [f"{i},{(i + 1) % n}" for i in range(n)]
+    edges += [f"{i},{j}" for i, j in rng.integers(0, n, (2 * n, 2)) if i != j]
+    (tmp_path / "edges.csv").write_text("\n".join(edges) + "\n")
+    manifest = tmp_path / "data.manifest"
+    manifest.write_text("nodes=nodes.csv\nedges=edges.csv\nsensitive=sensitive\nlabel=label\n")
+    monkeypatch.setattr("fairformer.train._init_fold", lambda *args: pytest.fail("trained"))
+    assert run_cli(["train", "--manifest", str(manifest), "--ablation", ablation,
+                    "--epochs", "3", "--folds", "1", "--cap", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error=FairformerError detail='the group-mean hop stack of k=2 outgrows what "
+                   f"layer norm can square at hop 0: its largest |entry| is 1e+300, the limit "
+                   f"{limit}'\n")
+    assert not recwarn.list
+
+
 def test_unscorable_test_set_is_data_error(capsys):
     # 5 nodes, seed 1: the one test node holds a single sensitive group and class
     assert run_cli(["train", "--synthetic", "5", "--seed", "1", "--epochs", "5",

@@ -1,4 +1,3 @@
-import functools
 import gc
 import itertools
 import sys
@@ -162,24 +161,6 @@ def test_a_failing_fold_ends_the_run_before_the_next_fold(monkeypatch):
         train(g, quick_config(epochs=6), split_spec=spec)
     assert str(caught.value) == "fold 0: loss diverged to nan at epoch 3"
     assert set(stepped) == {0}  # fold 1 never took a step
-
-
-def test_fan_out_returns_in_job_order_and_raises_the_first_error_after_all_ran():
-    ran = []
-
-    def job(i):
-        ran.append(i)
-        if i in (2, 4):
-            raise ModelError(f"job {i}")
-        return i * i
-
-    jobs = [functools.partial(job, i) for i in range(6)]
-    assert train_module._fan_out(jobs[:2], 3, lambda: "beside") == ([0, 1], "beside")
-    for workers in (1, 2, 3):
-        ran.clear()
-        with pytest.raises(ModelError, match="job 2"):
-            train_module._fan_out(jobs, workers)
-        assert sorted(ran) == list(range(6))
 
 
 def openblas_or_skip():
@@ -657,22 +638,23 @@ def test_blocked_scoring_matches_one_forward(offset):
          "2block+1": 2 * block + 1}[offset]
     params = scoring_params()
     stack = random_stack(n)
-    got = train_module._score(params, stack, train_module._WORKERS)
+    got, ahead = train_module._score(params, stack)
     want = forward(params, stack).data
-    assert got.shape == (n, 2)
+    assert ahead is None and got.shape == (n, 2)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 390, 2 * 256 + 1])
-def test_scoring_has_the_bytes_of_one_forward_per_block(n, workers):
+def test_scoring_has_the_bytes_of_one_forward_per_block(monkeypatch, n, workers):
+    monkeypatch.setattr(train_module, "_WORKERS", workers)
     block = train_module._SCORE_BLOCK
     params = scoring_params()
     stack = random_stack(n)
     want = np.concatenate([forward(params, train_module._rows(stack, slice(lo, lo + block))).data
                            for lo in range(0, n, block)])
-    assert train_module._score(params, stack, workers).tobytes() == want.tobytes()
+    assert train_module._score(params, stack)[0].tobytes() == want.tobytes()
 
 
 def test_scoring_records_no_tape(monkeypatch):
@@ -687,9 +669,10 @@ def test_scoring_records_no_tape(monkeypatch):
         return outputs[-1]
 
     monkeypatch.setattr(train_module, "forward", recording_forward)
+    monkeypatch.setattr(train_module, "_WORKERS", 2)
     block = train_module._SCORE_BLOCK
     n = 2 * block + 1
-    train_module._score(params, random_stack(n), 2)
+    train_module._score(params, random_stack(n))
     assert len(outputs) == 2 * (n // block) + (n % block > 0)  # halves of full blocks, tail
     assert all(not out.requires_grad and out._backward_fn is None for out in outputs)
     for name, t in params.tensors.items():
@@ -699,32 +682,38 @@ def test_scoring_records_no_tape(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_scoring_raises_the_first_failing_piece(monkeypatch, workers):
+    monkeypatch.setattr(train_module, "_WORKERS", workers)
     block = train_module._SCORE_BLOCK
     stack = random_stack(2 * block + 1)
     ok = stack.tensor[0, 0, 0]
+    ran = []
 
     def failing_forward(params, piece, **kwargs):  # every piece but the first fails
+        ran.append(piece.tensor[0, 0, 0])
         if piece.tensor[0, 0, 0] != ok:
             raise ModelError(f"piece from {piece.tensor[0, 0, 0]!r}")
         return forward(params, piece, **kwargs)
 
     monkeypatch.setattr(train_module, "forward", failing_forward)
     with pytest.raises(ModelError) as caught:
-        train_module._score(scoring_params(), stack, workers)
+        train_module._score(scoring_params(), stack)
     assert str(caught.value) == f"piece from {stack.tensor[block // 2, 0, 0]!r}"
+    starts = [lo for lo, _ in train_module._score_pieces(2 * block + 1)]
+    assert sorted(ran) == sorted(stack.tensor[starts, 0, 0])  # every piece ran
 
 
-def test_scoring_keeps_every_piece_under_fast_thread_switches():
+def test_scoring_keeps_every_piece_under_fast_thread_switches(monkeypatch):
     block = train_module._SCORE_BLOCK
     params, stack = scoring_params(), random_stack(8 * block + 1)
-    want = train_module._score(params, stack, 1).tobytes()
+    monkeypatch.setattr(train_module, "_WORKERS", 1)
+    want = train_module._score(params, stack)[0].tobytes()
+    monkeypatch.setattr(train_module, "_WORKERS", 8)
     got, besides = [], []
 
     def score_thrice():
         for _ in range(3):
-            pieces, ahead = train_module._fan_out(train_module._score_jobs(params, stack), 8,
-                                                  threading.get_ident)
-            got.append(np.concatenate(pieces))
+            logits, ahead = train_module._score(params, stack, threading.get_ident)
+            got.append(logits)
             besides.append(ahead)
 
     interval = sys.getswitchinterval()
@@ -740,15 +729,41 @@ def test_scoring_keeps_every_piece_under_fast_thread_switches():
     assert besides == [caller.ident] * 3
 
 
+def test_a_failing_beside_reaches_the_caller_after_every_helper_finished(blas_threads,
+                                                                        monkeypatch):
+    # no helper may outlive a scoring call, also when `beside` raises an error that
+    # is not the program's own: the helpers start only once it has raised
+    monkeypatch.setattr(train_module, "_WORKERS", 3)
+    n = 4 * train_module._SCORE_BLOCK + 1
+    raised = threading.Event()
+    blas_seen = []
+
+    def waiting_forward(params, piece, **kwargs):
+        assert raised.wait(timeout=10)
+        out = forward(params, piece, **kwargs)
+        blas_seen.append(blas_threads())
+        return out
+
+    def beside():
+        raised.set()
+        raise RuntimeError("the step beside failed")
+
+    monkeypatch.setattr(train_module, "forward", waiting_forward)
+    with pytest.raises(RuntimeError, match="the step beside failed"):
+        train_module._score(scoring_params(), random_stack(n), beside)
+    assert blas_seen == [1] * len(train_module._score_pieces(n))
+    assert blas_threads() == 2
+
+
 def test_scoring_after_adam_step_sees_updated_weights():
     params = scoring_params()
     stack = random_stack(40)
-    before = train_module._score(params, stack, train_module._WORKERS)
+    before, _ = train_module._score(params, stack)
     optimizer = Adam(params.trainable(), lr=1e-2)
     loss = cross_entropy(forward(params, stack), np.arange(40) % 2)
     ad.backward(loss)
     optimizer.step()
-    after = train_module._score(params, stack, train_module._WORKERS)
+    after, _ = train_module._score(params, stack)
     assert not np.allclose(after, before)
     np.testing.assert_allclose(after, forward(params, stack).data, rtol=0, atol=1e-12)
 
@@ -917,8 +932,7 @@ def test_collapsed_scoring_matches_every_token(k, heads, layers):
     params = init_model(cfg.model_config(seed=10 * k + heads + layers), full.d)
     oracle = forward_direct(params, full.tensor) if heads == 1 else None
     for n in (1, block - 1, block, block + 1, 2 * block + 1):
-        got = train_module._score(params, train_module._rows(collapsed, slice(0, n)),
-                                  train_module._WORKERS)
+        got, _ = train_module._score(params, train_module._rows(collapsed, slice(0, n)))
         want = forward(params, train_module._rows(full, slice(0, n))).data
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
