@@ -68,21 +68,6 @@ def _group_apply(group: np.ndarray, x: np.ndarray, mean: bool) -> np.ndarray:
     return sums[group]
 
 
-def _hop_stack(x: np.ndarray, k: int, step) -> HopStack:
-    """Token 0 is x and token j is step applied to token j - 1, never a matrix power;
-    a stack that cannot fit in physical memory is refused, naming k, before allocation."""
-    if k < 0:
-        raise FairformerError("k must be >= 0")
-    n, width = x.shape
-    refuse_unfit(8 * n * (k + 1) * width,
-                 f"the hop stack of k={k} ({n} nodes x {k + 1} tokens x {width} columns)")
-    tensor = np.empty((n, k + 1, width))
-    tensor[:, 0] = x
-    for j in range(1, k + 1):
-        tensor[:, j] = step(tensor[:, j - 1])
-    return HopStack(tensor=tensor)
-
-
 # The largest |entry| a training hop of `width` columns may hold is this over
 # sqrt(width). The first layer norm squares the projected tokens: a hop row x
 # projects to D entries each at most |x|_2 * |W[:, i]|_2 + |b_i| (Cauchy-Schwarz),
@@ -96,17 +81,31 @@ def _hop_stack(x: np.ndarray, k: int, step) -> HopStack:
 _LAYER_NORM_SCALE = float(np.sqrt(np.finfo(np.float64).max)) * 2.0 ** -20
 
 
-def _squarable(stack: HopStack, what: str) -> HopStack:
-    """`stack`, unless a hop is too large for the model's first layer norm to square:
-    the first such hop is refused, naming `what` and the hop."""
-    limit = _LAYER_NORM_SCALE / np.sqrt(stack.d)
-    for j in range(stack.tensor.shape[1]):
-        top = np.abs(stack.tensor[:, j]).max(initial=0.0)
-        if not top <= limit:  # also refuses nan
-            raise FairformerError(
-                f"{what} outgrows what layer norm can square at hop {j}: "
-                f"its largest |entry| is {top:.3g}, the limit {limit:.3g}")
-    return stack
+def _hop_stack(x: np.ndarray, k: int, step, what: str | None = None) -> HopStack:
+    """Token 0 is x and token j is step applied to token j - 1, never a matrix power;
+    a stack that cannot fit in physical memory is refused, naming k, before allocation.
+
+    With `what`, each token is checked before the next one is built: the first that
+    is too large for the model's first layer norm to square is refused, naming
+    `what` and the hop, so no step runs on it and overflows."""
+    if k < 0:
+        raise FairformerError("k must be >= 0")
+    n, width = x.shape
+    refuse_unfit(8 * n * (k + 1) * width,
+                 f"the hop stack of k={k} ({n} nodes x {k + 1} tokens x {width} columns)")
+    limit = _LAYER_NORM_SCALE / np.sqrt(width)
+    tensor = np.empty((n, k + 1, width))
+    tensor[:, 0] = x
+    for j in range(k + 1):
+        if what is not None:
+            top = np.abs(tensor[:, j]).max(initial=0.0)
+            if not top <= limit:  # also refuses nan
+                raise FairformerError(
+                    f"{what} outgrows what layer norm can square at hop {j}: "
+                    f"its largest |entry| is {top:.3g}, the limit {limit:.3g}")
+        if j < k:
+            tensor[:, j + 1] = step(tensor[:, j])
+    return HopStack(tensor=tensor)
 
 
 def hop_aggregate(group, h, k: int, normalization: str = "raw") -> HopStack:
@@ -128,11 +127,13 @@ def hop_aggregate(group, h, k: int, normalization: str = "raw") -> HopStack:
     if x.shape[0] != group.size:
         raise FairformerError(f"feature rows {x.shape[0]} do not match {group.size} groups")
     mean = normalization == "group-mean"
-    stack = _hop_stack(x, min(k, 1) if mean else k,
-                       lambda current: _group_apply(group, current, mean))
+
+    def step(current):
+        return _group_apply(group, current, mean)
+
     if not mean:  # raw hops serve verify, whose q^k certificate reports their overflow
-        return stack
-    _squarable(stack, f"the group-mean hop stack of k={k}")
+        return _hop_stack(x, k, step)
+    stack = _hop_stack(x, min(k, 1), step, f"the group-mean hop stack of k={k}")
     return replace(stack, counts=(1, k)) if k >= 2 else stack
 
 
@@ -148,7 +149,7 @@ def hop_aggregate_adjacency(g: Graph, h, k: int) -> HopStack:
     x = _features_of(h)
     if x.shape[0] != g.n:
         raise FairformerError(f"feature rows {x.shape[0]} do not match graph n={g.n}")
-    return _squarable(_hop_stack(x, k, lambda current: g.adjacency @ current),
+    return _hop_stack(x, k, lambda current: g.adjacency @ current,
                       f"the adj_nf hop stack of k={k}")
 
 

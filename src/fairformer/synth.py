@@ -19,12 +19,16 @@ from scipy.sparse.csgraph import connected_components
 from .data import Graph
 from .errors import FairformerError, IngestionError
 
-# tracemalloc peaks per node pair of dense edge sampling. sensitive_block_graph: 28.03, 28.01
-# and 28.01 bytes at n = 1000, 2000 and 4000. random_connected_graph grows with density: 10.0,
-# 17.6, 26.1 and 43.0 bytes at density 0, 0.25, 0.5 and 1.0 (n = 1000 and 2000), so it is
-# charged its worst case.
+# Bytes charged per node pair of edge sampling. sensitive_block_graph draws its n x n grid a
+# block of rows at a time (_BLOCK_ENTRIES draws per block), so its traced peak is about 1.4 MB
+# at n = 1000 and no longer grows with n^2; it keeps the 28 bytes its dense draw peaked at
+# (28.03, 28.01 and 28.01 at n = 1000, 2000 and 4000) as the refusal that limits the size of
+# the draw grid, whose n^2 draws still cost O(n^2) time. random_connected_graph samples
+# densely and grows with density: 10.0, 17.6, 26.1 and 43.0 bytes at density 0, 0.25, 0.5
+# and 1.0 (n = 1000 and 2000), so it is charged its worst case.
 _BLOCK_BYTES_PER_PAIR = 28
 _RANDOM_BYTES_PER_PAIR = 43
+_BLOCK_ENTRIES = 2 ** 16  # draws per row block: 512 KiB of float64 whatever n is
 
 # sensitive_block_graph's planted structure (see its docstring)
 _LEAK = 0.02
@@ -109,8 +113,14 @@ def sensitive_block_graph(n: int = 1000, seed: int = 0, *, avg_degree: float = 2
     _FEATURE_BIAS * (2s - 1); the _BLOCK_NOISE_DIM noise columns carry
     alternating-sign group shifts of size _NOISE_BIAS. Sensitive-correlated
     feature columns are the point: a classifier must actively cancel those
-    skews to stay group-balanced, and neighborhood sums amplify them. Edges are drawn from
-    dense n x n arrays; raises IngestionError when they cannot fit in physical
+    skews to stay group-balanced, and neighborhood sums amplify them.
+
+    Pair (i, j), i < j, is an edge when the (i, j) draw of one n x n uniform
+    grid falls below its probability. The grid is drawn a block of rows at a
+    time, about _BLOCK_ENTRIES draws each, which reads the generator's stream
+    as one n x n draw would, so the graph does not depend on the block size.
+    The draws still take O(n^2) time, and n is refused with IngestionError
+    when the n x n grid at _BLOCK_BYTES_PER_PAIR would not fit in physical
     memory.
     """
     refuse_unfit(_BLOCK_BYTES_PER_PAIR * n * n, f"dense edge sampling at n={n}", IngestionError)
@@ -119,15 +129,32 @@ def sensitive_block_graph(n: int = 1000, seed: int = 0, *, avg_degree: float = 2
     p_pos = np.where(sens == 1, 0.5 + _LEAK / 2.0, 0.5 - _LEAK / 2.0)
     labels = _force_both_values((rng.random(n) < p_pos).astype(np.int64), rng)
 
-    same_s = sens[:, None] == sens[None, :]
-    same_y = labels[:, None] == labels[None, :]
+    # a pair's weight depends only on the (s, y) classes of its ends; every weight
+    # is a small integer, so the sum over all n^2 pairs is an exact integer, far
+    # below 2^53 within the refusal, and float64 holds it exactly
+    kind = 2 * sens + labels
+    classes = np.arange(4)
+    same_s = classes[:, None] // 2 == classes // 2
+    same_y = classes[:, None] % 2 == classes % 2
     weight = (np.where(same_s, _SENSITIVE_HOMOPHILY, 1.0)
               * np.where(same_y, _LABEL_HOMOPHILY, 1.0))
-    base = avg_degree * n / weight.sum()
-    prob = np.minimum(base * weight, 1.0)
-    upper = np.triu(rng.random((n, n)) < prob, k=1)
-    dense = (upper | upper.T).astype(np.float64)
-    adj = _connect_components(sp.csr_matrix(dense), rng)
+    counts = np.bincount(kind, minlength=4).astype(np.float64)
+    base = avg_degree * n / (counts @ weight @ counts)
+    prob = np.minimum(base * weight, 1.0)  # indexed by the kinds of a pair's ends
+
+    heads, tails = [], []
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        r, c = np.nonzero(rng.random((hi - lo, n)) < prob[kind[lo:hi, None], kind])
+        upper = c > r + lo
+        heads.append(r[upper] + lo)
+        tails.append(c[upper])
+    heads, tails = np.concatenate(heads), np.concatenate(tails)
+    adj = sp.coo_matrix((np.ones(2 * heads.size), (np.concatenate([heads, tails]),
+                                                  np.concatenate([tails, heads]))),
+                        shape=(n, n)).tocsr()
+    adj = _connect_components(adj, rng)
 
     signal_col = (_SIGNAL * (2.0 * labels - 1.0)
                   + _FEATURE_BIAS * (2.0 * sens - 1.0)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from fairformer.data import (Graph, SplitSpec, binarize_labels, load_dataset,
                              load_manifest, make_folds, make_split)
 from fairformer.errors import IngestionError, SchemaError, SplitError
+from fairformer import synth
 from fairformer.synth import random_connected_graph, sensitive_block_graph
 
 
@@ -384,3 +385,48 @@ def test_dense_fixture_charges_each_generator_its_own_peak(monkeypatch):
     with pytest.raises(IngestionError, match="n=1000 needs about"):
         random_connected_graph(1000, density=1.0)
     assert sensitive_block_graph(1000).n == 1000
+
+
+def dense_sensitive_block_graph(n, seed, avg_degree):
+    """The row-blocked sampler's reference: its edges drawn from whole n x n arrays."""
+    rng = np.random.default_rng(seed)
+    sens = synth._force_both_values(rng.integers(0, 2, n), rng)
+    p_pos = np.where(sens == 1, 0.5 + synth._LEAK / 2.0, 0.5 - synth._LEAK / 2.0)
+    labels = synth._force_both_values((rng.random(n) < p_pos).astype(np.int64), rng)
+    same_s = sens[:, None] == sens[None, :]
+    same_y = labels[:, None] == labels[None, :]
+    weight = (np.where(same_s, synth._SENSITIVE_HOMOPHILY, 1.0)
+              * np.where(same_y, synth._LABEL_HOMOPHILY, 1.0))
+    base = avg_degree * n / weight.sum()
+    prob = np.minimum(base * weight, 1.0)
+    upper = np.triu(rng.random((n, n)) < prob, k=1)
+    adj = synth._connect_components(sp.csr_matrix((upper | upper.T).astype(np.float64)), rng)
+    signal_col = (synth._SIGNAL * (2.0 * labels - 1.0)
+                  + synth._FEATURE_BIAS * (2.0 * sens - 1.0) + rng.standard_normal(n))
+    noise = rng.standard_normal((n, synth._BLOCK_NOISE_DIM))
+    noise = noise + np.outer(2.0 * sens - 1.0,
+                             synth._NOISE_BIAS * (-1.0) ** np.arange(synth._BLOCK_NOISE_DIM))
+    return adj, np.column_stack([signal_col, noise, sens.astype(np.float64)]), labels
+
+
+@pytest.mark.parametrize("avg_degree", [24.0, 4])
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("n", [2, 3, 57, 300, 1000, 2100])
+def test_row_blocked_sampler_draws_the_dense_samplers_graph(n, seed, avg_degree):
+    g = sensitive_block_graph(n, seed, avg_degree=avg_degree)
+    adj, features, labels = dense_sensitive_block_graph(n, seed, avg_degree)
+    pairs = [(g.adjacency.data, adj.data), (g.adjacency.indices, adj.indices),
+             (g.adjacency.indptr, adj.indptr), (g.features, features), (g.labels, labels)]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_row_blocked_sampler_holds_a_few_blocks_not_the_grid():
+    sensitive_block_graph(50)  # first-call costs
+    tracemalloc.start()
+    try:
+        sensitive_block_graph(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000  # the dense grid's arrays peaked at 28.0 MB

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,20 @@ def test_adjacency_hop_that_is_not_a_number_is_refused(recwarn):
                                               r"hop 0: its largest \|entry\| is nan"):
         hop_aggregate_adjacency(g, h, k=2)
     assert not recwarn.list
+
+
+@pytest.mark.parametrize("build", [
+    lambda h: hop_aggregate(np.arange(9) % 2, h, 2, normalization="group-mean"),
+    lambda h: hop_aggregate_adjacency(random_connected_graph(9, density=0.5, seed=0), h, 2),
+], ids=["group-mean", "adj_nf"])
+def test_input_past_the_layer_norm_bound_is_refused_before_a_hop_overflows(build):
+    h = np.zeros((9, 2))
+    h[::3, 0] = 1e308  # a group sum of three of these overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FairformerError, match=r"k=2 outgrows what layer norm can square at "
+                                                  r"hop 0: its largest \|entry\| is 1e\+308"):
+            build(h)
 
 
 def test_adjacency_bound_scans_one_hop_at_a_time():

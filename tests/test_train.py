@@ -3,6 +3,7 @@ import itertools
 import sys
 import threading
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -510,6 +511,50 @@ def test_sweep_rows_and_table():
     assert table.splitlines()[0].startswith("t\t")
     with pytest.raises(FairformerError):
         sweep(g, cfg, "dropout", [0.1])
+
+
+@pytest.fixture
+def fresh_heap_thresholds():
+    train_module._heap_thresholds.cache_clear()
+    yield
+    train_module._heap_thresholds.cache_clear()  # the next real call sets the same values again
+
+
+def test_heap_thresholds_do_nothing_without_mallopt(monkeypatch, fresh_heap_thresholds):
+    opened = []
+    monkeypatch.setattr(train_module.ctypes, "CDLL",
+                        lambda name: opened.append(name) or types.SimpleNamespace())
+    assert train_module._heap_thresholds() is None
+    assert opened == [None]
+
+
+def test_heap_thresholds_set_mmap_and_trim_once_per_process(monkeypatch,
+                                                           fresh_heap_thresholds):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(train_module.ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace(mallopt=mallopt))
+    train_module._heap_thresholds()
+    train_module._heap_thresholds()
+    assert calls == [(-3, 8 * 2 ** 20), (-1, 16 * 2 ** 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+class HeapSet(Exception):
+    pass
+
+
+def test_training_fixes_the_heap_thresholds_before_anything_else(monkeypatch):
+    def first():
+        raise HeapSet
+
+    monkeypatch.setattr(train_module, "_heap_thresholds", first)
+    monkeypatch.setattr(train_module, "build_encodings", lambda *a: pytest.fail("encoded first"))
+    with pytest.raises(HeapSet):
+        train(separable_graph(), quick_config())
 
 
 def test_bench_scaling_smoke():
