@@ -178,7 +178,9 @@ class Adam:
 
 def _rows(stack: HopStack, idx) -> HopStack:
     # tokens are per-node, so forward on a row subset matches the full pass to
-    # rounding; not bit for bit, as a GEMM's last bits depend on its row count
+    # rounding; not always bit for bit, as a GEMM's last bits can depend on its
+    # row count: on numpy's OpenBLAS they moved only for pieces under 16 rows, or
+    # for cuts off the 128-row grid
     return HopStack(tensor=stack.tensor[idx], counts=stack.counts)
 
 
@@ -262,23 +264,31 @@ class _OneBlasThread:
 
 _ONE_BLAS_THREAD = _OneBlasThread()
 
-# A set of up to this many rows is one eval forward. A larger one is cut into
-# these blocks, each full block scored as two halves, so `_score` holds at most
-# max(_SCORE_BLOCK, _WORKERS * _SCORE_BLOCK // 2) rows in flight whatever n is:
-# one block on two workers.
+# A set is cut into blocks of this many rows (the last may be shorter), and each
+# block once more at its row lo + _SCORE_BLOCK // 2, on a 128-row grid, when at
+# least _SHORTEST_CUT rows remain after that cut. So no piece holds more than
+# _SCORE_BLOCK // 2 + _SHORTEST_CUT - 1 = 143 rows, and `_score` holds at most
+# _WORKERS * 143 rows in flight whatever n is.
 _SCORE_BLOCK = 256
+_SHORTEST_CUT = 16
 
 
 def _score_pieces(n: int) -> list:
     """The (lo, hi) row ranges that `_score` runs one forward each on. They depend
-    on n alone, never on the worker count, so neither do the logits' bits. Halving
-    keeps every block boundary and adds no short tail: a GEMM row's last bits
-    moved with the row count only below 16 rows on the OpenBLAS numpy ships, and
-    the tests hold the halves to one forward per block, byte for byte."""
-    if n <= _SCORE_BLOCK:
-        return [(0, n)]
-    half, full = _SCORE_BLOCK // 2, n - n % _SCORE_BLOCK
-    return [(lo, lo + half) for lo in range(0, full, half)] + ([(full, n)] if full < n else [])
+    on n alone, never on the worker count, so neither do the logits' bits. Cutting
+    a block at its row lo + 128 keeps every block boundary and leaves no piece
+    under 16 rows: a GEMM row's last bits moved with the row count only below 16
+    rows, or for cuts off that grid, on the OpenBLAS numpy ships, and the tests
+    hold the pieces to one forward per block, byte for byte. An empty set is one
+    empty piece."""
+    half, pieces = _SCORE_BLOCK // 2, []
+    for lo in range(0, max(n, 1), _SCORE_BLOCK):
+        hi = min(lo + _SCORE_BLOCK, n)
+        if hi - (lo + half) >= _SHORTEST_CUT:
+            pieces += [(lo, lo + half), (lo + half, hi)]
+        else:
+            pieces.append((lo, hi))
+    return pieces
 
 
 @functools.cache
@@ -297,10 +307,12 @@ def _score(params, stack: HopStack, beside=None):
     without it). Each `_score_pieces` range is one tape-free `forward`. Up to
     `_WORKERS` threads, the caller's own and the kept `_helper_threads`, take the
     pieces from one shared queue, and numpy's OpenBLAS is held at one thread while
-    helpers run. With `beside`, the caller first runs `beside()` while the helpers
-    start on the pieces; with one worker the two run one after the other. A piece
-    that raises `FairformerError` does not stop the others; the first such piece's
-    error is raised once all have run, as if they had run in order."""
+    helpers run. A set of 144 rows or more is at least two pieces, so helpers share
+    it also without `beside`. With `beside`, the caller first runs `beside()` while
+    the helpers start on the pieces; with one worker the two run one after the
+    other. A piece that raises `FairformerError` does not stop the others; the
+    first such piece's error is raised once all have run, as if they had run in
+    order."""
     frozen = params.frozen()
     pieces = _score_pieces(stack.tensor.shape[0])
     todo = queue.SimpleQueue()

@@ -690,16 +690,100 @@ def test_blocked_scoring_matches_one_forward(offset):
     assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
 
+def one_forward_per_block(params, stack):
+    block, n = train_module._SCORE_BLOCK, stack.tensor.shape[0]
+    return np.concatenate([forward(params, train_module._rows(stack, slice(lo, lo + block))).data
+                           for lo in range(0, n, block)])
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("n", [1, 255, 256, 257, 390, 2 * 256 + 1])
+@pytest.mark.parametrize("n", [1, 129, 135, 143, 144, 250, 255, 256, 257, 383, 385, 390,
+                               399, 400, 2 * 256 + 1])
 def test_scoring_has_the_bytes_of_one_forward_per_block(monkeypatch, n, workers):
     monkeypatch.setattr(train_module, "_WORKERS", workers)
-    block = train_module._SCORE_BLOCK
     params = scoring_params()
     stack = random_stack(n)
-    want = np.concatenate([forward(params, train_module._rows(stack, slice(lo, lo + block))).data
-                           for lo in range(0, n, block)])
+    want = one_forward_per_block(params, stack)
     assert train_module._score(params, stack)[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scoring_at_the_default_width_has_the_bytes_of_one_forward_per_block(monkeypatch,
+                                                                            workers):
+    monkeypatch.setattr(train_module, "_WORKERS", workers)
+    params = init_model(TrainConfig().model_config(0), 5)
+    for n in (143, 144, 250, 400):
+        stack = random_stack(n, seed=n)
+        want = one_forward_per_block(params, stack)
+        assert train_module._score(params, stack)[0].tobytes() == want.tobytes(), n
+
+
+def test_score_pieces_cut_each_block_on_the_128_row_grid():
+    block, half = train_module._SCORE_BLOCK, train_module._SCORE_BLOCK // 2
+    for n in range(1, 3 * block + 2):
+        pieces = train_module._score_pieces(n)
+        assert pieces[0][0] == 0 and pieces[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))  # in order, no gap
+        assert max(hi - lo for lo, hi in pieces) <= 143
+        for lo in range(0, n, block):  # one piece per block, or two cut at lo + 128
+            inside = [(a, b) for a, b in pieces if lo <= a < lo + block]
+            hi = min(lo + block, n)
+            if hi - lo - half >= 16:
+                assert inside == [(lo, lo + half), (lo + half, hi)], n
+            else:
+                assert inside == [(lo, hi)], n
+    assert train_module._score_pieces(250) == [(0, 128), (128, 250)]
+    assert train_module._score_pieces(4000)[-2:] == [(3840, 3968), (3968, 4000)]
+
+
+def test_an_empty_set_scores_to_no_rows(monkeypatch):
+    assert train_module._score_pieces(0) == [(0, 0)]
+    for workers in (1, 2):
+        monkeypatch.setattr(train_module, "_WORKERS", workers)
+        logits, ahead = train_module._score(scoring_params(), random_stack(0), lambda: 3)
+        assert logits.shape == (0, 2) and ahead == 3
+        logits, ahead = train_module._score(scoring_params(), random_stack(0))
+        assert logits.shape == (0, 2) and ahead is None
+
+
+def test_scoring_a_250_row_set_peaks_well_below_one_forward(monkeypatch):
+    # the README's --synthetic 1000 folds score 250 validation and test rows;
+    # as one 250-row piece their traced peak was that of one tape-free forward
+    monkeypatch.setattr(train_module, "_WORKERS", 1)
+    params = init_model(TrainConfig().model_config(0), 5)
+    stack = random_stack(250)
+    forward(params.frozen(), stack)
+    peaks = []
+    for run in (lambda: forward(params.frozen(), stack),
+                lambda: train_module._score(params, stack)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    whole, scored = peaks
+    assert whole > 1_000_000
+    assert scored <= 0.6 * whole, f"scoring peak {scored} B against one forward's {whole} B"
+
+
+@pytest.mark.parametrize("n, threads", [(143, 2), (144, 1), (250, 1), (256, 1)])
+def test_scoring_without_beside_shares_a_set_under_one_blas_thread(blas_threads, monkeypatch,
+                                                                   n, threads):
+    # a fold's last validation set and its test set are scored without `beside`;
+    # from 144 rows on they are two pieces, and a helper takes one of them
+    monkeypatch.setattr(train_module, "_WORKERS", 2)
+    seen = []
+
+    def recording_forward(params, piece, **kwargs):
+        seen.append(blas_threads())
+        return forward(params, piece, **kwargs)
+
+    monkeypatch.setattr(train_module, "forward", recording_forward)
+    train_module._score(scoring_params(), random_stack(n))
+    assert seen == [threads] * len(train_module._score_pieces(n))
+    assert blas_threads() == 2
 
 
 def test_scoring_records_no_tape(monkeypatch):
