@@ -247,14 +247,17 @@ def log_softmax_rows(a: Tensor) -> Tensor:
     return _result(out, (a,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+_LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply affine."""
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise FairformerError(f"layer_norm: affine shape must be ({d},)")
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     var = np.square(xhat).sum(axis=-1, keepdims=True) / d  # as ndarray.var sums it
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     xhat *= inv
     out = xhat * gain.data
     out += bias.data

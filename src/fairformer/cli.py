@@ -228,7 +228,7 @@ def _cmd_verify(args) -> int:
         seed = args.seed + i
         g = random_connected_graph(args.n, density=0.25, seed=seed)
 
-        scaling = group_scaling_report(build_group_graph(g), g.features, args.kmax)
+        scaling = group_scaling_report(build_group_graph(g), args.kmax)
         lines.append(f"graph={i} check=group_scaling q={scaling.q} k_max={scaling.k_checked} "
                      f"exact_pass={int(scaling.exact_pass)} float_pass={int(scaling.float_pass)} "
                      f"max_abs_deviation={scaling.max_abs_deviation!r}")

@@ -329,6 +329,8 @@ class SplitSpec:
             raise SplitError("train_per_class_cap must be positive")
         if self.folds < 1:
             raise SplitError("folds must be >= 1")
+        if self.seed < 0:
+            raise SplitError(f"seed={self.seed} must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ class SpectralGapError(FairformerError):
 
 
 class UndefinedCosineError(FairformerError):
-    """Cosine alignment is undefined (zero reference column)."""
+    """Cosine alignment is undefined (a zero sensitive column)."""
 
 
 class UndefinedMetricError(FairformerError):

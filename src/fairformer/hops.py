@@ -59,10 +59,28 @@ def _features_of(h) -> np.ndarray:
     return arr
 
 
+def _groups_of(group) -> np.ndarray:
+    arr = np.asarray(group)
+    if arr.ndim != 1 or not np.all((arr == 0) | (arr == 1)):
+        raise FairformerError("sensitive groups must be a 1-D array of 0s and 1s")
+    return arr.astype(np.intp)
+
+
+def _row_order_sum(rows: np.ndarray) -> np.ndarray:
+    """rows.sum(axis=0), added in row order. numpy adds two or more columns that way
+    but pairs up the rows of a lone column, so without this a column's hops would
+    round by how many columns ride beside it. The q^k certificate stacks the
+    sensitive column alone; past 2^53 its float route then keeps the bits the
+    column has in a wider stack."""
+    if rows.shape[1] == 1 and rows.shape[0]:
+        return np.cumsum(rows, axis=0)[-1]
+    return rows.sum(axis=0)
+
+
 def _group_apply(group: np.ndarray, x: np.ndarray, mean: bool) -> np.ndarray:
     sums = np.zeros((2, x.shape[1]))
-    sums[0] = x[group == 0].sum(axis=0)
-    sums[1] = x[group == 1].sum(axis=0)
+    sums[0] = _row_order_sum(x[group == 0])
+    sums[1] = _row_order_sum(x[group == 1])
     if mean:  # an empty group's sum is 0, so dividing it by 1 keeps it 0
         sums /= np.maximum(np.bincount(group, minlength=2), 1)[:, None]
     return sums[group]
@@ -119,10 +137,7 @@ def hop_aggregate(group, h, k: int, normalization: str = "raw") -> HopStack:
     """
     if normalization not in _MODES:
         raise FairformerError(f"normalization must be one of {_MODES}")
-    group = np.asarray(group)
-    if group.ndim != 1 or not np.all((group == 0) | (group == 1)):
-        raise FairformerError("sensitive groups must be a 1-D array of 0s and 1s")
-    group = group.astype(np.intp)
+    group = _groups_of(group)
     x = _features_of(h)
     if x.shape[0] != group.size:
         raise FairformerError(f"feature rows {x.shape[0]} do not match {group.size} groups")
@@ -176,8 +191,9 @@ def _float_or_inf(value: int) -> float:
         return np.inf
 
 
-def group_scaling_report(group, h, k_max: int) -> GroupScalingReport:
-    """Verify the q^k sensitive-column identity for k = 1..k_max.
+def group_scaling_report(group, k_max: int) -> GroupScalingReport:
+    """Verify the q^k identity for k = 1..k_max on the sensitive column itself:
+    `group` (each node's 0/1 sensitive group) as the one column of a raw stack.
 
     Two routes: an arbitrary-precision integer recurrence over the implicit
     group adjacency (python ints never overflow, so k_max is honored in full)
@@ -186,29 +202,25 @@ def group_scaling_report(group, h, k_max: int) -> GroupScalingReport:
     """
     if k_max < 1:
         raise FairformerError("k_max must be >= 1")
-    x = _features_of(h)
-    binary = np.flatnonzero(np.all((x == 0.0) | (x == 1.0), axis=0))
-    if binary.size == 0:
-        raise FairformerError("no binary column found to certify")
-    column = x[:, binary[0]]  # certify the first exactly-binary column
+    groups = _groups_of(group)
+    column = groups.astype(np.float64)
 
     with np.errstate(over="ignore", invalid="ignore"):  # past float64's range: inf, then nan
-        stack = hop_aggregate(group, x, k_max, normalization="raw")  # also checks `group`
-        groups = np.asarray(group, dtype=np.intp).tolist()
-        q = sum(groups)
+        stack = hop_aggregate(groups, column[:, None], k_max, normalization="raw")
+        q = int(groups.sum())
         powers = np.array([_float_or_inf(q ** k) for k in range(1, k_max + 1)])
         want = np.where(column == 1.0, powers[:, None], 0.0)  # (k_max, n)
-        deviations = np.abs(stack.tensor[:, 1:, binary[0]].T - want)
+        deviations = np.abs(stack.tensor[:, 1:, 0].T - want)
     max_dev = float(deviations.max()) if deviations.size else 0.0
 
-    ints = [int(v) for v in column]
+    ints = groups.tolist()
     exact_ok = True
     current = ints
     for k in range(1, k_max + 1):
         sums = [0, 0]
-        for grp, value in zip(groups, current):
+        for grp, value in zip(ints, current):
             sums[grp] += value
-        current = [sums[grp] for grp in groups]
+        current = [sums[grp] for grp in ints]
         expected = [q ** k * v for v in ints]
         if current != expected:
             exact_ok = False

@@ -337,7 +337,7 @@ class AlignmentReport:
     """Cosine alignment of hop-aggregated features with the dominant eigenvector.
 
     For each hop count k the report carries the directly computed cosine
-    between the k-hop aggregate of the reference column and the column itself,
+    between the k-hop aggregate of the sensitive column and the column itself,
     the k -> infinity limit cos(p1, column), and the gap to that limit;
     identity_max_error is the largest difference between the direct cosines and
     the same numbers evaluated through the eigendecomposition identity. The decay
@@ -363,9 +363,9 @@ _DECAY_FLOAT_SLACK = 1e-12
 _GAP_RTOL = 1e-8  # |lambda_1| - |lambda_2| must exceed this share of max(1, |lambda_1|)
 
 
-def spectral_alignment_report(g: Graph, k_max: int,
-                              column: np.ndarray | None = None) -> AlignmentReport:
-    """Certify the dominant-eigenvector alignment identity on a small graph.
+def spectral_alignment_report(g: Graph, k_max: int) -> AlignmentReport:
+    """Certify the dominant-eigenvector alignment identity for the sensitive column
+    on a small graph.
 
     Dense route: all n eigenpairs from `top_magnitude_eigenpairs`, whose Krylov
     basis then spans the graph, so it runs `eigh` (n <= 500 enforced).
@@ -378,12 +378,10 @@ def spectral_alignment_report(g: Graph, k_max: int,
         raise FairformerError(f"alignment certificate requires n <= 500, got {g.n}")
     if k_max < 1:
         raise FairformerError("k_max must be >= 1")
-    h = g.sensitive if column is None else np.asarray(column, dtype=np.float64)
-    if h.shape != (g.n,):
-        raise FairformerError(f"reference column must have shape ({g.n},)")
+    h = g.sensitive
     norm_h = np.linalg.norm(h)
     if norm_h == 0:
-        raise UndefinedCosineError("reference column is identically zero")
+        raise UndefinedCosineError("sensitive column is identically zero")
 
     basis = top_magnitude_eigenpairs(g, g.n)
     lam, pvecs = basis.eigenvalues, basis.structure_matrix

@@ -69,6 +69,8 @@ class TrainConfig:
             raise FairformerError(f"t={self.t} must be >= 0")
         if self.ablation not in ABLATION_VARIANTS:
             raise FairformerError(f"ablation must be one of {ABLATION_VARIANTS}")
+        if self.seed < 0:
+            raise FairformerError(f"seed={self.seed} must be >= 0")
         self.model_config(self.seed)  # raises on a bad model shape before any data is read
 
     def model_config(self, seed: int) -> ModelConfig:
@@ -276,11 +278,13 @@ _SHORTEST_CUT = 16
 def _score_pieces(n: int) -> list:
     """The (lo, hi) row ranges that `_score` runs one forward each on. They depend
     on n alone, never on the worker count, so neither do the logits' bits. Cutting
-    a block at its row lo + 128 keeps every block boundary and leaves no piece
-    under 16 rows: a GEMM row's last bits moved with the row count only below 16
-    rows, or for cuts off that grid, on the OpenBLAS numpy ships, and the tests
-    hold the pieces to one forward per block, byte for byte. An empty set is one
-    empty piece."""
+    a block at its row lo + 128 keeps every block boundary, and a cut is made only
+    when it leaves 16 rows or more, so no cut makes a piece under 16 rows: a GEMM
+    row's last bits moved with the row count only below 16 rows, or for cuts off
+    that grid, on the OpenBLAS numpy ships, and the tests hold the pieces to one
+    forward per block, byte for byte. A last block of 1-15 rows is uncut and stays
+    a piece of its own, as in one forward per block: `_score_pieces(257)` ends
+    with (256, 257). An empty set is one empty piece."""
     half, pieces = _SCORE_BLOCK // 2, []
     for lo in range(0, max(n, 1), _SCORE_BLOCK):
         hi = min(lo + _SCORE_BLOCK, n)
@@ -559,6 +563,7 @@ def sweep_table(param: str, rows) -> str:
 
 
 _EXPONENT_LIMIT = 1.3  # largest fitted log-log scaling exponent that passes
+_ENCODE_REPEATS = 2  # timed encodes per size; the fastest counts
 
 
 @dataclass
@@ -592,25 +597,23 @@ def _fit_exponent(sizes, seconds) -> float:
 
 
 def bench_scaling(sizes, k: int = 2, t: int = 4, d_hidden: int = 32, seed: int = 0,
-                  epochs_timed: int = 3, repeats: int = 2) -> BenchReport:
+                  epochs_timed: int = 3) -> BenchReport:
     """Measure encoding and per-epoch time on synthetic graphs of growing n.
 
     The timed epoch is `train`'s step (`_train_step`) over all n rows. Fixed k,
     t and feature width; the fitted log-log exponent in n should stay near 1
     for both phases (the pass flag uses the 1.3 ceiling). One untimed encode
-    and step on the first graph take the first-call costs before any timing,
-    and every timed encode runs on a fresh copy of the graph, so it times a
-    cold structure solve rather than the basis `spectral` remembers. numpy's
-    OpenBLAS is held at one thread throughout: with its own thread pool the fit
-    moved from run to run on a 2-vCPU machine.
+    and step on the first graph take the first-call costs before any timing.
+    Each size's encode time is the fastest of `_ENCODE_REPEATS`, each on a fresh
+    copy of the graph, so it times a cold structure solve rather than the basis
+    `spectral` remembers. numpy's OpenBLAS is held at one thread throughout:
+    with its own thread pool the fit moved from run to run on a 2-vCPU machine.
     """
     sizes = [int(n) for n in sizes]
     if len(set(sizes)) < 2:
         raise FairformerError("bench_scaling needs at least two distinct sizes to fit an exponent")
     if epochs_timed < 1:
         raise FairformerError(f"epochs_timed={epochs_timed} must be >= 1")
-    if repeats < 1:
-        raise FairformerError(f"repeats={repeats} must be >= 1")
     cfg = TrainConfig(epochs=1, folds=1, k=k, t=t, d_hidden=d_hidden, seed=seed)
     encode_times, epoch_times = [], []
     with _ONE_BLAS_THREAD:
@@ -620,7 +623,7 @@ def bench_scaling(sizes, k: int = 2, t: int = 4, d_hidden: int = 32, seed: int =
                 stack = build_encodings(replace(g), cfg)
                 _train_step(*_init_fold(cfg, stack.d, 0), stack, g.labels, 0, 0)
             best_encode = np.inf
-            for _ in range(repeats):
+            for _ in range(_ENCODE_REPEATS):
                 cold = replace(g)
                 start = time.perf_counter()
                 stack = build_encodings(cold, cfg)

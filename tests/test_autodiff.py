@@ -146,10 +146,8 @@ def test_layer_norm_constant_row_zero_before_affine():
 
 
 def test_layer_norm_closed_form():
-    eps = 1e-5
-    out = ad.layer_norm(ad.Tensor([[1.0, -1.0]]), ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)),
-                        eps=eps)
-    expected = np.array([[1.0, -1.0]]) / np.sqrt(1.0 + eps)
+    out = ad.layer_norm(ad.Tensor([[1.0, -1.0]]), ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)))
+    expected = np.array([[1.0, -1.0]]) / np.sqrt(1.0 + 1e-5)  # eps is 1e-5
     assert np.allclose(out.data, expected, atol=1e-12)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from fairformer.errors import ConvergenceError, TieWarning
 from fairformer.oracles import dense_eig
 from fairformer.spectral import SpectralBasis, top_magnitude_eigenpairs
 from fairformer.synth import random_connected_graph
-from fairformer.train import TrainConfig
+from fairformer.train import TrainConfig, bench_scaling
 
 DATA = Path(__file__).parent / "data"
 
@@ -263,6 +264,15 @@ def test_training_flag_defaults_are_the_library_defaults(argv):
     args = build_parser().parse_args(argv + ["--synthetic", "10"])
     assert dataclasses.asdict(_train_config(args)) == dataclasses.asdict(TrainConfig())
     assert _split_spec(args) == SplitSpec()
+
+
+def test_bench_flag_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["bench"])
+    defaults = {name: p.default for name, p in inspect.signature(bench_scaling).parameters.items()
+                if p.default is not inspect.Parameter.empty}
+    flags = {"k": args.k, "t": args.t, "d_hidden": args.hidden, "seed": args.seed,
+             "epochs_timed": args.epochs_timed}
+    assert flags == defaults
 
 
 @pytest.mark.parametrize("args,code,names", [

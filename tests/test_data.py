@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
-from fairformer.data import (Graph, SplitSpec, binarize_labels, load_dataset,
+from fairformer.data import (Graph, Split, SplitSpec, binarize_labels, load_dataset,
                              load_manifest, make_folds, make_split)
 from fairformer.errors import IngestionError, SchemaError, SplitError
 from fairformer import synth
@@ -240,6 +240,55 @@ def test_graph_invariant_rejects_asymmetric():
     with pytest.raises(SchemaError):
         Graph(adjacency=adj, features=np.zeros((2, 1)), sensitive_index=0,
               labels=np.zeros(2, dtype=int), label_mask=np.ones(2, dtype=bool))
+
+
+def graph_parts(n=4):
+    return dict(adjacency=sp.csr_matrix((n, n)),
+                features=np.column_stack([np.zeros(n), np.arange(n) % 2]), sensitive_index=1,
+                labels=np.arange(n) % 2, label_mask=np.ones(n, dtype=bool))
+
+
+@pytest.mark.parametrize("change,message", [
+    (dict(adjacency=sp.csr_matrix((4, 3))), r"adjacency must be square, got \(4, 3\)"),
+    (dict(adjacency=sp.csr_matrix(2.0 * (np.ones((4, 4)) - np.eye(4)))),
+     "adjacency entries must all equal 1"),
+    (dict(features=np.zeros((3, 2))), "features row count does not match node count"),
+    (dict(features=np.column_stack([np.zeros(4), [0.0, 1.0, 0.5, 1.0]])),
+     "sensitive column 1 is not binary"),
+    (dict(labels=np.array([0, 1, 2, -1]), label_mask=np.array([True, True, True, False])),
+     "labels must be binary on masked nodes"),
+], ids=["non_square", "entry_not_1", "feature_rows", "sensitive_not_binary", "masked_label"])
+def test_graph_invariants_are_refused(change, message):
+    with pytest.raises(SchemaError, match=message):
+        Graph(**{**graph_parts(), **change})
+
+
+@pytest.mark.parametrize("fields,message", [
+    (dict(train_per_class_cap=0), "train_per_class_cap must be positive"),
+    (dict(folds=0), "folds must be >= 1"),
+    (dict(seed=-1), "seed=-1 must be >= 0"),
+], ids=["cap_0", "folds_0", "negative_seed"])
+def test_bad_split_spec_is_refused(fields, message):
+    with pytest.raises(SplitError, match=message):
+        SplitSpec(**fields)
+
+
+@pytest.mark.parametrize("parts", [
+    dict(train=np.array([0, 1]), val=np.array([1, 2]), test=np.array([3])),
+    dict(train=np.array([0, 1]), val=np.array([2]), test=np.array([0, 3])),
+    dict(train=np.array([0]), val=np.array([1, 2]), test=np.array([2, 3])),
+], ids=["train_val", "train_test", "val_test"])
+def test_overlapping_split_sets_are_refused(parts):
+    with pytest.raises(SplitError, match="split sets overlap"):
+        Split(**parts)
+
+
+@pytest.mark.parametrize("labels", [[0, 0, 0, 0, 0, 1], [1, 1, 1, 1, 1, 1]],
+                         ids=["one_labeled", "none_labeled"])
+def test_a_class_with_fewer_than_2_labeled_nodes_is_refused(labels):
+    g = small_graph(labels=labels)
+    with pytest.raises(SplitError, match=r"class \d has [01] labeled nodes; need at least 2"):
+        make_split(g, SplitSpec(seed=0))
 
 
 def make_labeled_graph(per_class, seed=0):

@@ -37,9 +37,8 @@ def test_build_group_graph_counts():
     assert group.dtype.kind == "i" and group.tolist() == [1, 1, 0, 0]
     assert group_graph([0, 0, 0]).tolist() == [0, 0, 0]
     assert group_graph([1]).tolist() == [1]
-    h = np.ones((4, 1))
-    assert group_scaling_report(group, h, k_max=1).q == 2
-    assert group_scaling_report(group_graph([0, 0, 0]), h[:3], k_max=1).q == 0
+    assert group_scaling_report(group, k_max=1).q == 2
+    assert group_scaling_report(group_graph([0, 0, 0]), k_max=1).q == 0
 
 
 @pytest.mark.parametrize("group", [[0, 2], [0.5, 1.0], [-1, 0], [[0, 1]]],
@@ -48,7 +47,7 @@ def test_groups_other_than_0_or_1_are_refused(group):
     with pytest.raises(FairformerError, match="0s and 1s"):
         hop_aggregate(group, np.zeros((2, 1)), k=1)
     with pytest.raises(FairformerError, match="0s and 1s"):
-        group_scaling_report(group, np.zeros((2, 1)), k_max=1)
+        group_scaling_report(group, k_max=1)
 
 
 def test_group_rows_must_match_feature_rows():
@@ -233,7 +232,7 @@ def test_negative_k_rejected():
 def test_group_scaling_certificate():
     sg = group_graph([1, 1, 0, 0])
     h = np.array([[1.0], [1.0], [0.0], [0.0]])
-    report = group_scaling_report(sg, h, k_max=3)
+    report = group_scaling_report(sg, k_max=3)
     assert report.passed and report.exact_pass and report.float_pass
     assert report.q == 2
     assert report.max_abs_deviation == 0.0
@@ -243,49 +242,59 @@ def test_group_scaling_certificate():
 
 
 def test_group_scaling_empty_and_singleton_groups():
-    report0 = group_scaling_report(group_graph([0, 0, 0]),
-                                   np.zeros((3, 1)), k_max=4)
+    report0 = group_scaling_report(group_graph([0, 0, 0]), k_max=4)
     assert report0.passed and report0.q == 0
-    report1 = group_scaling_report(group_graph([1]), np.ones((1, 1)), k_max=4)
+    report1 = group_scaling_report(group_graph([1]), k_max=4)
     assert report1.passed and report1.q == 1
 
 
 def test_group_scaling_rejects_fractional_column():
-    sg = group_graph([0, 1])
-    with pytest.raises(FairformerError):
-        group_scaling_report(sg, np.array([[0.5], [1.0]]), k_max=2)
+    with pytest.raises(FairformerError, match="0s and 1s"):
+        group_scaling_report(np.array([0.5, 1.0]), k_max=2)
 
 
 def test_group_scaling_past_float_range_fails_the_float_route():
     g = random_connected_graph(30, density=0.25, seed=0)
-    report = group_scaling_report(build_group_graph(g), g.features, k_max=300)
+    report = group_scaling_report(build_group_graph(g), k_max=300)
     assert report.q ** 300 > 2 ** 1024  # past float64's range
     assert report.exact_pass and not report.float_pass and not report.passed
     assert not np.isfinite(report.max_abs_deviation)
 
 
 def test_group_scaling_reports_the_float_route_past_2_to_the_53():
-    # 23^12 passes 2^53; the deviation is read on the certified column of the full stack
+    # 23^12 passes 2^53, so the float route's hop 12 misses q^12 by 12
     g = random_connected_graph(40, density=0.25, seed=6)
-    report = group_scaling_report(build_group_graph(g), g.features, k_max=12)
+    report = group_scaling_report(build_group_graph(g), k_max=12)
     assert report.q == 23 and report.exact_pass
     assert not report.float_pass and report.max_abs_deviation == 12.0
 
 
-@pytest.mark.parametrize("build", [
-    lambda g, x: group_scaling_report(build_group_graph(g), x, k_max=10**8),
-    lambda g, x: hop_aggregate(build_group_graph(g), x, 10**8),
-    lambda g, x: hop_aggregate_adjacency(g, x, 10**8),
+@pytest.mark.parametrize("normalization", ["raw", "group-mean"])
+def test_a_columns_hops_keep_their_bits_whatever_columns_ride_beside_it(normalization):
+    # q = 23, so from hop 12 on raw hops pass 2^53 and their group sums round
+    g = random_connected_graph(40, density=0.25, seed=6)
+    group = build_group_graph(g)
+    x = np.column_stack([g.features, np.random.default_rng(0).standard_normal(g.n) * 1e15])
+    wide = hop_aggregate(group, x, 14, normalization).tensor
+    for j in range(x.shape[1]):
+        alone = hop_aggregate(group, x[:, j:j + 1], 14, normalization).tensor
+        assert np.array_equal(alone[..., 0], wide[..., j])
+
+
+# each stack is 30 nodes x (k + 1) tokens x width columns x 8 bytes: 24 TB
+@pytest.mark.parametrize("build, k, width", [
+    (lambda g, x, k: group_scaling_report(build_group_graph(g), k_max=k), 10**11, 1),
+    (lambda g, x, k: hop_aggregate(build_group_graph(g), x, k), 10**8, 1000),
+    (lambda g, x, k: hop_aggregate_adjacency(g, x, k), 10**8, 1000),
 ], ids=["group_scaling_report", "hop_aggregate", "hop_aggregate_adjacency"])
-def test_hop_stack_that_cannot_fit_is_refused_before_it_is_allocated(build):
+def test_hop_stack_that_cannot_fit_is_refused_before_it_is_allocated(build, k, width):
     g = random_connected_graph(30, density=0.25, seed=0)
-    x = np.zeros((g.n, 1000))
+    x = np.zeros((g.n, width))
     tracemalloc.start()
     try:
-        # 30 nodes x (10**8 + 1) tokens x 1000 columns x 8 bytes: 24 TB
-        with pytest.raises(FairformerError, match=r"hop stack of k=100000000 \(30 nodes x "
-                           r"100000001 tokens x 1000 columns\) needs about"):
-            build(g, x)
+        with pytest.raises(FairformerError, match=rf"hop stack of k={k} \(30 nodes x "
+                           rf"{k + 1} tokens x {width} columns\) needs about"):
+            build(g, x, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -475,6 +475,10 @@ def test_t_zero_and_out_of_range():
     assert basis.t == 0
     with pytest.raises(FairformerError):
         top_magnitude_eigenpairs(g, t=4)
+    basis = laplacian_small_eigenpairs(g, t=0)
+    assert basis.t == 0 and basis.structure_matrix.shape == (3, 0)
+    with pytest.raises(FairformerError, match=r"t=3 out of range for the deflated Laplacian of n=3"):
+        laplacian_small_eigenpairs(g, t=3)
 
 
 def test_laplacian_triangle():
@@ -556,12 +560,13 @@ def test_fuse_slices_recover_inputs_bit_exact():
 
 
 def test_alignment_eigenvector_input_is_fixed_point():
-    g = random_connected_graph(20, density=0.3, seed=13)
-    lam, vecs = np.linalg.eigh(g.adjacency.toarray())
-    p1 = vecs[:, np.argmax(np.abs(lam))]
-    if p1.sum() < 0:
-        p1 = -p1
-    report = spectral_alignment_report(g, k_max=5, column=p1)
+    # a triangle (lambda 2) beside a 3-node path (lambda +-sqrt 2, 0): the sensitive
+    # column marks the triangle, so it is the dominant eigenvector up to scale
+    dense = np.zeros((6, 6))
+    dense[:3, :3] = np.ones((3, 3)) - np.eye(3)
+    dense[3:, 3:] = np.eye(3, k=1) + np.eye(3, k=-1)
+    g = graph_from_dense(dense, sens=[1, 1, 1, 0, 0, 0])
+    report = spectral_alignment_report(g, k_max=5)
     assert np.all(np.abs(report.direct - 1.0) < 1e-9)
     assert np.all(report.gaps < 1e-9)
     assert report.decay_ok

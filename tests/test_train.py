@@ -54,6 +54,11 @@ def test_bad_variant_rejected():
         TrainConfig(ablation="everything")
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(FairformerError, match="seed=-1 must be >= 0"):
+        TrainConfig(seed=-1)
+
+
 @pytest.mark.parametrize("field,value", [
     ("patience", -1), ("learning_rate", -1.0), ("learning_rate", 0.0),
     ("learning_rate", float("nan")), ("learning_rate", float("inf")),
@@ -558,7 +563,7 @@ def test_training_fixes_the_heap_thresholds_before_anything_else(monkeypatch):
 
 
 def test_bench_scaling_smoke():
-    report = bench_scaling([200, 400], k=1, t=2, d_hidden=8, epochs_timed=1, repeats=1)
+    report = bench_scaling([200, 400], k=1, t=2, d_hidden=8, epochs_timed=1)
     assert report.sizes == [200, 400]
     assert len(report.encode_seconds) == 2
     assert np.isfinite(report.encode_exponent) and np.isfinite(report.epoch_exponent)
@@ -569,8 +574,6 @@ def test_bench_scaling_smoke():
         bench_scaling([200, 200])
     with pytest.raises(FairformerError, match="epochs_timed=0"):
         bench_scaling([200, 400], epochs_timed=0)
-    with pytest.raises(FairformerError, match="repeats=0"):
-        bench_scaling([200, 400], repeats=0)
 
 
 def test_bench_times_the_training_step(monkeypatch):
@@ -588,7 +591,7 @@ def test_bench_times_the_training_step(monkeypatch):
 
     monkeypatch.setattr(train_module, "forward", recording_forward)
     monkeypatch.setattr(Adam, "step", recording_step)
-    bench_scaling([200, 400], k=1, t=2, d_hidden=8, epochs_timed=2, repeats=1)
+    bench_scaling([200, 400], k=1, t=2, d_hidden=8, epochs_timed=2)
     # the first step at n = 200 is the untimed warm-up
     assert forwards == [(True, True, 200)] * 3 + [(True, True, 400)] * 2
     assert decays == [TrainConfig().weight_decay] * 5 and decays[0] > 0
@@ -605,15 +608,15 @@ def test_bench_times_under_one_blas_thread(blas_threads, monkeypatch):
 
     for name in ("build_encodings", "_train_step"):
         monkeypatch.setattr(train_module, name, recording(getattr(train_module, name)))
-    bench_scaling([200, 400], k=1, t=2, d_hidden=8, epochs_timed=1, repeats=1)
-    assert seen == [1] * 6  # the warm-up encode and step, then one of each per size
+    bench_scaling([200, 400], k=1, t=2, d_hidden=8, epochs_timed=1)
+    assert seen == [1] * 8  # the warm-up encode and step, then two encodes and a step per size
     assert blas_threads() == 2
 
 
 def test_bench_times_a_cold_solve_in_every_encode(monkeypatch):
     # the graph remembers its basis, so a timed encode on it would skip the solve
     calls = recorded_solves(monkeypatch)
-    bench_scaling([200, 400], k=1, t=2, d_hidden=8, epochs_timed=1, repeats=2)
+    bench_scaling([200, 400], k=1, t=2, d_hidden=8, epochs_timed=1)
     assert calls.count((2, "LM")) == 1 + 2 * 2  # the warm-up encode and every timed one
 
 
