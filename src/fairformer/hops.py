@@ -15,13 +15,16 @@ the latter up to rounding, as a mean of means is not bit-equal. So a group-mean
 stack of k >= 2 hops is built as tokens 0 and 1 with multiplicities (1, k)
 (`HopStack.counts`, see `model.forward`), the one stack training and scoring
 run: its size does not grow with k, which only weighs the group token by log k.
-Raw stacks, which serve `verify`'s q^k check, and adjacency stacks keep every
-token.
+Its hop-1 token is its node's group mean, one of two rows, so the stack holds
+token 0 per node, the (2, d) table of group means and each node's group: about
+n * d + 2 * d float64s, half the dense (n, 2, d) array, which `HopStack.rows`
+builds only for the rows asked for. Raw stacks, which serve `verify`'s q^k
+check, and adjacency stacks keep every token of every node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,19 +35,52 @@ from .synth import refuse_unfit
 _MODES = ("raw", "group-mean")
 
 
-@dataclass(frozen=True)
 class HopStack:
     """Per-node token sequences: tensor[v, j] is the hop-j embedding of node v.
 
     `counts`, when set, says token j stands for counts[j] equal tokens.
+    `HopStack(tensor, counts)` holds the (n, tokens, d) array it is given. A
+    group-mean stack from `hop_aggregate` holds token 0 per node, its hop-1
+    token once per group and each node's group; `tensor` and `rows` lay them
+    out densely, and `rows` builds only the rows it selects.
     """
 
-    tensor: np.ndarray  # (n, k + 1, d), or (n, distinct tokens, d) with counts
-    counts: tuple | None = None  # (distinct tokens,) integer multiplicities
+    __slots__ = ("counts", "_tokens", "_table", "_group")
+
+    def __init__(self, tensor: np.ndarray, counts: tuple | None = None):
+        self.counts = counts  # (distinct tokens,) integer multiplicities
+        self._tokens = tensor  # (n, tokens, d); a group-mean stack's token 0 alone
+        self._table = self._group = None  # group-mean: (2, d) hop-1 tokens, (n,) groups
+
+    @classmethod
+    def _by_group(cls, first: np.ndarray, table: np.ndarray, group: np.ndarray,
+                  counts: tuple | None) -> HopStack:
+        stack = cls(first[:, None], counts)
+        stack._table, stack._group = table, group
+        return stack
+
+    @property
+    def n(self) -> int:
+        return self._tokens.shape[0]
 
     @property
     def d(self) -> int:
-        return self.tensor.shape[2]
+        return self._tokens.shape[2]
+
+    @property
+    def tensor(self) -> np.ndarray:
+        """The (n, tokens, d) array; a group-mean stack builds it on every read."""
+        return self._tokens if self._table is None else self.rows(slice(None))
+
+    def rows(self, idx) -> np.ndarray:
+        """tensor[idx], building only the rows `idx` selects."""
+        if self._table is None:
+            return self._tokens[idx]
+        group = self._group[idx]
+        out = np.empty((group.size, 2, self.d))
+        out[:, 0] = self._tokens[idx, 0]
+        out[:, 1] = self._table[group]
+        return out
 
 
 def build_group_graph(g: Graph) -> np.ndarray:
@@ -63,7 +99,7 @@ def _groups_of(group) -> np.ndarray:
     arr = np.asarray(group)
     if arr.ndim != 1 or not np.all((arr == 0) | (arr == 1)):
         raise FairformerError("sensitive groups must be a 1-D array of 0s and 1s")
-    return arr.astype(np.intp)
+    return arr.astype(np.uint8)  # a group-mean stack holds it: one byte a node
 
 
 def _row_order_sum(rows: np.ndarray) -> np.ndarray:
@@ -77,13 +113,14 @@ def _row_order_sum(rows: np.ndarray) -> np.ndarray:
     return rows.sum(axis=0)
 
 
-def _group_apply(group: np.ndarray, x: np.ndarray, mean: bool) -> np.ndarray:
+def _group_sums(group: np.ndarray, x: np.ndarray, mean: bool) -> np.ndarray:
+    """(2, d): row 0 sums (or averages) the rows of group 0, row 1 those of group 1."""
     sums = np.zeros((2, x.shape[1]))
     sums[0] = _row_order_sum(x[group == 0])
     sums[1] = _row_order_sum(x[group == 1])
     if mean:  # an empty group's sum is 0, so dividing it by 1 keeps it 0
         sums /= np.maximum(np.bincount(group, minlength=2), 1)[:, None]
-    return sums[group]
+    return sums
 
 
 # The largest |entry| a training hop of `width` columns may hold is this over
@@ -99,6 +136,16 @@ def _group_apply(group: np.ndarray, x: np.ndarray, mean: bool) -> np.ndarray:
 _LAYER_NORM_SCALE = float(np.sqrt(np.finfo(np.float64).max)) * 2.0 ** -20
 
 
+def _refuse_outgrown(token: np.ndarray, j: int, what: str) -> None:
+    """Refuse hop j, naming `what`, when it is too large for the model's first layer
+    norm to square."""
+    limit = _LAYER_NORM_SCALE / np.sqrt(token.shape[-1])
+    top = np.abs(token).max(initial=0.0)
+    if not top <= limit:  # also refuses nan
+        raise FairformerError(f"{what} outgrows what layer norm can square at hop {j}: "
+                              f"its largest |entry| is {top:.3g}, the limit {limit:.3g}")
+
+
 def _hop_stack(x: np.ndarray, k: int, step, what: str | None = None) -> HopStack:
     """Token 0 is x and token j is step applied to token j - 1, never a matrix power;
     a stack that cannot fit in physical memory is refused, naming k, before allocation.
@@ -106,21 +153,14 @@ def _hop_stack(x: np.ndarray, k: int, step, what: str | None = None) -> HopStack
     With `what`, each token is checked before the next one is built: the first that
     is too large for the model's first layer norm to square is refused, naming
     `what` and the hop, so no step runs on it and overflows."""
-    if k < 0:
-        raise FairformerError("k must be >= 0")
     n, width = x.shape
     refuse_unfit(8 * n * (k + 1) * width,
                  f"the hop stack of k={k} ({n} nodes x {k + 1} tokens x {width} columns)")
-    limit = _LAYER_NORM_SCALE / np.sqrt(width)
     tensor = np.empty((n, k + 1, width))
     tensor[:, 0] = x
     for j in range(k + 1):
         if what is not None:
-            top = np.abs(tensor[:, j]).max(initial=0.0)
-            if not top <= limit:  # also refuses nan
-                raise FairformerError(
-                    f"{what} outgrows what layer norm can square at hop {j}: "
-                    f"its largest |entry| is {top:.3g}, the limit {limit:.3g}")
+            _refuse_outgrown(tensor[:, j], j, what)
         if j < k:
             tensor[:, j + 1] = step(tensor[:, j])
     return HopStack(tensor=tensor)
@@ -131,25 +171,31 @@ def hop_aggregate(group, h, k: int, normalization: str = "raw") -> HopStack:
     sensitive group, see `build_group_graph`): slice 0 is the input itself.
 
     Each step is a per-group row sum, divided by the group size in group-mean
-    mode, where k >= 2 hops come back as tokens 0 and 1 with counts (1, k). A
-    group-mean stack is the one training runs, so it is refused, naming k and the
-    hop, when a hop is too large for the model's first layer norm to square.
+    mode, where k >= 2 hops come back as tokens 0 and 1 with counts (1, k) and
+    token 1 is held once per group (see the module docstring). A group-mean
+    stack is the one training runs, so it is refused, naming k and the hop, when
+    a hop is too large for the model's first layer norm to square.
     """
     if normalization not in _MODES:
         raise FairformerError(f"normalization must be one of {_MODES}")
+    if k < 0:
+        raise FairformerError("k must be >= 0")
     group = _groups_of(group)
     x = _features_of(h)
     if x.shape[0] != group.size:
         raise FairformerError(f"feature rows {x.shape[0]} do not match {group.size} groups")
-    mean = normalization == "group-mean"
-
-    def step(current):
-        return _group_apply(group, current, mean)
-
-    if not mean:  # raw hops serve verify, whose q^k certificate reports their overflow
-        return _hop_stack(x, k, step)
-    stack = _hop_stack(x, min(k, 1), step, f"the group-mean hop stack of k={k}")
-    return replace(stack, counts=(1, k)) if k >= 2 else stack
+    if normalization == "raw":  # raw hops serve verify, whose q^k certificate reports overflow
+        return _hop_stack(x, k, lambda current: _group_sums(group, current, False)[group])
+    what = f"the group-mean hop stack of k={k}"
+    if k == 0:
+        return _hop_stack(x, 0, None, what)
+    n, width = x.shape
+    refuse_unfit(8 * (n + 2) * width + n,
+                 f"{what} ({n} nodes x 1 token x {width} columns, 2 group tokens)")
+    _refuse_outgrown(x, 0, what)
+    table = _group_sums(group, x, True)  # its scratch is freed before x is copied
+    _refuse_outgrown(table, 1, what)
+    return HopStack._by_group(x.copy(), table, group, (1, k) if k >= 2 else None)
 
 
 def hop_aggregate_adjacency(g: Graph, h, k: int) -> HopStack:
@@ -164,6 +210,8 @@ def hop_aggregate_adjacency(g: Graph, h, k: int) -> HopStack:
     x = _features_of(h)
     if x.shape[0] != g.n:
         raise FairformerError(f"feature rows {x.shape[0]} do not match graph n={g.n}")
+    if k < 0:
+        raise FairformerError("k must be >= 0")
     return _hop_stack(x, k, lambda current: g.adjacency @ current,
                       f"the adj_nf hop stack of k={k}")
 

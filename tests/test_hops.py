@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from fairformer import synth
 from fairformer.data import Graph
 from fairformer.errors import FairformerError
 from fairformer.hops import (_LAYER_NORM_SCALE, HopStack, build_group_graph, group_scaling_report,
@@ -299,3 +301,45 @@ def test_hop_stack_that_cannot_fit_is_refused_before_it_is_allocated(build, k, w
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_group_mean_refusal_names_the_configured_k_and_the_held_layout():
+    x = np.broadcast_to(0.0, (30, 10**10))  # a view of one float: nothing is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(FairformerError, match=r"group-mean hop stack of k=5 \(30 nodes x 1 "
+                           r"token x 10000000000 columns, 2 group tokens\) needs about 2560\.0 GB"):
+            hop_aggregate(np.arange(30) % 2, x, 5, normalization="group-mean")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_group_mean_stack_is_charged_what_it_holds(monkeypatch):
+    g = random_connected_graph(30, density=0.25, seed=0)
+    width = 10
+    x = np.random.default_rng(1).standard_normal((g.n, width))
+    budget = 3 * g.n * width * 8 // 2  # between one and two tokens a node
+    sysconf = os.sysconf
+    monkeypatch.setattr(synth.os, "sysconf", lambda name: {
+        "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": budget}.get(name) or sysconf(name))
+    stack = hop_aggregate(build_group_graph(g), x, 5, normalization="group-mean")
+    assert stack.tensor.shape == (g.n, 2, width) and stack.counts == (1, 5)
+    with pytest.raises(FairformerError, match=r"hop stack of k=1 \(30 nodes x 2 tokens x 10 "
+                       r"columns\) needs about"):
+        hop_aggregate_adjacency(g, x, 1)
+
+
+def test_group_mean_stack_holds_token_one_once_per_group():
+    n, width = 16000, 13
+    x = np.random.default_rng(3).standard_normal((n, width))
+    group = np.arange(n) % 2
+    tracemalloc.start()
+    try:
+        stack = hop_aggregate(group, x, 5, normalization="group-mean")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.tensor.shape == (n, 2, width)
+    assert peak < 1.25 * n * width * 8  # token 0, one byte a node of groups, a group's scratch

@@ -1053,6 +1053,75 @@ def dense_group_mean_hops(sens, x, k):
     return np.stack([dense_power_apply(mean, x, j) for j in range(k + 1)], axis=1)
 
 
+def row_order_group_means(sens, x):
+    """(2, d) group means, each group's rows added one at a time in row order."""
+    table = np.zeros((2, x.shape[1]))
+    for grp in (0, 1):
+        rows = x[sens == grp]
+        for row in rows:
+            table[grp] = table[grp] + row
+        table[grp] /= max(len(rows), 1)
+    return table
+
+
+@pytest.mark.parametrize("width", [1, 13])
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+@pytest.mark.parametrize("n,empty", [(1, None), (2, None), (257, None), (1000, None), (257, 0)],
+                         ids=["1", "2", "257", "1000", "257-one-group"])
+def test_group_mean_stack_lays_out_its_group_table_byte_for_byte(n, empty, k, width):
+    sens, x = group_mean_features(n, d=width, seed=n + k)
+    if empty is not None:
+        sens = np.full(n, empty)
+    stack = hop_aggregate(sens, x, k, normalization="group-mean")
+    want = (x[:, None] if k == 0
+            else np.stack([x, row_order_group_means(sens, x)[sens]], axis=1))
+    assert stack.n == n and stack.d == width
+    assert stack.tensor.dtype == want.dtype and stack.tensor.shape == want.shape
+    assert stack.tensor.tobytes() == want.tobytes()
+    order = np.random.default_rng(n).permutation(n)
+    for idx in (slice(None), slice(0, n // 2), slice(n // 3, n), order, order[: n // 4],
+                np.array([], dtype=np.intp), sens == 1):
+        assert stack.rows(idx).tobytes() == want[idx].tobytes()
+        assert stack.rows(idx).shape == want[idx].shape
+    dense = dense_group_mean_hops(sens, x, k)
+    for j in range(k + 1):  # every hop past 0 is token 1, to rounding
+        np.testing.assert_allclose(stack.tensor[:, min(j, 1)], dense[:, j], rtol=0, atol=1e-12)
+
+
+def test_training_never_lays_out_the_whole_group_mean_stack(monkeypatch):
+    g = sensitive_block_graph(n=300, seed=4)
+    cfg = quick_config(k=3, epochs=3)
+    spec = SplitSpec(train_per_class_cap=30, seed=0, folds=2)
+    built, whole, row_counts = [], [], []
+    read_tensor, read_rows = HopStack.tensor.fget, HopStack.rows
+
+    def recording_build(graph, config):
+        built.append(build_encodings(graph, config))
+        return built[-1]
+
+    def counting_tensor(stack):
+        whole.extend(s for s in built if s is stack)
+        return read_tensor(stack)
+
+    def counting_rows(stack, idx):
+        got = read_rows(stack, idx)
+        row_counts.extend(got.shape[0] for s in built if s is stack)
+        return got
+
+    monkeypatch.setattr(train_module, "build_encodings", recording_build)
+    monkeypatch.setattr(HopStack, "tensor", property(counting_tensor))
+    monkeypatch.setattr(HopStack, "rows", counting_rows)
+    held = train(g, cfg, split_spec=spec)
+    monkeypatch.undo()
+    assert len(built) == 1 and built[0].counts == (1, 3)
+    assert whole == [] and row_counts and max(row_counts) < g.n
+
+    stack = built[0]
+    monkeypatch.setattr(train_module, "build_encodings",
+                        lambda graph, config: HopStack(stack.tensor, stack.counts))
+    assert train(g, cfg, split_spec=spec).summary_text() == held.summary_text()
+
+
 @pytest.mark.parametrize("k,heads,layers", list(itertools.product((2, 3), (1, 2), (1, 2))))
 def test_collapsed_scoring_matches_every_token(k, heads, layers):
     block = train_module._SCORE_BLOCK
