@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SplitSpec, load_dataset, load_manifest
+from .data import load_dataset, load_manifest
 from .errors import (ConvergenceError, FairformerError, IngestionError, SchemaError,
                      SpectralGapError, SplitError, TieWarning, TrainingError)
 from .hops import build_group_graph, group_scaling_report
@@ -100,9 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--hidden", type=int, default=TrainConfig.d_hidden, help="hidden width")
         p.add_argument("--folds", type=int, default=TrainConfig.folds,
                        help="cross-validation folds")
-        p.add_argument("--ablation", choices=ABLATION_VARIANTS, default=TrainConfig.ablation,
-                       help="encoding variant")
-        p.add_argument("--cap", type=_positive_int, default=SplitSpec.train_per_class_cap,
+        if verb != "ablate":  # ablate trains every variant
+            p.add_argument("--ablation", choices=ABLATION_VARIANTS, default=TrainConfig.ablation,
+                           help="encoding variant")
+        p.add_argument("--cap", type=_positive_int, default=TrainConfig.train_per_class_cap,
                        help="per-class training node cap")
         p.add_argument("--scale-structure", action="store_true",
                        help="min-max scale structure columns to [-1, 1]")
@@ -150,13 +151,10 @@ def _load_graph(args):
     raise IngestionError("no input: pass --manifest PATH or --synthetic N")
 
 
-def _split_spec(args) -> SplitSpec:
-    return SplitSpec(train_per_class_cap=args.cap, seed=args.seed, folds=args.folds)
-
-
 def _train_config(args) -> TrainConfig:
     return TrainConfig(
-        epochs=args.epochs, folds=args.folds, ablation=args.ablation, k=args.k, t=args.t,
+        epochs=args.epochs, folds=args.folds, train_per_class_cap=args.cap,
+        ablation=getattr(args, "ablation", TrainConfig.ablation), k=args.k, t=args.t,
         layers=args.layers, heads=args.heads, d_hidden=args.hidden,
         scale_structure=args.scale_structure, seed=args.seed,
     )
@@ -172,14 +170,14 @@ def _report(args, name, text, echo=True):
 
 def _cmd_train(args) -> int:
     cfg = _train_config(args)
-    result = train(_load_graph(args), cfg, split_spec=_split_spec(args), out_dir=args.out)
+    result = train(_load_graph(args), cfg, out_dir=args.out)
     print(result.summary_text())
     return EXIT_OK
 
 
 def _cmd_ablate(args) -> int:
     cfg = _train_config(args)
-    results = ablate(_load_graph(args), cfg, split_spec=_split_spec(args))
+    results = ablate(_load_graph(args), cfg)
     _report(args, "report.txt", sweep_table("variant", results.items()))
     for variant, result in results.items():
         _report(args, f"report_{variant}.txt", result.summary_text(), echo=False)
@@ -190,7 +188,7 @@ def _cmd_sweep(args) -> int:
     cfg = _train_config(args)
     values = range(args.min, args.max + 1)
     sweep_configs(cfg, args.param, values)  # a bad swept value fails before the graph loads
-    rows = sweep(_load_graph(args), cfg, args.param, values, split_spec=_split_spec(args))
+    rows = sweep(_load_graph(args), cfg, args.param, values)
     _report(args, "sweep.tsv", sweep_table(args.param, rows))
     return EXIT_OK
 

@@ -184,9 +184,10 @@ def load_dataset(node_file, edge_file, schema: ColumnSchema | None = None) -> Gr
     """Ingest node and edge files into a Graph.
 
     The node file needs a header row. The edge file holds two id columns per
-    row; a single header row is skipped if its first row does not map onto
-    known node ids. Every edge is stored in both directions; duplicates
-    collapse to a single unit entry.
+    row; its first row is skipped as a header when neither of its cells is a
+    node id or a number, and any other row naming an unknown id is refused.
+    Every edge is stored in both directions; duplicates collapse to a single
+    unit entry.
     """
     schema = schema or ColumnSchema()
     node_file, edge_file = Path(node_file), Path(edge_file)
@@ -296,7 +297,7 @@ def load_dataset(node_file, edge_file, schema: ColumnSchema | None = None) -> Gr
             u, v = cells[0], cells[1]
             if u not in id_of or v not in id_of:
                 # a first row of non-numeric non-ids is a header; anything else dangles
-                if lineno == 1 and not looks_numeric(u) and not looks_numeric(v):
+                if lineno == 1 and not any(c in id_of or looks_numeric(c) for c in (u, v)):
                     continue
                 raise IngestionError(f"{edge_file}:{lineno}: edge endpoint {u!r} or {v!r} is not a node id")
             src.append(id_of[u])

@@ -38,10 +38,10 @@ _METRICS = tuple(f.name for f in fields(EvalReport))  # every report and table l
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 500
-    learning_rate: float = 1e-3
     weight_decay: float = 1e-5
     patience: int = 100  # early stop on stalled validation accuracy
     folds: int = 5
+    train_per_class_cap: int = SplitSpec.train_per_class_cap  # training nodes per class in a split
     ablation: str = "full"
     k: int = 2
     t: int = 5
@@ -59,8 +59,6 @@ class TrainConfig:
             raise FairformerError("folds must be >= 1")
         if self.patience < 0:
             raise FairformerError(f"patience={self.patience} must be >= 0 (0 never stops early)")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise FairformerError(f"learning_rate={self.learning_rate!r} must be finite and > 0")
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise FairformerError(f"weight_decay={self.weight_decay!r} must be finite and >= 0")
         if self.k < 0:
@@ -71,7 +69,13 @@ class TrainConfig:
             raise FairformerError(f"ablation must be one of {ABLATION_VARIANTS}")
         if self.seed < 0:
             raise FairformerError(f"seed={self.seed} must be >= 0")
+        self.split_spec()  # raises on a bad cap before any data is read
         self.model_config(self.seed)  # raises on a bad model shape before any data is read
+
+    def split_spec(self) -> SplitSpec:
+        """The spec `train` draws its folds from: seeds seed, seed + 1, ... of `folds` splits."""
+        return SplitSpec(train_per_class_cap=self.train_per_class_cap, seed=self.seed,
+                         folds=self.folds)
 
     def model_config(self, seed: int) -> ModelConfig:
         return ModelConfig(d_hidden=self.d_hidden, layers=self.layers, heads=self.heads,
@@ -150,6 +154,7 @@ def build_encodings(g: Graph, cfg: TrainConfig) -> HopStack:
     return hop_aggregate(build_group_graph(g), fused, k, normalization="group-mean")
 
 
+_LEARNING_RATE = 1e-3
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -356,7 +361,7 @@ def _init_fold(cfg: TrainConfig, d: int, fold: int):
     """Fold `fold`'s initial parameters, its Adam and its dropout stream."""
     seed = cfg.seed * 1000 + fold
     params = init_model(cfg.model_config(seed=seed), d)
-    optimizer = Adam(params.trainable(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
+    optimizer = Adam(params.trainable(), lr=_LEARNING_RATE, weight_decay=cfg.weight_decay)
     return params, optimizer, np.random.default_rng(seed + 7)
 
 
@@ -470,10 +475,13 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
     return report, best_epoch, epoch, best_acc, stop  # epochs >= 1, so epoch is bound
 
 
-def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
-          splits: list | None = None, serial: bool = True, out_dir=None) -> RunResult:
+def train(g: Graph, cfg: TrainConfig, splits: list | None = None, serial: bool = True,
+          out_dir=None) -> RunResult:
     """Cross-validated training; one seeded re-split and parameter init per fold.
 
+    The folds are `make_folds(g, cfg.split_spec())`: `cfg`'s seed, fold count and
+    per-class training cap decide them. A caller that draws its own, for example to
+    share them between configs, passes `splits`, which must hold `cfg.folds` splits.
     Folds run one after another on the caller's thread, so the first fold that
     fails ends the run. A finished fold's weights are kept only when `out_dir` is
     given, for its checkpoint, which is written with the other files once every
@@ -483,7 +491,7 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
     _heap_thresholds()
     start = time.perf_counter()
     if splits is None:
-        splits = make_folds(g, split_spec or SplitSpec(seed=cfg.seed, folds=cfg.folds))
+        splits = make_folds(g, cfg.split_spec())
     if len(splits) != cfg.folds:
         raise FairformerError(f"expected {cfg.folds} splits, got {len(splits)}")
     for fold, split in enumerate(splits):  # `evaluate` needs both groups and both classes
@@ -531,9 +539,10 @@ def train(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None,
     return result
 
 
-def ablate(g: Graph, cfg: TrainConfig, split_spec: SplitSpec | None = None) -> dict:
-    """All ablation variants; each draws the same seeded folds from the same spec."""
-    return {variant: train(g, replace(cfg, ablation=variant), split_spec=split_spec)
+def ablate(g: Graph, cfg: TrainConfig) -> dict:
+    """All ablation variants, `cfg.ablation` replaced; each draws the same seeded folds
+    from `cfg.split_spec()`."""
+    return {variant: train(g, replace(cfg, ablation=variant))
             for variant in ABLATION_VARIANTS}
 
 
@@ -544,14 +553,13 @@ def sweep_configs(cfg: TrainConfig, param: str, values) -> list:
     return [(int(value), replace(cfg, **{param: int(value)})) for value in values]
 
 
-def sweep(g: Graph, cfg: TrainConfig, param: str, values,
-          split_spec: SplitSpec | None = None) -> list:
+def sweep(g: Graph, cfg: TrainConfig, param: str, values) -> list:
     """One training run per parameter value; returns [(value, RunResult), ...] in the
     order given. Runs go from the largest t down, so the first one solves the structure
     basis and every later one takes its first t pairs (see `spectral`); a layers sweep
     shares one t, and the stable sort keeps its order."""
     configs = sweep_configs(cfg, param, values)
-    results = {value: train(g, swept, split_spec=split_spec)
+    results = {value: train(g, swept)
                for value, swept in sorted(configs, key=lambda run: -run[1].t)}
     return [(value, results[value]) for value, _ in configs]
 

@@ -15,7 +15,7 @@ import pytest
 
 import fairformer.autodiff as ad
 from fairformer.cli import main as cli_main
-from fairformer.data import SplitSpec, make_folds
+from fairformer.data import make_folds
 from fairformer.hops import (HopStack, group_scaling_report, hop_aggregate,
                              hop_aggregate_adjacency)
 from fairformer.model import ModelConfig, cross_entropy, forward, init_model
@@ -208,8 +208,9 @@ FIXTURE_SEEDS = (0, 1, 2, 3, 4)
 
 
 def fairness_fixture_config(seed):
-    return TrainConfig(epochs=120, folds=1, k=2, t=6, d_hidden=32, dropout=0.1,
-                       weight_decay=1e-4, patience=120, seed=seed, scale_structure=True)
+    return TrainConfig(epochs=120, folds=1, train_per_class_cap=100, k=2, t=6, d_hidden=32,
+                       dropout=0.1, weight_decay=1e-4, patience=120, seed=seed,
+                       scale_structure=True)
 
 
 def test_criterion_6_directional_fairness_effect():
@@ -218,10 +219,10 @@ def test_criterion_6_directional_fairness_effect():
     dsp = {v: [] for v in ("full", "no_st", "adj_nf")}
     for seed in FIXTURE_SEEDS:
         g = sensitive_block_graph(n=1000, seed=seed)
-        splits = make_folds(g, SplitSpec(train_per_class_cap=100, seed=seed, folds=1))
+        cfg = fairness_fixture_config(seed)
+        splits = make_folds(g, cfg.split_spec())
         for variant in acc:
-            cfg = replace(fairness_fixture_config(seed), ablation=variant)
-            result = train(g, cfg, splits=splits)
+            result = train(g, replace(cfg, ablation=variant), splits=splits)
             acc[variant].append(result.mean["accuracy"])
             dsp[variant].append(result.mean["delta_sp"])
     elapsed = time.perf_counter() - start
@@ -254,7 +255,7 @@ def test_criterion_7_nba_best_effort():
     details = []
     for seed in FIXTURE_SEEDS:
         cfg = TrainConfig(epochs=500, folds=1, k=2, t=5, layers=2, d_hidden=128, seed=seed)
-        result = train(g, cfg, split_spec=SplitSpec(train_per_class_cap=50, seed=seed, folds=1))
+        result = train(g, cfg)
         report = result.fold_reports[0]
         details.append(f"seed={seed} acc={report.accuracy:.3f} dsp={report.delta_sp:.3f}")
         if report.delta_sp < 0.05 and report.accuracy >= 0.69:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import inspect
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import fairformer
 from fairformer import autodiff as ad
-from fairformer.cli import _eigensolver_deviation, _split_spec, _train_config, build_parser, main
+from fairformer.cli import _eigensolver_deviation, _train_config, build_parser, main
 from fairformer.data import SplitSpec
 from fairformer.errors import ConvergenceError, TieWarning
 from fairformer.oracles import dense_eig
@@ -67,6 +68,15 @@ def test_serial_is_a_usage_error_on_every_verb(verb, capsys):
         run_cli([verb, *required, "--serial"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --serial" in capsys.readouterr().err
+
+
+def test_ablation_is_a_usage_error_on_ablate(capsys):
+    # ablate trains every variant, so a chosen one would be ignored
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["ablate", "--synthetic", "60", "--epochs", "2", "--folds", "1",
+                 "--ablation", "adj_nf"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --ablation adj_nf" in capsys.readouterr().err
 
 
 def test_missing_manifest_is_data_error(capsys):
@@ -263,7 +273,32 @@ def test_bad_manifest_value_is_data_error(tmp_path, capsys, line, names):
 def test_training_flag_defaults_are_the_library_defaults(argv):
     args = build_parser().parse_args(argv + ["--synthetic", "10"])
     assert dataclasses.asdict(_train_config(args)) == dataclasses.asdict(TrainConfig())
-    assert _split_spec(args) == SplitSpec()
+    assert _train_config(args).split_spec() == SplitSpec()
+
+
+@pytest.mark.parametrize("verb", ["train", "ablate", "sweep"])
+def test_every_training_flag_reaches_the_config(verb):
+    # each flag, set away from its default, moves exactly one config field to its value
+    parser = build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    required = ["--param", "t", "--min", "1", "--max", "2"] if verb == "sweep" else []
+    skipped = {"--help", "--manifest", "--synthetic", "--out", "--param", "--min", "--max"}
+    default = dataclasses.asdict(TrainConfig())
+    flags = [a for a in verbs.choices[verb]._actions if skipped.isdisjoint(a.option_strings)]
+    assert any("--cap" in a.option_strings for a in flags)
+    assert any("--ablation" in a.option_strings for a in flags) == (verb != "ablate")
+    for action in flags:
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            argv = [flag]
+        elif action.choices:
+            argv = [flag, next(c for c in action.choices if c != action.default)]
+        else:
+            argv = [flag, str(action.default + 1)]
+        args = parser.parse_args([verb, *required, *argv])
+        config = dataclasses.asdict(_train_config(args))
+        moved = {name: value for name, value in config.items() if value != default[name]}
+        assert list(moved.values()) == [getattr(args, action.dest)], (flag, moved)
 
 
 def test_bench_flag_defaults_are_the_library_defaults():
@@ -397,13 +432,14 @@ def test_unscorable_test_set_is_data_error(capsys):
     (["train", "--hidden", "0"], "d_hidden=0"),
     (["train", "--heads", "3", "--hidden", "8"], "divisible by heads=3"),
     (["train", "--epochs", "0"], "epochs must be >= 1"),
+    (["train", "--folds", "0"], "folds must be >= 1"),
     (["train", "--layers", "0"], "layers must be >= 1"),
     (["train", "--k", "-1"], "k must be >= 0"),
     (["train", "--t", "-1"], "t=-1 must be >= 0"),
     (["ablate", "--heads", "3", "--hidden", "8"], "divisible by heads=3"),
     (["sweep", "--param", "layers", "--min", "1", "--max", "2", "--hidden", "0"], "d_hidden=0"),
     (["sweep", "--param", "layers", "--min", "0", "--max", "1"], "layers must be >= 1"),
-], ids=["hidden", "heads", "epochs", "layers", "k", "t", "ablate_heads", "sweep_hidden",
+], ids=["hidden", "heads", "epochs", "folds", "layers", "k", "t", "ablate_heads", "sweep_hidden",
         "sweep_layers"])
 def test_bad_config_fails_before_loading_graph(monkeypatch, capsys, args, names):
     def unreachable(**kwargs):

@@ -67,6 +67,21 @@ def test_loader_rejects_dangling_edge(tmp_path):
         load_dataset(nodes, edges)
 
 
+@pytest.mark.parametrize("edge_rows,line", [
+    (["n1,nX", "n2,n3"], 1), (["nX,n1", "n2,n3"], 1), (["n2,n3", "n1,nX"], 2),
+], ids=["first_row", "first_row_reversed", "second_row"])
+def test_loader_rejects_a_dangling_edge_on_any_row(tmp_path, edge_rows, line):
+    # with non-numeric ids a first row naming one node id is an edge, not a header
+    nodes, edges = write_dataset(tmp_path, [f"n{i},{i}.0,{i % 2},{i // 2 % 2}"
+                                            for i in range(1, 5)], edge_rows)
+    u, v = edge_rows[line - 1].split(",")
+    with pytest.raises(IngestionError, match=f"edges.csv:{line}: edge endpoint {u!r} or {v!r} "
+                                             "is not a node id"):
+        load_dataset(nodes, edges)
+    edges.write_text("source,target\n" + "\n".join(r for r in edge_rows if "nX" not in r) + "\n")
+    assert load_dataset(nodes, edges).undirected_edge_count() == 1
+
+
 def test_loader_rejects_non_binary_sensitive(tmp_path):
     nodes, edges = write_dataset(tmp_path, ["0,1.0,2,0", "1,2.0,1,1"], ["0,1"])
     with pytest.raises(SchemaError):

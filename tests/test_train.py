@@ -59,10 +59,14 @@ def test_negative_seed_rejected():
         TrainConfig(seed=-1)
 
 
+def test_bad_cap_rejected_when_the_config_is_built():
+    with pytest.raises(SplitError, match="train_per_class_cap must be positive"):
+        TrainConfig(train_per_class_cap=0)
+
+
 @pytest.mark.parametrize("field,value", [
-    ("patience", -1), ("learning_rate", -1.0), ("learning_rate", 0.0),
-    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
-    ("weight_decay", -1e-5), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+    ("patience", -1), ("weight_decay", -1e-5), ("weight_decay", float("nan")),
+    ("weight_decay", float("inf")),
 ])
 def test_bad_optimizer_settings_rejected(field, value):
     with pytest.raises(FairformerError, match=f"{field}="):
@@ -76,8 +80,8 @@ def test_zero_patience_and_zero_weight_decay_are_accepted():
 
 def test_separable_fixture_reaches_perfect_accuracy():
     g = separable_graph()
-    cfg = quick_config(epochs=200, folds=1, t=0, ablation="no_st")
-    result = train(g, cfg, split_spec=SplitSpec(train_per_class_cap=10, seed=0, folds=1))
+    cfg = quick_config(epochs=200, folds=1, t=0, ablation="no_st", train_per_class_cap=10)
+    result = train(g, cfg)
     assert result.fold_reports[0].accuracy == 1.0
 
 
@@ -85,8 +89,8 @@ def test_same_seed_reproduces_run():
     g = sensitive_block_graph(n=120, seed=3, avg_degree=10.0)
     cfg = quick_config()
     spec = SplitSpec(train_per_class_cap=20, seed=1, folds=2)
-    a = train(g, cfg, split_spec=spec)
-    b = train(g, cfg, split_spec=spec)
+    a = train(g, cfg, splits=make_folds(g, spec))
+    b = train(g, cfg, splits=make_folds(g, spec))
     assert a.summary_text() == b.summary_text()
 
 
@@ -110,15 +114,15 @@ def test_folds_match_serial_when_scoring_fans_out(monkeypatch):
 
     monkeypatch.setattr(train_module, "forward", recording_forward)
     g = sensitive_block_graph(n=1100, seed=4, avg_degree=10.0)
-    spec = SplitSpec(seed=1, folds=2)
-    assert all(s.val.size > train_module._SCORE_BLOCK < s.test.size for s in make_folds(g, spec))
+    splits = make_folds(g, SplitSpec(seed=1, folds=2))
+    assert all(s.val.size > train_module._SCORE_BLOCK < s.test.size for s in splits)
     cfg = quick_config(epochs=3)
     monkeypatch.setattr(train_module, "_WORKERS", 1)
-    serial = train(g, cfg, split_spec=spec)
+    serial = train(g, cfg, splits=splits)
     assert scorers == {threading.get_ident()}  # one worker scores on the caller alone
     scorers.clear()
     monkeypatch.setattr(train_module, "_WORKERS", 2)  # whatever this machine has
-    fanned = train(g, cfg, split_spec=spec)
+    fanned = train(g, cfg, splits=splits)
     assert threading.get_ident() in scorers and len(scorers) > 1  # the caller and a helper
     assert serial.summary_text() == fanned.summary_text()
 
@@ -131,10 +135,10 @@ def helper_idents():
 def test_a_second_train_starts_no_thread(monkeypatch):
     monkeypatch.setattr(train_module, "_WORKERS", 2)  # whatever this machine has
     g = sensitive_block_graph(n=1100, seed=4, avg_degree=10.0)
-    spec = SplitSpec(seed=1, folds=2)
-    assert all(s.val.size > train_module._SCORE_BLOCK < s.test.size for s in make_folds(g, spec))
+    splits = make_folds(g, SplitSpec(seed=1, folds=2))
+    assert all(s.val.size > train_module._SCORE_BLOCK < s.test.size for s in splits)
     cfg = quick_config(epochs=3)
-    train(g, cfg, split_spec=spec)
+    train(g, cfg, splits=splits)
     helpers, count = helper_idents(), threading.active_count()
     assert helpers  # the sets were fanned out over a kept helper
     start, started = threading.Thread.start, []
@@ -144,7 +148,7 @@ def test_a_second_train_starts_no_thread(monkeypatch):
         return start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", recording_start)
-    train(g, cfg, split_spec=spec)
+    train(g, cfg, splits=splits)
     assert started == []
     assert threading.active_count() == count and helper_idents() == helpers
 
@@ -162,9 +166,9 @@ def test_a_failing_fold_ends_the_run_before_the_next_fold(monkeypatch):
 
     monkeypatch.setattr(train_module, "_train_step", failing)
     g = sensitive_block_graph(n=120, seed=4, avg_degree=10.0)
-    spec = SplitSpec(train_per_class_cap=20, seed=1, folds=2)
+    splits = make_folds(g, SplitSpec(train_per_class_cap=20, seed=1, folds=2))
     with pytest.raises(TrainingError) as caught:
-        train(g, quick_config(epochs=6), split_spec=spec)
+        train(g, quick_config(epochs=6), splits=splits)
     assert str(caught.value) == "fold 0: loss diverged to nan at epoch 3"
     assert set(stepped) == {0}  # fold 1 never took a step
 
@@ -204,14 +208,14 @@ def test_one_blas_thread_scope_restores_the_count(blas_threads):
 def test_training_leaves_the_blas_thread_count_as_it_found_it(blas_threads, monkeypatch):
     monkeypatch.setattr(train_module, "_WORKERS", 2)
     g = sensitive_block_graph(n=80, seed=6, avg_degree=10.0)
-    spec = SplitSpec(train_per_class_cap=15, seed=0, folds=2)
-    cfg = quick_config(epochs=2)
-    train(g, cfg, split_spec=spec)
-    ablate(g, cfg, split_spec=spec)
-    sweep(g, cfg, "t", [1, 2], split_spec=spec)
+    cfg = quick_config(epochs=2, train_per_class_cap=15)
+    train(g, cfg)
+    ablate(g, cfg)
+    sweep(g, cfg, "t", [1, 2])
     assert blas_threads() == 2
+    monkeypatch.setattr(train_module, "_LEARNING_RATE", 1e300)
     with pytest.raises(TrainingError, match="diverged"):
-        train(g, quick_config(learning_rate=1e300, epochs=10), split_spec=spec)
+        train(g, replace(cfg, epochs=10))
     assert blas_threads() == 2
 
 
@@ -263,11 +267,12 @@ def test_checkpoint_never_below_initial_validation_accuracy():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_divergence_aborts_with_diagnostic():
+def test_divergence_aborts_with_diagnostic(monkeypatch):
+    monkeypatch.setattr(train_module, "_LEARNING_RATE", 1e300)
     g = sensitive_block_graph(n=80, seed=6, avg_degree=10.0)
-    cfg = quick_config(learning_rate=1e300, folds=1, epochs=10)
+    cfg = quick_config(folds=1, epochs=10, train_per_class_cap=15)
     with pytest.raises(TrainingError, match="diverged"):
-        train(g, cfg, split_spec=SplitSpec(train_per_class_cap=15, seed=0, folds=1))
+        train(g, cfg)
 
 
 def run_files(out):
@@ -299,16 +304,16 @@ def test_patience_stop_drops_a_diverged_run_ahead_step(tmp_path, monkeypatch, er
     # at a learning rate this small no epoch beats the initial validation accuracy,
     # so two stale epochs stop the fold at epoch 2, with step 3 already run beside
     # epoch 2's scoring
+    monkeypatch.setattr(train_module, "_LEARNING_RATE", 1e-12)
     g = sensitive_block_graph(n=100, seed=7, avg_degree=10.0)
-    spec = SplitSpec(train_per_class_cap=15, seed=0, folds=1)
-    cfg = quick_config(epochs=10, folds=1, patience=2, learning_rate=1e-12)
-    clean = train(g, cfg, split_spec=spec, out_dir=tmp_path / "clean")
+    cfg = quick_config(epochs=10, folds=1, patience=2, train_per_class_cap=15)
+    clean = train(g, cfg, out_dir=tmp_path / "clean")
     assert clean.stop_reasons == ["patience"] and clean.epochs_run == [2]
     epochs = failing_from(monkeypatch, 3, error)
     for workers in (1, 2):
         monkeypatch.setattr(train_module, "_WORKERS", workers)
         epochs.clear()
-        result = train(g, cfg, split_spec=spec, out_dir=tmp_path / str(workers))
+        result = train(g, cfg, out_dir=tmp_path / str(workers))
         assert epochs == [1, 2, 3]
         assert result.stop_reasons == ["patience"] and result.epochs_run == [2]
         assert result.summary_text() == clean.summary_text()
@@ -320,23 +325,23 @@ def test_patience_stop_drops_a_diverged_run_ahead_step(tmp_path, monkeypatch, er
 def test_divergence_raises_the_message_of_the_epoch_it_happens_at(monkeypatch, workers):
     monkeypatch.setattr(train_module, "_WORKERS", workers)
     g = sensitive_block_graph(n=80, seed=6, avg_degree=10.0)
-    spec = SplitSpec(train_per_class_cap=15, seed=0, folds=1)
+    cfg = quick_config(folds=1, epochs=10, patience=0, train_per_class_cap=15)
     # epoch 1's weights overflow the validation forward; step 2, run beside it, fails too
-    with pytest.raises(TrainingError) as caught:
-        train(g, quick_config(learning_rate=1e300, folds=1, epochs=10), split_spec=spec)
+    with monkeypatch.context() as patch, pytest.raises(TrainingError) as caught:
+        patch.setattr(train_module, "_LEARNING_RATE", 1e300)
+        train(g, cfg)
     assert str(caught.value) == ("fold 0: training diverged at epoch 1: "
                                  "softmax_rows: non-finite input")
-    cfg = quick_config(folds=1, epochs=10, patience=0)
     failing_from(monkeypatch, 3, ModelError("non-finite activations after encoder layer 0"))
     with pytest.raises(TrainingError) as caught:
-        train(g, cfg, split_spec=spec)
+        train(g, cfg)
     assert str(caught.value) == ("fold 0: training diverged at epoch 3: "
                                  "non-finite activations after encoder layer 0")
     assert isinstance(caught.value.__cause__, ModelError)
     diverged = TrainingError("fold 0: loss diverged to nan at epoch 3")
     failing_from(monkeypatch, 3, diverged)
     with pytest.raises(TrainingError) as caught:
-        train(g, cfg, split_spec=spec)
+        train(g, cfg)
     assert caught.value is diverged
 
 
@@ -352,12 +357,12 @@ def test_run_files_match_with_one_worker_and_two(tmp_path, monkeypatch, n, patie
 
     monkeypatch.setattr(train_module, "forward", recording_forward)
     g = sensitive_block_graph(n=n, seed=4, avg_degree=10.0)
-    spec = SplitSpec(train_per_class_cap=15, seed=1, folds=2)
+    splits = make_folds(g, SplitSpec(train_per_class_cap=15, seed=1, folds=2))
     cfg = quick_config(epochs=12, patience=patience, dropout=0.1)
     for workers in (1, 2):
         monkeypatch.setattr(train_module, "_WORKERS", workers)
         scorers.clear()
-        train(g, cfg, split_spec=spec, out_dir=tmp_path / str(workers))
+        train(g, cfg, splits=splits, out_dir=tmp_path / str(workers))
     assert threading.get_ident() in scorers and len(scorers) > 1  # the caller and a helper
     assert run_files(tmp_path / "1") == run_files(tmp_path / "2")
     assert f" stop={stop} ".encode() in run_files(tmp_path / "1")["report.txt"]
@@ -367,9 +372,10 @@ def test_checkpoint_holds_the_weights_of_the_best_epoch(tmp_path, monkeypatch):
     # steps run one ahead of the scoring, so the weights the fold holds when it
     # picks epoch 3 are already step 4's
     monkeypatch.setattr(train_module, "_WORKERS", 2)
+    monkeypatch.setattr(train_module, "_LEARNING_RATE", 1e-2)
     g = sensitive_block_graph(n=100, seed=3, avg_degree=10.0)
     split = make_folds(g, SplitSpec(train_per_class_cap=15, seed=0, folds=1))[0]
-    cfg = quick_config(epochs=8, folds=1, dropout=0.1, learning_rate=1e-2)
+    cfg = quick_config(epochs=8, folds=1, dropout=0.1)
     result = train(g, cfg, splits=[split], out_dir=tmp_path)
     best = result.best_epochs[0]
     assert 0 < best < cfg.epochs
@@ -400,8 +406,7 @@ def test_run_ahead_step_and_validation_scoring_run_on_different_threads(monkeypa
 
     monkeypatch.setattr(train_module, "forward", recording_forward)
     g = sensitive_block_graph(n=100, seed=7, avg_degree=10.0)
-    train(g, quick_config(epochs=3, folds=1), split_spec=SplitSpec(train_per_class_cap=15,
-                                                                   seed=0, folds=1))
+    train(g, quick_config(epochs=3, folds=1, train_per_class_cap=15))
     assert overlapped == [True] * 3
     caller = threading.get_ident()
     # one piece per scoring: epochs 0-2 are scored beside steps 1-3, on a helper;
@@ -414,9 +419,9 @@ def test_run_ahead_step_and_validation_scoring_run_on_different_threads(monkeypa
 
 def test_run_directory_layout(tmp_path):
     g = sensitive_block_graph(n=100, seed=7, avg_degree=10.0)
-    cfg = quick_config(epochs=3, folds=1)
+    cfg = quick_config(epochs=3, folds=1, train_per_class_cap=15)
     out = tmp_path / "run"
-    train(g, cfg, split_spec=SplitSpec(train_per_class_cap=15, seed=0, folds=1), out_dir=out)
+    train(g, cfg, out_dir=out)
     assert (out / "config.txt").exists()
     assert (out / "train_log.txt").exists()
     assert (out / "report.txt").exists()
@@ -451,11 +456,25 @@ def test_encoding_variants():
 
 def test_ablate_covers_variants_with_shared_splits():
     g = sensitive_block_graph(n=100, seed=9, avg_degree=10.0)
-    cfg = quick_config(epochs=3, folds=2)
-    results = ablate(g, cfg, split_spec=SplitSpec(train_per_class_cap=15, seed=0, folds=2))
+    cfg = quick_config(epochs=3, folds=2, train_per_class_cap=15)
+    results = ablate(g, cfg)
     assert tuple(results) == ABLATION_VARIANTS
     hashes = {tuple(r.split_hashes) for r in results.values()}
     assert len(hashes) == 1
+
+
+def test_the_cap_is_drawn_and_recorded(tmp_path):
+    g = sensitive_block_graph(n=100, seed=9, avg_degree=10.0)
+    cfg = quick_config(epochs=2, folds=2, seed=1, train_per_class_cap=5)
+    want = [s.content_hash() for s in make_folds(g, SplitSpec(train_per_class_cap=5, seed=1,
+                                                              folds=2))]
+    assert want != [s.content_hash() for s in make_folds(g, SplitSpec(seed=1, folds=2))]
+    runs = [train(g, cfg, out_dir=tmp_path), *ablate(g, cfg).values(),
+            *(result for _, result in sweep(g, cfg, "t", [1, 2]))]
+    assert [result.split_hashes for result in runs] == [want] * len(runs)
+    assert all("config.train_per_class_cap=5" in result.summary_text().splitlines()
+               for result in runs)
+    assert "train_per_class_cap=5" in (tmp_path / "config.txt").read_text().splitlines()
 
 
 def recorded_solves(monkeypatch):
@@ -476,8 +495,7 @@ def test_ablate_solves_each_structure_source_once(monkeypatch):
     # full, no_nf and adj_nf share one adjacency basis; lap_st solves the Laplacian
     g = sensitive_block_graph(n=100, seed=9, avg_degree=10.0)
     calls = recorded_solves(monkeypatch)
-    ablate(g, quick_config(epochs=2, folds=1, t=2),
-           split_spec=SplitSpec(train_per_class_cap=15, seed=0, folds=1))
+    ablate(g, quick_config(epochs=2, folds=1, t=2, train_per_class_cap=15))
     assert calls.count((2, "LM")) == 1 and calls.count((2, "SA")) == 1
     assert set(calls) <= {(2, "LM"), (1, "LM"), (2, "SA")}
 
@@ -485,8 +503,8 @@ def test_ablate_solves_each_structure_source_once(monkeypatch):
 def test_sweep_over_layers_solves_once(monkeypatch):
     g = sensitive_block_graph(n=100, seed=10, avg_degree=10.0)
     calls = recorded_solves(monkeypatch)
-    rows = sweep(g, quick_config(epochs=2, folds=1, t=2), "layers", [2, 1],
-                 split_spec=SplitSpec(train_per_class_cap=15, seed=0, folds=1))
+    rows = sweep(g, quick_config(epochs=2, folds=1, t=2, train_per_class_cap=15), "layers",
+                 [2, 1])
     assert [(value, result.config["layers"]) for value, result in rows] == [(2, 2), (1, 1)]
     assert calls.count((2, "LM")) == 1
 
@@ -494,12 +512,11 @@ def test_sweep_over_layers_solves_once(monkeypatch):
 @pytest.mark.parametrize("values", [[3, 1, 2], [1, 3, 2]])
 def test_sweep_over_t_solves_once_at_the_largest_t(monkeypatch, values):
     g = sensitive_block_graph(n=100, seed=10, avg_degree=10.0)
-    cfg = quick_config(epochs=2, folds=1)
+    cfg = quick_config(epochs=2, folds=1, train_per_class_cap=15)
     calls = recorded_solves(monkeypatch)
     spectral.top_magnitude_eigenpairs(replace(g), 3, seed=cfg.seed)  # a copy keeps no basis
     solo, calls[:] = list(calls), []
-    rows = sweep(g, cfg, "t", values,
-                 split_spec=SplitSpec(train_per_class_cap=15, seed=0, folds=1))
+    rows = sweep(g, cfg, "t", values)
     assert [value for value, _ in rows] == values
     assert [result.t_effective for _, result in rows] == values
     assert calls.count((3, "LM")) == 1 and calls == solo  # the t=3 solve and its cut check
@@ -507,9 +524,8 @@ def test_sweep_over_t_solves_once_at_the_largest_t(monkeypatch, values):
 
 def test_sweep_rows_and_table():
     g = sensitive_block_graph(n=100, seed=10, avg_degree=10.0)
-    cfg = quick_config(epochs=2, folds=1)
-    rows = sweep(g, cfg, "t", range(1, 4),
-                 split_spec=SplitSpec(train_per_class_cap=15, seed=0, folds=1))
+    cfg = quick_config(epochs=2, folds=1, train_per_class_cap=15)
+    rows = sweep(g, cfg, "t", range(1, 4))
     assert [value for value, _ in rows] == [1, 2, 3]
     table = sweep_table("t", rows)
     assert len(table.splitlines()) == 4
@@ -623,7 +639,8 @@ def test_bench_times_a_cold_solve_in_every_encode(monkeypatch):
 def test_mean_within_fold_range():
     g = sensitive_block_graph(n=120, seed=11, avg_degree=10.0)
     cfg = quick_config(epochs=5, folds=3)
-    result = train(g, cfg, split_spec=SplitSpec(train_per_class_cap=15, seed=3, folds=3))
+    result = train(g, cfg, splits=make_folds(g, SplitSpec(train_per_class_cap=15, seed=3,
+                                                          folds=3)))
     accs = [r.accuracy for r in result.fold_reports]
     assert min(accs) <= result.mean["accuracy"] <= max(accs)
     assert len(result.fold_reports) == 3
@@ -658,7 +675,7 @@ def test_unscorable_test_set_is_refused_before_encoding(monkeypatch):
     monkeypatch.setattr(train_module, "build_encodings", unreachable)
     with pytest.raises(SplitError, match=r"^fold 0: the test set holds sensitive groups of "
                                          r"sizes \(0, 15\) and classes of sizes \(8, 7\)"):
-        train(g, quick_config(folds=2), split_spec=SplitSpec(seed=0, folds=2))
+        train(g, quick_config(folds=2))
 
 
 def test_split_spec_disagreeing_with_the_config_is_refused_before_encoding(monkeypatch):
@@ -667,8 +684,9 @@ def test_split_spec_disagreeing_with_the_config_is_refused_before_encoding(monke
 
     monkeypatch.setattr(train_module, "build_encodings", unreachable)
     monkeypatch.setattr(train_module, "_run_fold", unreachable)
+    g = separable_graph(n=60)
     with pytest.raises(FairformerError, match=r"^expected 2 splits, got 3$"):
-        train(separable_graph(n=60), quick_config(folds=2), split_spec=SplitSpec(seed=0, folds=3))
+        train(g, quick_config(folds=2), splits=make_folds(g, SplitSpec(seed=0, folds=3)))
 
 
 def random_stack(n, d=5, tokens=3, seed=0):
@@ -975,22 +993,19 @@ def test_finished_fold_weights_are_freed_without_an_out_dir(monkeypatch):
 
     monkeypatch.setattr(train_module, "_init_fold", tracking_init)
     monkeypatch.setattr(train_module, "_train_step", checking_step)
-    train(g, quick_config(epochs=3, folds=2),
-          split_spec=SplitSpec(train_per_class_cap=15, seed=0, folds=2))
+    train(g, quick_config(epochs=3, folds=2, train_per_class_cap=15))
     assert freed_at_fold1 == [True]
 
 
 def test_report_records_the_effective_t():
     g = sensitive_block_graph(n=40, seed=12, avg_degree=8.0)
-    spec = SplitSpec(train_per_class_cap=5, seed=0, folds=1)
+    cfg = quick_config(epochs=1, folds=1, d_hidden=8, train_per_class_cap=5)
     for ablation, want in [("full", 40), ("lap_st", 39), ("no_st", 0), ("no_nf", 40),
                            ("adj_nf", 40)]:
-        result = train(g, quick_config(epochs=1, folds=1, t=50, d_hidden=8, ablation=ablation),
-                       split_spec=spec)
+        result = train(g, replace(cfg, t=50, ablation=ablation))
         lines = result.summary_text().splitlines()
         assert "config.t=50" in lines and f"t_effective={want}" in lines
-    assert "t_effective=3" in train(g, quick_config(epochs=1, folds=1, t=3, d_hidden=8),
-                                    split_spec=spec).summary_text().splitlines()
+    assert "t_effective=3" in train(g, replace(cfg, t=3)).summary_text().splitlines()
 
 
 def test_hop_stack_that_cannot_fit_is_refused_before_it_is_allocated():
@@ -1021,13 +1036,12 @@ def test_group_mean_stack_memory_does_not_grow_with_k():
 
 def test_report_names_the_selected_epoch_and_why_training_stopped(tmp_path):
     g = sensitive_block_graph(n=100, seed=7, avg_degree=10.0)
-    spec = SplitSpec(train_per_class_cap=15, seed=0, folds=1)
-    capped = train(g, quick_config(epochs=4, folds=1), split_spec=spec)
+    cfg = quick_config(folds=1, train_per_class_cap=15)
+    capped = train(g, replace(cfg, epochs=4))
     assert capped.stop_reasons == ["epochs"] and capped.epochs_run == [4]
     assert 0 <= capped.best_epochs[0] <= 4
 
-    stalled = train(g, quick_config(epochs=200, folds=1, patience=2), split_spec=spec,
-                    out_dir=tmp_path)
+    stalled = train(g, replace(cfg, epochs=200, patience=2), out_dir=tmp_path)
     best = stalled.best_epochs[0]
     assert stalled.stop_reasons == ["patience"] and stalled.epochs_run == [best + 2]
     if best:
@@ -1090,8 +1104,7 @@ def test_group_mean_stack_lays_out_its_group_table_byte_for_byte(n, empty, k, wi
 
 def test_training_never_lays_out_the_whole_group_mean_stack(monkeypatch):
     g = sensitive_block_graph(n=300, seed=4)
-    cfg = quick_config(k=3, epochs=3)
-    spec = SplitSpec(train_per_class_cap=30, seed=0, folds=2)
+    cfg = quick_config(k=3, epochs=3, train_per_class_cap=30)
     built, whole, row_counts = [], [], []
     read_tensor, read_rows = HopStack.tensor.fget, HopStack.rows
 
@@ -1111,7 +1124,7 @@ def test_training_never_lays_out_the_whole_group_mean_stack(monkeypatch):
     monkeypatch.setattr(train_module, "build_encodings", recording_build)
     monkeypatch.setattr(HopStack, "tensor", property(counting_tensor))
     monkeypatch.setattr(HopStack, "rows", counting_rows)
-    held = train(g, cfg, split_spec=spec)
+    held = train(g, cfg)
     monkeypatch.undo()
     assert len(built) == 1 and built[0].counts == (1, 3)
     assert whole == [] and row_counts and max(row_counts) < g.n
@@ -1119,7 +1132,7 @@ def test_training_never_lays_out_the_whole_group_mean_stack(monkeypatch):
     stack = built[0]
     monkeypatch.setattr(train_module, "build_encodings",
                         lambda graph, config: HopStack(stack.tensor, stack.counts))
-    assert train(g, cfg, split_spec=spec).summary_text() == held.summary_text()
+    assert train(g, cfg).summary_text() == held.summary_text()
 
 
 @pytest.mark.parametrize("k,heads,layers", list(itertools.product((2, 3), (1, 2), (1, 2))))
@@ -1185,7 +1198,6 @@ def test_training_and_scoring_run_the_same_tokens(monkeypatch):
 
     monkeypatch.setattr(train_module, "forward", recording_forward)
     g = sensitive_block_graph(n=100, seed=7, avg_degree=10.0)
-    train(g, quick_config(k=3, epochs=2, folds=1, dropout=0.1),
-          split_spec=SplitSpec(train_per_class_cap=15, seed=0, folds=1))
+    train(g, quick_config(k=3, epochs=2, folds=1, dropout=0.1, train_per_class_cap=15))
     assert [c for c in calls if c[0]] == [(True, 2, (1, 3))] * 2
     assert {c for c in calls if not c[0]} == {(False, 2, (1, 3))}
