@@ -5,7 +5,8 @@ id column, numeric feature columns, a binary sensitive column and a label
 column) and an edge list with two id columns. A plain-text manifest names the
 files and columns. Edge lists may record each undirected edge once; the
 loader symmetrizes and collapses duplicates. Self-loops present in the input
-are kept as-is.
+are kept as-is. Every graph source, the loader and the generators in `synth`,
+builds its adjacency from an edge list with `_symmetric_adjacency`.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ from .errors import IngestionError, SchemaError, SplitError
 class Graph:
     """Immutable node-classification graph.
 
-    adjacency is a symmetric 0/1 CSR matrix (stored entries are 1.0, both
-    directions of every undirected edge present). features holds the raw node
-    table columns; features[:, sensitive_index] is exactly 0/1. labels are
-    binary for every node where label_mask is True and -1 elsewhere. Every
-    array, the adjacency's included, is read-only once built; `==` means
-    identity, and a Graph is hashable.
+    adjacency is a symmetric 0/1 CSR matrix: stored entries are 1.0, both
+    directions of every undirected edge are present, and no entry is stored
+    twice (a repeated entry would weigh 2 in every mat-vec). A row's column
+    indices need not be sorted. features holds the raw node table columns;
+    features[:, sensitive_index] is exactly 0/1. labels are binary for every
+    node where label_mask is True and -1 elsewhere. Every array, the
+    adjacency's included, is read-only once built; `==` means identity, and a
+    Graph is hashable.
     """
 
     adjacency: sp.csr_matrix
@@ -66,7 +69,18 @@ class Graph:
         a = self.adjacency
         if a.shape[0] != a.shape[1]:
             raise SchemaError(f"adjacency must be square, got {a.shape}")
-        if (a != a.T).nnz != 0:
+        n = a.shape[0]
+        dtype = _key_dtype(n)
+        rows = np.repeat(np.arange(n, dtype=dtype), np.diff(a.indptr))
+        cols = a.indices.astype(dtype, copy=False)
+        keys = rows * n + cols
+        if not np.all(keys[1:] > keys[:-1]):  # a canonical CSR's keys ascend: no sort, no repeat
+            keys.sort()
+            repeated = np.flatnonzero(keys[1:] == keys[:-1])
+            if repeated.size:
+                row, col = divmod(int(keys[repeated[0]]), n)
+                raise SchemaError(f"adjacency stores entry ({row}, {col}) more than once")
+        if not np.array_equal(keys, np.sort(cols * n + rows)):
             raise SchemaError("adjacency is not symmetric")
         if a.nnz and not np.all(a.data == 1.0):
             raise SchemaError("adjacency entries must all equal 1")
@@ -84,6 +98,31 @@ class Graph:
         a = self.adjacency
         for arr in (a.data, a.indices, a.indptr, self.features, self.labels, self.label_mask):
             arr.setflags(write=False)
+
+
+def _key_dtype(n: int):
+    """The narrower of int32 and int64 holding row * n + col for every entry of an n x n matrix."""
+    return np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+
+
+def _symmetric_adjacency(n: int, heads, tails) -> sp.csr_matrix:
+    """The 0/1 adjacency of the undirected edges (heads[i], tails[i]) on n nodes.
+
+    Both directions of every edge are stored, a repeated edge (or self-loop) once, and
+    each row's columns ascend: the arrays and dtypes that `coo_matrix(...).tocsr()` on
+    both directions gives once its data is set to 1.0, found by one sort of the entries'
+    row * n + col keys.
+    """
+    dtype = _key_dtype(n)
+    heads, tails = np.asarray(heads, dtype=dtype), np.asarray(tails, dtype=dtype)
+    keys = np.concatenate([heads * n + tails, tails * n + heads])
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    rows, cols = np.divmod(keys[first], n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sp.csr_matrix((np.ones(cols.size), cols, indptr), shape=(n, n))
 
 
 def binarize_labels(raw_labels) -> np.ndarray:
@@ -303,13 +342,8 @@ def load_dataset(node_file, edge_file, schema: ColumnSchema | None = None) -> Gr
             src.append(id_of[u])
             dst.append(id_of[v])
 
-    row_idx = np.asarray(src + dst, dtype=np.int64)
-    col_idx = np.asarray(dst + src, dtype=np.int64)
-    adjacency = sp.coo_matrix((np.ones(row_idx.size), (row_idx, col_idx)), shape=(n, n)).tocsr()
-    adjacency.data[:] = 1.0  # collapse duplicates
-
-    return Graph(adjacency=adjacency, features=features, sensitive_index=sensitive_index,
-                 labels=labels, label_mask=label_mask)
+    return Graph(adjacency=_symmetric_adjacency(n, src, dst), features=features,
+                 sensitive_index=sensitive_index, labels=labels, label_mask=label_mask)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .data import Graph
+from .data import Graph, _symmetric_adjacency
 from .errors import FairformerError, IngestionError
 
 # Bytes charged per node pair of edge sampling. sensitive_block_graph draws its n x n grid a
@@ -25,7 +25,8 @@ from .errors import FairformerError, IngestionError
 # (28.03, 28.01 and 28.01 at n = 1000, 2000 and 4000) as the refusal that limits the size of
 # the draw grid, whose n^2 draws still cost O(n^2) time. random_connected_graph samples
 # densely and grows with density: 10.0, 17.6, 26.1 and 43.0 bytes at density 0, 0.25, 0.5
-# and 1.0 (n = 1000 and 2000), so it is charged its worst case.
+# and 1.0 (n = 1000 and 2000) while it built a dense float copy of its edges, so it is
+# charged that worst case; from its edge list it peaks at 9.0, 9.1, 18.0 and 36.0.
 _BLOCK_BYTES_PER_PAIR = 28
 _RANDOM_BYTES_PER_PAIR = 43
 _BLOCK_ENTRIES = 2 ** 16  # draws per row block: 512 KiB of float64 whatever n is
@@ -44,6 +45,10 @@ _BENCH_AVG_DEGREE = 16.0
 _COMMUNITIES = 4
 _COMMUNITY_CONTRAST = 8.0
 _BENCH_NOISE_DIM = 7
+# Bytes charged per node of benchmark_graph: its traced peak is 871-873 bytes a node at
+# n = 1000-46340, where an adjacency entry's row * n + col key fits int32, and 1299-1301 at
+# n = 46341, 50000 and 100000, where it takes int64; it is charged the larger.
+_BENCH_BYTES_PER_NODE = 1301
 
 
 def refuse_unfit(need: int, what: str, error=FairformerError) -> None:
@@ -54,21 +59,21 @@ def refuse_unfit(need: int, what: str, error=FairformerError) -> None:
                     f"{have / 1e9:.1f} GB of physical memory found")
 
 
-def _connect_components(adj: sp.csr_matrix, rng) -> sp.csr_matrix:
-    """Add one edge between consecutive components so the graph is connected."""
+def _refuse_unfit_benchmark(n: int) -> None:
+    """Raise IngestionError, before anything is drawn, when benchmark_graph(n) cannot fit."""
+    refuse_unfit(_BENCH_BYTES_PER_NODE * n, f"benchmark_graph at n={n}", IngestionError)
+
+
+def _connected_adjacency(n: int, heads, tails, rng) -> sp.csr_matrix:
+    """The adjacency of edges (heads[i], tails[i]), plus one edge between consecutive
+    components so the graph is connected."""
+    adj = _symmetric_adjacency(n, heads, tails)
     n_comp, labels = connected_components(adj, directed=False)
     if n_comp <= 1:
         return adj
     reps = [rng.choice(np.nonzero(labels == c)[0]) for c in range(n_comp)]
-    extra_r = []
-    extra_c = []
-    for a, b in zip(reps[:-1], reps[1:]):
-        extra_r += [a, b]
-        extra_c += [b, a]
-    patch = sp.coo_matrix((np.ones(len(extra_r)), (extra_r, extra_c)), shape=adj.shape)
-    out = (adj + patch).tocsr()
-    out.data[:] = 1.0
-    return out
+    return _symmetric_adjacency(n, np.concatenate([heads, reps[:-1]]),
+                                np.concatenate([tails, reps[1:]]))
 
 
 def _assemble(adj, sens, labels, extra_features):
@@ -92,9 +97,8 @@ def random_connected_graph(n: int, density: float = 0.2, seed: int = 0) -> Graph
     """
     refuse_unfit(_RANDOM_BYTES_PER_PAIR * n * n, f"dense edge sampling at n={n}", IngestionError)
     rng = np.random.default_rng(seed)
-    upper = np.triu(rng.random((n, n)) < density, k=1)
-    dense = (upper | upper.T).astype(np.float64)
-    adj = _connect_components(sp.csr_matrix(dense), rng)
+    heads, tails = np.nonzero(np.triu(rng.random((n, n)) < density, k=1))
+    adj = _connected_adjacency(n, heads, tails, rng)
 
     sens = _force_both_values(rng.integers(0, 2, n), rng)
     labels = _force_both_values(rng.integers(0, 2, n), rng)
@@ -150,11 +154,7 @@ def sensitive_block_graph(n: int = 1000, seed: int = 0, *, avg_degree: float = 2
         upper = c > r + lo
         heads.append(r[upper] + lo)
         tails.append(c[upper])
-    heads, tails = np.concatenate(heads), np.concatenate(tails)
-    adj = sp.coo_matrix((np.ones(2 * heads.size), (np.concatenate([heads, tails]),
-                                                  np.concatenate([tails, heads]))),
-                        shape=(n, n)).tocsr()
-    adj = _connect_components(adj, rng)
+    adj = _connected_adjacency(n, np.concatenate(heads), np.concatenate(tails), rng)
 
     signal_col = (_SIGNAL * (2.0 * labels - 1.0)
                   + _FEATURE_BIAS * (2.0 * sens - 1.0)
@@ -171,10 +171,13 @@ def benchmark_graph(n: int, seed: int = 0) -> Graph:
     Edges are sampled per endpoint pair from within/across community rates
     whose ratio is _COMMUNITY_CONTRAST, so the leading eigenvalues stay
     separated from the spectral bulk as n grows and eigensolver iteration
-    counts do not drift upward with size.
+    counts do not drift upward with size. Raises IngestionError, before
+    drawing anything, when _BENCH_BYTES_PER_NODE * n bytes would not fit in
+    physical memory.
     """
+    _refuse_unfit_benchmark(n)
     rng = np.random.default_rng(seed)
-    comm = rng.integers(0, _COMMUNITIES, n)
+    comm = rng.integers(0, _COMMUNITIES, n).astype(np.uint8)  # one byte: two gathers read it
     p_out = _BENCH_AVG_DEGREE / (n * (1.0 + (_COMMUNITY_CONTRAST - 1.0) / _COMMUNITIES))
     p_in = _COMMUNITY_CONTRAST * p_out
 
@@ -184,11 +187,11 @@ def benchmark_graph(n: int, seed: int = 0) -> Graph:
     u = rng.integers(0, n, m_samples)
     v = rng.integers(0, n, m_samples)
     keep_prob = np.where(comm[u] == comm[v], 1.0, p_out / p_in)
-    keep = (rng.random(m_samples) < keep_prob) & (u != v)
-    rows = np.concatenate([u[keep], v[keep], np.arange(n - 1), np.arange(1, n)])
-    cols = np.concatenate([v[keep], u[keep], np.arange(1, n), np.arange(n - 1)])
-    adj = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
-    adj.data[:] = 1.0
+    kept = np.flatnonzero((rng.random(m_samples) < keep_prob) & (u != v))
+    path = np.arange(n - 1)
+    heads, tails = np.concatenate([u[kept], path]), np.concatenate([v[kept], path + 1])
+    del u, v, keep_prob  # the candidate draws are freed before the build's arrays are made
+    adj = _symmetric_adjacency(n, heads, tails)
 
     sens = _force_both_values(rng.integers(0, 2, n), rng)
     labels = _force_both_values(rng.integers(0, 2, n), rng)

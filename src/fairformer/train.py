@@ -29,7 +29,7 @@ from .hops import HopStack, build_group_graph, hop_aggregate, hop_aggregate_adja
 from .metrics import EvalReport, accuracy, evaluate, predict_labels, statistical_parity
 from .model import ModelConfig, cross_entropy, forward, init_model, save_model
 from .spectral import fuse, laplacian_small_eigenpairs, top_magnitude_eigenpairs
-from .synth import benchmark_graph
+from .synth import _refuse_unfit_benchmark, benchmark_graph
 
 ABLATION_VARIANTS = ("full", "no_st", "lap_st", "no_nf", "adj_nf")
 _METRICS = tuple(f.name for f in fields(EvalReport))  # every report and table lists these
@@ -617,6 +617,8 @@ def bench_scaling(sizes, k: int = 2, t: int = 4, d_hidden: int = 32, seed: int =
     copy of the graph, so it times a cold structure solve rather than the basis
     `spectral` remembers. numpy's OpenBLAS is held at one thread throughout:
     with its own thread pool the fit moved from run to run on a 2-vCPU machine.
+    A size whose graph cannot fit in physical memory is refused with
+    IngestionError before any graph is generated.
     """
     sizes = [int(n) for n in sizes]
     if len(set(sizes)) < 2:
@@ -624,6 +626,7 @@ def bench_scaling(sizes, k: int = 2, t: int = 4, d_hidden: int = 32, seed: int =
     if epochs_timed < 1:
         raise FairformerError(f"epochs_timed={epochs_timed} must be >= 1")
     cfg = TrainConfig(epochs=1, folds=1, k=k, t=t, d_hidden=d_hidden, seed=seed)
+    _refuse_unfit_benchmark(max(sizes))  # before the first size is generated
     encode_times, epoch_times = [], []
     with _ONE_BLAS_THREAD:
         for n in sizes:

@@ -501,6 +501,17 @@ def test_inspect_reads_files_that_start_with_a_byte_order_mark(tmp_path, capsys)
     assert capsys.readouterr().out == plain
 
 
+def test_bench_refuses_a_size_it_cannot_fit_before_generating_any(monkeypatch, capsys):
+    # 2 MB of physical memory: n = 1000 fits at _BENCH_BYTES_PER_NODE, n = 2000 does not
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2 * 10**6}
+    monkeypatch.setattr("fairformer.synth.os.sysconf", pages.__getitem__)
+    monkeypatch.setattr("fairformer.train.benchmark_graph", lambda *a, **kw: pytest.fail("made"))
+    assert run_cli(["bench", "--sizes", "1000,2000"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error=IngestionError") and "benchmark_graph at n=2000 needs about" in err
+    assert "Traceback" not in err
+
+
 def test_bench_smoke(tmp_path, capsys):
     code = run_cli(["bench", "--sizes", "200,400", "--k", "1", "--t", "2", "--hidden", "8",
                     "--epochs-timed", "1", "--out", str(tmp_path)])

@@ -3,13 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from hypothesis import given, strategies as st
 
 from fairformer.data import (Graph, Split, SplitSpec, binarize_labels, load_dataset,
                              load_manifest, make_folds, make_split)
 from fairformer.errors import IngestionError, SchemaError, SplitError
 from fairformer import synth
-from fairformer.synth import random_connected_graph, sensitive_block_graph
+from fairformer.synth import benchmark_graph, random_connected_graph, sensitive_block_graph
 
 
 def write_dataset(tmp_path, node_rows, edge_rows, header="id,f0,sensitive,label"):
@@ -267,15 +268,44 @@ def graph_parts(n=4):
     (dict(adjacency=sp.csr_matrix((4, 3))), r"adjacency must be square, got \(4, 3\)"),
     (dict(adjacency=sp.csr_matrix(2.0 * (np.ones((4, 4)) - np.eye(4)))),
      "adjacency entries must all equal 1"),
+    # the path 0-1-2 with (0, 1) stored twice each way: summed, that edge would weigh 2
+    (dict(adjacency=sp.csr_matrix((np.ones(6), [1, 1, 0, 0, 2, 1], [0, 2, 5, 6, 6]), shape=(4, 4))),
+     r"adjacency stores entry \(0, 1\) more than once"),
     (dict(features=np.zeros((3, 2))), "features row count does not match node count"),
     (dict(features=np.column_stack([np.zeros(4), [0.0, 1.0, 0.5, 1.0]])),
      "sensitive column 1 is not binary"),
     (dict(labels=np.array([0, 1, 2, -1]), label_mask=np.array([True, True, True, False])),
      "labels must be binary on masked nodes"),
-], ids=["non_square", "entry_not_1", "feature_rows", "sensitive_not_binary", "masked_label"])
+], ids=["non_square", "entry_not_1", "duplicate_entry", "feature_rows", "sensitive_not_binary",
+        "masked_label"])
 def test_graph_invariants_are_refused(change, message):
     with pytest.raises(SchemaError, match=message):
         Graph(**{**graph_parts(), **change})
+
+
+def test_unsorted_adjacency_is_accepted_when_symmetric():
+    # the path 0-1-2 with row 1's columns stored as (2, 0)
+    g = Graph(**{**graph_parts(3), "adjacency": sp.csr_matrix(
+        (np.ones(4), [1, 2, 0, 1], [0, 1, 3, 4]), shape=(3, 3))})
+    assert not g.adjacency.has_sorted_indices and g.undirected_edge_count() == 2
+    with pytest.raises(SchemaError, match="adjacency is not symmetric"):  # row 2 lacks (2, 1)
+        Graph(**{**graph_parts(3), "adjacency": sp.csr_matrix(
+            (np.ones(3), [1, 2, 0], [0, 1, 3, 3]), shape=(3, 3))})
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14))))
+def test_adjacency_is_accepted_exactly_when_its_summed_matrix_is_symmetric_0_1(case):
+    n, entries = case
+    entries = sorted(entries, key=lambda e: e[0])  # rows in order, each row's columns as drawn
+    indptr = np.concatenate([[0], np.cumsum(np.bincount([r for r, _ in entries], minlength=n))])
+    adj = sp.csr_matrix((np.ones(len(entries)), [c for _, c in entries], indptr), shape=(n, n))
+    summed = adj.tocoo().tocsr()  # sums repeated entries
+    if summed.nnz == adj.nnz and (summed != summed.T).nnz == 0:
+        Graph(**{**graph_parts(n), "adjacency": adj})
+    else:
+        with pytest.raises(SchemaError, match="more than once|not symmetric"):
+            Graph(**{**graph_parts(n), "adjacency": adj})
 
 
 @pytest.mark.parametrize("fields,message", [
@@ -451,6 +481,33 @@ def test_dense_fixture_charges_each_generator_its_own_peak(monkeypatch):
     assert sensitive_block_graph(1000).n == 1000
 
 
+def coo_adjacency(n, heads, tails):
+    """The edge-list-to-adjacency route every graph source took before the shared builder."""
+    rows = np.concatenate([heads, tails]).astype(np.int64)
+    cols = np.concatenate([tails, heads]).astype(np.int64)
+    adj = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+    adj.data[:] = 1.0
+    return adj
+
+
+def coo_connect_components(adj, rng):
+    """The generators' component patch as it was before the shared builder."""
+    n_comp, labels = connected_components(adj, directed=False)
+    if n_comp <= 1:
+        return adj
+    reps = [rng.choice(np.nonzero(labels == c)[0]) for c in range(n_comp)]
+    patch = sp.coo_matrix((np.ones(2 * (n_comp - 1)), (reps[:-1] + reps[1:], reps[1:] + reps[:-1])),
+                          shape=adj.shape)
+    out = (adj + patch).tocsr()
+    out.data[:] = 1.0
+    return out
+
+
+def assert_same_arrays(pairs):
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def dense_sensitive_block_graph(n, seed, avg_degree):
     """The row-blocked sampler's reference: its edges drawn from whole n x n arrays."""
     rng = np.random.default_rng(seed)
@@ -464,7 +521,7 @@ def dense_sensitive_block_graph(n, seed, avg_degree):
     base = avg_degree * n / weight.sum()
     prob = np.minimum(base * weight, 1.0)
     upper = np.triu(rng.random((n, n)) < prob, k=1)
-    adj = synth._connect_components(sp.csr_matrix((upper | upper.T).astype(np.float64)), rng)
+    adj = coo_connect_components(sp.csr_matrix((upper | upper.T).astype(np.float64)), rng)
     signal_col = (synth._SIGNAL * (2.0 * labels - 1.0)
                   + synth._FEATURE_BIAS * (2.0 * sens - 1.0) + rng.standard_normal(n))
     noise = rng.standard_normal((n, synth._BLOCK_NOISE_DIM))
@@ -479,10 +536,9 @@ def dense_sensitive_block_graph(n, seed, avg_degree):
 def test_row_blocked_sampler_draws_the_dense_samplers_graph(n, seed, avg_degree):
     g = sensitive_block_graph(n, seed, avg_degree=avg_degree)
     adj, features, labels = dense_sensitive_block_graph(n, seed, avg_degree)
-    pairs = [(g.adjacency.data, adj.data), (g.adjacency.indices, adj.indices),
-             (g.adjacency.indptr, adj.indptr), (g.features, features), (g.labels, labels)]
-    for got, want in pairs:
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert_same_arrays([(g.adjacency.data, adj.data), (g.adjacency.indices, adj.indices),
+                        (g.adjacency.indptr, adj.indptr), (g.features, features),
+                        (g.labels, labels)])
 
 
 def test_row_blocked_sampler_holds_a_few_blocks_not_the_grid():
@@ -494,3 +550,74 @@ def test_row_blocked_sampler_holds_a_few_blocks_not_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000  # the dense grid's arrays peaked at 28.0 MB
+
+
+def coo_benchmark_graph(n, seed):
+    """benchmark_graph as it was before the shared builder: int64 pairs, coo, tocsr."""
+    rng = np.random.default_rng(seed)
+    comm = rng.integers(0, synth._COMMUNITIES, n)
+    p_out = synth._BENCH_AVG_DEGREE / (n * (1.0 + (synth._COMMUNITY_CONTRAST - 1.0)
+                                            / synth._COMMUNITIES))
+    p_in = synth._COMMUNITY_CONTRAST * p_out
+    mean_keep = ((1.0 + (synth._COMMUNITY_CONTRAST - 1.0) / synth._COMMUNITIES)
+                 / synth._COMMUNITY_CONTRAST)
+    m_samples = int(n * synth._BENCH_AVG_DEGREE / (2.0 * mean_keep))
+    u = rng.integers(0, n, m_samples)
+    v = rng.integers(0, n, m_samples)
+    keep_prob = np.where(comm[u] == comm[v], 1.0, p_out / p_in)
+    keep = (rng.random(m_samples) < keep_prob) & (u != v)
+    adj = coo_adjacency(n, np.concatenate([u[keep], np.arange(n - 1)]),
+                        np.concatenate([v[keep], np.arange(1, n)]))
+    sens = synth._force_both_values(rng.integers(0, 2, n), rng)
+    labels = synth._force_both_values(rng.integers(0, 2, n), rng)
+    noise = rng.standard_normal((n, synth._BENCH_NOISE_DIM))
+    return adj, np.column_stack([noise, sens.astype(np.float64)]), labels.astype(np.int64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("n", [2, 3, 57, 1000, 16000, 46341])  # 46341: keys past int32
+def test_benchmark_graph_has_the_coo_routes_bytes(n, seed):
+    g = benchmark_graph(n, seed)
+    adj, features, labels = coo_benchmark_graph(n, seed)
+    assert_same_arrays([(g.adjacency.data, adj.data), (g.adjacency.indices, adj.indices),
+                        (g.adjacency.indptr, adj.indptr), (g.features, features),
+                        (g.labels, labels)])
+
+
+@pytest.mark.parametrize("edge_rows,ids", [
+    (["a,b", "b,a", "a,b", "c,c", "c,c", "d,b", "c,a"],
+     ([0, 1, 0, 2, 2, 3, 2], [1, 0, 1, 2, 2, 1, 0])),
+    (["src,dst"], ([], [])),
+], ids=["repeats_both_directions_and_a_self_loop", "no_edges"])
+def test_loader_adjacency_has_the_coo_routes_bytes(tmp_path, edge_rows, ids):
+    nodes, edges = write_dataset(tmp_path, ["a,1.0,0,0", "b,2.0,1,1", "c,3.0,0,1", "d,4.0,1,0"],
+                                 edge_rows)
+    got, want = load_dataset(nodes, edges).adjacency, coo_adjacency(4, *map(np.array, ids))
+    assert_same_arrays([(got.data, want.data), (got.indices, want.indices),
+                        (got.indptr, want.indptr)])
+
+
+def test_benchmark_graph_peak_is_the_draws_not_the_build():
+    benchmark_graph(50)  # first-call costs
+    tracemalloc.start()
+    try:
+        benchmark_graph(16000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000  # 13.9 MB; int64 pairs through coo and tocsr peaked at 26.4 MB
+
+
+def test_benchmark_graph_refuses_a_size_it_cannot_fit(monkeypatch):
+    # 2 MB of physical memory: n = 1000 fits at _BENCH_BYTES_PER_NODE, n = 2000 does not
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2 * 10**6}
+    monkeypatch.setattr("fairformer.synth.os.sysconf", pages.__getitem__)
+    tracemalloc.start()
+    try:
+        with pytest.raises(IngestionError, match="benchmark_graph at n=2000 needs about"):
+            benchmark_graph(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert benchmark_graph(1000).n == 1000
