@@ -36,6 +36,7 @@ from .errors import (ConvergenceError, FairformerError, SpectralGapError,
                      TieWarning, DegenerateSpectrumWarning, UndefinedCosineError)
 
 _MAX_ITERS = 1000  # ARPACK's restart cap (eigsh's maxiter)
+_TOL = 1e-10  # residual tolerance of a solve: the Laplacian's, and the adjacency's default
 _SOLVES = weakref.WeakKeyDictionary()  # Graph -> {source: ((tol, seed), basis)}
 
 
@@ -238,7 +239,7 @@ def _settle_cut(matvec, n, theta, vectors, resid, tol, seed):
     return theta, vectors, resid, False
 
 
-def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, seed: int = 0) -> SpectralBasis:
+def top_magnitude_eigenpairs(a, t: int, tol: float = _TOL, seed: int = 0) -> SpectralBasis:
     """The t eigenpairs of largest |eigenvalue| of a symmetric operator.
 
     Accepts a Graph (its adjacency), a scipy sparse matrix or a dense symmetric
@@ -272,9 +273,8 @@ def top_magnitude_eigenpairs(a, t: int, tol: float = 1e-10, seed: int = 0) -> Sp
     return basis
 
 
-def laplacian_small_eigenpairs(g: Graph, t: int, tol: float = 1e-10,
-                               seed: int = 0) -> SpectralBasis:
-    """The t smallest nontrivial eigenpairs of L = D - A.
+def laplacian_small_eigenpairs(g: Graph, t: int, seed: int = 0) -> SpectralBasis:
+    """The t smallest nontrivial eigenpairs of L = D - A, solved to `_TOL`.
 
     The constant eigenvector is shifted above the spectrum: L + s 11^T / n with
     s = 2 * max_degree + 1 > lambda_max(L). Graphs with more than t + 1
@@ -298,11 +298,11 @@ def laplacian_small_eigenpairs(g: Graph, t: int, tol: float = 1e-10,
         def matvec(x):  # x is a vector or a column block; degrees scale its rows
             return (degrees * x.T).T - g.adjacency @ x + shift * x.sum(axis=0) / g.n
 
-        theta, vectors, resid = _select(matvec, g.n, t, tol, seed, "SA")
-        theta = np.where(np.abs(theta) <= tol, 0.0, theta)
-        return _basis(theta, vectors, resid, tol, "laplacian", degenerate_warning=degenerate)
+        theta, vectors, resid = _select(matvec, g.n, t, _TOL, seed, "SA")
+        theta = np.where(np.abs(theta) <= _TOL, 0.0, theta)
+        return _basis(theta, vectors, resid, _TOL, "laplacian", degenerate_warning=degenerate)
 
-    basis = _remembered(g, "laplacian", t, (tol, seed), solve).head(
+    basis = _remembered(g, "laplacian", t, (_TOL, seed), solve).head(
         t, degenerate_warning=degenerate)
     if basis.degenerate_warning:
         warnings.warn(

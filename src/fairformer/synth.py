@@ -24,11 +24,11 @@ from .errors import FairformerError, IngestionError
 # at n = 1000 and no longer grows with n^2; it keeps the 28 bytes its dense draw peaked at
 # (28.03, 28.01 and 28.01 at n = 1000, 2000 and 4000) as the refusal that limits the size of
 # the draw grid, whose n^2 draws still cost O(n^2) time. random_connected_graph samples
-# densely and grows with density: 10.0, 17.6, 26.1 and 43.0 bytes at density 0, 0.25, 0.5
-# and 1.0 (n = 1000 and 2000) while it built a dense float copy of its edges, so it is
-# charged that worst case; from its edge list it peaks at 9.0, 9.1, 18.0 and 36.0.
+# densely and grows with density: from its edge list it peaks at 9.0, 9.1, 18.1 and 36.0
+# bytes at density 0, 0.25, 0.5 and 1.0 (36.01-36.02 at n = 1000 and 2000), so it is
+# charged that worst case, rounded up.
 _BLOCK_BYTES_PER_PAIR = 28
-_RANDOM_BYTES_PER_PAIR = 43
+_RANDOM_BYTES_PER_PAIR = 37
 _BLOCK_ENTRIES = 2 ** 16  # draws per row block: 512 KiB of float64 whatever n is
 
 # sensitive_block_graph's planted structure (see its docstring)

@@ -38,8 +38,6 @@ _METRICS = tuple(f.name for f in fields(EvalReport))  # every report and table l
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 500
-    weight_decay: float = 1e-5
-    patience: int = 100  # early stop on stalled validation accuracy
     folds: int = 5
     train_per_class_cap: int = SplitSpec.train_per_class_cap  # training nodes per class in a split
     ablation: str = "full"
@@ -48,7 +46,6 @@ class TrainConfig:
     layers: int = ModelConfig.layers
     heads: int = ModelConfig.heads
     d_hidden: int = ModelConfig.d_hidden
-    dropout: float = ModelConfig.dropout
     scale_structure: bool = False  # min-max structure columns to [-1, 1]
     seed: int = 0
 
@@ -57,10 +54,6 @@ class TrainConfig:
             raise FairformerError("epochs must be >= 1")
         if self.folds < 1:
             raise FairformerError("folds must be >= 1")
-        if self.patience < 0:
-            raise FairformerError(f"patience={self.patience} must be >= 0 (0 never stops early)")
-        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise FairformerError(f"weight_decay={self.weight_decay!r} must be finite and >= 0")
         if self.k < 0:
             raise FairformerError("k must be >= 0")
         if self.t < 0:
@@ -79,7 +72,7 @@ class TrainConfig:
 
     def model_config(self, seed: int) -> ModelConfig:
         return ModelConfig(d_hidden=self.d_hidden, layers=self.layers, heads=self.heads,
-                           dropout=self.dropout, seed=seed)
+                           seed=seed)
 
     def echo(self) -> dict:
         return dict(sorted(self.__dict__.items()))
@@ -155,16 +148,17 @@ def build_encodings(g: Graph, cfg: TrainConfig) -> HopStack:
 
 
 _LEARNING_RATE = 1e-3
+_WEIGHT_DECAY = 1e-4
+_PATIENCE = 100  # a fold stops after this many epochs without a validation gain
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adaptive-moment estimation with classic L2 weight decay folded into grads."""
+    """Adaptive-moment estimation at `_LEARNING_RATE`, with classic L2 weight decay
+    (`_WEIGHT_DECAY`) folded into grads."""
 
-    def __init__(self, tensors, lr, weight_decay=0.0):
+    def __init__(self, tensors):
         self.tensors = tensors
-        self.lr = lr
-        self.weight_decay = weight_decay
         self.step_count = 0
         self.m = [np.zeros_like(t.data) for t in tensors]
         self.v = [np.zeros_like(t.data) for t in tensors]
@@ -175,12 +169,12 @@ class Adam:
         for i, t in enumerate(self.tensors):
             if t.grad is None:
                 continue
-            g = t.grad + self.weight_decay * t.data
+            g = t.grad + _WEIGHT_DECAY * t.data
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
             mhat = self.m[i] / (1 - b1 ** self.step_count)
             vhat = self.v[i] / (1 - b2 ** self.step_count)
-            t.data = t.data - self.lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
+            t.data = t.data - _LEARNING_RATE * mhat / (np.sqrt(vhat) + _ADAM_EPS)
 
 
 def _rows(stack: HopStack, idx) -> HopStack:
@@ -361,7 +355,7 @@ def _init_fold(cfg: TrainConfig, d: int, fold: int):
     """Fold `fold`'s initial parameters, its Adam and its dropout stream."""
     seed = cfg.seed * 1000 + fold
     params = init_model(cfg.model_config(seed=seed), d)
-    optimizer = Adam(params.trainable(), lr=_LEARNING_RATE, weight_decay=cfg.weight_decay)
+    optimizer = Adam(params.trainable())
     return params, optimizer, np.random.default_rng(seed + 7)
 
 
@@ -398,8 +392,10 @@ def _diverged(fold: int, epoch: int, exc: FairformerError) -> TrainingError:
 def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: int,
               log_lines: list, models: list | None):
     """Train one fold, keep the weights of its best validation epoch and score its
-    test set on them. The fold's `ModelParams`, holding those weights, is appended
-    to `models` unless that is None; otherwise it is dropped when the fold returns.
+    test set on them. The fold stops early once `_PATIENCE` epochs in a row have
+    not beaten its best validation accuracy. The fold's `ModelParams`, holding
+    those weights, is appended to `models` unless that is None; otherwise it is
+    dropped when the fold returns.
 
     Epochs overlap: after step e, the validation set is scored on `snap`, a frozen
     view of epoch e's weights, while the caller runs step e + 1 beside the scoring
@@ -463,7 +459,7 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
             stale = 0
         else:
             stale += 1
-            if cfg.patience and stale >= cfg.patience:
+            if stale >= _PATIENCE:
                 stop = "patience"
                 break
 
@@ -478,6 +474,10 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
 def train(g: Graph, cfg: TrainConfig, splits: list | None = None, serial: bool = True,
           out_dir=None) -> RunResult:
     """Cross-validated training; one seeded re-split and parameter init per fold.
+
+    Every fold trains with Adam at `_LEARNING_RATE` and `_WEIGHT_DECAY`, dropout
+    at `ModelConfig`'s default, and stops after `_PATIENCE` stale epochs; `cfg`
+    sets the rest.
 
     The folds are `make_folds(g, cfg.split_spec())`: `cfg`'s seed, fold count and
     per-class training cap decide them. A caller that draws its own, for example to

@@ -18,6 +18,7 @@ from fairformer.oracles import dense_eig
 from fairformer.spectral import SpectralBasis, top_magnitude_eigenpairs
 from fairformer.synth import random_connected_graph
 from fairformer.train import TrainConfig, bench_scaling
+from test_acceptance import FIXTURE_SEEDS, fairness_fixture_config
 
 DATA = Path(__file__).parent / "data"
 
@@ -278,7 +279,8 @@ def test_training_flag_defaults_are_the_library_defaults(argv):
 
 @pytest.mark.parametrize("verb", ["train", "ablate", "sweep"])
 def test_every_training_flag_reaches_the_config(verb):
-    # each flag, set away from its default, moves exactly one config field to its value
+    # each flag, set away from its default, moves exactly one config field to its value,
+    # and train's flags between them move every field
     parser = build_parser()
     verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     required = ["--param", "t", "--min", "1", "--max", "2"] if verb == "sweep" else []
@@ -287,6 +289,7 @@ def test_every_training_flag_reaches_the_config(verb):
     flags = [a for a in verbs.choices[verb]._actions if skipped.isdisjoint(a.option_strings)]
     assert any("--cap" in a.option_strings for a in flags)
     assert any("--ablation" in a.option_strings for a in flags) == (verb != "ablate")
+    reached = set()
     for action in flags:
         flag = action.option_strings[0]
         if action.nargs == 0:
@@ -299,6 +302,21 @@ def test_every_training_flag_reaches_the_config(verb):
         config = dataclasses.asdict(_train_config(args))
         moved = {name: value for name, value in config.items() if value != default[name]}
         assert list(moved.values()) == [getattr(args, action.dest)], (flag, moved)
+        reached.update(moved)
+    if verb == "train":
+        assert reached == {f.name for f in dataclasses.fields(TrainConfig)}
+
+
+@pytest.mark.parametrize("seed", FIXTURE_SEEDS)
+def test_criterion_6_runs_are_train_commands(seed):
+    # acceptance criterion 6 trains on a configuration the CLI can state
+    for variant in ("full", "no_st", "adj_nf"):
+        args = build_parser().parse_args([
+            "train", "--synthetic", "1000", "--seed", str(seed), "--epochs", "120",
+            "--folds", "1", "--cap", "100", "--t", "6", "--hidden", "32", "--scale-structure",
+            "--ablation", variant])
+        assert _train_config(args) == dataclasses.replace(fairness_fixture_config(seed),
+                                                          ablation=variant)
 
 
 def test_bench_flag_defaults_are_the_library_defaults():

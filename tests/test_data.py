@@ -458,7 +458,7 @@ def test_adjacency_is_read_only():
 
 
 @pytest.mark.parametrize("generator,gigabytes", [(sensitive_block_graph, "28000"),
-                                                 (random_connected_graph, "43000")],
+                                                 (random_connected_graph, "37000")],
                          ids=["sensitive_block_graph", "random_connected_graph"])
 def test_dense_fixture_refuses_without_allocating(generator, gigabytes):
     tracemalloc.start()
@@ -473,12 +473,21 @@ def test_dense_fixture_refuses_without_allocating(generator, gigabytes):
 
 def test_dense_fixture_charges_each_generator_its_own_peak(monkeypatch):
     # 35 MB of physical memory: above sensitive_block_graph's 28 bytes per node pair at
-    # n = 1000, below random_connected_graph's 43 at density 1.0
+    # n = 1000, below random_connected_graph's 37 at density 1.0
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 35 * 10**6}
     monkeypatch.setattr("fairformer.synth.os.sysconf", pages.__getitem__)
     with pytest.raises(IngestionError, match="n=1000 needs about"):
         random_connected_graph(1000, density=1.0)
     assert sensitive_block_graph(1000).n == 1000
+
+
+def test_dense_fixture_builds_what_its_peak_fits(monkeypatch):
+    # 40 MB of physical memory: above random_connected_graph's 36.0 bytes per node pair
+    # at density 1.0 and its 37-byte charge, at n = 1000
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 40 * 10**6}
+    monkeypatch.setattr("fairformer.synth.os.sysconf", pages.__getitem__)
+    g = random_connected_graph(1000, density=1.0)
+    assert g.undirected_edge_count() == 1000 * 999 // 2
 
 
 def coo_adjacency(n, heads, tails):

@@ -172,10 +172,22 @@ def test_remembered_solves_do_not_keep_a_graph_alive():
     assert alive() is None and basis.t == 3
 
 
+def keyed(monkeypatch, solve):
+    """`solve` taking its key (t, tol, seed) as keywords: the Laplacian solves to the
+    module's `_TOL`, so its tol is set there."""
+    def call(g, t, tol, seed):
+        if solve is top_magnitude_eigenpairs:
+            return solve(g, t, tol=tol, seed=seed)
+        monkeypatch.setattr(spectral, "_TOL", tol)
+        return solve(g, t, seed=seed)
+    return call
+
+
 @pytest.mark.parametrize("change", [{"t": 5}, {"tol": 1e-9}, {"seed": 2}],
                          ids=["t", "tol", "seed"])
 @pytest.mark.parametrize("solve", [top_magnitude_eigenpairs, laplacian_small_eigenpairs])
-def test_a_changed_solve_key_solves_again(solve, change):
+def test_a_changed_solve_key_solves_again(monkeypatch, solve, change):
+    solve = keyed(monkeypatch, solve)
     g = random_connected_graph(60, density=0.1, seed=2)
     key = {"t": 4, "tol": 1e-10, "seed": 1}
     kept = solve(g, **key)
@@ -272,6 +284,7 @@ def test_a_laplacian_call_counts_components_once(monkeypatch):
 @pytest.mark.parametrize("solve", [top_magnitude_eigenpairs, laplacian_small_eigenpairs])
 def test_a_new_solve_replaces_the_kept_basis(monkeypatch, solve, change):
     # a larger t still serves the smaller one; another tol or seed leaves nothing to serve it
+    solve = keyed(monkeypatch, solve)
     g = random_connected_graph(60, density=0.1, seed=2)
     key = {"t": 4, "tol": 1e-10, "seed": 1}
     solve(g, **key)
@@ -504,7 +517,7 @@ def test_laplacian_edgeless_degenerate():
 
 def test_laplacian_matches_dense_oracle():
     g = random_connected_graph(30, density=0.2, seed=9)
-    basis = laplacian_small_eigenpairs(g, t=4, tol=1e-11)
+    basis = laplacian_small_eigenpairs(g, t=4)
     dense = g.adjacency.toarray()
     lap = np.diag(dense.sum(axis=1)) - dense
     lam_all = np.linalg.eigvalsh(lap)
