@@ -390,13 +390,10 @@ class Split:
 _HOLDOUT_FRACTION = 0.25  # of all labeled nodes, for validation and again for test
 
 
-def make_split(g: Graph, spec: SplitSpec) -> Split:
-    """Draw one seeded train/val/test split over labeled nodes.
-
-    Validation and test sets are class-balanced within one node; the train
-    set takes up to min(ceil(0.5 * class_size), cap) per class from the
-    remaining labeled nodes (clamped to what is left after val/test).
-    """
+def _class_plan(g: Graph, cap: int):
+    """Each class's labeled nodes, how many it gives to validation (and again to test),
+    and how many to training at per-class cap `cap`: the split sizes depend on the
+    labels and the cap alone, never on the seed."""
     labeled = np.nonzero(g.label_mask)[0]
     classes = [0, 1]
     per_class = {c: labeled[g.labels[labeled] == c] for c in classes}
@@ -408,22 +405,39 @@ def make_split(g: Graph, spec: SplitSpec) -> Split:
     # any odd slot goes to the larger class (class 0 on a tie), so small classes are not drained
     larger = int(per_class[1].size > per_class[0].size)
     share = {larger: (holdout + 1) // 2, 1 - larger: holdout // 2}
+    for c in classes:
+        if per_class[c].size <= 2 * share[c]:
+            raise SplitError(
+                f"class {c} too small to fill val/test: {per_class[c].size} labeled nodes, "
+                f"{2 * share[c]} required before any training node")
+    train = {c: min(int(np.ceil(0.5 * per_class[c].size)), cap,
+                    per_class[c].size - 2 * share[c]) for c in classes}
+    return per_class, share, train
 
+
+def split_train_counts(g: Graph, cap: int) -> dict:
+    """{class: training nodes} that every split `make_split` draws from `g` at per-class
+    cap `cap` holds: min(ceil(0.5 * class size), cap, what val/test leave)."""
+    return _class_plan(g, cap)[2]
+
+
+def make_split(g: Graph, spec: SplitSpec) -> Split:
+    """Draw one seeded train/val/test split over labeled nodes.
+
+    Validation and test sets are class-balanced within one node; the train
+    set takes `split_train_counts` nodes per class from the remaining labeled
+    nodes.
+    """
+    per_class, share, train = _class_plan(g, spec.train_per_class_cap)
     rng = np.random.default_rng(spec.seed)
     train_parts, val_parts, test_parts = [], [], []
-    for c in classes:
+    for c in (0, 1):
         pool = per_class[c].copy()
         rng.shuffle(pool)
         need = 2 * share[c]
-        if pool.size <= need:
-            raise SplitError(
-                f"class {c} too small to fill val/test: {pool.size} labeled nodes, "
-                f"{need} required before any training node")
         val_parts.append(pool[:share[c]])
         test_parts.append(pool[share[c]:need])
-        remaining = pool[need:]
-        want = min(int(np.ceil(0.5 * pool.size)), spec.train_per_class_cap, remaining.size)
-        train_parts.append(remaining[:want])
+        train_parts.append(pool[need:need + train[c]])
 
     return Split(
         train=np.sort(np.concatenate(train_parts)),

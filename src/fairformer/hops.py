@@ -16,10 +16,14 @@ stack of k >= 2 hops is built as tokens 0 and 1 with multiplicities (1, k)
 (`HopStack.counts`, see `model.forward`), the one stack training and scoring
 run: its size does not grow with k, which only weighs the group token by log k.
 Its hop-1 token is its node's group mean, one of two rows, so the stack holds
-token 0 per node, the (2, d) table of group means and each node's group: about
-n * d + 2 * d float64s, half the dense (n, 2, d) array, which `HopStack.rows`
-builds only for the rows asked for. Raw stacks, which serve `verify`'s q^k
-check, and adjacency stacks keep every token of every node.
+token 0 as the column blocks it was given, side by side, the (2, d) table of
+group means and each node's group as one byte. A read-only block, such as a
+Graph's features or a remembered structure basis, is held by reference and a
+writable one is copied, so a stack over [H | B] given as (H, B) holds about
+2 * d float64s and n bytes of its own; `HopStack.rows` lays the blocks and the
+table out only for the rows asked for. A k = 0 stack holds its blocks the same
+way, with no table. Raw stacks, which serve `verify`'s q^k check, and adjacency
+stacks keep every token of every node.
 """
 
 from __future__ import annotations
@@ -40,46 +44,55 @@ class HopStack:
 
     `counts`, when set, says token j stands for counts[j] equal tokens.
     `HopStack(tensor, counts)` holds the (n, tokens, d) array it is given. A
-    group-mean stack from `hop_aggregate` holds token 0 per node, its hop-1
-    token once per group and each node's group; `tensor` and `rows` lay them
-    out densely, and `rows` builds only the rows it selects.
+    group-mean stack from `hop_aggregate` holds token 0 as column blocks laid
+    side by side, by reference where a block is read-only, its hop-1 token once
+    per group and each node's group; `tensor` and `rows` lay them out densely,
+    and `rows` builds only the rows it selects.
     """
 
-    __slots__ = ("counts", "_tokens", "_table", "_group")
+    __slots__ = ("counts", "_tokens", "_blocks", "_table", "_group")
 
     def __init__(self, tensor: np.ndarray, counts: tuple | None = None):
         self.counts = counts  # (distinct tokens,) integer multiplicities
-        self._tokens = tensor  # (n, tokens, d); a group-mean stack's token 0 alone
-        self._table = self._group = None  # group-mean: (2, d) hop-1 tokens, (n,) groups
+        self._tokens = tensor  # (n, tokens, d); None for a stack held by blocks
+        # held by blocks: token 0's (n, d_i) blocks, the (2, d) hop-1 tokens (None at
+        # k = 0) and the (n,) groups
+        self._blocks = self._table = self._group = None
 
     @classmethod
-    def _by_group(cls, first: np.ndarray, table: np.ndarray, group: np.ndarray,
-                  counts: tuple | None) -> HopStack:
-        stack = cls(first[:, None], counts)
-        stack._table, stack._group = table, group
+    def _by_blocks(cls, blocks: tuple, table: np.ndarray | None, group: np.ndarray,
+                   counts: tuple | None) -> HopStack:
+        stack = cls(None, counts)
+        stack._blocks, stack._table, stack._group = blocks, table, group
         return stack
 
     @property
     def n(self) -> int:
-        return self._tokens.shape[0]
+        return self._group.size if self._tokens is None else self._tokens.shape[0]
 
     @property
     def d(self) -> int:
+        if self._tokens is None:
+            return sum(block.shape[1] for block in self._blocks)
         return self._tokens.shape[2]
 
     @property
     def tensor(self) -> np.ndarray:
-        """The (n, tokens, d) array; a group-mean stack builds it on every read."""
-        return self._tokens if self._table is None else self.rows(slice(None))
+        """The (n, tokens, d) array; a stack held by blocks builds it on every read."""
+        return self.rows(slice(None)) if self._tokens is None else self._tokens
 
     def rows(self, idx) -> np.ndarray:
         """tensor[idx], building only the rows `idx` selects."""
-        if self._table is None:
+        if self._tokens is not None:
             return self._tokens[idx]
         group = self._group[idx]
-        out = np.empty((group.size, 2, self.d))
-        out[:, 0] = self._tokens[idx, 0]
-        out[:, 1] = self._table[group]
+        out = np.empty((group.size, 1 if self._table is None else 2, self.d))
+        lo = 0
+        for block in self._blocks:
+            out[:, 0, lo:lo + block.shape[1]] = block[idx]
+            lo += block.shape[1]
+        if self._table is not None:
+            out[:, 1] = self._table[group]
         return out
 
 
@@ -93,6 +106,18 @@ def _features_of(h) -> np.ndarray:
     if arr.ndim != 2:
         raise FairformerError(f"feature matrix must be 2-D, got shape {arr.shape}")
     return arr
+
+
+def _blocks_of(h) -> tuple:
+    """`h`, one array or a tuple of column blocks laid side by side, as a tuple of 2-D
+    float64 blocks with one row count."""
+    blocks = tuple(_features_of(block) for block in (h if isinstance(h, tuple) else (h,)))
+    if not blocks:
+        raise FairformerError("no feature blocks given")
+    if len({block.shape[0] for block in blocks}) > 1:
+        raise FairformerError(f"feature blocks have unequal row counts "
+                              f"{[block.shape[0] for block in blocks]}")
+    return blocks
 
 
 def _groups_of(group) -> np.ndarray:
@@ -136,11 +161,13 @@ def _group_sums(group: np.ndarray, x: np.ndarray, mean: bool) -> np.ndarray:
 _LAYER_NORM_SCALE = float(np.sqrt(np.finfo(np.float64).max)) * 2.0 ** -20
 
 
-def _refuse_outgrown(token: np.ndarray, j: int, what: str) -> None:
-    """Refuse hop j, naming `what`, when it is too large for the model's first layer
-    norm to square."""
-    limit = _LAYER_NORM_SCALE / np.sqrt(token.shape[-1])
-    top = np.abs(token).max(initial=0.0)
+def _refuse_outgrown(blocks, j: int, what: str) -> None:
+    """Refuse hop j, naming `what`, when the token its column `blocks` lay out side by
+    side is too large for the model's first layer norm to square. The limit is set by
+    the whole token's width, not by one block's."""
+    limit = _LAYER_NORM_SCALE / np.sqrt(sum(block.shape[-1] for block in blocks))
+    # the largest |entry| with no |block| copy; np.max keeps a nan
+    top = np.max([[block.max(initial=0.0), -block.min(initial=0.0)] for block in blocks])
     if not top <= limit:  # also refuses nan
         raise FairformerError(f"{what} outgrows what layer norm can square at hop {j}: "
                               f"its largest |entry| is {top:.3g}, the limit {limit:.3g}")
@@ -160,7 +187,7 @@ def _hop_stack(x: np.ndarray, k: int, step, what: str | None = None) -> HopStack
     tensor[:, 0] = x
     for j in range(k + 1):
         if what is not None:
-            _refuse_outgrown(tensor[:, j], j, what)
+            _refuse_outgrown((tensor[:, j],), j, what)
         if j < k:
             tensor[:, j + 1] = step(tensor[:, j])
     return HopStack(tensor=tensor)
@@ -168,34 +195,43 @@ def _hop_stack(x: np.ndarray, k: int, step, what: str | None = None) -> HopStack
 
 def hop_aggregate(group, h, k: int, normalization: str = "raw") -> HopStack:
     """Stack hop slices over the same-group graph of `group` (each node's 0/1
-    sensitive group, see `build_group_graph`): slice 0 is the input itself.
+    sensitive group, see `build_group_graph`): slice 0 is the input itself, `h`,
+    given as one array or as a tuple of column blocks laid side by side.
 
     Each step is a per-group row sum, divided by the group size in group-mean
     mode, where k >= 2 hops come back as tokens 0 and 1 with counts (1, k) and
     token 1 is held once per group (see the module docstring). A group-mean
-    stack is the one training runs, so it is refused, naming k and the hop, when
-    a hop is too large for the model's first layer norm to square.
+    stack holds token 0 as its blocks: a read-only block by reference, a writable
+    one as a copy. It is the stack training runs, so it is refused, naming k and
+    the hop, when a hop is too large for the model's first layer norm to square.
     """
     if normalization not in _MODES:
         raise FairformerError(f"normalization must be one of {_MODES}")
     if k < 0:
         raise FairformerError("k must be >= 0")
     group = _groups_of(group)
-    x = _features_of(h)
-    if x.shape[0] != group.size:
-        raise FairformerError(f"feature rows {x.shape[0]} do not match {group.size} groups")
+    blocks = _blocks_of(h)
+    if blocks[0].shape[0] != group.size:
+        raise FairformerError(f"feature rows {blocks[0].shape[0]} do not match "
+                              f"{group.size} groups")
     if normalization == "raw":  # raw hops serve verify, whose q^k certificate reports overflow
+        x = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
         return _hop_stack(x, k, lambda current: _group_sums(group, current, False)[group])
     what = f"the group-mean hop stack of k={k}"
+    n, width = group.size, sum(block.shape[1] for block in blocks)
     if k == 0:
-        return _hop_stack(x, 0, None, what)
-    n, width = x.shape
-    refuse_unfit(8 * (n + 2) * width + n,
-                 f"{what} ({n} nodes x 1 token x {width} columns, 2 group tokens)")
-    _refuse_outgrown(x, 0, what)
-    table = _group_sums(group, x, True)  # its scratch is freed before x is copied
-    _refuse_outgrown(table, 1, what)
-    return HopStack._by_group(x.copy(), table, group, (1, k) if k >= 2 else None)
+        refuse_unfit(8 * n * width,
+                     f"the hop stack of k=0 ({n} nodes x 1 tokens x {width} columns)")
+    else:  # the charge also bounds the boolean-index copies `_group_sums` makes
+        refuse_unfit(8 * (n + 2) * width + n,
+                     f"{what} ({n} nodes x 1 token x {width} columns, 2 group tokens)")
+    _refuse_outgrown(blocks, 0, what)
+    table = None
+    if k >= 1:  # each column is summed in row order, so block by block keeps its bits
+        table = np.concatenate([_group_sums(group, block, True) for block in blocks], axis=1)
+        _refuse_outgrown((table,), 1, what)
+    held = tuple(block.copy() if block.flags.writeable else block for block in blocks)
+    return HopStack._by_blocks(held, table, group, (1, k) if k >= 2 else None)
 
 
 def hop_aggregate_adjacency(g: Graph, h, k: int) -> HopStack:

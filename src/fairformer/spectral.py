@@ -314,13 +314,12 @@ def laplacian_small_eigenpairs(g: Graph, t: int, seed: int = 0) -> SpectralBasis
 _FLAT_SPREAD = 1e-6  # largest column spread, relative to its magnitude, left unscaled
 
 
-def fuse(g: Graph, basis: SpectralBasis, scale_structure: bool = False) -> np.ndarray:
-    """[H | B]: node features with the structure matrix appended, features first.
-
-    scale_structure min-max rescales each structure column to [-1, 1] before
-    concatenation (off by default; unit-norm eigenvector columns are used raw).
-    A column whose spread is at most 1e-6 of its magnitude (a regular graph's
-    Perron vector, say) is constant up to rounding and is kept as it is.
+def structure_columns(g: Graph, basis: SpectralBasis, scale_structure: bool = False) -> np.ndarray:
+    """B, the structure columns that `fuse` appends to the features: the basis's own
+    read-only array, or with scale_structure a read-only copy whose columns are min-max
+    rescaled to [-1, 1] (off by default; unit-norm eigenvector columns are used raw).
+    A column whose spread is at most 1e-6 of its magnitude (a regular graph's Perron
+    vector, say) is constant up to rounding and is kept as it is.
     """
     if basis.n != g.n:
         raise FairformerError(f"basis has {basis.n} rows but graph has {g.n} nodes")
@@ -329,7 +328,15 @@ def fuse(g: Graph, basis: SpectralBasis, scale_structure: bool = False) -> np.nd
         lo, hi = b.min(axis=0), b.max(axis=0)
         wide = hi - lo > _FLAT_SPREAD * np.maximum(np.abs(lo), np.abs(hi))
         b = np.where(wide, -1.0 + 2.0 * (b - lo) / np.where(wide, hi - lo, 1.0), b)
-    return np.concatenate([g.features, b], axis=1)
+        b.setflags(write=False)  # so a group-mean hop stack holds it instead of a copy
+    return b
+
+
+def fuse(g: Graph, basis: SpectralBasis, scale_structure: bool = False) -> np.ndarray:
+    """[H | B]: node features with the structure matrix appended, features first, as
+    one new array (see `structure_columns` for B and scale_structure). A group-mean hop
+    stack takes (H, B) as blocks instead, with no such copy."""
+    return np.concatenate([g.features, structure_columns(g, basis, scale_structure)], axis=1)
 
 
 @dataclass(frozen=True)

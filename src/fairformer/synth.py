@@ -147,13 +147,16 @@ def sensitive_block_graph(n: int = 1000, seed: int = 0, *, avg_degree: float = 2
     prob = np.minimum(base * weight, 1.0)  # indexed by the kinds of a pair's ends
 
     heads, tails = [], []
+    by_kind = prob[:, kind]  # (4, n): row s is each node's probability against kind s
     rows = max(1, _BLOCK_ENTRIES // n)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        r, c = np.nonzero(rng.random((hi - lo, n)) < prob[kind[lo:hi, None], kind])
-        upper = c > r + lo
+        draws = rng.random((hi - lo, n))  # the whole block, so the stream reads on as before
+        # only pairs right of the block's first row can lie above the diagonal
+        r, c = np.nonzero(draws[:, lo + 1:] < by_kind[kind[lo:hi], lo + 1:])
+        upper = c >= r  # column c + lo + 1 past row r + lo
         heads.append(r[upper] + lo)
-        tails.append(c[upper])
+        tails.append(c[upper] + lo + 1)
     adj = _connected_adjacency(n, np.concatenate(heads), np.concatenate(tails), rng)
 
     signal_col = (_SIGNAL * (2.0 * labels - 1.0)
@@ -186,11 +189,12 @@ def benchmark_graph(n: int, seed: int = 0) -> Graph:
     m_samples = int(n * _BENCH_AVG_DEGREE / (2.0 * mean_keep))
     u = rng.integers(0, n, m_samples)
     v = rng.integers(0, n, m_samples)
-    keep_prob = np.where(comm[u] == comm[v], 1.0, p_out / p_in)
-    kept = np.flatnonzero((rng.random(m_samples) < keep_prob) & (u != v))
+    # a same-community pair is kept at rate 1, and a draw in [0, 1) is always below it
+    kept = np.flatnonzero(((comm[u] == comm[v]) | (rng.random(m_samples) < p_out / p_in))
+                          & (u != v))
     path = np.arange(n - 1)
     heads, tails = np.concatenate([u[kept], path]), np.concatenate([v[kept], path + 1])
-    del u, v, keep_prob  # the candidate draws are freed before the build's arrays are made
+    del u, v  # the candidate draws are freed before the build's arrays are made
     adj = _symmetric_adjacency(n, heads, tails)
 
     sens = _force_both_values(rng.integers(0, 2, n), rng)

@@ -23,12 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import Graph, Split, SplitSpec, make_folds
+from .data import Graph, Split, SplitSpec, make_folds, split_train_counts
 from .errors import FairformerError, SplitError, TrainingError, UndefinedMetricError
 from .hops import HopStack, build_group_graph, hop_aggregate, hop_aggregate_adjacency
 from .metrics import EvalReport, accuracy, evaluate, predict_labels, statistical_parity
 from .model import ModelConfig, cross_entropy, forward, init_model, save_model
-from .spectral import fuse, laplacian_small_eigenpairs, top_magnitude_eigenpairs
+from .spectral import (fuse, laplacian_small_eigenpairs, structure_columns,
+                       top_magnitude_eigenpairs)
 from .synth import _refuse_unfit_benchmark, benchmark_graph
 
 ABLATION_VARIANTS = ("full", "no_st", "lap_st", "no_nf", "adj_nf")
@@ -126,25 +127,27 @@ def build_encodings(g: Graph, cfg: TrainConfig) -> HopStack:
     no_nf  : structure columns but only the hop-0 token (k = 0)
     adj_nf : hops over the graph adjacency instead of the same-group graph
 
-    Same-group hops are group means, a counted stack (see `hops`). `cfg.t` is
-    clamped to the eigenvectors there are. The hop builders refuse a stack that
-    cannot fit in physical memory, after the structure solve and before the
-    stack is allocated.
+    Same-group hops are group means, a counted stack (see `hops`), built from the
+    blocks (features, structure columns), which it holds by reference: only `adj_nf`
+    concatenates them through `fuse`. `cfg.t` is clamped to the eigenvectors there
+    are. The hop builders refuse a stack that cannot fit in physical memory, after
+    the structure solve and before the stack is allocated.
     """
     variant = cfg.ablation
     if variant == "no_st":
-        fused = g.features
-    elif variant == "lap_st":  # the Laplacian has n - 1 nontrivial eigenvectors
-        basis = laplacian_small_eigenpairs(g, min(cfg.t, g.n - 1), seed=cfg.seed)
-        fused = fuse(g, basis, scale_structure=cfg.scale_structure)
+        blocks = (g.features,)
     else:
-        basis = top_magnitude_eigenpairs(g, min(cfg.t, g.n), seed=cfg.seed)
-        fused = fuse(g, basis, scale_structure=cfg.scale_structure)
+        if variant == "lap_st":  # the Laplacian has n - 1 nontrivial eigenvectors
+            basis = laplacian_small_eigenpairs(g, min(cfg.t, g.n - 1), seed=cfg.seed)
+        else:
+            basis = top_magnitude_eigenpairs(g, min(cfg.t, g.n), seed=cfg.seed)
+        if variant == "adj_nf":
+            return hop_aggregate_adjacency(g, fuse(g, basis, scale_structure=cfg.scale_structure),
+                                           cfg.k)
+        blocks = (g.features, structure_columns(g, basis, cfg.scale_structure))
 
     k = 0 if variant == "no_nf" else cfg.k
-    if variant == "adj_nf":
-        return hop_aggregate_adjacency(g, fused, k)
-    return hop_aggregate(build_group_graph(g), fused, k, normalization="group-mean")
+    return hop_aggregate(build_group_graph(g), blocks, k, normalization="group-mean")
 
 
 _LEARNING_RATE = 1e-3
@@ -481,7 +484,9 @@ def train(g: Graph, cfg: TrainConfig, splits: list | None = None, serial: bool =
 
     The folds are `make_folds(g, cfg.split_spec())`: `cfg`'s seed, fold count and
     per-class training cap decide them. A caller that draws its own, for example to
-    share them between configs, passes `splits`, which must hold `cfg.folds` splits.
+    share them between configs, passes `splits`, which must hold `cfg.folds` splits,
+    each with the training nodes per class that `split_train_counts` gives at `cfg`'s
+    cap, the cap the run records; splits that do not are refused before encoding.
     Folds run one after another on the caller's thread, so the first fold that
     fails ends the run. A finished fold's weights are kept only when `out_dir` is
     given, for its checkpoint, which is written with the other files once every
@@ -494,6 +499,7 @@ def train(g: Graph, cfg: TrainConfig, splits: list | None = None, serial: bool =
         splits = make_folds(g, cfg.split_spec())
     if len(splits) != cfg.folds:
         raise FairformerError(f"expected {cfg.folds} splits, got {len(splits)}")
+    train_counts = split_train_counts(g, cfg.train_per_class_cap)
     for fold, split in enumerate(splits):  # `evaluate` needs both groups and both classes
         sizes = [int(np.sum(col[split.test] == v)) for col in (g.sensitive, g.labels)
                  for v in (0, 1)]
@@ -501,6 +507,12 @@ def train(g: Graph, cfg: TrainConfig, splits: list | None = None, serial: bool =
             raise SplitError(f"fold {fold}: the test set holds sensitive groups of sizes "
                              f"({sizes[0]}, {sizes[1]}) and classes of sizes ({sizes[2]}, "
                              f"{sizes[3]}); scoring needs both of each")
+        for c, want in train_counts.items():  # the config's cap is what the run records
+            got = int(np.sum(g.labels[split.train] == c))
+            if got != want:
+                raise FairformerError(
+                    f"fold {fold}: the training set holds {got} nodes of class {c}, but a "
+                    f"split at train_per_class_cap={cfg.train_per_class_cap} takes {want}")
 
     encode_start = time.perf_counter()
     stack = build_encodings(g, cfg)

@@ -7,7 +7,7 @@ from scipy.sparse.csgraph import connected_components
 from hypothesis import given, strategies as st
 
 from fairformer.data import (Graph, Split, SplitSpec, binarize_labels, load_dataset,
-                             load_manifest, make_folds, make_split)
+                             load_manifest, make_folds, make_split, split_train_counts)
 from fairformer.errors import IngestionError, SchemaError, SplitError
 from fairformer import synth
 from fairformer.synth import benchmark_graph, random_connected_graph, sensitive_block_graph
@@ -408,6 +408,27 @@ def test_split_gives_the_odd_holdout_slot_to_the_larger_class(sizes):
         assert counts[larger] == (holdout + 1) // 2 and counts[1 - larger] == holdout // 2
 
 
+def labels_only_graph(labels):
+    labels = np.asarray(labels)
+    n = labels.size
+    return Graph(adjacency=sp.csr_matrix((n, n)),
+                 features=np.column_stack([np.zeros(n), np.arange(n) % 2]), sensitive_index=1,
+                 labels=labels, label_mask=np.ones(n, dtype=bool))
+
+
+@pytest.mark.parametrize("cap", [1, 5, 20, 50, 100])
+def test_split_train_counts_are_what_every_drawn_split_takes(cap):
+    graphs = [make_labeled_graph(per_class=40), make_labeled_graph(per_class=100, seed=4),
+              labels_only_graph(np.repeat([0, 1], (30, 12))),  # val/test leave class 1 two
+              sensitive_block_graph(100)]
+    for g in graphs:
+        counts = split_train_counts(g, cap)
+        for seed in range(3):
+            train = g.labels[make_split(g, SplitSpec(train_per_class_cap=cap, seed=seed)).train]
+            assert counts == {c: int(np.sum(train == c)) for c in (0, 1)}
+    assert split_train_counts(graphs[2], 100) == {0: 15, 1: 2}
+
+
 def test_split_class_too_small():
     n = 40
     labels = np.array([0] * 37 + [1] * 3)
@@ -541,7 +562,7 @@ def dense_sensitive_block_graph(n, seed, avg_degree):
 
 @pytest.mark.parametrize("avg_degree", [24.0, 4])
 @pytest.mark.parametrize("seed", [0, 1, 5])
-@pytest.mark.parametrize("n", [2, 3, 57, 300, 1000, 2100])
+@pytest.mark.parametrize("n", [2, 3, 57, 255, 256, 257, 300, 513, 1000, 2100])
 def test_row_blocked_sampler_draws_the_dense_samplers_graph(n, seed, avg_degree):
     g = sensitive_block_graph(n, seed, avg_degree=avg_degree)
     adj, features, labels = dense_sensitive_block_graph(n, seed, avg_degree)

@@ -343,3 +343,56 @@ def test_group_mean_stack_holds_token_one_once_per_group():
         tracemalloc.stop()
     assert stack.tensor.shape == (n, 2, width)
     assert peak < 1.25 * n * width * 8  # token 0, one byte a node of groups, a group's scratch
+
+
+def read_only(arr):
+    arr = np.array(arr, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("normalization", ["raw", "group-mean"])
+@pytest.mark.parametrize("widths", [(3, 2), (1, 1), (4, 0), (2, 1, 3)],
+                         ids=["3+2", "1+1", "4+empty", "2+1+3"])
+def test_column_blocks_give_the_bytes_of_their_concatenation(widths, normalization, k):
+    rng = np.random.default_rng(sum(widths) + k)
+    n = 257
+    group = rng.integers(0, 2, n)
+    blocks = tuple(3.0 + rng.standard_normal((n, w)) for w in widths)
+    whole = np.concatenate(blocks, axis=1)
+    got = hop_aggregate(group, blocks, k, normalization)
+    want = hop_aggregate(group, whole, k, normalization)
+    assert got.n == n and got.d == whole.shape[1] and got.counts == want.counts
+    assert got.tensor.shape == want.tensor.shape
+    assert got.tensor.tobytes() == want.tensor.tobytes()
+    order = rng.permutation(n)
+    for idx in (slice(3, 200), order[:50], group == 1):
+        assert got.rows(idx).tobytes() == want.rows(idx).tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_layer_norm_limit_is_set_by_the_whole_token_width(k):
+    # 1.2 x the two-column limit passes a one-column block's own limit, sqrt(2) x larger
+    top = 1.2 * _LAYER_NORM_SCALE / np.sqrt(2)
+    column = np.zeros((4, 1))
+    column[1] = top
+    group = np.array([0, 1, 0, 1])
+    for h in ((column, np.zeros((4, 1))), np.hstack([column, np.zeros((4, 1))])):
+        with pytest.raises(FairformerError, match=rf"k={k} outgrows what layer norm can square "
+                                                  r"at hop 0"):
+            hop_aggregate(group, h, k, normalization="group-mean")
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_group_mean_stack_shares_read_only_blocks_and_copies_writable_ones(k):
+    rng = np.random.default_rng(k)
+    group = rng.integers(0, 2, 40)
+    kept, copied = read_only(rng.standard_normal((40, 3))), rng.standard_normal((40, 2))
+    stack = hop_aggregate(group, (kept, copied), k, normalization="group-mean")
+    before = stack.tensor
+    assert np.array_equal(before[:, 0], np.hstack([kept, copied]))
+    assert np.shares_memory(stack._blocks[0], kept)
+    assert not any(np.shares_memory(block, copied) for block in stack._blocks)
+    copied += 1.0  # the caller may change its writable array afterwards
+    assert stack.tensor.tobytes() == before.tobytes()

@@ -14,7 +14,7 @@ from dataclasses import replace
 import fairformer.spectral as spectral
 import fairformer.train as train_module
 from fairformer import autodiff as ad
-from fairformer.data import Graph, Split, SplitSpec, make_folds
+from fairformer.data import Graph, Split, SplitSpec, make_folds, split_train_counts
 from fairformer.errors import FairformerError, ModelError, SplitError, TrainingError
 from fairformer.hops import HopStack, build_group_graph, hop_aggregate
 from fairformer.model import cross_entropy, forward, init_model, load_model
@@ -72,7 +72,7 @@ def test_separable_fixture_reaches_perfect_accuracy():
 
 def test_same_seed_reproduces_run():
     g = sensitive_block_graph(n=120, seed=3, avg_degree=10.0)
-    cfg = quick_config()
+    cfg = quick_config(train_per_class_cap=20)
     spec = SplitSpec(train_per_class_cap=20, seed=1, folds=2)
     a = train(g, cfg, splits=make_folds(g, spec))
     b = train(g, cfg, splits=make_folds(g, spec))
@@ -83,7 +83,7 @@ def test_serial_keyword_is_ignored():
     # perfbench's `TrainWorkload` passes serial=True; drop this test along with that
     # keyword in the next declared benchmark change
     g = sensitive_block_graph(n=120, seed=4, avg_degree=10.0)
-    cfg = quick_config(epochs=5)
+    cfg = quick_config(epochs=5, train_per_class_cap=20)
     splits = make_folds(g, SplitSpec(train_per_class_cap=20, seed=1, folds=2))
     assert (train(g, cfg, splits=splits, serial=True).summary_text()
             == train(g, cfg, splits=splits).summary_text())
@@ -153,7 +153,7 @@ def test_a_failing_fold_ends_the_run_before_the_next_fold(monkeypatch):
     g = sensitive_block_graph(n=120, seed=4, avg_degree=10.0)
     splits = make_folds(g, SplitSpec(train_per_class_cap=20, seed=1, folds=2))
     with pytest.raises(TrainingError) as caught:
-        train(g, quick_config(epochs=6), splits=splits)
+        train(g, quick_config(epochs=6, train_per_class_cap=20), splits=splits)
     assert str(caught.value) == "fold 0: loss diverged to nan at epoch 3"
     assert set(stepped) == {0}  # fold 1 never took a step
 
@@ -237,7 +237,7 @@ def test_one_blas_thread_scope_is_a_no_op_without_the_library(blas_threads, monk
 
 def test_checkpoint_never_below_initial_validation_accuracy():
     g = sensitive_block_graph(n=120, seed=5, avg_degree=10.0)
-    cfg = quick_config(epochs=5)
+    cfg = quick_config(epochs=5, train_per_class_cap=20)
     spec = SplitSpec(train_per_class_cap=20, seed=2, folds=2)
     splits = make_folds(g, spec)
     result = train(g, cfg, splits=splits)
@@ -346,7 +346,7 @@ def test_run_files_match_with_one_worker_and_two(tmp_path, monkeypatch, n, patie
         monkeypatch.setattr(train_module, "_PATIENCE", patience)
     g = sensitive_block_graph(n=n, seed=4, avg_degree=10.0)
     splits = make_folds(g, SplitSpec(train_per_class_cap=15, seed=1, folds=2))
-    cfg = quick_config(epochs=12)
+    cfg = quick_config(epochs=12, train_per_class_cap=15)
     for workers in (1, 2):
         monkeypatch.setattr(train_module, "_WORKERS", workers)
         scorers.clear()
@@ -363,7 +363,7 @@ def test_checkpoint_holds_the_weights_of_the_best_epoch(tmp_path, monkeypatch):
     monkeypatch.setattr(train_module, "_LEARNING_RATE", 1e-2)
     g = sensitive_block_graph(n=100, seed=3, avg_degree=10.0)
     split = make_folds(g, SplitSpec(train_per_class_cap=15, seed=0, folds=1))[0]
-    cfg = quick_config(epochs=8, folds=1)
+    cfg = quick_config(epochs=8, folds=1, train_per_class_cap=15)
     result = train(g, cfg, splits=[split], out_dir=tmp_path)
     best = result.best_epochs[0]
     assert 0 < best < cfg.epochs
@@ -631,7 +631,7 @@ def test_bench_times_a_cold_solve_in_every_encode(monkeypatch):
 
 def test_mean_within_fold_range():
     g = sensitive_block_graph(n=120, seed=11, avg_degree=10.0)
-    cfg = quick_config(epochs=5, folds=3)
+    cfg = quick_config(epochs=5, folds=3, train_per_class_cap=15)
     result = train(g, cfg, splits=make_folds(g, SplitSpec(train_per_class_cap=15, seed=3,
                                                           folds=3)))
     accs = [r.accuracy for r in result.fold_reports]
@@ -644,10 +644,12 @@ def test_single_group_validation_logs_nan_parity(tmp_path):
     group0, group1 = np.flatnonzero(g.sensitive == 0), np.flatnonzero(g.sensitive == 1)
     val = group0[:6]
     test = np.concatenate([group0[6:10], group1[:4]])
-    split = Split(train=np.setdiff1d(np.arange(g.n), np.concatenate([val, test])), val=val,
-                  test=test)
-    result = train(g, quick_config(epochs=3, folds=1, t=0, ablation="no_st"), splits=[split],
-                   out_dir=tmp_path)
+    cfg = quick_config(epochs=3, folds=1, t=0, ablation="no_st")
+    rest = np.setdiff1d(np.arange(g.n), np.concatenate([val, test]))
+    train_nodes = [rest[g.labels[rest] == c][:count]  # as many per class as a drawn split
+                   for c, count in split_train_counts(g, cfg.train_per_class_cap).items()]
+    split = Split(train=np.sort(np.concatenate(train_nodes)), val=val, test=test)
+    result = train(g, cfg, splits=[split], out_dir=tmp_path)
     log = (tmp_path / "train_log.txt").read_text().splitlines()
     assert len(log) == 3 and all(line.endswith(" val_delta_sp=nan") for line in log)
     assert all(" val_acc=nan " not in line for line in log)
@@ -680,6 +682,31 @@ def test_split_spec_disagreeing_with_the_config_is_refused_before_encoding(monke
     g = separable_graph(n=60)
     with pytest.raises(FairformerError, match=r"^expected 2 splits, got 3$"):
         train(g, quick_config(folds=2), splits=make_folds(g, SplitSpec(seed=0, folds=3)))
+
+
+@pytest.mark.parametrize("split_cap,cfg_cap,refused", [
+    (5, 50, True), (5, 100, True), (50, 5, True), (100, 50, False),
+], ids=["5-under-50", "5-under-100", "50-under-5", "100-under-50"])
+def test_splits_drawn_at_another_cap_are_refused_before_encoding(monkeypatch, split_cap,
+                                                                  cfg_cap, refused):
+    g = sensitive_block_graph(n=100, seed=0)
+    cfg = TrainConfig(epochs=1, folds=1, d_hidden=8, t=2, train_per_class_cap=cfg_cap)
+    splits = make_folds(g, SplitSpec(train_per_class_cap=split_cap, folds=1))
+    if not refused:  # here the cap binds neither draw, so the splits are the config's own
+        assert ([s.content_hash() for s in splits]
+                == [s.content_hash() for s in make_folds(g, cfg.split_spec())])
+        assert train(g, cfg, splits=splits).split_hashes == [splits[0].content_hash()]
+        return
+
+    def unreachable(*args):
+        raise AssertionError("the encoding was built for splits the config does not draw")
+
+    monkeypatch.setattr(train_module, "build_encodings", unreachable)
+    want = split_train_counts(g, cfg_cap)[0]
+    got = int(np.sum(g.labels[splits[0].train] == 0))
+    with pytest.raises(FairformerError, match=rf"^fold 0: the training set holds {got} nodes of "
+                       rf"class 0, but a split at train_per_class_cap={cfg_cap} takes {want}$"):
+        train(g, cfg, splits=splits)
 
 
 def random_stack(n, d=5, tokens=3, seed=0):
@@ -1182,6 +1209,45 @@ def test_build_encodings_runs_the_library_group_mean_stack(ablation, k):
     want = hop_aggregate(build_group_graph(g), fused, k, normalization="group-mean")
     got = build_encodings(g, cfg)
     assert got.counts == want.counts and np.array_equal(got.tensor, want.tensor)
+
+
+@pytest.mark.parametrize("scale", [False, True], ids=["raw", "scaled"])
+@pytest.mark.parametrize("t", [0, 1, 2, 5])
+@pytest.mark.parametrize("ablation", ABLATION_VARIANTS)
+def test_build_encodings_keeps_the_bytes_of_the_fused_copy(ablation, t, scale):
+    g = sensitive_block_graph(n=60, seed=8, avg_degree=8.0)
+    cfg = quick_config(k=3, t=t, ablation=ablation, scale_structure=scale)
+    if ablation == "no_st":
+        fused = g.features.copy()
+    else:
+        basis = (spectral.laplacian_small_eigenpairs(g, t, seed=cfg.seed) if ablation == "lap_st"
+                 else spectral.top_magnitude_eigenpairs(g, t, seed=cfg.seed))
+        fused = spectral.fuse(g, basis, scale_structure=scale)
+    sens = g.sensitive.astype(np.intp)
+    if ablation == "adj_nf":
+        want = train_module.hop_aggregate_adjacency(g, fused, cfg.k).tensor
+    elif ablation == "no_nf":
+        want = fused[:, None]
+    else:
+        want = np.stack([fused, row_order_group_means(sens, fused)[sens]], axis=1)
+    got = build_encodings(g, cfg).tensor
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ablation", ["full", "no_st", "lap_st", "no_nf"])
+def test_group_mean_encoding_holds_no_node_rows_of_its_own(ablation):
+    g = sensitive_block_graph(n=2000, seed=1, avg_degree=8.0)
+    cfg = quick_config(k=3, t=5, ablation=ablation)
+    build_encodings(g, cfg)  # the graph remembers its basis from here on
+    tracemalloc.start()
+    try:
+        stack = build_encodings(g, cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert stack.n == g.n and stack.d == g.d + (0 if ablation == "no_st" else cfg.t)
+    # one byte a node of groups and the (2, d) table; one float64 column is 8 bytes a node
+    assert held < 2 * g.n
 
 
 def test_training_and_scoring_run_the_same_tokens(monkeypatch):
