@@ -105,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="encoding variant")
         p.add_argument("--cap", type=_positive_int, default=TrainConfig.train_per_class_cap,
                        help="per-class training node cap")
-        p.add_argument("--scale-structure", action="store_true",
-                       help="min-max scale structure columns to [-1, 1]")
 
     p_sweep = sub.choices["sweep"]
     p_sweep.add_argument("--param", choices=("t", "layers"), required=True,
@@ -155,8 +153,7 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(
         epochs=args.epochs, folds=args.folds, train_per_class_cap=args.cap,
         ablation=getattr(args, "ablation", TrainConfig.ablation), k=args.k, t=args.t,
-        layers=args.layers, heads=args.heads, d_hidden=args.hidden,
-        scale_structure=args.scale_structure, seed=args.seed,
+        layers=args.layers, heads=args.heads, d_hidden=args.hidden, seed=args.seed,
     )
 
 

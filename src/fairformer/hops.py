@@ -23,7 +23,9 @@ writable one is copied, so a stack over [H | B] given as (H, B) holds about
 2 * d float64s and n bytes of its own; `HopStack.rows` lays the blocks and the
 table out only for the rows asked for. A k = 0 stack holds its blocks the same
 way, with no table. Raw stacks, which serve `verify`'s q^k check, and adjacency
-stacks keep every token of every node.
+stacks keep every token of every node. `scale_columns` min-max scales a stack's
+trailing columns in place: a stack held by blocks swaps in scaled copies of the
+blocks that hold them and maps its table the same way.
 """
 
 from __future__ import annotations
@@ -219,9 +221,10 @@ def hop_aggregate(group, h, k: int, normalization: str = "raw") -> HopStack:
         return _hop_stack(x, k, lambda current: _group_sums(group, current, False)[group])
     what = f"the group-mean hop stack of k={k}"
     n, width = group.size, sum(block.shape[1] for block in blocks)
-    if k == 0:
-        refuse_unfit(8 * n * width,
-                     f"the hop stack of k=0 ({n} nodes x 1 tokens x {width} columns)")
+    if k == 0:  # it holds read-only blocks by reference
+        copied = sum(block.shape[1] for block in blocks if block.flags.writeable)
+        refuse_unfit(8 * n * copied + n, f"{what} ({n} nodes x {copied} copied columns, "
+                                         f"1 group byte a node)")
     else:  # the charge also bounds the boolean-index copies `_group_sums` makes
         refuse_unfit(8 * (n + 2) * width + n,
                      f"{what} ({n} nodes x 1 token x {width} columns, 2 group tokens)")
@@ -232,6 +235,70 @@ def hop_aggregate(group, h, k: int, normalization: str = "raw") -> HopStack:
         _refuse_outgrown((table,), 1, what)
     held = tuple(block.copy() if block.flags.writeable else block for block in blocks)
     return HopStack._by_blocks(held, table, group, (1, k) if k >= 2 else None)
+
+
+_FLAT_SPREAD = 1e-6  # largest column spread, relative to its magnitude, left unscaled
+
+
+def _scale_alike(views) -> None:
+    """Map every (n_i, w) view in place, column by column, by -1 + 2 * (x - lo) / (hi - lo)
+    with lo and hi the min and max of that column in views[0], so views[0]'s columns
+    span [-1, 1]. A column whose spread is at most `_FLAT_SPREAD` of its magnitude is
+    left as it is. Column by column, because a row of operands broadcast down a view
+    takes a scratch copy of the view's size."""
+    lo, hi = views[0].min(axis=0), views[0].max(axis=0)
+    wide = hi - lo > _FLAT_SPREAD * np.maximum(np.abs(lo), np.abs(hi))
+    for c in np.flatnonzero(wide):
+        for view in views:
+            column = view[:, c]
+            column -= lo[c]
+            column *= 2.0
+            column /= hi[c] - lo[c]
+            column += -1.0
+
+
+def scale_columns(stack: HopStack, start: int) -> None:
+    """Min-max scale columns `start`: of every token of `stack` to [-1, 1], in place,
+    each by its range in token 0. A column whose spread is at most 1e-6 of its
+    magnitude (a regular graph's Perron vector, say) is constant up to rounding and is
+    kept as it is.
+
+    `train` scales the structure columns of the stack it runs this way: unit-norm
+    eigenvector entries are about 1/sqrt(n). A stack held by blocks gets a read-only
+    scaled copy of each block that holds such columns, refused before it is made when
+    it cannot fit in physical memory, and its group table is mapped by the same affine
+    map, which a group mean commutes with: the stack of the scaled blocks, up to
+    rounding. The blocks it was given are not written. A dense stack is scaled where
+    it lies. Each token is then held to the layer-norm bound, as when the stack was
+    built: scaling multiplies an adjacency hop by 2 / (hi - lo).
+    """
+    if stack._tokens is not None:
+        x = stack._tokens
+        with np.errstate(over="ignore"):  # a hop scaled past float64's range is refused below
+            _scale_alike([x[:, j, start:] for j in range(x.shape[1])])
+        token_blocks = [(x[:, j],) for j in range(x.shape[1])]
+    else:
+        offsets = np.cumsum([0] + [block.shape[1] for block in stack._blocks])
+        copied = sum(block.shape[1] for block, at in zip(stack._blocks, offsets)
+                     if at + block.shape[1] > start)
+        refuse_unfit(8 * stack.n * copied, f"the scaled columns {start}: of a hop stack "
+                                           f"({stack.n} nodes x {copied} columns)")
+        held = []
+        for block, at in zip(stack._blocks, offsets):
+            cut = max(start - at, 0)
+            if cut < block.shape[1]:
+                block = block.copy()
+                views = [block[:, cut:]]
+                if stack._table is not None:
+                    views.append(stack._table[:, at + cut:at + block.shape[1]])
+                _scale_alike(views)
+                block.setflags(write=False)
+            held.append(block)
+        stack._blocks = tuple(held)
+        token_blocks = [stack._blocks] + ([] if stack._table is None else [(stack._table,)])
+    k = stack.counts[1] if stack.counts else len(token_blocks) - 1
+    for j, blocks in enumerate(token_blocks):
+        _refuse_outgrown(blocks, j, f"the scaled hop stack of k={k}")
 
 
 def hop_aggregate_adjacency(g: Graph, h, k: int) -> HopStack:

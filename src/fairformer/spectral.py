@@ -311,32 +311,14 @@ def laplacian_small_eigenpairs(g: Graph, t: int, seed: int = 0) -> SpectralBasis
     return basis
 
 
-_FLAT_SPREAD = 1e-6  # largest column spread, relative to its magnitude, left unscaled
-
-
-def structure_columns(g: Graph, basis: SpectralBasis, scale_structure: bool = False) -> np.ndarray:
-    """B, the structure columns that `fuse` appends to the features: the basis's own
-    read-only array, or with scale_structure a read-only copy whose columns are min-max
-    rescaled to [-1, 1] (off by default; unit-norm eigenvector columns are used raw).
-    A column whose spread is at most 1e-6 of its magnitude (a regular graph's Perron
-    vector, say) is constant up to rounding and is kept as it is.
-    """
+def fuse(g: Graph, basis: SpectralBasis) -> np.ndarray:
+    """[H | B]: node features with the structure matrix appended, features first, as
+    one new array. A group-mean hop stack takes (H, B) as blocks instead, with no such
+    copy. Both keep the basis's unit-norm columns as they are; `train` scales them in
+    the stack it runs (`hops.scale_columns`)."""
     if basis.n != g.n:
         raise FairformerError(f"basis has {basis.n} rows but graph has {g.n} nodes")
-    b = basis.structure_matrix
-    if scale_structure:
-        lo, hi = b.min(axis=0), b.max(axis=0)
-        wide = hi - lo > _FLAT_SPREAD * np.maximum(np.abs(lo), np.abs(hi))
-        b = np.where(wide, -1.0 + 2.0 * (b - lo) / np.where(wide, hi - lo, 1.0), b)
-        b.setflags(write=False)  # so a group-mean hop stack holds it instead of a copy
-    return b
-
-
-def fuse(g: Graph, basis: SpectralBasis, scale_structure: bool = False) -> np.ndarray:
-    """[H | B]: node features with the structure matrix appended, features first, as
-    one new array (see `structure_columns` for B and scale_structure). A group-mean hop
-    stack takes (H, B) as blocks instead, with no such copy."""
-    return np.concatenate([g.features, structure_columns(g, basis, scale_structure)], axis=1)
+    return np.concatenate([g.features, basis.structure_matrix], axis=1)
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,11 @@ import numpy as np
 from . import autodiff as ad
 from .data import Graph, Split, SplitSpec, make_folds, split_train_counts
 from .errors import FairformerError, SplitError, TrainingError, UndefinedMetricError
-from .hops import HopStack, build_group_graph, hop_aggregate, hop_aggregate_adjacency
+from .hops import (HopStack, build_group_graph, hop_aggregate, hop_aggregate_adjacency,
+                   scale_columns)
 from .metrics import EvalReport, accuracy, evaluate, predict_labels, statistical_parity
 from .model import ModelConfig, cross_entropy, forward, init_model, save_model
-from .spectral import (fuse, laplacian_small_eigenpairs, structure_columns,
-                       top_magnitude_eigenpairs)
+from .spectral import fuse, laplacian_small_eigenpairs, top_magnitude_eigenpairs
 from .synth import _refuse_unfit_benchmark, benchmark_graph
 
 ABLATION_VARIANTS = ("full", "no_st", "lap_st", "no_nf", "adj_nf")
@@ -47,7 +47,6 @@ class TrainConfig:
     layers: int = ModelConfig.layers
     heads: int = ModelConfig.heads
     d_hidden: int = ModelConfig.d_hidden
-    scale_structure: bool = False  # min-max structure columns to [-1, 1]
     seed: int = 0
 
     def __post_init__(self):
@@ -129,9 +128,11 @@ def build_encodings(g: Graph, cfg: TrainConfig) -> HopStack:
 
     Same-group hops are group means, a counted stack (see `hops`), built from the
     blocks (features, structure columns), which it holds by reference: only `adj_nf`
-    concatenates them through `fuse`. `cfg.t` is clamped to the eigenvectors there
-    are. The hop builders refuse a stack that cannot fit in physical memory, after
-    the structure solve and before the stack is allocated.
+    concatenates them through `fuse`. The structure columns are the basis's own,
+    unit-norm; `train` scales them in the stack it runs (`scale_columns`). `cfg.t` is
+    clamped to the eigenvectors there are. The hop builders refuse a stack that cannot
+    fit in physical memory, after the structure solve and before the stack is
+    allocated.
     """
     variant = cfg.ablation
     if variant == "no_st":
@@ -142,9 +143,8 @@ def build_encodings(g: Graph, cfg: TrainConfig) -> HopStack:
         else:
             basis = top_magnitude_eigenpairs(g, min(cfg.t, g.n), seed=cfg.seed)
         if variant == "adj_nf":
-            return hop_aggregate_adjacency(g, fuse(g, basis, scale_structure=cfg.scale_structure),
-                                           cfg.k)
-        blocks = (g.features, structure_columns(g, basis, cfg.scale_structure))
+            return hop_aggregate_adjacency(g, fuse(g, basis), cfg.k)
+        blocks = (g.features, basis.structure_matrix)
 
     k = 0 if variant == "no_nf" else cfg.k
     return hop_aggregate(build_group_graph(g), blocks, k, normalization="group-mean")
@@ -480,7 +480,9 @@ def train(g: Graph, cfg: TrainConfig, splits: list | None = None, serial: bool =
 
     Every fold trains with Adam at `_LEARNING_RATE` and `_WEIGHT_DECAY`, dropout
     at `ModelConfig`'s default, and stops after `_PATIENCE` stale epochs; `cfg`
-    sets the rest.
+    sets the rest. The stack it trains on is `build_encodings`' with its structure
+    columns min-max scaled to [-1, 1] (`scale_columns`), once, inside
+    `encode_seconds`.
 
     The folds are `make_folds(g, cfg.split_spec())`: `cfg`'s seed, fold count and
     per-class training cap decide them. A caller that draws its own, for example to
@@ -516,6 +518,7 @@ def train(g: Graph, cfg: TrainConfig, splits: list | None = None, serial: bool =
 
     encode_start = time.perf_counter()
     stack = build_encodings(g, cfg)
+    scale_columns(stack, g.d)  # the structure columns, to [-1, 1]
     encode_seconds = time.perf_counter() - encode_start
 
     log: list[str] = []
@@ -627,8 +630,10 @@ def bench_scaling(sizes, k: int = 2, t: int = 4, d_hidden: int = 32, seed: int =
     and step on the first graph take the first-call costs before any timing.
     Each size's encode time is the fastest of `_ENCODE_REPEATS`, each on a fresh
     copy of the graph, so it times a cold structure solve rather than the basis
-    `spectral` remembers. numpy's OpenBLAS is held at one thread throughout:
-    with its own thread pool the fit moved from run to run on a 2-vCPU machine.
+    `spectral` remembers. The stacks are `build_encodings`' alone, so their structure
+    columns are raw: of the shape `train` scales, not scaled. numpy's OpenBLAS is
+    held at one thread throughout: with its own thread pool the fit moved from run to
+    run on a 2-vCPU machine.
     A size whose graph cannot fit in physical memory is refused with
     IngestionError before any graph is generated.
     """

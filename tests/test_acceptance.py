@@ -209,7 +209,7 @@ FIXTURE_SEEDS = (0, 1, 2, 3, 4)
 
 def fairness_fixture_config(seed):
     return TrainConfig(epochs=120, folds=1, train_per_class_cap=100, k=2, t=6, d_hidden=32,
-                       seed=seed, scale_structure=True)
+                       seed=seed)
 
 
 def test_criterion_6_directional_fairness_effect():

@@ -313,8 +313,7 @@ def test_criterion_6_runs_are_train_commands(seed):
     for variant in ("full", "no_st", "adj_nf"):
         args = build_parser().parse_args([
             "train", "--synthetic", "1000", "--seed", str(seed), "--epochs", "120",
-            "--folds", "1", "--cap", "100", "--t", "6", "--hidden", "32", "--scale-structure",
-            "--ablation", variant])
+            "--folds", "1", "--cap", "100", "--t", "6", "--hidden", "32", "--ablation", variant])
         assert _train_config(args) == dataclasses.replace(fairness_fixture_config(seed),
                                                           ablation=variant)
 

@@ -1,19 +1,21 @@
 import os
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fairformer import synth
+from fairformer import hops, synth
 from fairformer.data import Graph
 from fairformer.errors import FairformerError
 from fairformer.hops import (_LAYER_NORM_SCALE, HopStack, build_group_graph, group_scaling_report,
-                             hop_aggregate, hop_aggregate_adjacency)
+                             hop_aggregate, hop_aggregate_adjacency, scale_columns)
 from fairformer.model import ModelConfig, forward, init_model
 from fairformer.oracles import dense_power_apply
-from fairformer.synth import random_connected_graph
+from fairformer.spectral import fuse, top_magnitude_eigenpairs
+from fairformer.synth import random_connected_graph, sensitive_block_graph
 
 
 def graph_with_sensitive(sens, labels=None):
@@ -396,3 +398,136 @@ def test_group_mean_stack_shares_read_only_blocks_and_copies_writable_ones(k):
     assert not any(np.shares_memory(block, copied) for block in stack._blocks)
     copied += 1.0  # the caller may change its writable array afterwards
     assert stack.tensor.tobytes() == before.tobytes()
+
+
+def physical_memory(monkeypatch, budget):
+    """os.sysconf reporting `budget` bytes of physical memory."""
+    sysconf = os.sysconf
+    monkeypatch.setattr(synth.os, "sysconf", lambda name: {
+        "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": budget}.get(name) or sysconf(name))
+
+
+def test_token_only_group_mean_stack_is_charged_the_blocks_it_copies(monkeypatch):
+    n, width = 30, 10
+    group = np.arange(n) % 2
+    kept = read_only(np.random.default_rng(1).standard_normal((n, width)))
+    physical_memory(monkeypatch, 8 * n * width)  # under one token a node and its groups
+    stack = hop_aggregate(group, (kept, kept), 0, normalization="group-mean")
+    assert stack.tensor.shape == (n, 1, 2 * width) and np.shares_memory(stack._blocks[0], kept)
+    with pytest.raises(FairformerError, match=r"group-mean hop stack of k=0 \(30 nodes x 10 "
+                                              r"copied columns, 1 group byte a node\) needs about"):
+        hop_aggregate(group, (kept, kept.copy()), 0, normalization="group-mean")
+
+
+def basis_stack(k, n=200, t=4, seed=3):
+    """A group-mean stack over (features, B) of sensitive_block_graph(n), B its remembered
+    basis, with the graph and B."""
+    g = sensitive_block_graph(n=n, seed=seed)
+    b = top_magnitude_eigenpairs(g, t, seed=0).structure_matrix
+    return hop_aggregate(build_group_graph(g), (g.features, b), k, "group-mean"), g, b
+
+
+def min_max(x):
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    return -1.0 + 2.0 * (x - lo) / (hi - lo)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_scaling_a_stack_held_by_blocks_scales_its_structure_block_and_table(k):
+    stack, g, b = basis_stack(k)
+    raw = stack.tensor
+    scale_columns(stack, g.d)
+    scaled = min_max(b)
+    assert stack.counts == ((1, k) if k >= 2 else None) and stack.tensor.shape == raw.shape
+    assert stack._blocks[0] is g.features and not stack._blocks[1].flags.writeable
+    assert np.array_equal(stack.tensor[:, 0], np.hstack([g.features, scaled]))
+    assert np.array_equal(stack.tensor[:, :, :g.d], raw[:, :, :g.d])
+    # a group mean commutes with the per-column affine map, up to rounding
+    want = hop_aggregate(build_group_graph(g), (g.features, scaled), k, "group-mean").tensor
+    np.testing.assert_allclose(stack.tensor, want, rtol=0, atol=1e-15)
+
+
+def test_scaling_a_dense_adjacency_stack_scales_every_token_where_it_lies():
+    g = random_connected_graph(40, density=0.2, seed=4)
+    basis = top_magnitude_eigenpairs(g, 3, seed=0)
+    b = basis.structure_matrix
+    stack = hop_aggregate_adjacency(g, fuse(g, basis), 3)
+    raw = stack.tensor.copy()
+    held = stack.tensor
+    scale_columns(stack, g.d)
+    assert stack.tensor is held  # no second dense copy
+    lo, hi = b.min(axis=0), b.max(axis=0)
+    for j in range(4):  # every hop by token 0's range
+        want = -1.0 + 2.0 * (raw[:, j, g.d:] - lo) / (hi - lo)
+        assert np.array_equal(held[:, j, g.d:], want)
+        assert np.array_equal(held[:, j, :g.d], raw[:, j, :g.d])
+
+
+def test_scaling_keeps_a_column_flat_up_to_rounding():
+    # the Perron vector of C51 is 1/sqrt(51) up to the solver's rounding; min-max scaling
+    # would stretch that noise over [-1, 1]
+    dense = np.eye(51, k=1) + np.eye(51, k=-1)
+    dense[0, 50] = dense[50, 0] = 1.0
+    g = replace(graph_with_sensitive([0, 1] * 25 + [0]), adjacency=sp.csr_matrix(dense))
+    perron = top_magnitude_eigenpairs(g, t=1).structure_matrix
+    assert 0 < np.ptp(perron) <= 1e-6 * np.max(np.abs(perron))
+    varied = top_magnitude_eigenpairs(random_connected_graph(51, density=0.2, seed=0), t=1)
+    stack = hop_aggregate(build_group_graph(g), (g.features, perron, varied.structure_matrix), 1,
+                          "group-mean")
+    scale_columns(stack, g.d)
+    assert np.array_equal(stack.tensor[:, 0, g.d], perron[:, 0])
+    assert stack.tensor[:, 0, g.d + 1].min() == -1.0 and stack.tensor[:, 0, g.d + 1].max() == 1.0
+
+
+def test_scaling_neither_writes_nor_copies_twice_the_remembered_basis():
+    n, t = 1000, 5
+    stack, g, b = basis_stack(2, n=n, t=t)
+    before = b.copy()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scale_columns(stack, g.d)
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(b, before) and not b.flags.writeable
+    assert top_magnitude_eigenpairs(g, t, seed=0).structure_matrix is b  # still remembered
+    assert not np.shares_memory(stack._blocks[1], b)
+    copy = 8 * n * t
+    assert copy <= held and peak < 1.1 * copy  # one scaled copy, and no scratch of its size
+
+
+def test_scaled_block_is_charged_before_it_is_made(monkeypatch):
+    stack, g, b = basis_stack(2)
+    physical_memory(monkeypatch, 8 * g.n * b.shape[1] - 1)
+    with pytest.raises(FairformerError, match=rf"the scaled columns {g.d}: of a hop stack "
+                                              rf"\({g.n} nodes x 4 columns\) needs about"):
+        scale_columns(stack, g.d)
+    assert stack._blocks[1] is b
+
+
+def test_scaling_leaves_a_stack_with_no_structure_columns_as_it_is():
+    g = sensitive_block_graph(n=60, seed=3)
+    stack = hop_aggregate(build_group_graph(g), (g.features,), 2, "group-mean")
+    blocks, table = stack._blocks, stack._table.copy()
+    scale_columns(stack, g.d)
+    assert stack._blocks == blocks and np.array_equal(stack._table, table)
+
+
+def test_adjacency_hop_that_outgrows_the_layer_norm_bound_once_scaled_is_refused(monkeypatch):
+    g = random_connected_graph(40, density=0.2, seed=4)
+    x = fuse(g, top_magnitude_eigenpairs(g, 3, seed=0))
+    width = x.shape[1]
+    raw = hop_aggregate_adjacency(g, x, 3)
+    scaled = hop_aggregate_adjacency(g, x, 3)
+    scale_columns(scaled, g.d)
+    raw_top = np.abs(raw.tensor).max(axis=(0, 2))
+    scaled_top = np.abs(scaled.tensor).max(axis=(0, 2))
+    limit = raw_top.max() * 1.001  # every raw hop passes it
+    hop = int(np.argmax(scaled_top > limit))
+    assert scaled_top[hop] > limit
+    monkeypatch.setattr(hops, "_LAYER_NORM_SCALE", limit * np.sqrt(width))
+    stack = hop_aggregate_adjacency(g, x, 3)
+    with pytest.raises(FairformerError, match=rf"the scaled hop stack of k=3 outgrows what layer "
+                                              rf"norm can square at hop {hop}: "):
+        scale_columns(stack, g.d)

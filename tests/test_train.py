@@ -16,7 +16,7 @@ import fairformer.train as train_module
 from fairformer import autodiff as ad
 from fairformer.data import Graph, Split, SplitSpec, make_folds, split_train_counts
 from fairformer.errors import FairformerError, ModelError, SplitError, TrainingError
-from fairformer.hops import HopStack, build_group_graph, hop_aggregate
+from fairformer.hops import HopStack, build_group_graph, hop_aggregate, scale_columns
 from fairformer.model import cross_entropy, forward, init_model, load_model
 from fairformer.oracles import dense_power_apply
 from fairformer.synth import sensitive_block_graph
@@ -243,6 +243,7 @@ def test_checkpoint_never_below_initial_validation_accuracy():
     result = train(g, cfg, splits=splits)
 
     stack = build_encodings(g, cfg)
+    scale_columns(stack, g.d)  # the stack train runs
     for fold, split in enumerate(splits):
         params = init_model(cfg.model_config(seed=cfg.seed * 1000 + fold), stack.d)
         logits = forward(params, stack).data
@@ -368,6 +369,7 @@ def test_checkpoint_holds_the_weights_of_the_best_epoch(tmp_path, monkeypatch):
     best = result.best_epochs[0]
     assert 0 < best < cfg.epochs
     stack = build_encodings(g, cfg)
+    scale_columns(stack, g.d)  # the stack train runs
     params, optimizer, dropout_rng = train_module._init_fold(cfg, stack.d, 0)
     for epoch in range(1, best + 1):  # the steps one after another, as the reference
         train_module._train_step(params, optimizer, dropout_rng,
@@ -1151,9 +1153,11 @@ def test_training_never_lays_out_the_whole_group_mean_stack(monkeypatch):
     assert len(built) == 1 and built[0].counts == (1, 3)
     assert whole == [] and row_counts and max(row_counts) < g.n
 
-    stack = built[0]
+    # train scales the stack it is given in place: a dense one, as here, to the bits of
+    # the one held by blocks
+    raw = build_encodings(g, cfg)
     monkeypatch.setattr(train_module, "build_encodings",
-                        lambda graph, config: HopStack(stack.tensor, stack.counts))
+                        lambda graph, config: HopStack(raw.tensor, raw.counts))
     assert train(g, cfg).summary_text() == held.summary_text()
 
 
@@ -1215,14 +1219,16 @@ def test_build_encodings_runs_the_library_group_mean_stack(ablation, k):
 @pytest.mark.parametrize("t", [0, 1, 2, 5])
 @pytest.mark.parametrize("ablation", ABLATION_VARIANTS)
 def test_build_encodings_keeps_the_bytes_of_the_fused_copy(ablation, t, scale):
+    # raw: the encoding perfbench checks against the basis; scaled: the stack train
+    # runs, which scaling the fused copy's dense stack where it lies gives too
     g = sensitive_block_graph(n=60, seed=8, avg_degree=8.0)
-    cfg = quick_config(k=3, t=t, ablation=ablation, scale_structure=scale)
+    cfg = quick_config(k=3, t=t, ablation=ablation)
     if ablation == "no_st":
         fused = g.features.copy()
     else:
         basis = (spectral.laplacian_small_eigenpairs(g, t, seed=cfg.seed) if ablation == "lap_st"
                  else spectral.top_magnitude_eigenpairs(g, t, seed=cfg.seed))
-        fused = spectral.fuse(g, basis, scale_structure=scale)
+        fused = spectral.fuse(g, basis)
     sens = g.sensitive.astype(np.intp)
     if ablation == "adj_nf":
         want = train_module.hop_aggregate_adjacency(g, fused, cfg.k).tensor
@@ -1230,8 +1236,12 @@ def test_build_encodings_keeps_the_bytes_of_the_fused_copy(ablation, t, scale):
         want = fused[:, None]
     else:
         want = np.stack([fused, row_order_group_means(sens, fused)[sens]], axis=1)
-    got = build_encodings(g, cfg).tensor
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    got, want = build_encodings(g, cfg), HopStack(want)
+    if scale:
+        scale_columns(got, g.d)
+        scale_columns(want, g.d)
+    assert got.tensor.shape == want.tensor.shape
+    assert got.tensor.tobytes() == want.tensor.tobytes()
 
 
 @pytest.mark.parametrize("ablation", ["full", "no_st", "lap_st", "no_nf"])
@@ -1248,6 +1258,34 @@ def test_group_mean_encoding_holds_no_node_rows_of_its_own(ablation):
     assert stack.n == g.n and stack.d == g.d + (0 if ablation == "no_st" else cfg.t)
     # one byte a node of groups and the (2, d) table; one float64 column is 8 bytes a node
     assert held < 2 * g.n
+
+
+def test_train_feeds_the_model_scaled_structure_columns(monkeypatch):
+    # 20 labeled nodes a class: training, validation and test take every node
+    g = sensitive_block_graph(n=40, seed=12, avg_degree=8.0)
+    g = replace(g, labels=np.arange(g.n) % 2)
+    calls = []
+
+    def recording_forward(params, stack, training=False, **kwargs):
+        calls.append((training, stack.tensor))
+        return forward(params, stack, training=training, **kwargs)
+
+    monkeypatch.setattr(train_module, "forward", recording_forward)
+    cfg = quick_config(k=2, t=3, epochs=1, folds=1)
+    split = make_folds(g, cfg.split_spec())[0]
+    order = np.concatenate([split.train, split.val, split.test])
+    assert np.array_equal(np.sort(order), np.arange(g.n))
+    train(g, cfg, splits=[split])
+    step = next(tensor for training, tensor in calls if training)
+    val, test = (tensor for training, tensor in calls[-2:] if not training)
+    tokens = np.concatenate([step, val, test])
+    raw = build_encodings(g, cfg).tensor[order]
+    assert tokens.shape == raw.shape == (g.n, 2, g.d + 3)
+    assert np.array_equal(tokens[:, :, :g.d], raw[:, :, :g.d])
+    structure = tokens[:, :, g.d:]
+    assert np.array_equal(structure[:, 0].min(axis=0), [-1.0] * 3)
+    assert np.array_equal(structure[:, 0].max(axis=0), [1.0] * 3)
+    assert np.all(np.abs(structure[:, 1]) <= 1.0)  # a group mean of scaled columns
 
 
 def test_training_and_scoring_run_the_same_tokens(monkeypatch):
