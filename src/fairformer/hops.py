@@ -15,17 +15,19 @@ the latter up to rounding, as a mean of means is not bit-equal. So a group-mean
 stack of k >= 2 hops is built as tokens 0 and 1 with multiplicities (1, k)
 (`HopStack.counts`, see `model.forward`), the one stack training and scoring
 run: its size does not grow with k, which only weighs the group token by log k.
-Its hop-1 token is its node's group mean, one of two rows, so the stack holds
-token 0 as the column blocks it was given, side by side, the (2, d) table of
-group means and each node's group as one byte. A read-only block, such as a
-Graph's features or a remembered structure basis, is held by reference and a
-writable one is copied, so a stack over [H | B] given as (H, B) holds about
-2 * d float64s and n bytes of its own; `HopStack.rows` lays the blocks and the
-table out only for the rows asked for. A k = 0 stack holds its blocks the same
-way, with no table. Raw stacks, which serve `verify`'s q^k check, and adjacency
-stacks keep every token of every node. `scale_columns` min-max scales a stack's
-trailing columns in place: a stack held by blocks swaps in scaled copies of the
-blocks that hold them and maps its table the same way.
+
+Every `HopStack` holds one layout. Token 0 is column blocks laid side by side,
+and the later tokens are one (rows, tokens - 1, d) array, of which each node
+reads one row. A stack built from a dense (n, tokens, d) array holds views of it,
+and node v reads row v through an index of 8 bytes a node. A group-mean stack holds the blocks it was given, a
+read-only block (a Graph's features, a remembered structure basis) by reference
+and a writable one as a copy, and its later tokens as the (2, 1, d) table of
+group means, (2, 0, d) at k = 0, which node v reads through its group, one byte
+a node. So a stack over [H | B] given as (H, B) holds about 2 * d float64s and
+n bytes of its own; `HopStack.rows` lays out only the rows asked for. Raw
+stacks, which serve `verify`'s q^k check, and adjacency stacks are dense.
+`scale_columns` min-max scales a stack's trailing columns where they lie, except
+in a read-only block, which it swaps for a scaled copy.
 """
 
 from __future__ import annotations
@@ -45,56 +47,45 @@ class HopStack:
     """Per-node token sequences: tensor[v, j] is the hop-j embedding of node v.
 
     `counts`, when set, says token j stands for counts[j] equal tokens.
-    `HopStack(tensor, counts)` holds the (n, tokens, d) array it is given. A
-    group-mean stack from `hop_aggregate` holds token 0 as column blocks laid
-    side by side, by reference where a block is read-only, its hop-1 token once
-    per group and each node's group; `tensor` and `rows` lay them out densely,
-    and `rows` builds only the rows it selects.
+    `HopStack(tensor, counts)` holds views of the (n, tokens, d) array it is given:
+    token 0 as one block and tokens 1 and up as one array, of which node v reads
+    row v. A group-mean stack from `hop_aggregate` holds the same layout with token
+    0 as the blocks it was given and one row of later tokens per group (see the
+    module docstring). `rows` lays out the rows it selects; `tensor` returns the array the
+    stack was built from, or lays the whole stack out on every read.
     """
 
-    __slots__ = ("counts", "_tokens", "_blocks", "_table", "_group")
+    __slots__ = ("counts", "_dense", "_blocks", "_later", "_row")
 
     def __init__(self, tensor: np.ndarray, counts: tuple | None = None):
         self.counts = counts  # (distinct tokens,) integer multiplicities
-        self._tokens = tensor  # (n, tokens, d); None for a stack held by blocks
-        # held by blocks: token 0's (n, d_i) blocks, the (2, d) hop-1 tokens (None at
-        # k = 0) and the (n,) groups
-        self._blocks = self._table = self._group = None
-
-    @classmethod
-    def _by_blocks(cls, blocks: tuple, table: np.ndarray | None, group: np.ndarray,
-                   counts: tuple | None) -> HopStack:
-        stack = cls(None, counts)
-        stack._blocks, stack._table, stack._group = blocks, table, group
-        return stack
+        self._dense = tensor  # kept only for `tensor`; None once a block is swapped
+        self._blocks = (tensor[:, 0],)  # token 0's (n, d_i) column blocks
+        self._later = tensor[:, 1:]  # (rows, tokens - 1, d)
+        self._row = np.arange(tensor.shape[0])  # (n,): node v's row of `_later`
 
     @property
     def n(self) -> int:
-        return self._group.size if self._tokens is None else self._tokens.shape[0]
+        return self._row.size
 
     @property
     def d(self) -> int:
-        if self._tokens is None:
-            return sum(block.shape[1] for block in self._blocks)
-        return self._tokens.shape[2]
+        return self._later.shape[2]
 
     @property
     def tensor(self) -> np.ndarray:
-        """The (n, tokens, d) array; a stack held by blocks builds it on every read."""
-        return self.rows(slice(None)) if self._tokens is None else self._tokens
+        """The (n, tokens, d) array; a stack built without one lays it out on every read."""
+        return self.rows(slice(None)) if self._dense is None else self._dense
 
     def rows(self, idx) -> np.ndarray:
-        """tensor[idx], building only the rows `idx` selects."""
-        if self._tokens is not None:
-            return self._tokens[idx]
-        group = self._group[idx]
-        out = np.empty((group.size, 1 if self._table is None else 2, self.d))
+        """A new array of tensor[idx], built from only the rows `idx` selects."""
+        row = self._row[idx]
+        out = np.empty((row.size, 1 + self._later.shape[1], self.d))
         lo = 0
         for block in self._blocks:
             out[:, 0, lo:lo + block.shape[1]] = block[idx]
             lo += block.shape[1]
-        if self._table is not None:
-            out[:, 1] = self._table[group]
+        out[:, 1:] = self._later[row]
         return out
 
 
@@ -229,12 +220,16 @@ def hop_aggregate(group, h, k: int, normalization: str = "raw") -> HopStack:
         refuse_unfit(8 * (n + 2) * width + n,
                      f"{what} ({n} nodes x 1 token x {width} columns, 2 group tokens)")
     _refuse_outgrown(blocks, 0, what)
-    table = None
+    later = np.empty((2, 0, width))
     if k >= 1:  # each column is summed in row order, so block by block keeps its bits
-        table = np.concatenate([_group_sums(group, block, True) for block in blocks], axis=1)
-        _refuse_outgrown((table,), 1, what)
-    held = tuple(block.copy() if block.flags.writeable else block for block in blocks)
-    return HopStack._by_blocks(held, table, group, (1, k) if k >= 2 else None)
+        later = np.concatenate([_group_sums(group, block, True) for block in blocks],
+                               axis=1)[:, None]
+        _refuse_outgrown((later[:, 0],), 1, what)
+    stack = HopStack.__new__(HopStack)  # the one layout, with no dense array
+    stack.counts, stack._dense, stack._later, stack._row = (
+        (1, k) if k >= 2 else None, None, later, group)
+    stack._blocks = tuple(block.copy() if block.flags.writeable else block for block in blocks)
+    return stack
 
 
 _FLAT_SPREAD = 1e-6  # largest column spread, relative to its magnitude, left unscaled
@@ -264,38 +259,37 @@ def scale_columns(stack: HopStack, start: int) -> None:
     kept as it is.
 
     `train` scales the structure columns of the stack it runs this way: unit-norm
-    eigenvector entries are about 1/sqrt(n). A stack held by blocks gets a read-only
-    scaled copy of each block that holds such columns, refused before it is made when
-    it cannot fit in physical memory, and its group table is mapped by the same affine
-    map, which a group mean commutes with: the stack of the scaled blocks, up to
-    rounding. The blocks it was given are not written. A dense stack is scaled where
-    it lies. Each token is then held to the layer-norm bound, as when the stack was
-    built: scaling multiplies an adjacency hop by 2 / (hi - lo).
+    eigenvector entries are about 1/sqrt(n). The columns are scaled where they lie,
+    in token 0's blocks and in the later-token array; a group mean commutes with the
+    per-column affine map, so a group-mean stack becomes the stack of the scaled
+    blocks, up to rounding. A read-only block that holds such columns, a remembered
+    basis say, is not written: it is swapped for a scaled copy, also read-only,
+    refused before it is made when it cannot fit in physical memory, and a stack that
+    swaps one no longer returns the array it was built from as `tensor`. Each token is
+    then held to the layer-norm bound, as when the stack was built: scaling multiplies
+    an adjacency hop by 2 / (hi - lo).
     """
-    if stack._tokens is not None:
-        x = stack._tokens
-        with np.errstate(over="ignore"):  # a hop scaled past float64's range is refused below
-            _scale_alike([x[:, j, start:] for j in range(x.shape[1])])
-        token_blocks = [(x[:, j],) for j in range(x.shape[1])]
-    else:
-        offsets = np.cumsum([0] + [block.shape[1] for block in stack._blocks])
-        copied = sum(block.shape[1] for block, at in zip(stack._blocks, offsets)
-                     if at + block.shape[1] > start)
-        refuse_unfit(8 * stack.n * copied, f"the scaled columns {start}: of a hop stack "
-                                           f"({stack.n} nodes x {copied} columns)")
-        held = []
-        for block, at in zip(stack._blocks, offsets):
-            cut = max(start - at, 0)
-            if cut < block.shape[1]:
-                block = block.copy()
-                views = [block[:, cut:]]
-                if stack._table is not None:
-                    views.append(stack._table[:, at + cut:at + block.shape[1]])
-                _scale_alike(views)
-                block.setflags(write=False)
-            held.append(block)
-        stack._blocks = tuple(held)
-        token_blocks = [stack._blocks] + ([] if stack._table is None else [(stack._table,)])
+    later = stack._later
+    offsets = np.cumsum([0] + [block.shape[1] for block in stack._blocks])
+    copied = sum(block.shape[1] for block, at in zip(stack._blocks, offsets)
+                 if at + block.shape[1] > start and not block.flags.writeable)
+    refuse_unfit(8 * stack.n * copied, f"the scaled columns {start}: of a hop stack "
+                                       f"({stack.n} nodes x {copied} columns)")
+    held = []
+    for block, at in zip(stack._blocks, offsets):
+        cut = max(start - at, 0)
+        if cut < block.shape[1]:
+            scaled = block if block.flags.writeable else block.copy()
+            with np.errstate(over="ignore"):  # a hop scaled past float64's range is refused below
+                _scale_alike([scaled[:, cut:]] + [later[:, j, at + cut:at + block.shape[1]]
+                                                  for j in range(later.shape[1])])
+            if scaled is not block:  # swapped: read-only like the block, and `tensor` is stale
+                scaled.setflags(write=False)
+                stack._dense = None
+            block = scaled
+        held.append(block)
+    stack._blocks = tuple(held)
+    token_blocks = [stack._blocks] + [(later[:, j],) for j in range(later.shape[1])]
     k = stack.counts[1] if stack.counts else len(token_blocks) - 1
     for j, blocks in enumerate(token_blocks):
         _refuse_outgrown(blocks, j, f"the scaled hop stack of k={k}")

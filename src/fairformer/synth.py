@@ -127,7 +127,8 @@ def sensitive_block_graph(n: int = 1000, seed: int = 0, *, avg_degree: float = 2
     when the n x n grid at _BLOCK_BYTES_PER_PAIR would not fit in physical
     memory.
     """
-    refuse_unfit(_BLOCK_BYTES_PER_PAIR * n * n, f"dense edge sampling at n={n}", IngestionError)
+    refuse_unfit(_BLOCK_BYTES_PER_PAIR * n * n, f"the n x n grid of edge draws at n={n}",
+                 IngestionError)
     rng = np.random.default_rng(seed)
     sens = _force_both_values(rng.integers(0, 2, n), rng)
     p_pos = np.where(sens == 1, 0.5 + _LEAK / 2.0, 0.5 - _LEAK / 2.0)

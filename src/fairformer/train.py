@@ -150,6 +150,15 @@ def build_encodings(g: Graph, cfg: TrainConfig) -> HopStack:
     return hop_aggregate(build_group_graph(g), blocks, k, normalization="group-mean")
 
 
+def _scaled_encodings(g: Graph, cfg: TrainConfig) -> HopStack:
+    """The stack a model runs: `build_encodings`' with its structure columns min-max
+    scaled to [-1, 1] (`scale_columns`). `build_encodings` is looked up as this
+    module's global on every call, so a caller that rebinds it sees it run."""
+    stack = build_encodings(g, cfg)
+    scale_columns(stack, g.d)
+    return stack
+
+
 _LEARNING_RATE = 1e-3
 _WEIGHT_DECAY = 1e-4
 _PATIENCE = 100  # a fold stops after this many epochs without a validation gain
@@ -480,9 +489,8 @@ def train(g: Graph, cfg: TrainConfig, splits: list | None = None, serial: bool =
 
     Every fold trains with Adam at `_LEARNING_RATE` and `_WEIGHT_DECAY`, dropout
     at `ModelConfig`'s default, and stops after `_PATIENCE` stale epochs; `cfg`
-    sets the rest. The stack it trains on is `build_encodings`' with its structure
-    columns min-max scaled to [-1, 1] (`scale_columns`), once, inside
-    `encode_seconds`.
+    sets the rest. The stack it trains on is `_scaled_encodings(g, cfg)`, built once,
+    inside `encode_seconds`.
 
     The folds are `make_folds(g, cfg.split_spec())`: `cfg`'s seed, fold count and
     per-class training cap decide them. A caller that draws its own, for example to
@@ -517,8 +525,7 @@ def train(g: Graph, cfg: TrainConfig, splits: list | None = None, serial: bool =
                     f"split at train_per_class_cap={cfg.train_per_class_cap} takes {want}")
 
     encode_start = time.perf_counter()
-    stack = build_encodings(g, cfg)
-    scale_columns(stack, g.d)  # the structure columns, to [-1, 1]
+    stack = _scaled_encodings(g, cfg)
     encode_seconds = time.perf_counter() - encode_start
 
     log: list[str] = []
@@ -630,10 +637,10 @@ def bench_scaling(sizes, k: int = 2, t: int = 4, d_hidden: int = 32, seed: int =
     and step on the first graph take the first-call costs before any timing.
     Each size's encode time is the fastest of `_ENCODE_REPEATS`, each on a fresh
     copy of the graph, so it times a cold structure solve rather than the basis
-    `spectral` remembers. The stacks are `build_encodings`' alone, so their structure
-    columns are raw: of the shape `train` scales, not scaled. numpy's OpenBLAS is
-    held at one thread throughout: with its own thread pool the fit moved from run to
-    run on a 2-vCPU machine.
+    `spectral` remembers. Every encode, the warm-up's too, builds the stack `train`
+    runs (`_scaled_encodings`), structure columns scaled. numpy's OpenBLAS is held at
+    one thread throughout: with its own thread pool the fit moved from run to run on
+    a 2-vCPU machine.
     A size whose graph cannot fit in physical memory is refused with
     IngestionError before any graph is generated.
     """
@@ -649,13 +656,13 @@ def bench_scaling(sizes, k: int = 2, t: int = 4, d_hidden: int = 32, seed: int =
         for n in sizes:
             g = benchmark_graph(n, seed=seed)
             if not encode_times:  # the untimed warm-up
-                stack = build_encodings(replace(g), cfg)
+                stack = _scaled_encodings(replace(g), cfg)
                 _train_step(*_init_fold(cfg, stack.d, 0), stack, g.labels, 0, 0)
             best_encode = np.inf
             for _ in range(_ENCODE_REPEATS):
                 cold = replace(g)
                 start = time.perf_counter()
-                stack = build_encodings(cold, cfg)
+                stack = _scaled_encodings(cold, cfg)
                 best_encode = min(best_encode, time.perf_counter() - start)
             encode_times.append(best_encode)
 

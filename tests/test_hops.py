@@ -509,9 +509,22 @@ def test_scaled_block_is_charged_before_it_is_made(monkeypatch):
 def test_scaling_leaves_a_stack_with_no_structure_columns_as_it_is():
     g = sensitive_block_graph(n=60, seed=3)
     stack = hop_aggregate(build_group_graph(g), (g.features,), 2, "group-mean")
-    blocks, table = stack._blocks, stack._table.copy()
+    blocks, later = stack._blocks, stack._later.copy()
     scale_columns(stack, g.d)
-    assert stack._blocks == blocks and np.array_equal(stack._table, table)
+    assert stack._blocks == blocks and np.array_equal(stack._later, later)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_a_stack_held_by_blocks_and_its_dense_copy_read_and_scale_alike(k):
+    stack, g, b = basis_stack(k)
+    dense = HopStack(stack.tensor.copy(), stack.counts)
+    order = np.random.default_rng(k).permutation(g.n)
+    for idx in (slice(5, 150), order[:40], g.sensitive == 1):
+        assert stack.rows(idx).tobytes() == dense.rows(idx).tobytes()
+    scale_columns(stack, g.d)
+    scale_columns(dense, g.d)
+    assert stack.tensor.tobytes() == dense.tensor.tobytes()
+    assert np.shares_memory(stack._blocks[0], g.features)
 
 
 def test_adjacency_hop_that_outgrows_the_layer_norm_bound_once_scaled_is_refused(monkeypatch):

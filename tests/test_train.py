@@ -19,7 +19,7 @@ from fairformer.errors import FairformerError, ModelError, SplitError, TrainingE
 from fairformer.hops import HopStack, build_group_graph, hop_aggregate, scale_columns
 from fairformer.model import cross_entropy, forward, init_model, load_model
 from fairformer.oracles import dense_power_apply
-from fairformer.synth import sensitive_block_graph
+from fairformer.synth import benchmark_graph, sensitive_block_graph
 from model_oracle import forward_direct
 from fairformer.train import (ABLATION_VARIANTS, Adam, TrainConfig, ablate, bench_scaling,
                               build_encodings, sweep, sweep_table, train)
@@ -629,6 +629,20 @@ def test_bench_times_a_cold_solve_in_every_encode(monkeypatch):
     calls = recorded_solves(monkeypatch)
     bench_scaling([200, 400], k=1, t=2, d_hidden=8, epochs_timed=1)
     assert calls.count((2, "LM")) == 1 + 2 * 2  # the warm-up encode and every timed one
+
+
+def test_bench_steps_on_the_scaled_stack_train_runs(monkeypatch):
+    width = benchmark_graph(200).d
+    spans = []
+
+    def recording_forward(params, stack, training=False, rng=None, **kwargs):
+        structure = stack.tensor[:, 0, width:]
+        spans.append((structure.min(axis=0).tolist(), structure.max(axis=0).tolist()))
+        return forward(params, stack, training=training, rng=rng, **kwargs)
+
+    monkeypatch.setattr(train_module, "forward", recording_forward)
+    bench_scaling([200, 400], k=1, t=2, d_hidden=8, epochs_timed=1)
+    assert spans == [([-1.0, -1.0], [1.0, 1.0])] * 3  # the warm-up step, then one per size
 
 
 def test_mean_within_fold_range():
