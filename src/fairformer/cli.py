@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated node counts")
     p_bench.add_argument("--k", type=int, default=2, help="hop count")
     p_bench.add_argument("--t", type=int, default=4, help="structure eigenvectors")
-    p_bench.add_argument("--hidden", type=int, default=32, help="hidden width")
+    p_bench.add_argument("--hidden", type=int, default=TrainConfig.d_hidden, help="hidden width")
     p_bench.add_argument("--epochs-timed", type=_positive_int, default=3,
                          help="epochs timed per size")
 

@@ -32,7 +32,7 @@ from .synth import refuse_unfit
 
 @dataclass(frozen=True)
 class ModelConfig:
-    d_hidden: int = 128
+    d_hidden: int = 32
     layers: int = 1
     heads: int = 1
     dropout: float = 0.1

@@ -232,9 +232,9 @@ def _heap_thresholds():
     mapped block larger than the mmap threshold is freed: to that block's size, and
     the trim threshold to twice it. Until then a training step maps each array above
     128 KiB afresh, page-faults it in and hands it back: `train --manifest` on the
-    `--synthetic 1000` graph took 131-164k minor faults a run. A 7.6 MiB array (a
-    dense 1000 x 1000 draw) freed before training leaves glibc at about these values,
-    and the same run then takes about 28k. Fixing them here gives every run that
+    `--synthetic 1000` graph took 131-164k minor faults a run at width 128. A 7.6 MiB
+    array (a dense 1000 x 1000 draw) freed before training leaves glibc at about these
+    values, and the same run then takes about 28k. Fixing them here gives every run that
     state, whatever the process freed before."""
     try:
         libc = ctypes.CDLL(None)
@@ -627,8 +627,8 @@ def _fit_exponent(sizes, seconds) -> float:
     return float(slope)
 
 
-def bench_scaling(sizes, k: int = 2, t: int = 4, d_hidden: int = 32, seed: int = 0,
-                  epochs_timed: int = 3) -> BenchReport:
+def bench_scaling(sizes, k: int = 2, t: int = 4, d_hidden: int = TrainConfig.d_hidden,
+                  seed: int = 0, epochs_timed: int = 3) -> BenchReport:
     """Measure encoding and per-epoch time on synthetic graphs of growing n.
 
     The timed epoch is `train`'s step (`_train_step`) over all n rows. Fixed k,

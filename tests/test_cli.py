@@ -14,6 +14,7 @@ from fairformer import autodiff as ad
 from fairformer.cli import _eigensolver_deviation, _train_config, build_parser, main
 from fairformer.data import SplitSpec
 from fairformer.errors import ConvergenceError, TieWarning
+from fairformer.model import ModelConfig
 from fairformer.oracles import dense_eig
 from fairformer.spectral import SpectralBasis, top_magnitude_eigenpairs
 from fairformer.synth import random_connected_graph
@@ -325,6 +326,16 @@ def test_bench_flag_defaults_are_the_library_defaults():
     flags = {"k": args.k, "t": args.t, "d_hidden": args.hidden, "seed": args.seed,
              "epochs_timed": args.epochs_timed}
     assert flags == defaults
+
+
+@pytest.mark.parametrize("argv", [["train"], ["ablate"],
+                                  ["sweep", "--param", "t", "--min", "1", "--max", "2"],
+                                  ["bench"]],
+                         ids=["train", "ablate", "sweep", "bench"])
+def test_every_hidden_flag_defaults_to_the_model_width(argv):
+    # one source for the default width: the model's, through TrainConfig
+    args = build_parser().parse_args(argv)
+    assert args.hidden == TrainConfig().d_hidden == ModelConfig().d_hidden
 
 
 @pytest.mark.parametrize("args,code,names", [

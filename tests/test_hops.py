@@ -206,9 +206,9 @@ def test_adjacency_bound_scans_one_hop_at_a_time():
 def test_largest_accepted_adjacency_hop_passes_layer_norm_with_room():
     g, h = doubling_hops(width=15, top_over_limit=1.0)
     stack = hop_aggregate_adjacency(g, h, k=3)
-    params = init_model(ModelConfig(), 15)
+    params = init_model(ModelConfig(d_hidden=128), 15)
     # 2^15 stands for projection weights grown that much in training; the bound's
-    # margin covers about 2^15.5 at the default hidden width of 128
+    # margin covers about 2^15.5 at hidden width 128, a harder case than narrower ones
     for grown in (1.0, 2.0 ** 15):
         with np.errstate(over="raise", invalid="raise"):
             logits = forward(params, HopStack(tensor=stack.tensor * grown))

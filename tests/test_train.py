@@ -993,8 +993,9 @@ def test_training_step_leaves_no_grads():
 
 def test_training_step_holds_no_grads_worth_after_adam():
     # Adam rebinds the weights and both moments to arrays of the same size, so
-    # what a step leaves behind beyond a fresh fold is what it did not free
-    cfg = TrainConfig()
+    # what a step leaves behind beyond a fresh fold is what it did not free; width
+    # 128 gives a grad set large enough to tell a freed one from a held one
+    cfg = TrainConfig(d_hidden=128)
     g = sensitive_block_graph(n=100, seed=0)
     stack = build_encodings(g, cfg)
     train_module._train_step(*train_module._init_fold(cfg, stack.d, 1), stack, g.labels, 1, 1)
