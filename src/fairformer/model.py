@@ -5,8 +5,8 @@ that sequence only, so nodes never couple at inference and the cost stays
 linear in the node count. A forward over a subset of the rows therefore gives
 those rows' logits of the full pass to rounding, not always bit for bit: a
 GEMM's result can depend in the last bits (about 4e-16) on how many rows it
-holds. On the OpenBLAS numpy ships, a row's bits moved only for pieces under
-16 rows, or for cuts off a 128-row grid; `train._score_pieces` keeps to both.
+holds. So `train._score_pieces` cuts a set the same way whatever the worker
+count: one forward per 256-row block.
 
 Layers are pre-LN residual blocks: attention over normalized tokens plus the
 skip, then a GELU feed-forward over normalized tokens plus the skip. A

@@ -192,9 +192,8 @@ class Adam:
 def _rows(stack: HopStack, idx) -> HopStack:
     # tokens are per-node, so forward on a row subset matches the full pass to
     # rounding; not always bit for bit, as a GEMM's last bits can depend on its
-    # row count: on numpy's OpenBLAS they moved only for pieces under 16 rows, or
-    # for cuts off the 128-row grid. Only the selected rows are built, so training
-    # never lays out a whole group-mean stack
+    # row count. Only the selected rows are built, so training never lays out a
+    # whole group-mean stack
     return HopStack(stack.rows(idx), stack.counts)
 
 
@@ -278,33 +277,17 @@ class _OneBlasThread:
 
 _ONE_BLAS_THREAD = _OneBlasThread()
 
-# A set is cut into blocks of this many rows (the last may be shorter), and each
-# block once more at its row lo + _SCORE_BLOCK // 2, on a 128-row grid, when at
-# least _SHORTEST_CUT rows remain after that cut. So no piece holds more than
-# _SCORE_BLOCK // 2 + _SHORTEST_CUT - 1 = 143 rows, and `_score` holds at most
-# _WORKERS * 143 rows in flight whatever n is.
+# A set is scored one forward per block of this many rows (the last may be
+# shorter), so `_score` holds at most _WORKERS * 256 rows in flight whatever n is.
 _SCORE_BLOCK = 256
-_SHORTEST_CUT = 16
 
 
 def _score_pieces(n: int) -> list:
-    """The (lo, hi) row ranges that `_score` runs one forward each on. They depend
-    on n alone, never on the worker count, so neither do the logits' bits. Cutting
-    a block at its row lo + 128 keeps every block boundary, and a cut is made only
-    when it leaves 16 rows or more, so no cut makes a piece under 16 rows: a GEMM
-    row's last bits moved with the row count only below 16 rows, or for cuts off
-    that grid, on the OpenBLAS numpy ships, and the tests hold the pieces to one
-    forward per block, byte for byte. A last block of 1-15 rows is uncut and stays
-    a piece of its own, as in one forward per block: `_score_pieces(257)` ends
-    with (256, 257). An empty set is one empty piece."""
-    half, pieces = _SCORE_BLOCK // 2, []
-    for lo in range(0, max(n, 1), _SCORE_BLOCK):
-        hi = min(lo + _SCORE_BLOCK, n)
-        if hi - (lo + half) >= _SHORTEST_CUT:
-            pieces += [(lo, lo + half), (lo + half, hi)]
-        else:
-            pieces.append((lo, hi))
-    return pieces
+    """The (lo, hi) row ranges that `_score` runs one forward each on: one per
+    `_SCORE_BLOCK`-row block, in order, so `_score_pieces(257)` ends with (256, 257).
+    They depend on n alone, never on the worker count, so neither do the logits'
+    bits. An empty set is one empty piece."""
+    return [(lo, min(lo + _SCORE_BLOCK, n)) for lo in range(0, max(n, 1), _SCORE_BLOCK)]
 
 
 @functools.cache
@@ -323,7 +306,7 @@ def _score(params, stack: HopStack, beside=None):
     without it). Each `_score_pieces` range is one tape-free `forward`. Up to
     `_WORKERS` threads, the caller's own and the kept `_helper_threads`, take the
     pieces from one shared queue, and numpy's OpenBLAS is held at one thread while
-    helpers run. A set of 144 rows or more is at least two pieces, so helpers share
+    helpers run. A set of 257 rows or more is at least two pieces, so helpers share
     it also without `beside`. With `beside`, the caller first runs `beside()` while
     the helpers start on the pieces; with one worker the two run one after the
     other. A piece that raises `FairformerError` does not stop the others; the

@@ -775,22 +775,15 @@ def test_scoring_at_the_default_width_has_the_bytes_of_one_forward_per_block(mon
         assert train_module._score(params, stack)[0].tobytes() == want.tobytes(), n
 
 
-def test_score_pieces_cut_each_block_on_the_128_row_grid():
-    block, half = train_module._SCORE_BLOCK, train_module._SCORE_BLOCK // 2
-    for n in range(1, 3 * block + 2):
+def test_score_pieces_are_one_range_per_block():
+    block = train_module._SCORE_BLOCK
+    for n in range(0, 3 * block + 2):
         pieces = train_module._score_pieces(n)
-        assert pieces[0][0] == 0 and pieces[-1][1] == n
+        assert [lo for lo, _ in pieces] == list(range(0, max(n, 1), block)), n  # one a block
+        assert pieces[-1][1] == n
         assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))  # in order, no gap
-        assert max(hi - lo for lo, hi in pieces) <= 143
-        for lo in range(0, n, block):  # one piece per block, or two cut at lo + 128
-            inside = [(a, b) for a, b in pieces if lo <= a < lo + block]
-            hi = min(lo + block, n)
-            if hi - lo - half >= 16:
-                assert inside == [(lo, lo + half), (lo + half, hi)], n
-            else:
-                assert inside == [(lo, hi)], n
-    assert train_module._score_pieces(250) == [(0, 128), (128, 250)]
-    assert train_module._score_pieces(4000)[-2:] == [(3840, 3968), (3968, 4000)]
+    assert train_module._score_pieces(250) == [(0, 250)]
+    assert train_module._score_pieces(4000)[-2:] == [(3584, 3840), (3840, 4000)]
 
 
 def test_an_empty_set_scores_to_no_rows(monkeypatch):
@@ -803,33 +796,33 @@ def test_an_empty_set_scores_to_no_rows(monkeypatch):
         assert logits.shape == (0, 2) and ahead is None
 
 
-def test_scoring_a_250_row_set_peaks_well_below_one_forward(monkeypatch):
-    # the README's --synthetic 1000 folds score 250 validation and test rows;
-    # as one 250-row piece their traced peak was that of one tape-free forward
+def test_scoring_memory_does_not_grow_with_the_set(monkeypatch):
+    # one forward per block: a set of four blocks and a row peaks about as high as
+    # one block, beside its logits (two float64 a row)
     monkeypatch.setattr(train_module, "_WORKERS", 1)
     params = init_model(TrainConfig().model_config(0), 5)
-    stack = random_stack(250)
-    forward(params.frozen(), stack)
+    block = train_module._SCORE_BLOCK
     peaks = []
-    for run in (lambda: forward(params.frozen(), stack),
-                lambda: train_module._score(params, stack)):
+    for n in (block, 4 * block + 1):
+        stack = random_stack(n, seed=n)
+        train_module._score(params, stack)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            train_module._score(params, stack)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base - 16 * n)
         finally:
             tracemalloc.stop()
-    whole, scored = peaks
-    assert whole > 1_000_000
-    assert scored <= 0.6 * whole, f"scoring peak {scored} B against one forward's {whole} B"
+    one_block, longer = peaks
+    assert one_block > 100_000
+    assert longer <= 1.5 * one_block, f"{longer} B past the logits against {one_block} B"
 
 
-@pytest.mark.parametrize("n, threads", [(143, 2), (144, 1), (250, 1), (256, 1)])
+@pytest.mark.parametrize("n, threads", [(143, 2), (250, 2), (256, 2), (257, 1), (513, 1)])
 def test_scoring_without_beside_shares_a_set_under_one_blas_thread(blas_threads, monkeypatch,
                                                                    n, threads):
     # a fold's last validation set and its test set are scored without `beside`;
-    # from 144 rows on they are two pieces, and a helper takes one of them
+    # from 257 rows on they are two pieces, and a helper takes one of them
     monkeypatch.setattr(train_module, "_WORKERS", 2)
     seen = []
 
@@ -859,7 +852,7 @@ def test_scoring_records_no_tape(monkeypatch):
     block = train_module._SCORE_BLOCK
     n = 2 * block + 1
     train_module._score(params, random_stack(n))
-    assert len(outputs) == 2 * (n // block) + (n % block > 0)  # halves of full blocks, tail
+    assert len(outputs) == -(-n // block)  # one forward per block
     assert all(not out.requires_grad and out._backward_fn is None for out in outputs)
     for name, t in params.tensors.items():
         assert t.requires_grad and t.grad is sentinels[name]
@@ -883,7 +876,7 @@ def test_scoring_raises_the_first_failing_piece(monkeypatch, workers):
     monkeypatch.setattr(train_module, "forward", failing_forward)
     with pytest.raises(ModelError) as caught:
         train_module._score(scoring_params(), stack)
-    assert str(caught.value) == f"piece from {stack.tensor[block // 2, 0, 0]!r}"
+    assert str(caught.value) == f"piece from {stack.tensor[block, 0, 0]!r}"
     starts = [lo for lo, _ in train_module._score_pieces(2 * block + 1)]
     assert sorted(ran) == sorted(stack.tensor[starts, 0, 0])  # every piece ran
 
