@@ -186,7 +186,7 @@ def _hop_stack(x: np.ndarray, k: int, step, what: str | None = None) -> HopStack
     return HopStack(tensor=tensor)
 
 
-def hop_aggregate(group, h, k: int, normalization: str = "raw") -> HopStack:
+def hop_aggregate(group, h, k: int, normalization: str) -> HopStack:
     """Stack hop slices over the same-group graph of `group` (each node's 0/1
     sensitive group, see `build_group_graph`): slice 0 is the input itself, `h`,
     given as one array or as a tuple of column blocks laid side by side.

@@ -9,7 +9,6 @@ checkpoint can never be worse on validation than where training began.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import os
@@ -305,13 +304,13 @@ def _score(params, stack: HopStack, beside=None):
     frozen view: `Adam.step` rebinds the arrays), with what `beside` returned (None
     without it). Each `_score_pieces` range is one tape-free `forward`. Up to
     `_WORKERS` threads, the caller's own and the kept `_helper_threads`, take the
-    pieces from one shared queue, and numpy's OpenBLAS is held at one thread while
-    helpers run. A set of 257 rows or more is at least two pieces, so helpers share
-    it also without `beside`. With `beside`, the caller first runs `beside()` while
-    the helpers start on the pieces; with one worker the two run one after the
-    other. A piece that raises `FairformerError` does not stop the others; the
-    first such piece's error is raised once all have run, as if they had run in
-    order."""
+    pieces from one shared queue. A set of 257 rows or more is at least two pieces,
+    so helpers share it also without `beside`. With `beside`, the caller first runs
+    `beside()` while the helpers start on the pieces; with one worker the two run
+    one after the other. The BLAS thread count is the caller's to set: `train` holds
+    numpy's OpenBLAS at one thread around its folds. A piece that raises
+    `FairformerError` does not stop the others; the first such piece's error is
+    raised once all have run, as if they had run in order."""
     frozen = params.frozen()
     pieces = _score_pieces(stack.n)
     todo = queue.SimpleQueue()
@@ -332,13 +331,12 @@ def _score(params, stack: HopStack, beside=None):
                 failures[i] = exc
 
     helpers = min(_WORKERS - 1, len(pieces) - (beside is None))
-    with _ONE_BLAS_THREAD if helpers > 0 else contextlib.nullcontext():
-        futures = [_helper_threads(_WORKERS - 1).submit(drain) for _ in range(helpers)]
-        try:
-            ahead = None if beside is None else beside()
-            drain()
-        finally:  # no helper may outlive the scope
-            wait(futures)
+    futures = [_helper_threads(_WORKERS - 1).submit(drain) for _ in range(helpers)]
+    try:
+        ahead = None if beside is None else beside()
+        drain()
+    finally:  # no helper may outlive the call
+        wait(futures)
     for future in futures:
         future.result()
     if failures:
@@ -392,16 +390,18 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
     those weights, is appended to `models` unless that is None; otherwise it is
     dropped when the fold returns.
 
-    Epochs overlap: after step e, the validation set is scored on `snap`, a frozen
-    view of epoch e's weights, while the caller runs step e + 1 beside the scoring
-    (`_score`'s `beside`). `Adam.step` rebinds each array instead of writing into
-    it, so `snap` keeps epoch e's weights, and the best checkpoint is copied from
-    it. `_score` returns step e + 1's loss, or the error that ends training
-    there, and it is held until epoch e's patience check has run; a fold
-    that stops at e drops it, and one that goes on raises it then. The last epoch
-    runs nothing ahead. Steps and dropout draws keep their serial order, so the log,
-    the report and the checkpoints have the same bytes as when each step waits for
-    the scoring before it.
+    One loop runs epochs 0..`cfg.epochs`. Epoch e scores the validation set on
+    `snap`, a frozen view of the weights after step e (epoch 0: the initial ones,
+    which log no line), while the caller runs step e + 1 beside the scoring
+    (`_score`'s `beside`); the last epoch runs nothing beside. `Adam.step` rebinds
+    each array instead of writing into it, so `snap` keeps epoch e's weights, and
+    the best checkpoint is copied from it. Step e + 1's loss, or the error that
+    ends training there, is read once epoch e's patience check has run: a fold
+    that stops at e drops it. Steps and dropout draws keep their serial order, so
+    the log, the report and the checkpoints have the same bytes as when each step
+    waits for the scoring before it. An error scoring the initial weights is
+    raised as it is; one scoring a later epoch ends training there (`_diverged`).
+    It runs inside `train`'s BLAS scope.
     """
     params, optimizer, dropout_rng = _init_fold(cfg, stack.d, fold)
     train_stack = _rows(stack, split.train)
@@ -417,37 +417,27 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
         except FairformerError as exc:
             return _diverged(fold, epoch, exc)
 
-    def val_metrics(snap, epoch):
-        """Epoch `epoch`'s validation accuracy and parity, and the loss or the
-        TrainingError of step epoch + 1, run beside the scoring (None after the last)."""
-        beside = functools.partial(step, epoch + 1) if epoch < cfg.epochs else None
-        logits, ahead = _score(snap, val_stack, beside)
-        pred = predict_labels(logits)
-        try:
-            dsp = statistical_parity(pred, val_sens)
-        except UndefinedMetricError:  # a single-group validation set has no parity
-            dsp = float("nan")
-        return accuracy(pred, val_labels), dsp, ahead
-
-    snap = params.frozen()
-    best_acc, _, ahead = val_metrics(snap, 0)  # initial parameters are the first candidate
-    best_state = snap.state_copy()
-    best_epoch = 0
     stale = 0
     stop = "epochs"
-
-    for epoch in range(1, cfg.epochs + 1):
-        loss_value = ahead
-        if isinstance(loss_value, TrainingError):
-            raise loss_value
+    for epoch in range(cfg.epochs + 1):
         snap = params.frozen()
+        beside = functools.partial(step, epoch + 1) if epoch < cfg.epochs else None
         try:
-            acc, val_dsp, ahead = val_metrics(snap, epoch)
+            logits, ahead = _score(snap, val_stack, beside)
         except FairformerError as exc:
+            if epoch == 0:
+                raise
             raise _diverged(fold, epoch, exc) from exc
-        log_lines.append(f"fold={fold} epoch={epoch} loss={loss_value!r} val_acc={acc!r} "
-                         f"val_delta_sp={val_dsp!r}")
-        if acc > best_acc:
+        pred = predict_labels(logits)
+        acc = accuracy(pred, val_labels)
+        if epoch > 0:
+            try:
+                val_dsp = statistical_parity(pred, val_sens)
+            except UndefinedMetricError:  # a single-group validation set has no parity
+                val_dsp = float("nan")
+            log_lines.append(f"fold={fold} epoch={epoch} loss={loss_value!r} val_acc={acc!r} "
+                             f"val_delta_sp={val_dsp!r}")
+        if epoch == 0 or acc > best_acc:  # the initial weights are the first candidate
             best_acc = acc
             best_state = snap.state_copy()
             best_epoch = epoch
@@ -457,13 +447,16 @@ def _run_fold(g: Graph, cfg: TrainConfig, stack: HopStack, split: Split, fold: i
             if stale >= _PATIENCE:
                 stop = "patience"
                 break
+        if isinstance(ahead, TrainingError):
+            raise ahead
+        loss_value = ahead
 
     params.load_state(best_state)
     test_logits, _ = _score(params, _rows(stack, split.test))
     report = evaluate(test_logits, g.labels[split.test], g.sensitive[split.test])
     if models is not None:
         models.append(params)
-    return report, best_epoch, epoch, best_acc, stop  # epochs >= 1, so epoch is bound
+    return report, best_epoch, epoch, best_acc, stop
 
 
 def train(g: Graph, cfg: TrainConfig, splits: list | None = None, serial: bool = True,
@@ -481,11 +474,13 @@ def train(g: Graph, cfg: TrainConfig, splits: list | None = None, serial: bool =
     each with the training nodes per class that `split_train_counts` gives at `cfg`'s
     cap, the cap the run records; splits that do not are refused before encoding.
     Folds run one after another on the caller's thread, so the first fold that
-    fails ends the run. A finished fold's weights are kept only when `out_dir` is
-    given, for its checkpoint, which is written with the other files once every
-    fold has run; without `out_dir` they are freed before the next fold starts.
-    `serial` is ignored: it stays for callers that still pass it. Fixes the process's
-    heap thresholds first (`_heap_thresholds`)."""
+    fails ends the run. numpy's OpenBLAS is held at one thread around the folds
+    (`_ONE_BLAS_THREAD`), as their scoring runs threads of its own; the structure
+    solve, before them, keeps the caller's count. A finished fold's weights are
+    kept only when `out_dir` is given, for its checkpoint, which is written with
+    the other files once every fold has run; without `out_dir` they are freed
+    before the next fold starts. `serial` is ignored: it stays for callers that
+    still pass it. Fixes the process's heap thresholds first (`_heap_thresholds`)."""
     _heap_thresholds()
     start = time.perf_counter()
     if splits is None:
@@ -513,8 +508,9 @@ def train(g: Graph, cfg: TrainConfig, splits: list | None = None, serial: bool =
 
     log: list[str] = []
     models = None if out_dir is None else []
-    outcomes = [_run_fold(g, cfg, stack, split, fold, log, models)
-                for fold, split in enumerate(splits)]
+    with _ONE_BLAS_THREAD:
+        outcomes = [_run_fold(g, cfg, stack, split, fold, log, models)
+                    for fold, split in enumerate(splits)]
 
     reports, best_epochs, epochs_run, val_accuracies, stops = map(list, zip(*outcomes))
     result = RunResult(

@@ -2,6 +2,8 @@ import argparse
 import dataclasses
 import inspect
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import fairformer
 from fairformer import autodiff as ad
 from fairformer.cli import _eigensolver_deviation, _train_config, build_parser, main
 from fairformer.data import SplitSpec
-from fairformer.errors import ConvergenceError, TieWarning
+from fairformer.errors import ConvergenceError, ModelError, TieWarning
 from fairformer.model import ModelConfig
 from fairformer.oracles import dense_eig
 from fairformer.spectral import SpectralBasis, top_magnitude_eigenpairs
@@ -193,6 +195,22 @@ def test_diverged_loss_exits_4(monkeypatch, capsys):
     assert "fold 0: loss diverged to nan at epoch 1" in err
 
 
+def test_an_error_scoring_the_initial_weights_exits_1(monkeypatch, capsys):
+    # no step has been taken when epoch 0 is scored, so its error is no divergence
+    forward = fairformer.train.forward
+
+    def failing_forward(params, stack, training=False, **kwargs):
+        if not training:
+            raise ModelError("stubbed scoring failure")
+        return forward(params, stack, training=training, **kwargs)
+
+    monkeypatch.setattr("fairformer.train.forward", failing_forward)
+    assert run_cli(["train", "--synthetic", "40", "--epochs", "3", "--folds", "1",
+                    "--t", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error=ModelError detail='stubbed scoring failure'\n"
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats alone raises a fresh interpreter's peak resident memory by about a half
     src = str(Path(fairformer.__file__).resolve().parents[1])
@@ -317,6 +335,36 @@ def test_criterion_6_runs_are_train_commands(seed):
             "--folds", "1", "--cap", "100", "--t", "6", "--hidden", "32", "--ablation", variant])
         assert _train_config(args) == dataclasses.replace(fairness_fixture_config(seed),
                                                           ablation=variant)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# README writes criterion 6's runs once, for seed S and variant V
+README_PLACEHOLDERS = {"S": "0", "V": "full"}
+
+
+def readme_commands():
+    """The arguments of every `fairformer ...` line in README's bash blocks, with
+    continuation lines joined and comments dropped."""
+    text = README.read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^[ \t]*```bash\n(.*?)^[ \t]*```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["fairformer"]:
+                commands.append([README_PLACEHOLDERS.get(word, word) for word in words[1:]])
+    return commands
+
+
+def test_every_readme_command_parses(capsys):
+    commands = readme_commands()
+    assert len(commands) >= 8  # the command-line block's seven and criterion 6's run
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README's `fairformer {shlex.join(argv)}` does not parse: "
+                        f"{capsys.readouterr().err}")
 
 
 def test_bench_flag_defaults_are_the_library_defaults():

@@ -49,14 +49,14 @@ def test_build_group_graph_counts():
                          ids=["two", "fraction", "negative", "2-D"])
 def test_groups_other_than_0_or_1_are_refused(group):
     with pytest.raises(FairformerError, match="0s and 1s"):
-        hop_aggregate(group, np.zeros((2, 1)), k=1)
+        hop_aggregate(group, np.zeros((2, 1)), k=1, normalization="raw")
     with pytest.raises(FairformerError, match="0s and 1s"):
         group_scaling_report(group, k_max=1)
 
 
 def test_group_rows_must_match_feature_rows():
     with pytest.raises(FairformerError, match="do not match 3 groups"):
-        hop_aggregate([0, 1, 1], np.zeros((2, 1)), k=1)
+        hop_aggregate([0, 1, 1], np.zeros((2, 1)), k=1, normalization="raw")
 
 
 def test_raw_hop_scales_sensitive_column():
@@ -74,7 +74,7 @@ def test_raw_hop_scales_sensitive_column():
 def test_hop_zero_is_input():
     sg = group_graph([1, 0, 1])
     h = np.arange(6, dtype=float).reshape(3, 2)
-    stack = hop_aggregate(sg, h, k=0)
+    stack = hop_aggregate(sg, h, k=0, normalization="raw")
     assert stack.tensor.shape == (3, 1, 2)
     assert np.array_equal(stack.tensor[:, 0, :], h)
 
@@ -228,7 +228,7 @@ def test_adjacency_raw_handles_isolated_nodes():
 def test_negative_k_rejected():
     sg = group_graph([0, 1])
     with pytest.raises(FairformerError):
-        hop_aggregate(sg, np.zeros((2, 1)), k=-1)
+        hop_aggregate(sg, np.zeros((2, 1)), k=-1, normalization="raw")
     with pytest.raises(FairformerError):
         hop_aggregate(sg, np.zeros((2, 1)), k=1, normalization="bogus")
 
@@ -288,7 +288,7 @@ def test_a_columns_hops_keep_their_bits_whatever_columns_ride_beside_it(normaliz
 # each stack is 30 nodes x (k + 1) tokens x width columns x 8 bytes: 24 TB
 @pytest.mark.parametrize("build, k, width", [
     (lambda g, x, k: group_scaling_report(build_group_graph(g), k_max=k), 10**11, 1),
-    (lambda g, x, k: hop_aggregate(build_group_graph(g), x, k), 10**8, 1000),
+    (lambda g, x, k: hop_aggregate(build_group_graph(g), x, k, normalization="raw"), 10**8, 1000),
     (lambda g, x, k: hop_aggregate_adjacency(g, x, k), 10**8, 1000),
 ], ids=["group_scaling_report", "hop_aggregate", "hop_aggregate_adjacency"])
 def test_hop_stack_that_cannot_fit_is_refused_before_it_is_allocated(build, k, width):

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import itertools
 import sys
@@ -191,17 +192,18 @@ def test_one_blas_thread_scope_restores_the_count(blas_threads):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_training_leaves_the_blas_thread_count_as_it_found_it(blas_threads, monkeypatch):
-    monkeypatch.setattr(train_module, "_WORKERS", 2)
     g = sensitive_block_graph(n=80, seed=6, avg_degree=10.0)
     cfg = quick_config(epochs=2, train_per_class_cap=15)
-    train(g, cfg)
-    ablate(g, cfg)
-    sweep(g, cfg, "t", [1, 2])
-    assert blas_threads() == 2
-    monkeypatch.setattr(train_module, "_LEARNING_RATE", 1e300)
-    with pytest.raises(TrainingError, match="diverged"):
-        train(g, replace(cfg, epochs=10))
-    assert blas_threads() == 2
+    for workers in (1, 2):  # `train` holds one BLAS thread around its folds at either
+        monkeypatch.setattr(train_module, "_WORKERS", workers)
+        train(g, cfg)
+        ablate(g, cfg)
+        sweep(g, cfg, "t", [1, 2])
+        assert blas_threads() == 2
+        with monkeypatch.context() as patch, pytest.raises(TrainingError, match="diverged"):
+            patch.setattr(train_module, "_LEARNING_RATE", 1e300)
+            train(g, replace(cfg, epochs=10))
+        assert blas_threads() == 2
 
 
 def test_overlapping_blas_scopes_hold_one_thread_and_restore_the_count(blas_threads):
@@ -330,6 +332,62 @@ def test_divergence_raises_the_message_of_the_epoch_it_happens_at(monkeypatch, w
     with pytest.raises(TrainingError) as caught:
         train(g, cfg)
     assert caught.value is diverged
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("at", [0, 1])
+def test_an_error_scoring_the_initial_weights_keeps_its_type_and_message(monkeypatch, workers,
+                                                                         at):
+    # epoch 0 scores the initial weights before any step has been taken, so its error
+    # is raised as it is; the same error one epoch later ends training there
+    monkeypatch.setattr(train_module, "_WORKERS", workers)
+    error = ModelError("stubbed scoring failure")
+    scorings = []
+
+    def failing_forward(params, stack, training=False, **kwargs):
+        if not training:  # every set here is one piece, so one forward a scoring
+            scorings.append(len(scorings))
+            if scorings[-1] == at:
+                raise error
+        return forward(params, stack, training=training, **kwargs)
+
+    monkeypatch.setattr(train_module, "forward", failing_forward)
+    g = sensitive_block_graph(n=80, seed=6, avg_degree=10.0)
+    with pytest.raises(FairformerError) as caught:
+        train(g, quick_config(folds=1, epochs=10, train_per_class_cap=15))
+    if at == 0:
+        assert caught.value is error and str(caught.value) == "stubbed scoring failure"
+    else:
+        assert type(caught.value) is TrainingError and caught.value.__cause__ is error
+        assert str(caught.value) == ("fold 0: training diverged at epoch 1: "
+                                     "stubbed scoring failure")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_train_holds_one_blas_thread_for_every_forward_of_its_folds(blas_threads, monkeypatch,
+                                                                    workers):
+    # validation beside a step, the last validation and the test scoring all run in
+    # `train`'s one scope; the structure solve, before it, keeps the caller's count
+    monkeypatch.setattr(train_module, "_WORKERS", workers)
+    seen = []
+
+    def recording_forward(params, stack, training=False, **kwargs):
+        seen.append((training, blas_threads()))
+        return forward(params, stack, training=training, **kwargs)
+
+    def recording_encodings(g, cfg):
+        seen.append(("encode", blas_threads()))
+        return build_encodings(g, cfg)
+
+    monkeypatch.setattr(train_module, "forward", recording_forward)
+    monkeypatch.setattr(train_module, "build_encodings", recording_encodings)
+    g = sensitive_block_graph(n=100, seed=7, avg_degree=10.0)
+    train(g, quick_config(epochs=3, folds=2, train_per_class_cap=15))
+    # per fold: epochs 0-2 scored beside steps 1-3, then epoch 3 and the test set
+    fold = [(False, 1), (True, 1)] * 3 + [(False, 1), (False, 1)]
+    assert seen[0] == ("encode", 2)
+    assert sorted(seen[1:]) == sorted(fold * 2)  # a step and its scoring may interleave
+    assert blas_threads() == 2
 
 
 @pytest.mark.parametrize("n,patience,stop", [(100, 2, "patience"), (1100, 0, "epochs")])
@@ -818,21 +876,34 @@ def test_scoring_memory_does_not_grow_with_the_set(monkeypatch):
     assert longer <= 1.5 * one_block, f"{longer} B past the logits against {one_block} B"
 
 
-@pytest.mark.parametrize("n, threads", [(143, 2), (250, 2), (256, 2), (257, 1), (513, 1)])
-def test_scoring_without_beside_shares_a_set_under_one_blas_thread(blas_threads, monkeypatch,
-                                                                   n, threads):
+@pytest.mark.parametrize("n, threads", [(143, 1), (250, 1), (256, 1), (257, 2), (513, 2)])
+def test_scoring_without_beside_shares_a_set_from_257_rows_at_the_callers_blas_count(
+        blas_threads, monkeypatch, n, threads):
     # a fold's last validation set and its test set are scored without `beside`;
-    # from 257 rows on they are two pieces, and a helper takes one of them
+    # from 257 rows on they are two pieces, and a helper takes one of them. The
+    # BLAS count is the caller's: `train` holds one thread around its folds
     monkeypatch.setattr(train_module, "_WORKERS", 2)
-    seen = []
+    idents, seen = [], []
+    arrived = threading.Condition()
 
     def recording_forward(params, piece, **kwargs):
+        with arrived:  # a piece waits until `threads` threads have taken one
+            idents.append(threading.get_ident())
+            arrived.notify_all()
+            arrived.wait_for(lambda: len(set(idents)) >= threads, timeout=10)
         seen.append(blas_threads())
         return forward(params, piece, **kwargs)
 
     monkeypatch.setattr(train_module, "forward", recording_forward)
-    train_module._score(scoring_params(), random_stack(n))
-    assert seen == [threads] * len(train_module._score_pieces(n))
+    pieces = len(train_module._score_pieces(n))
+    for scope, count in ((contextlib.nullcontext(), 2), (train_module._ONE_BLAS_THREAD, 1)):
+        idents.clear()
+        seen.clear()
+        with scope:
+            train_module._score(scoring_params(), random_stack(n))
+        assert len(idents) == pieces and threading.get_ident() in idents
+        assert len(set(idents)) == threads
+        assert seen == [count] * pieces
     assert blas_threads() == 2
 
 
@@ -920,7 +991,7 @@ def test_a_failing_beside_reaches_the_caller_after_every_helper_finished(blas_th
     def waiting_forward(params, piece, **kwargs):
         assert raised.wait(timeout=10)
         out = forward(params, piece, **kwargs)
-        blas_seen.append(blas_threads())
+        blas_seen.append(blas_threads())  # the caller's count: `_score` sets none
         return out
 
     def beside():
@@ -930,7 +1001,7 @@ def test_a_failing_beside_reaches_the_caller_after_every_helper_finished(blas_th
     monkeypatch.setattr(train_module, "forward", waiting_forward)
     with pytest.raises(RuntimeError, match="the step beside failed"):
         train_module._score(scoring_params(), random_stack(n), beside)
-    assert blas_seen == [1] * len(train_module._score_pieces(n))
+    assert blas_seen == [2] * len(train_module._score_pieces(n))
     assert blas_threads() == 2
 
 
