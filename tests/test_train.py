@@ -876,13 +876,17 @@ def test_scoring_memory_does_not_grow_with_the_set(monkeypatch):
     assert longer <= 1.5 * one_block, f"{longer} B past the logits against {one_block} B"
 
 
-@pytest.mark.parametrize("n, threads", [(143, 1), (250, 1), (256, 1), (257, 2), (513, 2)])
-def test_scoring_without_beside_shares_a_set_from_257_rows_at_the_callers_blas_count(
-        blas_threads, monkeypatch, n, threads):
+@pytest.mark.parametrize("n, count", [(143, 2), (250, 2), (256, 2), (257, 1), (513, 1),
+                                      (143, 1), (250, 1), (256, 1), (257, 2), (513, 2)])
+def test_scoring_without_beside_shares_a_set_under_one_blas_thread(blas_threads, monkeypatch,
+                                                                   n, count):
     # a fold's last validation set and its test set are scored without `beside`;
     # from 257 rows on they are two pieces, and a helper takes one of them. The
-    # BLAS count is the caller's: `train` holds one thread around its folds
+    # BLAS count is the caller's, `count`: one thread inside `_ONE_BLAS_THREAD`,
+    # as `train` holds it around its folds, or 2 outside it
     monkeypatch.setattr(train_module, "_WORKERS", 2)
+    pieces = len(train_module._score_pieces(n))
+    threads = min(pieces, 2)
     idents, seen = [], []
     arrived = threading.Condition()
 
@@ -895,15 +899,11 @@ def test_scoring_without_beside_shares_a_set_from_257_rows_at_the_callers_blas_c
         return forward(params, piece, **kwargs)
 
     monkeypatch.setattr(train_module, "forward", recording_forward)
-    pieces = len(train_module._score_pieces(n))
-    for scope, count in ((contextlib.nullcontext(), 2), (train_module._ONE_BLAS_THREAD, 1)):
-        idents.clear()
-        seen.clear()
-        with scope:
-            train_module._score(scoring_params(), random_stack(n))
-        assert len(idents) == pieces and threading.get_ident() in idents
-        assert len(set(idents)) == threads
-        assert seen == [count] * pieces
+    with train_module._ONE_BLAS_THREAD if count == 1 else contextlib.nullcontext():
+        train_module._score(scoring_params(), random_stack(n))
+    assert len(idents) == pieces and threading.get_ident() in idents
+    assert len(set(idents)) == threads
+    assert seen == [count] * pieces
     assert blas_threads() == 2
 
 
